@@ -13,7 +13,7 @@ exponents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -46,6 +46,12 @@ class ClusterError(PresentationError):
 class NotExchangeable(ClusterError):
     def __init__(self, k):
         super().__init__(f"index {k+1} is frozen")
+        self.index = k
+
+
+class DirectionOutOfRange(ClusterError):
+    def __init__(self, k, n):
+        super().__init__(f"mutation direction {k+1} is outside 1..{n}")
         self.index = k
 
 
@@ -111,6 +117,7 @@ class SeedInvariantFailure(ClusterError):
 
 
 RMatrix = List[List[Fraction]]
+SeedKey = Tuple[Tuple[int, int], ...]
 
 
 def omega(r: RMatrix, f: Sequence[int], g: Sequence[int]) -> Fraction:
@@ -162,10 +169,16 @@ class BMatrix:
         return isinstance(other, BMatrix) and self.n == other.n and self.ex == other.ex and self.cols == other.cols
 
 
-def mutate_matrix(b: BMatrix, k: int) -> BMatrix:
-    """Matrix mutation in direction k; involutive and rank-preserving."""
+def _check_direction(b: BMatrix, k: int) -> None:
+    if not 0 <= k < b.n:
+        raise DirectionOutOfRange(k, b.n)
     if k not in b.cols:
         raise NotExchangeable(k)
+
+
+def mutate_matrix(b: BMatrix, k: int) -> BMatrix:
+    """Matrix mutation in direction k; involutive and rank-preserving."""
+    _check_direction(b, k)
     new_cols: Dict[int, Tuple[int, ...]] = {}
     for j in b.ex:
         col = []
@@ -237,8 +250,7 @@ def _transpose(a):
 
 def mutate_r(r: RMatrix, b: BMatrix, k: int) -> RMatrix:
     """E_eps^T r E_eps, computed for both signs and checked equal."""
-    if k not in b.cols:
-        raise NotExchangeable(k)
+    _check_direction(b, k)
     results = []
     for eps in (1, -1):
         e = _e_epsilon(b, k, eps)
@@ -287,7 +299,7 @@ class ClusterContext:
     d_map: Dict[int, int]
     x_in_y: List[MvLaurent] = field(default_factory=list)
     _tau_cache: Dict[Perm, "TauSeedBundle"] = field(default_factory=dict)
-    _expr_cache: Dict[Perm, List[MvLaurent]] = field(default_factory=dict)
+    _expr_cache: Dict[SeedKey, List[MvLaurent]] = field(default_factory=dict)
 
     @classmethod
     def build(cls, p: PoissonPresentation, require_normalized: bool = True) -> "ClusterContext":
@@ -384,6 +396,21 @@ def eta_tau_data(eta: EtaData, tau: Perm) -> EtaData:
     return EtaData(eta=labels, pred=pred, succ=succ, exchangeable=exchangeable, rank=rank)
 
 
+def seed_key(eta: EtaData, tau: Perm) -> Tuple[Perm, SeedKey]:
+    """sigma = tau_bullet o tau and the seed key of tau.
+
+    The seed key is the slot-ordered tuple of interval labels (start, m):
+    slot s holds the label of the tau-sequence prime at position
+    sigma^{-1}(s), so it lists the cluster variables y_[start, s^m(start)]
+    in ytilde order.  Permutations with equal keys have equal clusters.
+    Raises SymmetryError unless tau is in Xi_N.
+    """
+    data = interval_data_for_tau(eta, tau)
+    sigma = perm_compose(tau_bullet(tau, eta), tau)
+    sig_inv = perm_inverse(sigma)
+    return sigma, tuple(data[sig_inv[s]] for s in range(len(tau)))
+
+
 def r_matrix_for_tau(p: PoissonPresentation, eta: EtaData, tau: Perm) -> RMatrix:
     """r_tau = (tau_bullet tau) q_tau (tau_bullet tau)^{-1} with q_tau from
     the permuted lambda-matrix and the permuted predecessor chains."""
@@ -437,12 +464,9 @@ def seed_for_tau(ctx: ClusterContext, tau: Perm) -> TauSeedBundle:
         return ctx._tau_cache[tau]
     p, eta = ctx.p, ctx.eta
     n = p.n
-    sigma = perm_compose(tau_bullet(tau, eta), tau)
-    sig_inv = perm_inverse(sigma)
-    data = interval_data_for_tau(eta, tau)
-    y_tau = [interval_prime(p, eta, i, m) for (i, m) in data]
-    vars_x = [y_tau[sig_inv[k]] for k in range(n)]
-    intervals = [data[sig_inv[k]] for k in range(n)]
+    sigma, key = seed_key(eta, tau)
+    vars_x = [interval_prime(p, eta, i, m) for (i, m) in key]
+    intervals = list(key)
     weights = [weight_of(p, v) for v in vars_x]
     r = r_matrix_for_tau(p, eta, tau)
     btilde, beta = solve_btilde(ctx, tau, r, weights)
@@ -604,17 +628,18 @@ def cluster_expressions(ctx: ClusterContext, tau: Perm) -> List[MvLaurent]:
     Built by back-substitution along the tau-presentation:
     x_tau(k) = y_{tau, p_tau(k)}^{-1} (y_{tau,k} + c_{tau,k}).  Exponent slots
     follow the ytilde ordering (variable j of the tau-sequence sits in slot
-    (tau_bullet tau)(j)).
+    (tau_bullet tau)(j)).  Cached by seed key: permutations with the same key
+    have the same cluster variables, and the Laurent expansion of each x_j in
+    an algebraically independent set is unique, so they share the result.
     """
     tau = tuple(tau)
-    if tau in ctx._expr_cache:
-        return ctx._expr_cache[tau]
     p, eta = ctx.p, ctx.eta
+    sigma, key = seed_key(eta, tau)
+    if key in ctx._expr_cache:
+        return ctx._expr_cache[key]
     n = p.n
     etau = eta_tau_data(eta, tau)
-    data = interval_data_for_tau(eta, tau)
-    y_tau = [interval_prime(p, eta, i, m) for (i, m) in data]
-    sigma = perm_compose(tau_bullet(tau, eta), tau)
+    y_tau = [interval_prime(p, eta, *key[sigma[k]]) for k in range(n)]
     gens = [MvLaurent.gen(n, i) for i in range(n)]
 
     images: List[Optional[MvLaurent]] = [None] * n   # indexed by generator
@@ -634,7 +659,7 @@ def cluster_expressions(ctx: ClusterContext, tau: Perm) -> List[MvLaurent]:
         slot_p = sigma[pk]
         images[v] = MvLaurent.gen(n, slot_p, -1) * (MvLaurent.gen(n, slot_k) + c_expr)
     result = [img for img in images]  # type: ignore[list-item]
-    ctx._expr_cache[tau] = result     # type: ignore[assignment]
+    ctx._expr_cache[key] = result     # type: ignore[assignment]
     return result                     # type: ignore[return-value]
 
 
@@ -669,7 +694,10 @@ def express_in_cluster(ctx: ClusterContext, f: MvLaurent, tau: Perm,
             raise NotInRing("x-coordinate input must be a polynomial in the generators")
         expr = substitute(f, x_imgs)
     elif coords == "y":
-        y_imgs = [substitute(ctx.seq.y[j], x_imgs) for j in range(ctx.p.n)]
+        # substitute reads y_imgs[j] only where f has a nonzero exponent
+        used = f.support()
+        zero = MvLaurent.zero(ctx.p.n)
+        y_imgs = [substitute(ctx.seq.y[j], x_imgs) if j in used else zero for j in range(ctx.p.n)]
         try:
             expr = substitute(f, y_imgs)
         except NonInvertibleImage as exc:
@@ -686,17 +714,25 @@ def express_in_cluster(ctx: ClusterContext, f: MvLaurent, tau: Perm,
 
 def upper_membership(ctx: ClusterContext, f: MvLaurent, inv: Sequence[int] = (),
                      coords: str = "x") -> Tuple[bool, List[MembershipWitness]]:
-    """Certificate for membership in the Gamma_N intersection of mixed rings."""
+    """Certificate for membership in the Gamma_N intersection of mixed rings.
+
+    f is expressed once per distinct seed key along Gamma_N (adjacent
+    permutations share a cluster or differ by one mutation), and every
+    permutation gets its own witness carrying its key's result.
+    """
+    by_key: Dict[SeedKey, MembershipWitness] = {}
     witnesses: List[MembershipWitness] = []
-    ok = True
     for tau in ctx.gamma().perms:
-        try:
-            _, w = express_in_cluster(ctx, f, tau, inv=inv, coords=coords)
-        except NotInRing:
-            w = MembershipWitness(tau=tuple(tau), ok=False, expression=None, bad_frozen=[])
-        witnesses.append(w)
-        ok = ok and w.ok
-    return ok, witnesses
+        _sigma, key = seed_key(ctx.eta, tau)
+        w = by_key.get(key)
+        if w is None:
+            try:
+                _, w = express_in_cluster(ctx, f, tau, inv=inv, coords=coords)
+            except NotInRing:
+                w = MembershipWitness(tau=tau, ok=False, expression=None, bad_frozen=[])
+            by_key[key] = w
+        witnesses.append(replace(w, tau=tau, bad_frozen=list(w.bad_frozen)))
+    return all(w.ok for w in witnesses), witnesses
 
 
 # ---------------------------------------------------------------- seed mutation
@@ -743,8 +779,7 @@ def mutate_seed(ctx: ClusterContext, seed, k: int) -> Seed:
     """
     if isinstance(seed, TauSeedBundle):
         seed = seed.as_seed()
-    if k not in seed.btilde.cols:
-        raise NotExchangeable(k)
+    _check_direction(seed.btilde, k)
     pair = CompatiblePair(r=seed.r, btilde=seed.btilde, beta=seed.beta)
     mutated = mutate_pair(pair, k)
     col = seed.btilde.column(k)

@@ -81,6 +81,8 @@ class PoissonPresentation:
     h_star: Optional[Tuple[Tuple[Fraction, ...], ...]] = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise PresentationError("a presentation needs at least one generator")
         if len(self.weights) != self.n or len(self.h) != self.n:
             raise PresentationError("weights/h must have one row per generator")
         if any(len(w) != self.torus_rank for w in self.weights):

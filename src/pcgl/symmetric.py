@@ -371,40 +371,20 @@ def interval_exponent(eta: EtaData, i: int, m: int) -> ExpVec:
 
 
 def y_sequence_for_tau(p: PoissonPresentation, eta: EtaData, tau: Perm) -> List[MvLaurent]:
-    """Prime sequence of the tau-reordered presentation via interval selection.
+    """Prime sequence of the tau-reordered presentation via interval selection."""
+    return [interval_prime(p, eta, i, m) for (i, m) in interval_data_for_tau(eta, tau)]
+
+
+def interval_data_for_tau(eta: EtaData, tau: Perm) -> List[Tuple[int, int]]:
+    """(start, m) pairs such that y_{tau,k} = y_[start, s^m(start)].
 
     For position k: if tau(k) >= tau(1), take y_[p^m(tau(k)), tau(k)] with m
     maximal such that p^m stays inside tau([1, k]); in the opposite case use
     successor powers.  Predecessors/successors are those of the original
-    presentation.
+    presentation.  Raises SymmetryError unless tau is in Xi_N.
     """
     if not is_xi_element(tau):
         raise SymmetryError(f"{[v+1 for v in tau]} is not an interval-prefix permutation")
-    prefix = set()
-    out: List[MvLaurent] = []
-    for k in range(len(tau)):
-        v = tau[k]
-        prefix.add(v)
-        if v >= tau[0]:
-            m = 0
-            cur = eta.pred[v]
-            while cur is not None and cur in prefix:
-                m += 1
-                cur = eta.pred[cur]
-            start = eta.pred_power(v, m)
-            out.append(interval_prime(p, eta, start, m))
-        else:
-            m = 0
-            cur = eta.succ[v]
-            while cur is not None and cur in prefix:
-                m += 1
-                cur = eta.succ[cur]
-            out.append(interval_prime(p, eta, v, m))
-    return out
-
-
-def interval_data_for_tau(eta: EtaData, tau: Perm) -> List[Tuple[int, int]]:
-    """(start, m) pairs such that y_{tau,k} = y_[start, s^m(start)]."""
     prefix = set()
     out: List[Tuple[int, int]] = []
     for k in range(len(tau)):

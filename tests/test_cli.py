@@ -128,6 +128,28 @@ class TestSubcommands:
     def test_bad_tau_exit_2(self, m22_file, capsys):
         assert main(["btilde", m22_file, "--tau", "1,2,3"]) == 2
 
+    def test_non_xi_tau_exit_2(self, m22_file, capsys):
+        # a permutation, but its prefix {2, 4} is not an interval
+        assert main(["btilde", m22_file, "--tau", "2,4,1,3"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == "SymmetryError"
+
+    def test_mutate_direction_errors(self, m22_file, capsys):
+        assert main(["mutate", m22_file, "--at", "99"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == "DirectionOutOfRange"
+        assert main(["mutate", m22_file, "--at", "4"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == "NotExchangeable"
+
+    def test_zero_generators_exit_2(self, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"n_gens": 0, "torus_rank": 1, "weights": [], "h": []}))
+        for argv in (["chain-verify", str(empty)],
+                     ["membership", str(empty), "--elem", "1"],
+                     ["seeds", str(empty), "--gamma"]):
+            assert main(argv) == 2
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["command"] == argv[0]
+            assert doc["error"]["code"] == "PresentationError"
+
     def test_enum_cap(self, m22_file, capsys, monkeypatch):
         monkeypatch.setenv("PCGL_MAX_N", "3")
         assert main(["chain-verify", m22_file]) == 2

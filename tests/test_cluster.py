@@ -1,6 +1,7 @@
 """Seeds, mutation, compatible pairs, links, membership, log-canonicality."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,11 @@ from pcgl.cluster import (
     ClusterContext,
     CompatiblePair,
     CompatibilityFailure,
+    DirectionOutOfRange,
+    MembershipWitness,
     NonIntegral,
     NotExchangeable,
+    NotInRing,
     chain_verify,
     check_compatible,
     check_log_canonical,
@@ -25,9 +29,10 @@ from pcgl.cluster import (
     upper_membership,
     verify_one_step,
 )
-from pcgl.poly import MvLaurent
+from pcgl import cluster
+from pcgl.poly import NonInvertibleImage, MvLaurent, substitute
 from pcgl.presets import build_affine_space, build_matrix_poisson, solid_minor
-from pcgl.symmetric import gamma_chain
+from pcgl.symmetric import SymmetryError, gamma_chain
 
 from conftest import two_block, weyl_block
 
@@ -80,6 +85,12 @@ class TestMatrixMutation:
         b = seed_for_tau(ctx22, (0, 1, 2, 3)).btilde
         with pytest.raises(NotExchangeable):
             mutate_matrix(b, 3)
+
+    def test_direction_out_of_range(self, ctx22):
+        b = seed_for_tau(ctx22, (0, 1, 2, 3)).btilde
+        for k in (4, 98, -1):
+            with pytest.raises(DirectionOutOfRange):
+                mutate_matrix(b, k)
 
 
 class TestCompatiblePairs:
@@ -300,16 +311,108 @@ class TestExpressAndMembership:
 
     def test_cluster_expressions_invert(self, ctx23):
         # substituting the tau-cluster expressions back with the variable
-        # polynomials recovers each generator
-        for tau in gamma_chain(6).perms[:5]:
+        # polynomials recovers each generator, also where the expressions
+        # come from the cache of another permutation with the same seed key
+        for tau in gamma_chain(6).perms:
             bundle = seed_for_tau(ctx23, tau)
             imgs = cluster_expressions(ctx23, tau)
-            from pcgl.poly import substitute
             for j in range(6):
                 assert substitute(imgs[j], bundle.vars_x) == MvLaurent.gen(6, j)
 
+    def test_non_xi_tau_rejected(self, ctx22):
+        # prefix {2, 4} is not an interval
+        with pytest.raises(SymmetryError):
+            cluster_expressions(ctx22, (1, 3, 0, 2))
+        with pytest.raises(SymmetryError):
+            seed_for_tau(ctx22, (1, 3, 0, 2))
+
+
+def _express_per_tau(ctx, f, tau, inv=(), coords="x"):
+    """express_in_cluster as it was before the seed-key cache: expressions
+    built for this tau alone, and every initial prime y_j rewritten."""
+    x_imgs = cluster_expressions(replace(ctx, _expr_cache={}), tau)
+    if coords == "x":
+        if not f.is_polynomial():
+            raise NotInRing("x-coordinate input must be a polynomial in the generators")
+        expr = substitute(f, x_imgs)
+    else:
+        y_imgs = [substitute(ctx.seq.y[j], x_imgs) for j in range(ctx.p.n)]
+        try:
+            expr = substitute(f, y_imgs)
+        except NonInvertibleImage as exc:
+            raise NotInRing(str(exc)) from exc
+    frozen = [l for l in range(ctx.p.n) if ctx.eta.succ[l] is None]
+    bad = sorted({l for l in frozen if l not in set(inv) for e in expr.terms if e[l] < 0})
+    return MembershipWitness(tau=tuple(tau), ok=not bad, expression=expr, bad_frozen=bad)
+
+
+def _upper_membership_per_tau(ctx, f, inv=(), coords="x"):
+    """Oracle: the per-permutation loop that upper_membership replaced."""
+    witnesses = []
+    ok = True
+    for tau in ctx.gamma().perms:
+        try:
+            w = _express_per_tau(ctx, f, tau, inv=inv, coords=coords)
+        except NotInRing:
+            w = MembershipWitness(tau=tuple(tau), ok=False, expression=None, bad_frozen=[])
+        witnesses.append(w)
+        ok = ok and w.ok
+    return ok, witnesses
+
+
+class TestMembershipDedupe:
+    """upper_membership expresses once per seed key; the witnesses must equal
+    the per-permutation oracle's on the full Gamma_9 of the 3x3 preset."""
+
+    def _cases(self, ctx):
+        y = [MvLaurent.gen(9, j) for j in range(9)]
+        frozen = [l for l in range(9) if ctx.eta.succ[l] is None][-1]
+        y_frozen_inv = MvLaurent.gen(9, frozen, -1)
+        return [
+            (MvLaurent.gen(9, 4), (), "x"),
+            (y_frozen_inv, (), "y"),
+            (y_frozen_inv, (frozen,), "y"),
+            (MvLaurent.gen(9, 3, -1) * y[0] * y[8], (), "y"),
+        ]
+
+    def test_equals_per_tau_oracle(self, ctx33):
+        for f, inv, coords in self._cases(ctx33):
+            got = upper_membership(ctx33, f, inv=inv, coords=coords)
+            assert got == _upper_membership_per_tau(ctx33, f, inv=inv, coords=coords)
+
+    def test_cases_cover_both_outcomes(self, ctx33):
+        oks = [upper_membership(ctx33, f, inv=inv, coords=coords)[0]
+               for f, inv, coords in self._cases(ctx33)]
+        assert oks == [True, False, True, False]
+        f, inv, coords = self._cases(ctx33)[3]
+        _, witnesses = upper_membership(ctx33, f, inv=inv, coords=coords)
+        missing = [w.expression is None for w in witnesses]
+        assert any(missing) and not all(missing)   # NotInRing in some clusters only
+
+    def test_one_expression_per_seed_key(self, ctx33, monkeypatch):
+        calls = []
+        inner = cluster.express_in_cluster
+
+        def counting(ctx, f, tau, **kw):
+            calls.append(tau)
+            return inner(ctx, f, tau, **kw)
+
+        monkeypatch.setattr(cluster, "express_in_cluster", counting)
+        _, witnesses = upper_membership(ctx33, MvLaurent.gen(9, 4))
+        chain = ctx33.gamma()
+        assert [w.tau for w in witnesses] == chain.perms
+        assert len(chain.perms) == 37
+        assert len(calls) == 6 == 1 + sum(chain.same_class)
+
 
 class TestMutateSeed:
+    def test_out_of_range_and_frozen(self, ctx22):
+        bundle = seed_for_tau(ctx22, (0, 1, 2, 3))
+        with pytest.raises(DirectionOutOfRange):
+            mutate_seed(ctx22, bundle, 98)
+        with pytest.raises(NotExchangeable):
+            mutate_seed(ctx22, bundle, 3)
+
     def test_exchange_2x2(self, ctx22):
         bundle = seed_for_tau(ctx22, (0, 1, 2, 3))
         mutated = mutate_seed(ctx22, bundle, 0)

@@ -9,6 +9,7 @@ from pcgl.poly import MvLaurent
 from pcgl.presentation import (
     Inhomogeneous,
     PoissonPresentation,
+    PresentationError,
     bracket,
     validate_algebra,
     weight_of,
@@ -109,6 +110,10 @@ class TestValidate:
 
     def test_weyl_passes(self):
         assert validate_algebra(weyl_block()).passed
+
+    def test_zero_generators_rejected(self):
+        with pytest.raises(PresentationError):
+            PoissonPresentation(n=0, torus_rank=1, weights=(), h=())
 
     def test_inhomogeneous_delta_detected(self, p22):
         delta = dict(p22.delta)

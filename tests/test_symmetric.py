@@ -12,10 +12,12 @@ from pcgl.presentation import PoissonPresentation, SupportViolation
 from pcgl.presets import build_affine_space, build_matrix_poisson, solid_minor
 from pcgl.symmetric import (
     Incompatible,
+    SymmetryError,
     apply_rescaling,
     compute_d_integers,
     enumerate_xi,
     gamma_chain,
+    interval_data_for_tau,
     interval_prime,
     is_xi_element,
     lambda_star,
@@ -224,6 +226,12 @@ class TestYSequenceForTau:
     def test_all_xi_2x3(self, ctx23):
         for tau in enumerate_xi(6):
             assert y_sequence_for_tau(ctx23.p, ctx23.eta, tau) == self._roundtrip(ctx23.p, tau)
+
+    def test_non_xi_rejected(self, p22, ctx22):
+        with pytest.raises(SymmetryError):
+            interval_data_for_tau(ctx22.eta, (1, 3, 0, 2))
+        with pytest.raises(SymmetryError):
+            y_sequence_for_tau(p22, ctx22.eta, (1, 3, 0, 2))
 
     def test_weyl_and_blocks(self):
         for p in (weyl_block(), two_block()):
