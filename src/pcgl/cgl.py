@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .poly import ExpVec, MvLaurent, apply_derivation
 from .presentation import (
@@ -79,22 +79,6 @@ class EtaData:
             cur = self.succ[cur]
         return cur
 
-    def order_minus(self, k: int) -> int:
-        m = 0
-        cur = self.pred[k]
-        while cur is not None:
-            m += 1
-            cur = self.pred[cur]
-        return m
-
-    def order_plus(self, k: int) -> int:
-        m = 0
-        cur = self.succ[k]
-        while cur is not None:
-            m += 1
-            cur = self.succ[cur]
-        return m
-
     def ebar(self, k: int) -> ExpVec:
         """Exponent e_k + e_{p(k)} + ... down the predecessor chain."""
         e = [0] * len(self.eta)
@@ -126,16 +110,6 @@ class PrimeSequenceReport:
 class QData:
     alpha: List[List[Fraction]]
     q: List[List[Fraction]]
-
-    def omega_q(self, f: Sequence[int], g: Sequence[int]) -> Fraction:
-        total = Fraction(0)
-        for k, fk in enumerate(f):
-            if not fk:
-                continue
-            for j, gj in enumerate(g):
-                if gj:
-                    total += fk * gj * self.q[k][j]
-        return total
 
 
 def delta(p: PoissonPresentation, k: int, f: MvLaurent) -> MvLaurent:

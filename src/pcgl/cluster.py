@@ -434,17 +434,16 @@ def solve_btilde(ctx: ClusterContext, tau: Perm, r: RMatrix,
     """
     n = ctx.p.n
     d = ctx.p.torus_rank
-    rows: List[List[Fraction]] = []
-    for j in range(n):
-        rows.append([r[i][j] for i in range(n)])
-    for a in range(d):
-        rows.append([Fraction(var_weights[k][a]) for k in range(n)])
+    rows = [[r[i][j] for i in range(n)] for j in range(n)]
+    rows += [[var_weights[k][a] for k in range(n)] for a in range(d)]
     cols: Dict[int, Tuple[int, ...]] = {}
     beta: Dict[int, Fraction] = {}
-    for l in ctx.eta.exchangeable:
-        lam_l = ctx.lambda_star(l)
-        rhs = [lam_l if j == l else Fraction(0) for j in range(n)] + [Fraction(0)] * d
-        particular, null_basis = linalg.solve(rows, rhs)
+    ex = ctx.eta.exchangeable
+    lams = [ctx.lambda_star(l) for l in ex]
+    rhs_columns = [[lam_l if j == l else 0 for j in range(n)] + [0] * d
+                   for l, lam_l in zip(ex, lams)]
+    particulars, null_basis = linalg.solve(rows, rhs_columns) if ex else ([], [])
+    for l, lam_l, particular in zip(ex, lams, particulars):
         if particular is None:
             raise NoSolution(l)
         if null_basis:
@@ -678,6 +677,11 @@ class MembershipWitness:
         }
 
 
+def _require_polynomial(f: MvLaurent) -> None:
+    if not f.is_polynomial():
+        raise NotInRing("x-coordinate input must be a polynomial in the generators")
+
+
 def express_in_cluster(ctx: ClusterContext, f: MvLaurent, tau: Perm,
                        inv: Sequence[int] = (), coords: str = "x") -> Tuple[MvLaurent, MembershipWitness]:
     """Rewrite f in the tau-cluster and test mixed-ring membership.
@@ -690,8 +694,7 @@ def express_in_cluster(ctx: ClusterContext, f: MvLaurent, tau: Perm,
     """
     x_imgs = cluster_expressions(ctx, tau)
     if coords == "x":
-        if not f.is_polynomial():
-            raise NotInRing("x-coordinate input must be a polynomial in the generators")
+        _require_polynomial(f)
         expr = substitute(f, x_imgs)
     elif coords == "y":
         # substitute reads y_imgs[j] only where f has a nonzero exponent
@@ -718,8 +721,13 @@ def upper_membership(ctx: ClusterContext, f: MvLaurent, inv: Sequence[int] = (),
 
     f is expressed once per distinct seed key along Gamma_N (adjacent
     permutations share a cluster or differ by one mutation), and every
-    permutation gets its own witness carrying its key's result.
+    permutation gets its own witness carrying its key's result.  An
+    x-coordinate input that is not a polynomial raises NotInRing up front;
+    a y-coordinate input that is not Laurent in some cluster gets ok=False
+    witnesses there.
     """
+    if coords == "x":
+        _require_polynomial(f)
     by_key: Dict[SeedKey, MembershipWitness] = {}
     witnesses: List[MembershipWitness] = []
     for tau in ctx.gamma().perms:

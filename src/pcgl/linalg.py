@@ -1,79 +1,87 @@
-"""Exact linear algebra over the rationals (dense, desk scale)."""
+"""Exact linear algebra over the rationals (dense, desk scale).
+
+One fraction-free elimination serves both `rank` and `solve`: every row is
+scaled to integers by the lcm of its denominators, and Gauss-Jordan
+elimination runs over the integers with each step dividing exactly by the
+previous pivot (Bareiss, Math. Comp. 22 (1968), 565-578).  Every pivot row
+then carries the same pivot value, and rationals appear again only when the
+reduced row echelon form is read back.  Entries are ints or Fractions.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
-Matrix = List[List[Fraction]]
 
+def _eliminate(rows: Sequence[Sequence], ncols: int) -> Tuple[List[List[int]], List[int]]:
+    """Fraction-free Gauss-Jordan on the first `ncols` columns of `rows`.
 
-def _to_fraction_matrix(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def rank(rows: Sequence[Sequence]) -> int:
-    m = _to_fraction_matrix(rows)
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def solve(rows: Sequence[Sequence], rhs: Sequence) -> Tuple[Optional[List[Fraction]], List[List[Fraction]]]:
-    """Solve rows*x = rhs exactly.
-
-    Returns (particular_solution, nullspace_basis); the particular solution is
-    None when the system is inconsistent.  The nullspace basis is that of the
-    homogeneous system regardless.
+    Returns the integer matrix and its pivot columns; row i < len(pivots)
+    has its pivot at column pivots[i], and a[i][c] / a[i][pivots[i]] is the
+    entry of the reduced row echelon form.  Columns past `ncols` (the
+    right-hand sides) are carried along but never pivoted on.
     """
-    a = _to_fraction_matrix(rows)
-    b = [Fraction(x) for x in rhs]
-    if len(a) != len(b):
-        raise ValueError("rhs length mismatch")
+    a: List[List[int]] = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (den // x.denominator) for x in row])
     nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    aug = [a[i] + [b[i]] for i in range(nrows)]
-
     pivots: List[int] = []
+    prev = 1
     r = 0
     for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if aug[i][col]), None)
+        pivot = next((i for i in range(r, nrows) if a[i][col]), None)
         if pivot is None:
             continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
+        a[r], a[pivot] = a[pivot], a[r]
+        prow = a[r]
+        p = prow[col]
         for i in range(nrows):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+            if i != r:
+                f = a[i][col]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], prow)]
+        prev = p
         pivots.append(col)
         r += 1
         if r == nrows:
             break
+    return a, pivots
 
-    consistent = all(aug[i][ncols] == 0 for i in range(r, nrows))
-    particular: Optional[List[Fraction]] = None
-    if consistent:
+
+def rank(rows: Sequence[Sequence]) -> int:
+    if not rows:
+        return 0
+    return len(_eliminate(rows, len(rows[0]))[1])
+
+
+def solve(rows: Sequence[Sequence], rhs_columns: Sequence[Sequence]
+          ) -> Tuple[List[Optional[List[Fraction]]], List[List[Fraction]]]:
+    """Solve rows*x = rhs exactly for every rhs in `rhs_columns` at once.
+
+    Returns (particulars, nullspace_basis): one particular solution per
+    right-hand side, with free variables set to 0, or None when that system
+    is inconsistent.  The nullspace basis is that of the homogeneous system
+    regardless.
+    """
+    nrows = len(rows)
+    if any(len(b) != nrows for b in rhs_columns):
+        raise ValueError("rhs length mismatch")
+    ncols = len(rows[0]) if rows else 0
+    aug = [list(rows[i]) + [b[i] for b in rhs_columns] for i in range(nrows)]
+    a, pivots = _eliminate(aug, ncols)
+    r = len(pivots)
+
+    particulars: List[Optional[List[Fraction]]] = []
+    for t in range(ncols, ncols + len(rhs_columns)):
+        if any(a[i][t] for i in range(r, nrows)):
+            particulars.append(None)
+            continue
         particular = [Fraction(0)] * ncols
         for i, col in enumerate(pivots):
-            particular[col] = aug[i][ncols]
+            particular[col] = Fraction(a[i][t], a[i][col])
+        particulars.append(particular)
 
     free_cols = [c for c in range(ncols) if c not in pivots]
     null_basis: List[List[Fraction]] = []
@@ -81,6 +89,6 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> Tuple[Optional[List[Fracti
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for i, col in enumerate(pivots):
-            vec[col] = -aug[i][fc]
+            vec[col] = Fraction(-a[i][fc], a[i][col])
         null_basis.append(vec)
-    return particular, null_basis
+    return particulars, null_basis

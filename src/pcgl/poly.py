@@ -42,11 +42,6 @@ def _revlex_key(e: ExpVec) -> Tuple[int, ...]:
     return tuple(reversed(e))
 
 
-def revlex_less(a: ExpVec, b: ExpVec) -> bool:
-    """True when a precedes b in the reverse lexicographic order."""
-    return _revlex_key(a) < _revlex_key(b)
-
-
 class MvLaurent:
     """Immutable sparse Laurent polynomial in ``nvars`` generators."""
 

@@ -253,14 +253,6 @@ def weight_of(p: PoissonPresentation, f: MvLaurent) -> Tuple[int, ...]:
     return w
 
 
-def is_homogeneous(p: PoissonPresentation, f: MvLaurent) -> bool:
-    try:
-        weight_of(p, f)
-        return True
-    except Inhomogeneous:
-        return False
-
-
 # --------------------------------------------------------------------- validation
 
 

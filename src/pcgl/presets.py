@@ -131,13 +131,6 @@ def solid_minor(m: int, n: int, rows: Tuple[int, int], cols: Tuple[int, int]) ->
     return out
 
 
-def example_eta_label(n_cols: int, k: int) -> int:
-    """The label c - r for the 0-based generator k = (r-1)n + (c-1)."""
-    r = k // n_cols + 1
-    c = k % n_cols + 1
-    return c - r
-
-
 def expected_minor_for_generator(m: int, n: int, k: int) -> MvLaurent:
     """Solid minor the prime sequence must produce at 0-based position k."""
     r = k // n + 1

@@ -102,12 +102,16 @@ def presentation_from_doc(doc: dict) -> Tuple[PoissonPresentation, Optional[List
     if doc.get("h_star") is not None:
         h_star = tuple(tuple(fraction_from_json(x) for x in row) for row in doc["h_star"])
     delta: Dict[Tuple[int, int], MvLaurent] = {}
+    seen = set()
     for entry in doc.get("delta", []):
         try:
             k = int(entry["k"]) - 1
             j = int(entry["j"]) - 1
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed delta entry {entry!r}") from exc
+        if (k, j) in seen:
+            raise FormatError(f"duplicate delta entry for k={k+1}, j={j+1}")
+        seen.add((k, j))
         poly = poly_from_triples(n, entry.get("poly", []))
         if not poly.is_zero():
             delta[(k, j)] = poly

@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .cgl import EtaData, compute_eta_and_primes, delta as delta_op
-from .poly import ExpVec, MvLaurent, apply_derivation, substitute
+from .cgl import EtaData, compute_eta_and_primes
+from .poly import ExpVec, MvLaurent, apply_derivation
 from .presentation import (
     PoissonPresentation,
     PresentationError,
@@ -99,7 +99,7 @@ def validate_symmetric(p: PoissonPresentation) -> Tuple[ValidationReport, Poisso
         for j in range(n):
             rows = [list(p.weights[k]) for k in range(j + 1, n)]
             rhs = [-p.lam(k, j) for k in range(j + 1, n)]
-            particular, null_basis = linalg.solve(rows, rhs) if rows else ([Fraction(0)] * d, [
+            (particular,), null_basis = linalg.solve(rows, [rhs]) if rows else ([[Fraction(0)] * d], [
                 [Fraction(1) if a == b else Fraction(0) for a in range(d)] for b in range(d)])
             if particular is None:
                 checks["h_star"] = False
@@ -383,6 +383,9 @@ def interval_data_for_tau(eta: EtaData, tau: Perm) -> List[Tuple[int, int]]:
     successor powers.  Predecessors/successors are those of the original
     presentation.  Raises SymmetryError unless tau is in Xi_N.
     """
+    n = len(eta.eta)
+    if sorted(tau) != list(range(n)):
+        raise SymmetryError(f"{[v+1 for v in tau]} is not a permutation of 1..{n}")
     if not is_xi_element(tau):
         raise SymmetryError(f"{[v+1 for v in tau]} is not an interval-prefix permutation")
     prefix = set()

@@ -109,6 +109,12 @@ class TestSubcommands:
         capsys.readouterr()
         assert main(["membership", m22_file, "--elem", "y4^-1", "--coords", "y", "--inv", "4"]) == 0
 
+    def test_membership_non_polynomial_exit_2(self, m22_file, capsys):
+        # an x-coordinate input must be a polynomial in the generators
+        assert main(["membership", m22_file, "--elem", "t11^-1"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["error"]["code"] == "NotInRing"
+
     def test_membership_triples_input(self, m22_file, capsys):
         elem = json.dumps([[1, 1, [0, 0, 0, 1]]])  # x4 as triple list
         assert main(["membership", m22_file, "--elem", elem]) == 0
@@ -132,6 +138,14 @@ class TestSubcommands:
         # a permutation, but its prefix {2, 4} is not an interval
         assert main(["btilde", m22_file, "--tau", "2,4,1,3"]) == 2
         assert json.loads(capsys.readouterr().out)["error"]["code"] == "SymmetryError"
+
+    def test_duplicate_delta_exit_2(self, m22_file, tmp_path, capsys):
+        doc = json.load(open(m22_file))
+        doc["delta"].append(dict(doc["delta"][0]))
+        bad = tmp_path / "dup.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", str(bad)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == "FormatError"
 
     def test_mutate_direction_errors(self, m22_file, capsys):
         assert main(["mutate", m22_file, "--at", "99"]) == 2

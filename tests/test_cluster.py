@@ -326,6 +326,17 @@ class TestExpressAndMembership:
         with pytest.raises(SymmetryError):
             seed_for_tau(ctx22, (1, 3, 0, 2))
 
+    def test_wrong_length_tau_rejected(self, ctx22):
+        with pytest.raises(SymmetryError):
+            seed_for_tau(ctx22, (0, 1, 2))
+        with pytest.raises(SymmetryError):
+            cluster_expressions(ctx22, (0, 1, 2, 3, 4))
+
+    def test_non_polynomial_x_input_rejected(self, ctx22):
+        # one structured error, not an ok=False witness per cluster
+        with pytest.raises(NotInRing):
+            upper_membership(ctx22, MvLaurent.gen(4, 0, -1))
+
 
 def _express_per_tau(ctx, f, tau, inv=(), coords="x"):
     """express_in_cluster as it was before the seed-key cache: expressions
