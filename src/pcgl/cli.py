@@ -13,13 +13,12 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import cluster as cl
 from . import serialize as ser
-from .cgl import alpha_q_matrices, certify_prime_sequence, compute_eta_and_primes, hmax_equations
-from .poly import MvLaurent, PolyError
+from .cgl import certify_prime_sequence, compute_eta_and_primes, hmax_equations
+from .poly import PolyError
 from .presentation import PresentationError, validate_algebra
 from .presets import build_affine_space, build_matrix_poisson
 from .serialize import FormatError

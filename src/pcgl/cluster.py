@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .cgl import EtaData, PrimeSequenceReport, alpha_q_matrices, compute_eta_and_primes
+from .cgl import EtaData, PrimeSequenceReport, compute_eta_and_primes
 from .poly import MvLaurent, NonInvertibleImage, exact_divide, substitute
 from .presentation import PoissonPresentation, PresentationError, bracket, weight_of
 from .symmetric import (
@@ -27,7 +27,6 @@ from .symmetric import (
     compute_d_integers,
     gamma_chain,
     interval_data_for_tau,
-    interval_exponent,
     interval_prime,
     lambda_star,
     perm_compose,
@@ -118,17 +117,6 @@ class SeedInvariantFailure(ClusterError):
 
 RMatrix = List[List[Fraction]]
 SeedKey = Tuple[Tuple[int, int], ...]
-
-
-def omega(r: RMatrix, f: Sequence[int], g: Sequence[int]) -> Fraction:
-    total = Fraction(0)
-    for k, fk in enumerate(f):
-        if not fk:
-            continue
-        for j, gj in enumerate(g):
-            if gj:
-                total += fk * gj * r[k][j]
-    return total
 
 
 # -------------------------------------------------------------- exchange matrices
@@ -226,35 +214,26 @@ class CompatiblePair:
         return cls(r=r, btilde=btilde, beta=check_compatible(r, btilde))
 
 
-def _e_epsilon(b: BMatrix, k: int, eps: int) -> List[List[Fraction]]:
-    n = b.n
-    e = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        if i == k:
-            e[i][k] = Fraction(-1)
-        else:
-            e[i][k] = Fraction(max(0, -eps * b.entry(i, k)))
-    return e
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    m = len(b[0])
-    inner = len(b)
-    return [[sum((a[i][t] * b[t][j] for t in range(inner)), Fraction(0)) for j in range(m)] for i in range(n)]
-
-
-def _transpose(a):
-    return [list(row) for row in zip(*a)]
-
-
 def mutate_r(r: RMatrix, b: BMatrix, k: int) -> RMatrix:
-    """E_eps^T r E_eps, computed for both signs and checked equal."""
+    """E_eps^T r E_eps, computed for both signs and checked equal.
+
+    E_eps is the identity except in column k, where it holds v with v_k = -1
+    and v_i = max(0, -eps b_ik); so only row k and column k of r change.
+    """
     _check_direction(b, k)
+    n = b.n
+    col = b.cols[k]
     results = []
     for eps in (1, -1):
-        e = _e_epsilon(b, k, eps)
-        results.append(_mat_mul(_transpose(e), _mat_mul(r, e)))
+        v = [-1 if i == k else max(0, -eps * col[i]) for i in range(n)]
+        nz = [(t, vt) for t, vt in enumerate(v) if vt]
+        out = [list(row) for row in r]
+        rv = [sum((r[i][t] * vt for t, vt in nz), Fraction(0)) for i in range(n)]
+        for i in range(n):
+            out[i][k] = rv[i]
+            out[k][i] = sum((vt * r[t][i] for t, vt in nz), Fraction(0))
+        out[k][k] = sum((vt * rv[t] for t, vt in nz), Fraction(0))
+        results.append(out)
     if results[0] != results[1]:
         raise EpsilonMismatch("mutated r depends on the sign choice")
     return results[0]
@@ -412,13 +391,14 @@ def seed_key(eta: EtaData, tau: Perm) -> Tuple[Perm, SeedKey]:
 
 
 def r_matrix_for_tau(p: PoissonPresentation, eta: EtaData, tau: Perm) -> RMatrix:
-    """r_tau = (tau_bullet tau) q_tau (tau_bullet tau)^{-1} with q_tau from
-    the permuted lambda-matrix and the permuted predecessor chains."""
+    """r_tau = (tau_bullet tau) q_tau (tau_bullet tau)^{-1}, where q_tau is
+    omega_lambda on the predecessor chains of the tau-presentation."""
     n = p.n
     etau = eta_tau_data(eta, tau)
-    lam_tau = [[p.lam(tau[l], tau[j]) for j in range(n)] for l in range(n)]
-    ebars = [etau.ebar(k) for k in range(n)]
-    q_tau = [[omega(lam_tau, ebars[k], ebars[j]) for j in range(n)] for k in range(n)]
+    # ebar_k of the tau-presentation, moved back to the original generators
+    tau_inv = perm_inverse(tau)
+    vecs = [[e[l] for l in tau_inv] for e in map(etau.ebar, range(n))]
+    q_tau = [[p.omega_lambda(vecs[k], vecs[j]) for j in range(n)] for k in range(n)]
     sigma = perm_compose(tau_bullet(tau, eta), tau)
     sig_inv = perm_inverse(sigma)
     return [[q_tau[sig_inv[a]][sig_inv[b]] for b in range(n)] for a in range(n)]

@@ -13,7 +13,7 @@ decides.  Equivalently, ``reversed(e)`` compared lexicographically.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 ExpVec = Tuple[int, ...]
 

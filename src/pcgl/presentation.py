@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import MvLaurent, apply_derivation
@@ -69,9 +71,25 @@ def _dot(h: Sequence[Fraction], w: Sequence[int]) -> Fraction:
     return sum((a * b for a, b in zip(h, w)), Fraction(0))
 
 
+def _derived():
+    return field(init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class PoissonPresentation:
-    """Immutable presentation data; derived scalars are precomputed."""
+    """Immutable presentation data; derived scalars are precomputed.
+
+    Construction computes, once, the data every bracket and bicharacter
+    reads (none of it takes part in equality or repr):
+
+    * ``lam_rows`` -- the skew-symmetric lambda matrix as Fractions;
+    * ``lam_num`` / ``lam_den`` -- the same matrix as integer numerators
+      over one common denominator (the lcm of the entries' denominators);
+    * ``lam_diagonal`` -- the eigenvalues lambda_k = <h_k, chi_k>;
+    * ``lam_star`` -- the eigenvalues lambda*_j = <h*_j, chi_j>, or None
+      without h_star;
+    * ``delta_items`` -- the nonzero table entries as sorted (k, j, poly).
+    """
 
     n: int
     torus_rank: int
@@ -79,6 +97,12 @@ class PoissonPresentation:
     h: Tuple[Tuple[Fraction, ...], ...]
     delta: Dict[Tuple[int, int], MvLaurent] = field(default_factory=dict)
     h_star: Optional[Tuple[Tuple[Fraction, ...], ...]] = None
+    lam_rows: Tuple[Tuple[Fraction, ...], ...] = _derived()
+    lam_num: Tuple[Tuple[int, ...], ...] = _derived()
+    lam_den: int = _derived()
+    lam_diagonal: Tuple[Fraction, ...] = _derived()
+    lam_star: Optional[Tuple[Fraction, ...]] = _derived()
+    delta_items: Tuple[Tuple[int, int, MvLaurent], ...] = _derived()
 
     def __post_init__(self):
         if self.n < 1:
@@ -102,6 +126,23 @@ class PoissonPresentation:
                 raise PresentationError(f"delta_{k+1}(x_{j+1}) has negative exponents")
             if any(i >= k for i in poly.support()):
                 raise SupportViolation(k, j, f"delta_{k+1}(x_{j+1}) involves generators >= x_{k+1}")
+        n = self.n
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for k in range(n):
+            for j in range(k):
+                v = _dot(self.h[k], self.weights[j])
+                rows[k][j] = v
+                rows[j][k] = -v
+        den = lcm(*(v.denominator for row in rows for v in row))
+        put = partial(object.__setattr__, self)
+        put("lam_rows", tuple(tuple(row) for row in rows))
+        put("lam_num", tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in rows))
+        put("lam_den", den)
+        put("lam_diagonal", tuple(_dot(self.h[k], self.weights[k]) for k in range(n)))
+        put("lam_star", None if self.h_star is None else
+            tuple(_dot(self.h_star[j], self.weights[j]) for j in range(n)))
+        put("delta_items", tuple((k, j, poly) for (k, j), poly in sorted(self.delta.items())
+                                 if not poly.is_zero()))
 
     @classmethod
     def from_lambda(cls, n: int, lam_rows, lam_diag, delta=None) -> "PoissonPresentation":
@@ -135,29 +176,25 @@ class PoissonPresentation:
 
     def lam(self, k: int, j: int) -> Fraction:
         """Entry lambda_kj of the skew-symmetric scalar matrix."""
-        if k == j:
-            return Fraction(0)
-        if k > j:
-            return _dot(self.h[k], self.weights[j])
-        return -_dot(self.h[j], self.weights[k])
+        return self.lam_rows[k][j]
 
     def lambda_matrix(self) -> List[List[Fraction]]:
-        return [[self.lam(k, j) for j in range(self.n)] for k in range(self.n)]
+        return [list(row) for row in self.lam_rows]
 
     def lam_diag(self, k: int) -> Fraction:
         """The h_k-eigenvalue lambda_k of x_k (nonzero for valid input)."""
-        return _dot(self.h[k], self.weights[k])
+        return self.lam_diagonal[k]
 
     def omega_lambda(self, f: Sequence[int], g: Sequence[int]) -> Fraction:
         """Skew-symmetric bicharacter of the lambda matrix on Z^N."""
-        total = Fraction(0)
+        num = self.lam_num
+        g_nz = [(j, gj) for j, gj in enumerate(g) if gj]
+        total = 0
         for k, fk in enumerate(f):
-            if not fk:
-                continue
-            for j, gj in enumerate(g):
-                if gj:
-                    total += fk * gj * self.lam(k, j)
-        return total
+            if fk:
+                row = num[k]
+                total += fk * sum(gj * row[j] for j, gj in g_nz)
+        return Fraction(total, self.lam_den)
 
     def delta_entry(self, k: int, j: int) -> MvLaurent:
         return self.delta.get((k, j), MvLaurent.zero(self.n))
@@ -217,27 +254,43 @@ def bracket(p: PoissonPresentation, f: MvLaurent, g: MvLaurent) -> MvLaurent:
     which covers negative exponents via the derivation rule on inverses.
     """
     n = p.n
-    out = MvLaurent.zero(n)
     if f.is_zero() or g.is_zero():
-        return out
-    delta_items = [(k, j, poly) for (k, j), poly in sorted(p.delta.items()) if not poly.is_zero()]
+        return MvLaurent.zero(n)
+    num, den, delta_items = p.lam_num, p.lam_den, p.delta_items
+    g_terms = [(eb, cb, [(j, m) for j, m in enumerate(eb) if m]) for eb, cb in g.terms.items()]
+    # Terms accumulate in the order repeated `out + term` would add them.
+    out: Dict[Tuple[int, ...], Fraction] = {}
+
+    def add(e, c):
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+
     for ea, ca in f.terms.items():
-        for eb, cb in g.terms.items():
+        a_nz = [(k, m) for k, m in enumerate(ea) if m]
+        for eb, cb, b_nz in g_terms:
             scale = ca * cb
-            lam_part = p.omega_lambda(ea, eb)
-            if lam_part:
-                out = out + MvLaurent.monomial(n, [x + y for x, y in zip(ea, eb)], scale * lam_part)
+            total = 0
+            for k, ak in a_nz:
+                row = num[k]
+                for j, bj in b_nz:
+                    total += ak * bj * row[j]
+            ab = tuple(x + y for x, y in zip(ea, eb))
+            if total:
+                add(ab, scale * Fraction(total, den))
             for k, j, poly in delta_items:
                 factor = ea[k] * eb[j] - ea[j] * eb[k]
                 if not factor:
                     continue
-                shift = list(ea)
-                for idx, m in enumerate(eb):
-                    shift[idx] += m
+                shift = list(ab)
                 shift[k] -= 1
                 shift[j] -= 1
-                out = out + MvLaurent.monomial(n, shift, scale * factor) * poly
-    return out
+                c = scale * factor
+                for ep, cp in poly.terms.items():
+                    add(tuple(x + y for x, y in zip(shift, ep)), c * cp)
+    return MvLaurent(n, out)
 
 
 def weight_of(p: PoissonPresentation, f: MvLaurent) -> Tuple[int, ...]:
@@ -279,15 +332,9 @@ def validate_algebra(p: PoissonPresentation, max_nilpotence_iters: int | None = 
             checks["nonzero_eigenvalues"] = False
             failures.append(ZeroEigenvalue(k))
 
-    for (k, j), poly in sorted(p.delta.items()):
-        if poly.is_zero():
-            continue
+    for k, j, poly in p.delta_items:
         target = tuple(a + b for a, b in zip(p.weights[k], p.weights[j]))
-        try:
-            w = weight_of(p, poly)
-            if w != target:
-                raise Inhomogeneous(next(iter(poly.terms)), next(iter(poly.terms)))
-        except Inhomogeneous:
+        if {p.monomial_weight(e) for e in poly.terms} != {target}:
             checks["delta_homogeneous"] = False
             failures.append(InhomogeneousDelta(k, j, poly))
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .poly import MvLaurent
 from .presentation import PoissonPresentation, PresentationError

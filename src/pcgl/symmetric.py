@@ -24,7 +24,6 @@ from .presentation import (
     SupportViolation,
     ValidationReport,
     bracket,
-    weight_of,
 )
 
 Perm = Tuple[int, ...]  # one-line notation, 0-based entries
@@ -88,8 +87,7 @@ def validate_symmetric(p: PoissonPresentation) -> Tuple[ValidationReport, Poisso
                 if got != want:
                     checks["h_star"] = False
                     failures.append(NoHStarSolution(j, f"<h*_{j+1}, chi_{k+1}> = {got}, expected {want}"))
-            lam_star = sum((a * b for a, b in zip(p.h_star[j], p.weights[j])), Fraction(0))
-            if lam_star == 0:
+            if p.lam_star[j] == 0:
                 checks["h_star"] = False
                 failures.append(ZeroLambdaStar(j))
         result = p
@@ -150,9 +148,9 @@ def _successors(p: PoissonPresentation) -> List[Optional[int]]:
 
 def lambda_star(p: PoissonPresentation, j: int) -> Fraction:
     """Eigenvalue <h*_j, chi_j>; requires h_star (run validate_symmetric first)."""
-    if p.h_star is None:
+    if p.lam_star is None:
         raise SymmetryError("presentation has no h_star data")
-    return sum((a * b for a, b in zip(p.h_star[j], p.weights[j])), Fraction(0))
+    return p.lam_star[j]
 
 
 def compute_d_integers(p: PoissonPresentation, eta: EtaData) -> Tuple[Dict[int, int], Fraction]:

@@ -10,6 +10,7 @@ from pcgl.cluster import ClusterContext
 from pcgl.poly import MvLaurent
 from pcgl.presentation import PoissonPresentation
 from pcgl.presets import build_matrix_poisson
+from pcgl.symmetric import apply_rescaling
 
 
 def weyl_block(c: int = 2) -> PoissonPresentation:
@@ -46,6 +47,28 @@ def two_block(c1: int = 2, c2: int = 3) -> PoissonPresentation:
             (Fraction(0), Fraction(-1)),
         ),
     )
+
+
+def scaled_bracket(p: PoissonPresentation, c) -> PoissonPresentation:
+    """The presentation of the bracket c {-, -}: h, h* and delta scaled by c."""
+    c = Fraction(c)
+    return PoissonPresentation(
+        n=p.n, torus_rank=p.torus_rank, weights=p.weights,
+        h=tuple(tuple(c * x for x in row) for row in p.h),
+        delta={key: poly * c for key, poly in p.delta.items()},
+        h_star=None if p.h_star is None else tuple(tuple(c * x for x in row) for row in p.h_star),
+    )
+
+
+def rescaled_3x3() -> PoissonPresentation:
+    """The 3x3 preset with bracket scaled by 2/3 and rescaled generators.
+
+    Its lambda matrix has denominator 3 and its delta table non-integer
+    coefficients, so pi != 1 until the presentation is normalized.
+    """
+    gamma = [Fraction(2), Fraction(-1, 3), Fraction(5, 2), Fraction(1), Fraction(3, 4),
+             Fraction(-2), Fraction(1, 5), Fraction(3), Fraction(-7, 2)]
+    return apply_rescaling(scaled_bracket(build_matrix_poisson(3, 3), Fraction(2, 3)), gamma)
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,173 @@
+"""The precomputed lambda data and the bracket against the per-call code they
+replaced, kept here as the oracle."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pcgl.poly import MvLaurent
+from pcgl.presentation import _dot, bracket
+from pcgl.presets import build_matrix_poisson
+from pcgl.symmetric import lambda_star, validate_symmetric
+
+from conftest import rescaled_3x3, two_block
+
+
+# ------------------------------------------------------------------ the oracle
+
+
+def _oracle_lam(p, k, j):
+    if k == j:
+        return Fraction(0)
+    if k > j:
+        return _dot(p.h[k], p.weights[j])
+    return -_dot(p.h[j], p.weights[k])
+
+
+def _oracle_lam_diag(p, k):
+    return _dot(p.h[k], p.weights[k])
+
+
+def _oracle_lambda_star(p, j):
+    return sum((a * b for a, b in zip(p.h_star[j], p.weights[j])), Fraction(0))
+
+
+def _oracle_omega_lambda(p, f, g):
+    total = Fraction(0)
+    for k, fk in enumerate(f):
+        if not fk:
+            continue
+        for j, gj in enumerate(g):
+            if gj:
+                total += fk * gj * _oracle_lam(p, k, j)
+    return total
+
+
+def _oracle_bracket(p, f, g):
+    n = p.n
+    out = MvLaurent.zero(n)
+    if f.is_zero() or g.is_zero():
+        return out
+    delta_items = [(k, j, poly) for (k, j), poly in sorted(p.delta.items()) if not poly.is_zero()]
+    for ea, ca in f.terms.items():
+        for eb, cb in g.terms.items():
+            scale = ca * cb
+            lam_part = _oracle_omega_lambda(p, ea, eb)
+            if lam_part:
+                out = out + MvLaurent.monomial(n, [x + y for x, y in zip(ea, eb)], scale * lam_part)
+            for k, j, poly in delta_items:
+                factor = ea[k] * eb[j] - ea[j] * eb[k]
+                if not factor:
+                    continue
+                shift = list(ea)
+                for idx, m in enumerate(eb):
+                    shift[idx] += m
+                shift[k] -= 1
+                shift[j] -= 1
+                out = out + MvLaurent.monomial(n, shift, scale * factor) * poly
+    return out
+
+
+# --------------------------------------------------------------- presentations
+
+PRESENTATIONS = {
+    "2x3": build_matrix_poisson(2, 3),
+    "rescaled_3x3": validate_symmetric(rescaled_3x3())[1],
+    "two_block": two_block(2, 3),
+}
+NAMES = sorted(PRESENTATIONS)
+
+
+def test_rescaled_preset_has_a_denominator():
+    p = PRESENTATIONS["rescaled_3x3"]
+    assert p.lam_den == 3
+    assert any(x.denominator != 1 for c in p.delta.values() for x in c.terms.values())
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_lambda_data_equals_oracle(name):
+    p = PRESENTATIONS[name]
+    n = p.n
+    want = [[_oracle_lam(p, k, j) for j in range(n)] for k in range(n)]
+    assert [[p.lam(k, j) for j in range(n)] for k in range(n)] == want
+    assert p.lambda_matrix() == want
+    assert [[Fraction(x, p.lam_den) for x in row] for row in p.lam_num] == want
+    assert [p.lam_diag(k) for k in range(n)] == [_oracle_lam_diag(p, k) for k in range(n)]
+    assert [lambda_star(p, j) for j in range(n)] == [_oracle_lambda_star(p, j) for j in range(n)]
+
+
+def test_derived_fields_outside_equality_and_repr(p23):
+    twin = build_matrix_poisson(2, 3)
+    assert twin == p23
+    assert "lam_num" not in repr(p23) and "delta_items" not in repr(p23)
+
+
+# ------------------------------------------------------------ generated inputs
+
+_coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool)
+
+
+@st.composite
+def laurent(draw, n):
+    exps = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=0, max_size=4, unique=True))
+    return MvLaurent(n, {e: draw(_coeffs) for e in exps})
+
+
+@st.composite
+def presentation_and_pair(draw):
+    p = PRESENTATIONS[draw(st.sampled_from(NAMES))]
+    return p, draw(laurent(p.n)), draw(laurent(p.n))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(presentation_and_pair())
+def test_bracket_equals_oracle(case):
+    p, f, g = case
+    got = bracket(p, f, g)
+    want = _oracle_bracket(p, f, g)
+    assert got == want
+    # same terms in the same order, so every report built from it is unchanged
+    assert list(got.terms.items()) == list(want.terms.items())
+    # {f, f + g}: the {f, f} terms cancel on the way, exercising term removal
+    got = bracket(p, f, f + g)
+    assert list(got.terms.items()) == list(_oracle_bracket(p, f, f + g).terms.items())
+
+
+@st.composite
+def presentation_and_vectors(draw):
+    p = PRESENTATIONS[draw(st.sampled_from(NAMES))]
+    vec = st.lists(st.integers(-3, 3), min_size=p.n, max_size=p.n)
+    return p, draw(vec), draw(vec)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(presentation_and_vectors())
+def test_omega_lambda_equals_oracle(case):
+    p, f, g = case
+    assert p.omega_lambda(f, g) == _oracle_omega_lambda(p, f, g)
+    assert p.omega_lambda(f, g) == -p.omega_lambda(g, f)
+
+
+# ----------------------------------------------- h_k-pairing is not lambda_kj
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_sigma_scalar_pairs_h_k_with_every_weight(name):
+    """sigma_k pairs h_k with chi_j also for j >= k, where that pairing is
+    not lambda_kj; a lambda lookup there would change these values."""
+    p = PRESENTATIONS[name]
+    n = p.n
+    differs = 0
+    for k in range(n):
+        for j in range(k, n):
+            for m in (1, -2):
+                exp = [0] * n
+                exp[j] = m
+                if j > 0:
+                    exp[0] = 1
+                want = _dot(p.h[k], p.monomial_weight(exp))
+                assert p.sigma_scalar(k, exp) == want
+                differs += want != sum(e * p.lam(k, i) for i, e in enumerate(exp))
+    assert differs

@@ -12,6 +12,7 @@ from pcgl.cluster import (
     CompatiblePair,
     CompatibilityFailure,
     DirectionOutOfRange,
+    EpsilonMismatch,
     MembershipWitness,
     NonIntegral,
     NotExchangeable,
@@ -23,7 +24,9 @@ from pcgl.cluster import (
     express_in_cluster,
     mutate_matrix,
     mutate_pair,
+    mutate_r,
     mutate_seed,
+    r_matrix_for_tau,
     seed_for_tau,
     solve_btilde,
     upper_membership,
@@ -31,10 +34,11 @@ from pcgl.cluster import (
 )
 from pcgl import cluster
 from pcgl.poly import NonInvertibleImage, MvLaurent, substitute
+from pcgl.presentation import _dot
 from pcgl.presets import build_affine_space, build_matrix_poisson, solid_minor
-from pcgl.symmetric import SymmetryError, gamma_chain
+from pcgl.symmetric import SymmetryError, gamma_chain, perm_compose, perm_inverse, tau_bullet
 
-from conftest import two_block, weyl_block
+from conftest import rescaled_3x3, two_block, weyl_block
 
 
 def random_skew_symmetrizable(rng, n, ex):
@@ -134,6 +138,100 @@ class TestCompatiblePairs:
                 k = rng.choice(bundle.btilde.ex)
                 pair = mutate_pair(pair, k)  # internally asserts both properties
             assert set(pair.beta) == set(bundle.beta)
+
+
+# ------------------------------------------ dense r-mutation and r_tau, oracles
+
+
+def _mutate_r_dense(r, b, k):
+    """mutate_r as it was: E_eps^T r E_eps by dense products for each sign."""
+    n = b.n
+
+    def e_epsilon(eps):
+        e = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            e[i][k] = Fraction(-1) if i == k else Fraction(max(0, -eps * b.entry(i, k)))
+        return e
+
+    def mat_mul(x, y):
+        return [[sum((x[i][t] * y[t][j] for t in range(len(y))), Fraction(0))
+                 for j in range(len(y[0]))] for i in range(len(x))]
+
+    results = []
+    for eps in (1, -1):
+        e = e_epsilon(eps)
+        results.append(mat_mul([list(row) for row in zip(*e)], mat_mul(r, e)))
+    if results[0] != results[1]:
+        raise EpsilonMismatch("mutated r depends on the sign choice")
+    return results[0]
+
+
+def _r_matrix_for_tau_dense(p, eta, tau):
+    """r_matrix_for_tau as it was: a permuted lambda matrix per tau."""
+    n = p.n
+    etau = cluster.eta_tau_data(eta, tau)
+    def lam(k, j):
+        return _dot(p.h[k], p.weights[j]) if k > j else -_dot(p.h[j], p.weights[k]) if k < j else 0
+
+    lam_tau = [[lam(tau[l], tau[j]) for j in range(n)] for l in range(n)]
+    ebars = [etau.ebar(k) for k in range(n)]
+
+    def omega(f, g):
+        return sum((fk * gj * lam_tau[k][j] for k, fk in enumerate(f) if fk
+                    for j, gj in enumerate(g) if gj), Fraction(0))
+
+    q_tau = [[omega(ebars[k], ebars[j]) for j in range(n)] for k in range(n)]
+    sig_inv = perm_inverse(perm_compose(tau_bullet(tau, eta), tau))
+    return [[q_tau[sig_inv[a]][sig_inv[b]] for b in range(n)] for a in range(n)]
+
+
+def _mutate_r_outcome(fn, r, b, k):
+    try:
+        return ("ok", fn(r, b, k))
+    except EpsilonMismatch:
+        return ("EpsilonMismatch",)
+
+
+class TestAgainstDenseOracles:
+    @pytest.fixture(scope="class")
+    def contexts(self, ctx23, ctx33):
+        return [ctx23, ctx33, ClusterContext.build_normalizing(rescaled_3x3())[0]]
+
+    def test_every_chain_mutation(self, contexts, monkeypatch):
+        seen = []
+
+        def checked(r, b, k):
+            got = mutate_r(r, b, k)
+            assert got == _mutate_r_dense(r, b, k)
+            seen.append(k)
+            return got
+
+        monkeypatch.setattr(cluster, "mutate_r", checked)
+        for ctx in contexts:
+            before = len(seen)
+            assert all(rep.verified for rep in chain_verify(ctx))
+            assert len(seen) > before
+
+    def test_r_tau_on_all_gamma(self, contexts):
+        for ctx in contexts:
+            for tau in gamma_chain(ctx.p.n).perms:
+                assert r_matrix_for_tau(ctx.p, ctx.eta, tau) == _r_matrix_for_tau_dense(ctx.p, ctx.eta, tau)
+
+    def test_random_r_and_b(self):
+        rng = random.Random(21)
+        outcomes = set()
+        for _ in range(200):
+            n = rng.randint(2, 5)
+            ex = sorted(rng.sample(range(n), rng.randint(1, n)))
+            b = random_skew_symmetrizable(rng, n, ex)
+            r = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.5:  # skew r: the mismatch then needs a one-signed column
+                r = [[r[i][j] - r[j][i] for j in range(n)] for i in range(n)]
+            k = rng.choice(ex)
+            got = _mutate_r_outcome(mutate_r, r, b, k)
+            assert got == _mutate_r_outcome(_mutate_r_dense, r, b, k)
+            outcomes.add(got[0])
+        assert outcomes == {"ok", "EpsilonMismatch"}
 
 
 class TestSolver:

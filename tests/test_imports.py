@@ -1,0 +1,40 @@
+"""Every name a pcgl module imports is used in that module.
+
+Stdlib-only: each module under src/pcgl is parsed with ``ast`` and the names
+its import statements bind are checked against the names it reads.  The
+package ``__init__`` re-exports names on purpose and is exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "pcgl"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str):
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_scanner_flags_an_unused_import():
+    src = "from typing import Dict, List\nimport os.path\nx: List[int] = []\n"
+    assert unused_imports(src) == [(1, "Dict"), (2, "os")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

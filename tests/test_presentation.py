@@ -8,6 +8,7 @@ import pytest
 from pcgl.poly import MvLaurent
 from pcgl.presentation import (
     Inhomogeneous,
+    InhomogeneousDelta,
     PoissonPresentation,
     PresentationError,
     bracket,
@@ -125,6 +126,25 @@ class TestValidate:
         assert not report.checks["delta_homogeneous"]
         names = [type(f).__name__ for f in report.failures]
         assert "InhomogeneousDelta" in names
+
+    @pytest.mark.parametrize("bad_entry", [
+        {(2, 0, 0, 0): Fraction(1)},                                 # one wrong weight
+        {(0, 1, 1, 0): Fraction(-2), (2, 0, 0, 0): Fraction(1, 3)},  # mixed weights
+    ], ids=["wrong_weight", "mixed_weights"])
+    def test_inhomogeneous_delta_report(self, p22, bad_entry):
+        delta = dict(p22.delta)
+        delta[(3, 0)] = MvLaurent(4, bad_entry)
+        bad = PoissonPresentation(n=4, torus_rank=4, weights=p22.weights, h=p22.h,
+                                  delta=delta, h_star=p22.h_star)
+        report = validate_algebra(bad)
+        hits = [f for f in report.failures if isinstance(f, InhomogeneousDelta)]
+        assert [(f.pair, f.witness) for f in hits] == [((3, 0), delta[(3, 0)])]
+        entry = next(e for e in report.as_dict()["failures"] if e["code"] == "InhomogeneousDelta")
+        assert entry == {
+            "code": "InhomogeneousDelta",
+            "detail": "delta_4(x_1) is not homogeneous of weight chi_4+chi_1",
+            "witness": [[c.numerator, c.denominator, list(e)] for e, c in delta[(3, 0)].sorted_terms()],
+        }
 
     def test_zero_eigenvalue_detected(self, p22):
         h = list(p22.h)
