@@ -12,8 +12,7 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import cluster as cl
 from . import serialize as ser
@@ -79,13 +78,26 @@ def _parse_tau(text: str, n: int) -> Tuple[int, ...]:
     return tuple(v - 1 for v in vals)
 
 
-def _parse_inv(text: Optional[str]) -> List[int]:
+def _parse_inv(text: Optional[str], n: int) -> List[int]:
     if not text:
         return []
     try:
-        return [int(x) - 1 for x in text.split(",")]
+        vals = [int(x) for x in text.split(",")]
     except ValueError as exc:
         raise CliInputError(f"--inv must be comma-separated indices: {text!r}") from exc
+    if any(not 1 <= v <= n for v in vals):
+        raise CliInputError(f"--inv indices must lie in 1..{n}: {text!r}")
+    return [v - 1 for v in vals]
+
+
+def _parse_q(text: str) -> List[list]:
+    try:
+        rows = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CliInputError(f"--q: invalid JSON: {exc}") from exc
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise CliInputError("--q must be a JSON list of rows")
+    return [[ser.fraction_from_json(x) for x in row] for row in rows]
 
 
 def _max_n() -> int:
@@ -117,13 +129,22 @@ def _rmatrix_dict(r) -> List[List[str]]:
     return [[ser.fraction_to_json(x) for x in row] for row in r]
 
 
-def _bundle_dict(bundle: cl.TauSeedBundle, names) -> dict:
+def _y_names(n: int) -> List[str]:
+    return [f"y{i+1}" for i in range(n)]
+
+
+def _bundle_dict(ctx: cl.ClusterContext, bundle: cl.TauSeedBundle, names,
+                 y_reports: Dict[Tuple[int, int], dict]) -> dict:
+    """Report of one bundle; y_reports maps each interval label already seen
+    to its variable's report in initial-y coordinates and gains the new ones."""
+    for label, v in zip(bundle.intervals, bundle.vars_x):
+        if label not in y_reports:
+            y_reports[label] = ser.poly_report(ctx.to_y_coordinates(v), _y_names(ctx.p.n))
     return {
         "tau": [v + 1 for v in bundle.tau],
         "tau_bullet_tau": [v + 1 for v in bundle.sigma],
         "variables_x": [ser.poly_report(v, names) for v in bundle.vars_x],
-        "variables_y": [ser.poly_report(v, [f"y{i+1}" for i in range(len(bundle.vars_x))])
-                        for v in bundle.vars_y],
+        "variables_y": [y_reports[label] for label in bundle.intervals],
         "intervals": [[i + 1, m] for (i, m) in bundle.intervals],
         "weights": [list(w) for w in bundle.weights],
         "r": _rmatrix_dict(bundle.r),
@@ -144,7 +165,7 @@ def cmd_preset(args) -> int:
             names = [f"t{r}_{c}" for r in range(1, args.m + 1) for c in range(1, args.n + 1)]
         summary = f"matrix Poisson preset {args.m}x{args.n}: N = {p.n}, torus rank {p.torus_rank}"
     else:
-        q_rows = json.loads(args.q) if args.q else [[0] * args.n for _ in range(args.n)]
+        q_rows = _parse_q(args.q) if args.q else [[0] * args.n for _ in range(args.n)]
         p = build_affine_space(args.n, q_rows)
         names = None
         summary = f"Poisson affine space preset: N = {p.n}"
@@ -254,7 +275,7 @@ def _build_context(p, auto_rescale: bool = True):
 
 
 def cmd_seeds(args) -> int:
-    p, names, doc_in = _load_presentation(args.file)
+    p, names, _ = _load_presentation(args.file)
     ctx, gamma = _build_context(p)
     if args.gamma:
         _check_enum_cap(p.n)
@@ -263,39 +284,13 @@ def cmd_seeds(args) -> int:
         taus = [_parse_tau(args.tau, p.n)]
     else:
         taus = [tuple(range(p.n))]
-    bundles = _map_taus(args, doc_in, taus, ctx, names)
+    y_reports: Dict[Tuple[int, int], dict] = {}
+    bundles = [_bundle_dict(ctx, cl.seed_for_tau(ctx, tau), names, y_reports) for tau in taus]
     doc = {"command": "seeds", "bundles": bundles}
     if gamma:
         doc["gamma_applied"] = [ser.fraction_to_json(g) for g in gamma]
     _emit(doc, args.output, f"{len(bundles)} seed bundle(s) computed")
     return EXIT_OK
-
-
-def _map_taus(args, doc_in, taus, ctx, names) -> List[dict]:
-    jobs = getattr(args, "jobs", 1) or 1
-    if jobs > 1 and len(taus) > 1:
-        payload = json.dumps(ser.presentation_to_doc(ctx.p))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_bundle_worker, [(payload, tau, names) for tau in taus]))
-        return results
-    return [_bundle_dict(cl.seed_for_tau(ctx, tau), names) for tau in taus]
-
-
-_WORKER_CONTEXTS: dict = {}
-
-
-def _worker_context(payload: str) -> cl.ClusterContext:
-    ctx = _WORKER_CONTEXTS.get(payload)
-    if ctx is None:
-        p, _ = ser.presentation_from_doc(json.loads(payload))
-        ctx = cl.ClusterContext.build(p)
-        _WORKER_CONTEXTS[payload] = ctx
-    return ctx
-
-
-def _bundle_worker(item) -> dict:
-    payload, tau, names = item
-    return _bundle_dict(cl.seed_for_tau(_worker_context(payload), tau), names)
 
 
 def cmd_btilde(args) -> int:
@@ -317,7 +312,7 @@ def cmd_mutate(args) -> int:
     bundle = cl.seed_for_tau(ctx, tau)
     k = args.at - 1
     mutated = cl.mutate_seed(ctx, bundle, k)
-    ynames = [f"y{i+1}" for i in range(p.n)]
+    ynames = _y_names(p.n)
     doc = {
         "command": "mutate",
         "tau": [v + 1 for v in tau],
@@ -332,18 +327,10 @@ def cmd_mutate(args) -> int:
 
 
 def cmd_chain_verify(args) -> int:
-    p, names, doc_in = _load_presentation(args.file)
+    p, names, _ = _load_presentation(args.file)
     _check_enum_cap(p.n)
     ctx, gamma = _build_context(p)
-    jobs = args.jobs or 1
-    chain = ctx.gamma()
-    pairs = [(tau, tau_next) for tau, tau_next, _ in chain.adjacent_pairs()]
-    if jobs > 1:
-        payload = json.dumps(ser.presentation_to_doc(ctx.p))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            link_dicts = list(pool.map(_link_worker, [(payload, a, b) for a, b in pairs]))
-    else:
-        link_dicts = [cl.verify_one_step(ctx, a, b).as_dict() for a, b in pairs]
+    link_dicts = [link.as_dict() for link in cl.chain_verify(ctx)]
     ok = all(l["verified"] for l in link_dicts)
     n_mut = sum(1 for l in link_dicts if l["branch"] == "mutation")
     doc = {"command": "chain-verify", "links": link_dicts,
@@ -354,11 +341,6 @@ def cmd_chain_verify(args) -> int:
     _emit(doc, args.output,
           f"{len(link_dicts)} links, {n_mut} mutations, all verified: {ok}")
     return EXIT_OK if ok else EXIT_VERIFY
-
-
-def _link_worker(item) -> dict:
-    payload, tau1, tau2 = item
-    return cl.verify_one_step(_worker_context(payload), tau1, tau2).as_dict()
 
 
 def cmd_membership(args) -> int:
@@ -373,7 +355,7 @@ def cmd_membership(args) -> int:
     except (json.JSONDecodeError, FormatError):
         prefix = "y" if coords == "y" else "x"
         f = ser.parse_poly_expr(elem_text, p.n, names if coords == "x" else None, prefix=prefix)
-    inv = _parse_inv(args.inv)
+    inv = _parse_inv(args.inv, p.n)
     ok, witnesses = cl.upper_membership(ctx, f, inv=inv, coords=coords)
     doc = {
         "command": "membership",
@@ -395,14 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, tau=False, jobs=False):
+    def common(sp, tau=False):
         sp.add_argument("file", help="presentation JSON file, or - for stdin")
         sp.add_argument("-o", "--output", help="write the JSON report here instead of stdout")
         if tau:
             sp.add_argument("--tau", help="one-line permutation, e.g. 2,3,4,1")
-        if jobs:
-            sp.add_argument("--jobs", type=int, default=1,
-                            help="parallel workers for per-tau computations (default 1)")
 
     sp = sub.add_parser("preset", help="emit a canonical presentation")
     sp.add_argument("kind", choices=["matrix", "affine"])
@@ -431,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_rescale)
 
     sp = sub.add_parser("seeds", help="seed bundles per permutation")
-    common(sp, tau=True, jobs=True)
+    common(sp, tau=True)
     sp.add_argument("--gamma", action="store_true", help="all Gamma_N bundles")
     sp.set_defaults(func=cmd_seeds)
 
@@ -445,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_mutate)
 
     sp = sub.add_parser("chain-verify", help="verify every adjacent Gamma_N link")
-    common(sp, jobs=True)
+    common(sp)
     sp.set_defaults(func=cmd_chain_verify)
 
     sp = sub.add_parser("membership", help="upper-cluster membership certificate")

@@ -342,7 +342,6 @@ class TauSeedBundle:
     tau: Perm
     sigma: Perm                           # tau_bullet o tau
     vars_x: List[MvLaurent]               # ytilde entries as polynomials in x
-    vars_y: List[MvLaurent]               # the same in initial-y coordinates
     intervals: List[Tuple[int, int]]      # (start, m) of vars_x[k] as interval prime
     weights: List[Tuple[int, ...]]
     r: RMatrix
@@ -352,9 +351,10 @@ class TauSeedBundle:
     def var_names(self) -> List[str]:
         return [f"y[{i+1},{j}]" for (i, m) in self.intervals for j in [i + 1 + m]]
 
-    def as_seed(self) -> "Seed":
-        return Seed(vars_y=list(self.vars_y), r=self.r, btilde=self.btilde,
-                    beta=dict(self.beta), base_tau=self.tau, history=())
+    def as_seed(self, ctx: ClusterContext) -> "Seed":
+        """The same seed with its variables rewritten in initial-y coordinates."""
+        return Seed(vars_y=[ctx.to_y_coordinates(v) for v in self.vars_x], r=self.r,
+                    btilde=self.btilde, beta=dict(self.beta), base_tau=self.tau, history=())
 
 
 def eta_tau_data(eta: EtaData, tau: Perm) -> EtaData:
@@ -436,36 +436,42 @@ def solve_btilde(ctx: ClusterContext, tau: Perm, r: RMatrix,
     return b, beta
 
 
-def seed_for_tau(ctx: ClusterContext, tau: Perm) -> TauSeedBundle:
-    """Assemble and sanity-check the full seed bundle for one permutation."""
-    tau = tuple(tau)
-    if tau in ctx._tau_cache:
-        return ctx._tau_cache[tau]
-    p, eta = ctx.p, ctx.eta
-    n = p.n
-    sigma, key = seed_key(eta, tau)
-    vars_x = [interval_prime(p, eta, i, m) for (i, m) in key]
-    intervals = list(key)
-    weights = [weight_of(p, v) for v in vars_x]
-    r = r_matrix_for_tau(p, eta, tau)
-    btilde, beta = solve_btilde(ctx, tau, r, weights)
+def check_seed_invariants(variables: Sequence[MvLaurent], r: RMatrix, btilde: BMatrix,
+                          d_map: Dict[int, int], eta: EtaData) -> None:
+    """Raise SeedInvariantFailure (or CompatibilityFailure) unless the seed is sound.
 
-    lt_rows = [[Fraction(x) for x in v.leading_term()[1]] for v in vars_x]
-    if linalg.rank(lt_rows) != n:
+    The variables may be given in any one coordinate system (generators or
+    initial cluster): their leading exponents must be independent, btilde
+    must have full rank and be compatible with r, and its principal part
+    must be skew-symmetrized by the d-integers of the eta classes.
+    """
+    lt_rows = [[Fraction(x) for x in v.leading_term()[1]] for v in variables]
+    if linalg.rank(lt_rows) != len(variables):
         raise SeedInvariantFailure("variable leading exponents are linearly dependent")
     if not btilde.full_rank():
         raise SeedInvariantFailure("exchange matrix is rank-deficient")
     check_compatible(r, btilde)
     for k in btilde.ex:
         for j in btilde.ex:
-            dk = ctx.d_map[eta.eta[k]]
-            dj = ctx.d_map[eta.eta[j]]
+            dk, dj = d_map[eta.eta[k]], d_map[eta.eta[j]]
             if dk * btilde.entry(k, j) != -dj * btilde.entry(j, k):
                 raise SeedInvariantFailure("principal part not skew-symmetrized by the d-integers")
 
-    vars_y = [ctx.to_y_coordinates(v) for v in vars_x]
-    bundle = TauSeedBundle(tau=tau, sigma=sigma, vars_x=vars_x, vars_y=vars_y,
-                           intervals=intervals, weights=weights, r=r, btilde=btilde, beta=beta)
+
+def seed_for_tau(ctx: ClusterContext, tau: Perm) -> TauSeedBundle:
+    """Assemble and sanity-check the full seed bundle for one permutation."""
+    tau = tuple(tau)
+    if tau in ctx._tau_cache:
+        return ctx._tau_cache[tau]
+    p, eta = ctx.p, ctx.eta
+    sigma, key = seed_key(eta, tau)
+    vars_x = [interval_prime(p, eta, i, m) for (i, m) in key]
+    weights = [weight_of(p, v) for v in vars_x]
+    r = r_matrix_for_tau(p, eta, tau)
+    btilde, beta = solve_btilde(ctx, tau, r, weights)
+    check_seed_invariants(vars_x, r, btilde, ctx.d_map, eta)
+    bundle = TauSeedBundle(tau=tau, sigma=sigma, vars_x=vars_x, intervals=list(key),
+                           weights=weights, r=r, btilde=btilde, beta=beta)
     ctx._tau_cache[tau] = bundle
     return bundle
 
@@ -493,6 +499,20 @@ class LinkReport:
             "verified": self.verified,
             "detail": self.detail,
         }
+
+
+def _exchange_binomial(variables: Sequence[MvLaurent], col: Sequence[int]) -> MvLaurent:
+    """prod_+ + prod_-: the products of the variables raised to the positive
+    and to the negated negative entries of an exchange-matrix column."""
+    n = len(variables)
+    plus = MvLaurent.const(n, 1)
+    minus = MvLaurent.const(n, 1)
+    for i in range(n):
+        if col[i] > 0:
+            plus = plus * variables[i] ** col[i]
+        elif col[i] < 0:
+            minus = minus * variables[i] ** (-col[i])
+    return plus + minus
 
 
 def verify_one_step(ctx: ClusterContext, tau: Perm, tau_next: Perm) -> LinkReport:
@@ -533,14 +553,7 @@ def verify_one_step(ctx: ClusterContext, tau: Perm, tau_next: Perm) -> LinkRepor
 
     # exchange identity x'_k x_k = prod_+ + prod_-  (checked in x coordinates)
     col = low.btilde.column(k_bullet)
-    plus = MvLaurent.const(n, 1)
-    minus = MvLaurent.const(n, 1)
-    for i in range(n):
-        if col[i] > 0:
-            plus = plus * low.vars_x[i] ** col[i]
-        elif col[i] < 0:
-            minus = minus * low.vars_x[i] ** (-col[i])
-    if high.vars_x[k_bullet] * low.vars_x[k_bullet] != plus + minus:
+    if high.vars_x[k_bullet] * low.vars_x[k_bullet] != _exchange_binomial(low.vars_x, col):
         problems.append("exchange identity fails")
 
     # column identity b_tau^k = -b_tau'^k = e_p(k) + e_s(k) - g with g >= 0
@@ -742,21 +755,6 @@ class Seed:
     base_tau: Optional[Perm] = None
     history: Tuple[int, ...] = ()
 
-    def validate(self, d_map: Optional[Dict[int, int]] = None,
-                 eta: Optional[EtaData] = None) -> None:
-        lt_rows = [[Fraction(x) for x in v.leading_term()[1]] for v in self.vars_y]
-        if linalg.rank(lt_rows) != len(self.vars_y):
-            raise SeedInvariantFailure("variable leading exponents are linearly dependent")
-        if not self.btilde.full_rank():
-            raise SeedInvariantFailure("exchange matrix is rank-deficient")
-        check_compatible(self.r, self.btilde)
-        if d_map is not None and eta is not None:
-            for k in self.btilde.ex:
-                for j in self.btilde.ex:
-                    dk, dj = d_map[eta.eta[k]], d_map[eta.eta[j]]
-                    if dk * self.btilde.entry(k, j) != -dj * self.btilde.entry(j, k):
-                        raise SeedInvariantFailure("principal part not d-skew-symmetrizable")
-
 
 def mutate_seed(ctx: ClusterContext, seed, k: int) -> Seed:
     """One seed mutation in direction k, variables kept in y-coordinates.
@@ -766,23 +764,13 @@ def mutate_seed(ctx: ClusterContext, seed, k: int) -> Seed:
     exact in the initial-cluster Laurent ring (Laurent phenomenon).
     """
     if isinstance(seed, TauSeedBundle):
-        seed = seed.as_seed()
+        seed = seed.as_seed(ctx)
     _check_direction(seed.btilde, k)
     pair = CompatiblePair(r=seed.r, btilde=seed.btilde, beta=seed.beta)
     mutated = mutate_pair(pair, k)
-    col = seed.btilde.column(k)
-    n = ctx.p.n
-    plus = MvLaurent.const(n, 1)
-    minus = MvLaurent.const(n, 1)
-    for i in range(n):
-        if col[i] > 0:
-            plus = plus * seed.vars_y[i] ** col[i]
-        elif col[i] < 0:
-            minus = minus * seed.vars_y[i] ** (-col[i])
-    new_var = exact_divide(plus + minus, seed.vars_y[k])
+    new_var = exact_divide(_exchange_binomial(seed.vars_y, seed.btilde.column(k)), seed.vars_y[k])
     vars_y = list(seed.vars_y)
     vars_y[k] = new_var
-    out = Seed(vars_y=vars_y, r=mutated.r, btilde=mutated.btilde, beta=mutated.beta,
-               base_tau=seed.base_tau, history=seed.history + (k,))
-    out.validate(ctx.d_map, ctx.eta)
-    return out
+    check_seed_invariants(vars_y, mutated.r, mutated.btilde, ctx.d_map, ctx.eta)
+    return Seed(vars_y=vars_y, r=mutated.r, btilde=mutated.btilde, beta=mutated.beta,
+                base_tau=seed.base_tau, history=seed.history + (k,))

@@ -30,7 +30,7 @@ class ShapeMismatch(PresentationError):
 def build_matrix_poisson(m: int, n: int) -> PoissonPresentation:
     """The matrix Poisson space preset on m x n matrices (N = mn generators)."""
     if m < 1 or n < 1:
-        raise ValueError("m, n must be positive")
+        raise ShapeMismatch(f"matrix shape {m}x{n}: m and n must be positive")
     N = m * n
     d = m + n
 

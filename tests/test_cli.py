@@ -1,12 +1,22 @@
 """CLI surface: subcommands, exit codes, pipelines, determinism."""
 
+import itertools
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from pcgl import cli
 from pcgl.cli import main
+from pcgl.presets import build_matrix_poisson
+from pcgl.serialize import poly_report, presentation_from_doc, presentation_to_doc
+
+from conftest import rescaled_3x3
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(args, stdin=None):
@@ -169,16 +179,108 @@ class TestSubcommands:
         assert main(["chain-verify", m22_file]) == 2
 
 
+class TestInputBoundary:
+    """Malformed command-line values end in exit 2 with a structured error."""
+
+    def _error_code(self, argv, capsys):
+        assert main(argv) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["command"] == argv[0]
+        return doc["error"]["code"]
+
+    def test_affine_q_not_json(self, capsys):
+        argv = ["preset", "affine", "--n", "3", "--q", "notjson"]
+        assert self._error_code(argv, capsys) == "CliInputError"
+
+    def test_affine_q_not_rational(self, capsys):
+        argv = ["preset", "affine", "--n", "2", "--q", '[[0,"a"],["-a",0]]']
+        assert self._error_code(argv, capsys) == "FormatError"
+
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_matrix_shape_not_positive(self, m, capsys):
+        argv = ["preset", "matrix", "--m", m, "--n", "2"]
+        assert self._error_code(argv, capsys) == "ShapeMismatch"
+
+    @pytest.mark.parametrize("inv", ["99", "0"])
+    def test_membership_inv_out_of_range(self, m22_file, inv, capsys):
+        argv = ["membership", m22_file, "--elem", "t11", "--inv", inv]
+        assert self._error_code(argv, capsys) == "CliInputError"
+
+
+def _variables_y_per_bundle(ctx, tau):
+    """The y-coordinate reports of one bundle, each variable rewritten anew."""
+    bundle = cli.cl.seed_for_tau(ctx, tau)
+    names = [f"y{i+1}" for i in range(len(bundle.vars_x))]
+    return [poly_report(ctx.to_y_coordinates(v), names) for v in bundle.vars_x]
+
+
+@pytest.mark.parametrize("build", [lambda: build_matrix_poisson(2, 3),
+                                   lambda: build_matrix_poisson(3, 3),
+                                   rescaled_3x3], ids=["2x3", "3x3", "rescaled_3x3"])
+def test_seeds_variables_y_equal_per_bundle_conversion(build, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(presentation_to_doc(build())))
+    assert main(["seeds", str(path), "--gamma"]) == 0
+    bundles = json.loads(capsys.readouterr().out)["bundles"]
+    ctx, _ = cli._build_context(presentation_from_doc(json.loads(path.read_text()))[0])
+    perms = ctx.gamma().perms
+    assert [tuple(v - 1 for v in b["tau"]) for b in bundles] == list(perms)
+    for doc, tau in zip(bundles, perms):
+        assert doc["variables_y"] == _variables_y_per_bundle(ctx, tau)
+
+
+def _usage_variants(line):
+    """Every argv a README usage line stands for, with the leading pcgl dropped.
+
+    `a | b` outside brackets is a shell pipe; `[a | b]` is an optional choice
+    of alternatives, and a token `x|y` is a choice of values.
+    """
+    commands, items, group = [], [], None
+    for tok in shlex.split(line, comments=True):
+        if tok.startswith("["):
+            group, tok = [[]], tok[1:]
+        closes = tok.endswith("]")
+        tok = tok.rstrip("]")
+        if group is None:
+            if tok == "|":
+                commands.append(items)
+                items = []
+            else:
+                items.append([[tok]])
+        else:
+            if tok == "|":
+                group.append([])
+            elif tok:
+                group[-1].append(tok)
+            if closes:
+                items.append([[]] + group)   # omitted, or one alternative
+                group = None
+    commands.append(items)
+    for items in commands:
+        assert items[0] == [["pcgl"]]
+        for choice in itertools.product(*items[1:]):
+            words = [w for alternative in choice for w in alternative]
+            yield from itertools.product(*(w.split("|") for w in words))
+
+
+def test_readme_cli_lines_parse():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("pcgl ")]
+    assert len(lines) >= 10
+    for line in lines:
+        for argv in _usage_variants(line):
+            try:
+                cli.build_parser().parse_args(list(argv))
+            except SystemExit:
+                pytest.fail(f"README usage does not parse: {' '.join(argv)!r} (from {line!r})")
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, m23_file):
         a = run_cli(["chain-verify", m23_file])
         b = run_cli(["chain-verify", m23_file])
         assert a.stdout == b.stdout
-
-    def test_jobs_equivalence(self, m22_file):
-        seq = run_cli(["chain-verify", m22_file])
-        par = run_cli(["chain-verify", m22_file, "--jobs", "2"])
-        assert seq.stdout == par.stdout
 
     def test_roundtrip_equals_in_memory(self, m23_file):
         from pcgl.cgl import compute_eta_and_primes

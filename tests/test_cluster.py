@@ -17,9 +17,11 @@ from pcgl.cluster import (
     NonIntegral,
     NotExchangeable,
     NotInRing,
+    SeedInvariantFailure,
     chain_verify,
     check_compatible,
     check_log_canonical,
+    check_seed_invariants,
     cluster_expressions,
     express_in_cluster,
     mutate_matrix,
@@ -269,7 +271,7 @@ class TestSeeds:
     def test_identity_seed_is_y_basis(self, ctx22):
         bundle = seed_for_tau(ctx22, (0, 1, 2, 3))
         for k in range(4):
-            assert bundle.vars_y[k] == MvLaurent.gen(4, k)
+            assert ctx22.to_y_coordinates(bundle.vars_x[k]) == MvLaurent.gen(4, k)
             assert bundle.vars_x[k] == ctx22.seq.y[k]
 
     def test_rotated_seed(self, ctx22):
@@ -278,7 +280,7 @@ class TestSeeds:
         det = solid_minor(2, 2, (1, 2), (1, 2))
         assert bundle.vars_x == [xs[3], xs[1], xs[2], det]
         want = MvLaurent.monomial(4, (-1, 0, 0, 1)) + MvLaurent.monomial(4, (-1, 1, 1, 0))
-        assert bundle.vars_y[0] == want
+        assert ctx22.to_y_coordinates(bundle.vars_x[0]) == want
 
     def test_no_mutation_before_link(self, ctx22):
         a = seed_for_tau(ctx22, (0, 1, 2, 3))
@@ -303,6 +305,23 @@ class TestSeeds:
         # the mutated variable is the rescaled x2
         other = seed_for_tau(ctx, (1, 0))
         assert other.vars_x[0] == MvLaurent.gen(2, 1)
+
+    def test_seed_invariants_in_either_coordinates(self, ctx23):
+        bundle = seed_for_tau(ctx23, (1, 2, 0, 3, 4, 5))
+        seed = bundle.as_seed(ctx23)
+        check_seed_invariants(bundle.vars_x, bundle.r, bundle.btilde, ctx23.d_map, ctx23.eta)
+        check_seed_invariants(seed.vars_y, seed.r, seed.btilde, ctx23.d_map, ctx23.eta)
+        doubled = [bundle.vars_x[0]] + bundle.vars_x[:-1]
+        with pytest.raises(SeedInvariantFailure, match="linearly dependent"):
+            check_seed_invariants(doubled, bundle.r, bundle.btilde, ctx23.d_map, ctx23.eta)
+        # unequal d on two eta classes that the principal part couples
+        eta = ctx23.eta.eta
+        k, j = next((k, j) for k in bundle.btilde.ex for j in bundle.btilde.ex
+                    if bundle.btilde.entry(k, j) and eta[k] != eta[j])
+        d_map = dict(ctx23.d_map)
+        d_map[eta[k]] = 2 * d_map[eta[j]]
+        with pytest.raises(SeedInvariantFailure, match="skew-symmetrized by the d-integers"):
+            check_seed_invariants(bundle.vars_x, bundle.r, bundle.btilde, d_map, ctx23.eta)
 
     def test_two_block_d_integers_in_seed(self):
         ctx, _ = ClusterContext.build_normalizing(two_block(2, 3))
@@ -339,6 +358,20 @@ class TestOneStep:
         for p in (weyl_block(2), two_block(2, 3)):
             ctx, _ = ClusterContext.build_normalizing(p)
             assert all(r.verified for r in chain_verify(ctx))
+
+    def test_chain_makes_no_y_conversion(self, p23, monkeypatch):
+        # links are checked in x coordinates; no seed is rewritten in y
+        calls = []
+        inner = ClusterContext.to_y_coordinates
+
+        def counting(self, f):
+            calls.append(f)
+            return inner(self, f)
+
+        monkeypatch.setattr(ClusterContext, "to_y_coordinates", counting)
+        reports = chain_verify(ClusterContext.build(p23))
+        assert len(reports) == 15 and all(r.verified for r in reports)
+        assert calls == []
 
 
 class TestLogCanonical:
@@ -534,7 +567,7 @@ class TestMutateSeed:
         for k in bundle.btilde.ex:
             once = mutate_seed(ctx23, bundle, k)
             back = mutate_seed(ctx23, once, k)
-            assert back.vars_y == bundle.as_seed().vars_y
+            assert back.vars_y == bundle.as_seed(ctx23).vars_y
             assert back.btilde == bundle.btilde
             assert back.r == bundle.r
 
@@ -542,7 +575,7 @@ class TestMutateSeed:
         # chained mutations stay Laurent in the initial cluster and keep the
         # seed invariants (validated inside mutate_seed)
         rng = random.Random(99)
-        seed = seed_for_tau(ctx23, tuple(range(6))).as_seed()
+        seed = seed_for_tau(ctx23, tuple(range(6))).as_seed(ctx23)
         for _ in range(12):
             k = rng.choice(seed.btilde.ex)
             seed = mutate_seed(ctx23, seed, k)
