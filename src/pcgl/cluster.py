@@ -9,6 +9,14 @@ system.  Adjacent permutations are linked either by equality of seeds or by
 one mutation, and membership in the upper cluster algebra is decided by
 expressing elements in every chain cluster with frozen-nonnegative
 exponents.
+
+A seed is determined by its seed key (the slot-ordered interval labels of
+its variables) together with r_tau, and many permutations share a key
+(9 distinct clusters among the 67 permutations of Gamma_12 on the 3x4
+matrix preset).  So a context builds, solves and checks one seed per key
+and builds each interval prime once; r_tau, the paper's per-permutation
+quantity, is still assembled for every permutation and compared with the
+key's record.
 """
 
 from __future__ import annotations
@@ -116,6 +124,7 @@ class SeedInvariantFailure(ClusterError):
 
 
 RMatrix = List[List[Fraction]]
+RNumerators = Tuple[Tuple[int, ...], ...]
 SeedKey = Tuple[Tuple[int, int], ...]
 
 
@@ -269,16 +278,33 @@ def _btr(b: BMatrix, r: RMatrix) -> Dict[Tuple[int, int], Fraction]:
 
 
 @dataclass
+class SeedRecord:
+    """What a context knows about one seed key, each part filled on first use:
+    the bundle of the first permutation built with this key, that
+    permutation's r_tau numerators over lam_den, and the generators'
+    expressions in the cluster (cluster_expressions)."""
+
+    bundle: Optional["TauSeedBundle"] = None
+    r_num: Optional[RNumerators] = None
+    expressions: Optional[List[MvLaurent]] = None
+
+
+@dataclass
 class ClusterContext:
-    """Everything derived from one validated, pi-normalized presentation."""
+    """Everything derived from one validated, pi-normalized presentation.
+
+    Besides the presentation data it holds one SeedRecord per seed key and
+    one table of interval primes keyed by their label (start, m); both are
+    filled on first use by seed_for_tau and cluster_expressions.
+    """
 
     p: PoissonPresentation
     eta: EtaData
     seq: PrimeSequenceReport
     d_map: Dict[int, int]
     x_in_y: List[MvLaurent] = field(default_factory=list)
-    _tau_cache: Dict[Perm, "TauSeedBundle"] = field(default_factory=dict)
-    _expr_cache: Dict[SeedKey, List[MvLaurent]] = field(default_factory=dict)
+    _seeds: Dict[SeedKey, SeedRecord] = field(default_factory=dict)
+    _primes: Dict[Tuple[int, int], MvLaurent] = field(default_factory=dict)
 
     @classmethod
     def build(cls, p: PoissonPresentation, require_normalized: bool = True) -> "ClusterContext":
@@ -329,6 +355,19 @@ class ClusterContext:
 
     def lambda_star(self, l: int) -> Fraction:
         return lambda_star(self.p, l)
+
+    def prime(self, label: Tuple[int, int]) -> MvLaurent:
+        """The interval prime y_[start, s^m(start)] of label (start, m), built once."""
+        y = self._primes.get(label)
+        if y is None:
+            y = self._primes[label] = interval_prime(self.p, self.eta, *label)
+        return y
+
+    def seed_record(self, key: SeedKey) -> SeedRecord:
+        rec = self._seeds.get(key)
+        if rec is None:
+            rec = self._seeds[key] = SeedRecord()
+        return rec
 
     def gamma(self) -> GammaChain:
         return gamma_chain(self.p.n).annotate(self.eta)
@@ -390,18 +429,46 @@ def seed_key(eta: EtaData, tau: Perm) -> Tuple[Perm, SeedKey]:
     return sigma, tuple(data[sig_inv[s]] for s in range(len(tau)))
 
 
+def r_numerators_for_tau(p: PoissonPresentation, eta: EtaData, tau: Perm,
+                         sigma: Perm) -> RNumerators:
+    """Numerators of r_tau over p.lam_den, with sigma = tau_bullet o tau.
+
+    q_tau[k][j] = omega_lambda(ebar_k, ebar_j) on the predecessor chains of
+    the tau-presentation; moved back to the generators, ebar_k is the
+    indicator of S_k = tau({c <= k : c in the eta-class of k}).  The chains
+    nest, S_k = S_{p(k)} + {tau(k)}, so with row_k = sum of the lambda rows
+    over S_k every entry is one integer add from a neighbour:
+        row_k = row_{p(k)} + lam_num[tau(k)],  q[k][j] = q[k][p(j)] + row_k[tau(j)].
+    """
+    n = p.n
+    num = p.lam_num
+    pred = eta_tau_data(eta, tau).pred
+    rows: List[List[int]] = []
+    for k in range(n):
+        pk = pred[k]
+        src = num[tau[k]]
+        rows.append(list(src) if pk is None else [a + b for a, b in zip(rows[pk], src)])
+    q: List[List[int]] = []
+    for row in rows:
+        qk = [0] * n
+        for j in range(n):
+            pj = pred[j]
+            qk[j] = row[tau[j]] if pj is None else qk[pj] + row[tau[j]]
+        q.append(qk)
+    sig_inv = perm_inverse(sigma)
+    return tuple(tuple(q[i][j] for j in sig_inv) for i in sig_inv)
+
+
+def _r_fractions(p: PoissonPresentation, r_num: RNumerators) -> RMatrix:
+    den = p.lam_den
+    return [[Fraction(x, den) for x in row] for row in r_num]
+
+
 def r_matrix_for_tau(p: PoissonPresentation, eta: EtaData, tau: Perm) -> RMatrix:
     """r_tau = (tau_bullet tau) q_tau (tau_bullet tau)^{-1}, where q_tau is
     omega_lambda on the predecessor chains of the tau-presentation."""
-    n = p.n
-    etau = eta_tau_data(eta, tau)
-    # ebar_k of the tau-presentation, moved back to the original generators
-    tau_inv = perm_inverse(tau)
-    vecs = [[e[l] for l in tau_inv] for e in map(etau.ebar, range(n))]
-    q_tau = [[p.omega_lambda(vecs[k], vecs[j]) for j in range(n)] for k in range(n)]
     sigma = perm_compose(tau_bullet(tau, eta), tau)
-    sig_inv = perm_inverse(sigma)
-    return [[q_tau[sig_inv[a]][sig_inv[b]] for b in range(n)] for a in range(n)]
+    return _r_fractions(p, r_numerators_for_tau(p, eta, tau, sigma))
 
 
 def solve_btilde(ctx: ClusterContext, tau: Perm, r: RMatrix,
@@ -458,22 +525,37 @@ def check_seed_invariants(variables: Sequence[MvLaurent], r: RMatrix, btilde: BM
                 raise SeedInvariantFailure("principal part not skew-symmetrized by the d-integers")
 
 
-def seed_for_tau(ctx: ClusterContext, tau: Perm) -> TauSeedBundle:
-    """Assemble and sanity-check the full seed bundle for one permutation."""
-    tau = tuple(tau)
-    if tau in ctx._tau_cache:
-        return ctx._tau_cache[tau]
-    p, eta = ctx.p, ctx.eta
-    sigma, key = seed_key(eta, tau)
-    vars_x = [interval_prime(p, eta, i, m) for (i, m) in key]
-    weights = [weight_of(p, v) for v in vars_x]
-    r = r_matrix_for_tau(p, eta, tau)
+def _build_bundle(ctx: ClusterContext, tau: Perm, sigma: Perm, key: SeedKey,
+                  r_num: RNumerators) -> TauSeedBundle:
+    vars_x = [ctx.prime(label) for label in key]
+    weights = [weight_of(ctx.p, v) for v in vars_x]
+    r = _r_fractions(ctx.p, r_num)
     btilde, beta = solve_btilde(ctx, tau, r, weights)
-    check_seed_invariants(vars_x, r, btilde, ctx.d_map, eta)
-    bundle = TauSeedBundle(tau=tau, sigma=sigma, vars_x=vars_x, intervals=list(key),
-                           weights=weights, r=r, btilde=btilde, beta=beta)
-    ctx._tau_cache[tau] = bundle
-    return bundle
+    check_seed_invariants(vars_x, r, btilde, ctx.d_map, ctx.eta)
+    return TauSeedBundle(tau=tau, sigma=sigma, vars_x=vars_x, intervals=list(key),
+                         weights=weights, r=r, btilde=btilde, beta=beta)
+
+
+def seed_for_tau(ctx: ClusterContext, tau: Perm) -> TauSeedBundle:
+    """Assemble and sanity-check the full seed bundle for one permutation.
+
+    Every other field of a bundle is a function of its seed key and r_tau.
+    So r_tau is assembled for every tau, while the variables, the solve and
+    the seed checks run once per key; the key's bundle is returned with this
+    tau and sigma.  A tau whose r_tau differs from the key's record gets a
+    bundle built for it alone.  Bundles of one key share their lists and
+    must not be mutated.
+    """
+    tau = tuple(tau)
+    sigma, key = seed_key(ctx.eta, tau)
+    r_num = r_numerators_for_tau(ctx.p, ctx.eta, tau, sigma)
+    rec = ctx.seed_record(key)
+    if rec.bundle is None:
+        rec.bundle = _build_bundle(ctx, tau, sigma, key, r_num)
+        rec.r_num = r_num
+    elif rec.r_num != r_num:
+        return _build_bundle(ctx, tau, sigma, key, r_num)
+    return replace(rec.bundle, tau=tau, sigma=sigma)
 
 
 # --------------------------------------------------------------- one-step links
@@ -620,18 +702,20 @@ def cluster_expressions(ctx: ClusterContext, tau: Perm) -> List[MvLaurent]:
     Built by back-substitution along the tau-presentation:
     x_tau(k) = y_{tau, p_tau(k)}^{-1} (y_{tau,k} + c_{tau,k}).  Exponent slots
     follow the ytilde ordering (variable j of the tau-sequence sits in slot
-    (tau_bullet tau)(j)).  Cached by seed key: permutations with the same key
-    have the same cluster variables, and the Laurent expansion of each x_j in
-    an algebraically independent set is unique, so they share the result.
+    (tau_bullet tau)(j)).  Kept in the seed key's record: permutations with
+    the same key have the same cluster variables, and the Laurent expansion
+    of each x_j in an algebraically independent set is unique, so they share
+    the result.  The y_tau are read from the context's interval-prime table.
     """
     tau = tuple(tau)
     p, eta = ctx.p, ctx.eta
     sigma, key = seed_key(eta, tau)
-    if key in ctx._expr_cache:
-        return ctx._expr_cache[key]
+    rec = ctx.seed_record(key)
+    if rec.expressions is not None:
+        return rec.expressions
     n = p.n
     etau = eta_tau_data(eta, tau)
-    y_tau = [interval_prime(p, eta, *key[sigma[k]]) for k in range(n)]
+    y_tau = [ctx.prime(key[sigma[k]]) for k in range(n)]
     gens = [MvLaurent.gen(n, i) for i in range(n)]
 
     images: List[Optional[MvLaurent]] = [None] * n   # indexed by generator
@@ -650,9 +734,8 @@ def cluster_expressions(ctx: ClusterContext, tau: Perm) -> List[MvLaurent]:
             c_expr = substitute(c_tk, partial)
         slot_p = sigma[pk]
         images[v] = MvLaurent.gen(n, slot_p, -1) * (MvLaurent.gen(n, slot_k) + c_expr)
-    result = [img for img in images]  # type: ignore[list-item]
-    ctx._expr_cache[key] = result     # type: ignore[assignment]
-    return result                     # type: ignore[return-value]
+    rec.expressions = images          # type: ignore[assignment]
+    return images                     # type: ignore[return-value]
 
 
 @dataclass

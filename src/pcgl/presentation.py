@@ -88,7 +88,9 @@ class PoissonPresentation:
     * ``lam_diagonal`` -- the eigenvalues lambda_k = <h_k, chi_k>;
     * ``lam_star`` -- the eigenvalues lambda*_j = <h*_j, chi_j>, or None
       without h_star;
-    * ``delta_items`` -- the nonzero table entries as sorted (k, j, poly).
+    * ``delta_items`` -- the nonzero table entries as sorted (k, j, poly);
+    * ``delta_rows`` -- the same entries by k: ``delta_rows[k]`` maps j to
+      delta_k(x_j).
     """
 
     n: int
@@ -103,6 +105,7 @@ class PoissonPresentation:
     lam_diagonal: Tuple[Fraction, ...] = _derived()
     lam_star: Optional[Tuple[Fraction, ...]] = _derived()
     delta_items: Tuple[Tuple[int, int, MvLaurent], ...] = _derived()
+    delta_rows: Tuple[Dict[int, MvLaurent], ...] = _derived()
 
     def __post_init__(self):
         if self.n < 1:
@@ -143,6 +146,8 @@ class PoissonPresentation:
             tuple(_dot(self.h_star[j], self.weights[j]) for j in range(n)))
         put("delta_items", tuple((k, j, poly) for (k, j), poly in sorted(self.delta.items())
                                  if not poly.is_zero()))
+        put("delta_rows", tuple({j: poly for kk, j, poly in self.delta_items if kk == k}
+                                for k in range(n)))
 
     @classmethod
     def from_lambda(cls, n: int, lam_rows, lam_diag, delta=None) -> "PoissonPresentation":
@@ -252,12 +257,17 @@ def bracket(p: PoissonPresentation, f: MvLaurent, g: MvLaurent) -> MvLaurent:
         {x^a, x^b} = Omega_lambda(a,b) x^(a+b)
                      + sum_{k>j} (a_k b_j - a_j b_k) x^(a+b-e_k-e_j) delta_k(x_j),
     which covers negative exponents via the derivation rule on inverses.
+    A table entry (k, j) contributes only when x_k and x_j both occur in
+    x^a or x^b, so only those entries are visited, in table order.
     """
     n = p.n
     if f.is_zero() or g.is_zero():
         return MvLaurent.zero(n)
-    num, den, delta_items = p.lam_num, p.lam_den, p.delta_items
-    g_terms = [(eb, cb, [(j, m) for j, m in enumerate(eb) if m]) for eb, cb in g.terms.items()]
+    num, den, delta_rows = p.lam_num, p.lam_den, p.delta_rows
+    g_terms = []
+    for eb, cb in g.terms.items():
+        b_nz = [(j, m) for j, m in enumerate(eb) if m]
+        g_terms.append((eb, cb, b_nz, {j for j, _ in b_nz}))
     # Terms accumulate in the order repeated `out + term` would add them.
     out: Dict[Tuple[int, ...], Fraction] = {}
 
@@ -270,7 +280,8 @@ def bracket(p: PoissonPresentation, f: MvLaurent, g: MvLaurent) -> MvLaurent:
 
     for ea, ca in f.terms.items():
         a_nz = [(k, m) for k, m in enumerate(ea) if m]
-        for eb, cb, b_nz in g_terms:
+        a_supp = {k for k, _ in a_nz}
+        for eb, cb, b_nz, b_supp in g_terms:
             scale = ca * cb
             total = 0
             for k, ak in a_nz:
@@ -280,16 +291,24 @@ def bracket(p: PoissonPresentation, f: MvLaurent, g: MvLaurent) -> MvLaurent:
             ab = tuple(x + y for x, y in zip(ea, eb))
             if total:
                 add(ab, scale * Fraction(total, den))
-            for k, j, poly in delta_items:
-                factor = ea[k] * eb[j] - ea[j] * eb[k]
-                if not factor:
+            supp = sorted(a_supp | b_supp)
+            for i, k in enumerate(supp):
+                entries = delta_rows[k]
+                if not entries:
                     continue
-                shift = list(ab)
-                shift[k] -= 1
-                shift[j] -= 1
-                c = scale * factor
-                for ep, cp in poly.terms.items():
-                    add(tuple(x + y for x, y in zip(shift, ep)), c * cp)
+                for j in supp[:i]:
+                    poly = entries.get(j)
+                    if poly is None:
+                        continue
+                    factor = ea[k] * eb[j] - ea[j] * eb[k]
+                    if not factor:
+                        continue
+                    shift = list(ab)
+                    shift[k] -= 1
+                    shift[j] -= 1
+                    c = scale * factor
+                    for ep, cp in poly.terms.items():
+                        add(tuple(x + y for x, y in zip(shift, ep)), c * cp)
     return MvLaurent(n, out)
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -17,11 +18,15 @@ from pcgl.serialize import poly_report, presentation_from_doc, presentation_to_d
 from conftest import rescaled_3x3
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+# The child process imports the same pcgl as this one, installed or not.
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 def run_cli(args, stdin=None):
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "pcgl.cli", *args],
-                          capture_output=True, text=True, input=stdin)
+                          capture_output=True, text=True, input=stdin,
+                          env=dict(os.environ, PYTHONPATH=path))
     return proc
 
 
