@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -21,16 +20,15 @@ from .poly import PolyError
 from .presentation import PresentationError, validate_algebra
 from .presets import build_affine_space, build_matrix_poisson
 from .serialize import FormatError
-from .symmetric import (
-    compute_d_integers,
-    rescale_generators,
-    u_element_and_pi,
-    validate_symmetric,
-)
+from .symmetric import compute_d_integers, pi_values, rescale_generators, validate_symmetric
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
+
+# Most generators a Gamma_N command (chain-verify, membership, seeds --gamma)
+# accepts: Gamma_N has N(N-1)/2 + 1 permutations; 36 admits the 6x6 preset.
+MAX_GAMMA_GENERATORS = 36
 
 
 class CliInputError(Exception):
@@ -100,18 +98,10 @@ def _parse_q(text: str) -> List[list]:
     return [[ser.fraction_from_json(x) for x in row] for row in rows]
 
 
-def _max_n() -> int:
-    raw = os.environ.get("PCGL_MAX_N", "20")
-    try:
-        return int(raw)
-    except ValueError:
-        raise CliInputError(f"PCGL_MAX_N must be an integer, got {raw!r}")
-
-
-def _check_enum_cap(n: int) -> None:
-    cap = _max_n()
-    if n > cap:
-        raise CliInputError(f"N = {n} exceeds the enumeration cap PCGL_MAX_N = {cap}")
+def _check_gamma_size(n: int) -> None:
+    if n > MAX_GAMMA_GENERATORS:
+        raise CliInputError(f"N = {n} exceeds {MAX_GAMMA_GENERATORS}, the largest number of "
+                            "generators a Gamma_N command accepts")
 
 
 def _error_report(command: str, exc: Exception) -> dict:
@@ -247,11 +237,7 @@ def cmd_rescale(args) -> int:
         return EXIT_INPUT
     eta, _ = compute_eta_and_primes(ps)
     gamma, p2 = rescale_generators(ps, eta)
-    pis = {}
-    eta2, _ = compute_eta_and_primes(p2)
-    for i in range(p2.n):
-        if eta2.succ[i] is not None:
-            pis[i] = u_element_and_pi(p2, eta2, i, 1).pi
+    pis = dict(pi_values(p2, compute_eta_and_primes(p2)[0]))
     doc = {
         "command": "rescale",
         "gamma": [ser.fraction_to_json(g) for g in gamma],
@@ -263,22 +249,12 @@ def cmd_rescale(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _build_context(p, auto_rescale: bool = True):
-    """Cluster context; rescales first when the pi-condition fails."""
-    try:
-        return cl.ClusterContext.build(p), None
-    except cl.ClusterError:
-        if not auto_rescale:
-            raise
-        ctx, gamma = cl.ClusterContext.build_normalizing(p)
-        return ctx, gamma
-
-
 def cmd_seeds(args) -> int:
     p, names, _ = _load_presentation(args.file)
-    ctx, gamma = _build_context(p)
     if args.gamma:
-        _check_enum_cap(p.n)
+        _check_gamma_size(p.n)
+    ctx, gamma = cl.ClusterContext.build_normalizing(p)
+    if args.gamma:
         taus = ctx.gamma().perms
     elif args.tau:
         taus = [_parse_tau(args.tau, p.n)]
@@ -287,7 +263,7 @@ def cmd_seeds(args) -> int:
     y_reports: Dict[Tuple[int, int], dict] = {}
     bundles = [_bundle_dict(ctx, cl.seed_for_tau(ctx, tau), names, y_reports) for tau in taus]
     doc = {"command": "seeds", "bundles": bundles}
-    if gamma:
+    if any(g != 1 for g in gamma):
         doc["gamma_applied"] = [ser.fraction_to_json(g) for g in gamma]
     _emit(doc, args.output, f"{len(bundles)} seed bundle(s) computed")
     return EXIT_OK
@@ -295,7 +271,7 @@ def cmd_seeds(args) -> int:
 
 def cmd_btilde(args) -> int:
     p, names, _ = _load_presentation(args.file)
-    ctx, gamma = _build_context(p)
+    ctx, _ = cl.ClusterContext.build_normalizing(p)
     tau = _parse_tau(args.tau, p.n) if args.tau else tuple(range(p.n))
     bundle = cl.seed_for_tau(ctx, tau)
     doc = {"command": "btilde", "tau": [v + 1 for v in tau],
@@ -307,7 +283,7 @@ def cmd_btilde(args) -> int:
 
 def cmd_mutate(args) -> int:
     p, names, _ = _load_presentation(args.file)
-    ctx, gamma = _build_context(p)
+    ctx, _ = cl.ClusterContext.build_normalizing(p)
     tau = _parse_tau(args.tau, p.n) if args.tau else tuple(range(p.n))
     bundle = cl.seed_for_tau(ctx, tau)
     k = args.at - 1
@@ -328,15 +304,15 @@ def cmd_mutate(args) -> int:
 
 def cmd_chain_verify(args) -> int:
     p, names, _ = _load_presentation(args.file)
-    _check_enum_cap(p.n)
-    ctx, gamma = _build_context(p)
+    _check_gamma_size(p.n)
+    ctx, gamma = cl.ClusterContext.build_normalizing(p)
     link_dicts = [link.as_dict() for link in cl.chain_verify(ctx)]
     ok = all(l["verified"] for l in link_dicts)
     n_mut = sum(1 for l in link_dicts if l["branch"] == "mutation")
     doc = {"command": "chain-verify", "links": link_dicts,
            "summary": {"links": len(link_dicts), "mutations": n_mut,
                        "equal": len(link_dicts) - n_mut, "all_verified": ok}}
-    if gamma:
+    if any(g != 1 for g in gamma):
         doc["gamma_applied"] = [ser.fraction_to_json(g) for g in gamma]
     _emit(doc, args.output,
           f"{len(link_dicts)} links, {n_mut} mutations, all verified: {ok}")
@@ -345,8 +321,8 @@ def cmd_chain_verify(args) -> int:
 
 def cmd_membership(args) -> int:
     p, names, _ = _load_presentation(args.file)
-    _check_enum_cap(p.n)
-    ctx, gamma = _build_context(p)
+    _check_gamma_size(p.n)
+    ctx, _ = cl.ClusterContext.build_normalizing(p)
     coords = args.coords
     elem_text = args.elem
     try:

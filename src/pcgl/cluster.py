@@ -22,6 +22,7 @@ key's record.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -39,9 +40,9 @@ from .symmetric import (
     lambda_star,
     perm_compose,
     perm_inverse,
+    pi_values,
     rescale_generators,
     tau_bullet,
-    u_element_and_pi,
     validate_symmetric,
 )
 
@@ -277,6 +278,10 @@ def _btr(b: BMatrix, r: RMatrix) -> Dict[Tuple[int, int], Fraction]:
 # ------------------------------------------------------------------ seed context
 
 
+def _first_pi_not_one(p: PoissonPresentation, eta: EtaData) -> Optional[Tuple[int, Fraction]]:
+    return next(((i, pi) for i, pi in pi_values(p, eta) if pi != 1), None)
+
+
 @dataclass
 class SeedRecord:
     """What a context knows about one seed key, each part filled on first use:
@@ -295,44 +300,54 @@ class ClusterContext:
 
     Besides the presentation data it holds one SeedRecord per seed key and
     one table of interval primes keyed by their label (start, m); both are
-    filled on first use by seed_for_tau and cluster_expressions.
+    filled on first use by seed_for_tau and cluster_expressions.  The table
+    x_in_y of the generators in initial-cluster coordinates is built on
+    first read.
     """
 
     p: PoissonPresentation
     eta: EtaData
     seq: PrimeSequenceReport
     d_map: Dict[int, int]
-    x_in_y: List[MvLaurent] = field(default_factory=list)
     _seeds: Dict[SeedKey, SeedRecord] = field(default_factory=dict)
     _primes: Dict[Tuple[int, int], MvLaurent] = field(default_factory=dict)
 
     @classmethod
-    def build(cls, p: PoissonPresentation, require_normalized: bool = True) -> "ClusterContext":
+    def build(cls, p: PoissonPresentation) -> "ClusterContext":
+        """Context of a symmetric presentation with every pi_[i, s(i)] = 1, else ClusterError."""
+        return cls._build(p, rescale=False)[0]
+
+    @classmethod
+    def build_normalizing(cls, p: PoissonPresentation) -> Tuple["ClusterContext", List[Fraction]]:
+        """Build after the pi-normalizing rescaling; returns gamma too (all ones if none was needed)."""
+        return cls._build(p, rescale=True)
+
+    @classmethod
+    def _build(cls, p: PoissonPresentation, rescale: bool) -> Tuple["ClusterContext", List[Fraction]]:
+        """One pass: validate, compute eta, the primes and the d-integers once;
+        only when some pi != 1 (and rescale is set) rescale, recompute the
+        primes and certify pi == 1 on the rescaled presentation.  Rescaling
+        keeps the weights, h and h*, so the symmetry check and the
+        d-integers carry over to it."""
         report, ps = validate_symmetric(p)
         if not report.passed:
             raise ClusterError("presentation is not symmetric: " + "; ".join(str(f) for f in report.failures))
         eta, seq = compute_eta_and_primes(ps)
         d_map, _ = compute_d_integers(ps, eta)
-        if require_normalized:
-            for i in range(ps.n):
-                if eta.succ[i] is not None:
-                    ud = u_element_and_pi(ps, eta, i, 1)
-                    if ud.pi != 1:
-                        raise ClusterError(
-                            f"pi_[{i+1}, s({i+1})] = {ud.pi} != 1; rescale the generators first")
-        ctx = cls(p=ps, eta=eta, seq=seq, d_map=d_map)
-        ctx.x_in_y = ctx._solve_x_in_y()
-        return ctx
+        gamma = [Fraction(1)] * ps.n
+        bad = _first_pi_not_one(ps, eta)
+        if bad is not None and rescale:
+            gamma, ps = rescale_generators(ps, eta)
+            eta, seq = compute_eta_and_primes(ps)
+            bad = _first_pi_not_one(ps, eta)
+        if bad is not None:
+            i, pi = bad
+            raise ClusterError(f"pi_[{i+1}, s({i+1})] = {pi} != 1; rescale the generators first")
+        return cls(p=ps, eta=eta, seq=seq, d_map=d_map), gamma
 
-    @classmethod
-    def build_normalizing(cls, p: PoissonPresentation) -> Tuple["ClusterContext", List[Fraction]]:
-        """Build after applying the pi-normalizing rescaling; returns gamma too."""
-        report, ps = validate_symmetric(p)
-        if not report.passed:
-            raise ClusterError("presentation is not symmetric: " + "; ".join(str(f) for f in report.failures))
-        eta, _ = compute_eta_and_primes(ps)
-        gamma, ps2 = rescale_generators(ps, eta)
-        return cls.build(ps2), gamma
+    @cached_property
+    def x_in_y(self) -> List[MvLaurent]:
+        return self._solve_x_in_y()
 
     # x_k as Laurent polynomials in the initial cluster
     def _solve_x_in_y(self) -> List[MvLaurent]:

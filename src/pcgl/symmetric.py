@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .cgl import EtaData, compute_eta_and_primes
@@ -469,6 +469,13 @@ def u_element_and_pi(p: PoissonPresentation, eta: EtaData, i: int, m: int) -> UE
         raise LeadingFormViolation(
             f"f of u_[{i+1}, s^{m}] is not a combination of interval ebar-vectors")
     return UElementData(i=i, m=m, u=u, pi=pi, f=f, g=tuple(g))
+
+
+def pi_values(p: PoissonPresentation, eta: EtaData) -> Iterator[Tuple[int, Fraction]]:
+    """(i, pi_[i, s(i)]) for every i with a successor, in increasing i, lazily."""
+    for i in range(p.n):
+        if eta.succ[i] is not None:
+            yield i, u_element_and_pi(p, eta, i, 1).pi
 
 
 # ----------------------------------------------------------------- normalization

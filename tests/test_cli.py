@@ -12,7 +12,7 @@ import pytest
 
 from pcgl import cli
 from pcgl.cli import main
-from pcgl.presets import build_matrix_poisson
+from pcgl.presets import build_affine_space, build_matrix_poisson
 from pcgl.serialize import poly_report, presentation_from_doc, presentation_to_doc
 
 from conftest import rescaled_3x3
@@ -179,9 +179,28 @@ class TestSubcommands:
             assert doc["command"] == argv[0]
             assert doc["error"]["code"] == "PresentationError"
 
-    def test_enum_cap(self, m22_file, capsys, monkeypatch):
-        monkeypatch.setenv("PCGL_MAX_N", "3")
-        assert main(["chain-verify", m22_file]) == 2
+    def test_enum_cap(self, tmp_path, capsys):
+        n = cli.MAX_GAMMA_GENERATORS + 1
+        symmetric = presentation_to_doc(build_affine_space(n, [[0] * n] * n))
+        # zero h* rows make it non-symmetric: the size check must still come first
+        nonsymmetric = dict(symmetric, h_star=[["0"] * symmetric["torus_rank"]] * n)
+        for doc in (symmetric, nonsymmetric):
+            path = tmp_path / "big.json"
+            path.write_text(json.dumps(doc))
+            for argv in (["chain-verify", str(path)],
+                         ["seeds", str(path), "--gamma"],
+                         ["membership", str(path), "--elem", "1"]):
+                assert main(argv) == 2
+                error = json.loads(capsys.readouterr().out)["error"]
+                assert error["code"] == "CliInputError"
+                assert f"N = {n} exceeds {cli.MAX_GAMMA_GENERATORS}" in error["detail"]
+
+    def test_chain_verify_5x5_by_default(self, tmp_path, capsys):
+        path = tmp_path / "m55.json"
+        assert main(["preset", "matrix", "--m", "5", "--n", "5", "-o", str(path)]) == 0
+        assert main(["chain-verify", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["summary"] == {"all_verified": True, "equal": 270, "links": 300, "mutations": 30}
 
 
 class TestInputBoundary:
@@ -227,7 +246,7 @@ def test_seeds_variables_y_equal_per_bundle_conversion(build, tmp_path, capsys):
     path.write_text(json.dumps(presentation_to_doc(build())))
     assert main(["seeds", str(path), "--gamma"]) == 0
     bundles = json.loads(capsys.readouterr().out)["bundles"]
-    ctx, _ = cli._build_context(presentation_from_doc(json.loads(path.read_text()))[0])
+    ctx, _ = cli.cl.ClusterContext.build_normalizing(presentation_from_doc(json.loads(path.read_text()))[0])
     perms = ctx.gamma().perms
     assert [tuple(v - 1 for v in b["tau"]) for b in bundles] == list(perms)
     for doc, tau in zip(bundles, perms):

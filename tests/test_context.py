@@ -1,0 +1,220 @@
+"""The one-pass cluster context, against the three-pass build it replaced.
+
+ClusterContext.build and build_normalizing share one pass: validate once,
+compute eta, the primes and the d-integers once, and rescale (then certify
+pi == 1 again) only when some pi_[i, s(i)] is not 1.  The x-to-y table is
+built on first read.  The oracle below is the old path: `build` with its
+eager x-to-y table, `build_normalizing` validating and computing eta again
+before calling `build`, and the CLI's catch-and-rebuild `_build_context`.
+"""
+
+import json
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from pcgl import cgl, cli, cluster, symmetric
+from pcgl.cluster import ClusterContext, ClusterError, chain_verify, seed_for_tau, upper_membership
+from pcgl.cgl import compute_eta_and_primes
+from pcgl.poly import MvLaurent, substitute
+from pcgl.presets import build_matrix_poisson
+from pcgl.serialize import fraction_to_json, parse_poly_expr, presentation_to_doc
+from pcgl.symmetric import (
+    Incompatible,
+    apply_rescaling,
+    compute_d_integers,
+    rescale_generators,
+    u_element_and_pi,
+    validate_symmetric,
+)
+
+from conftest import rescaled_3x3, two_block, weyl_block
+
+GAMMA_3X4 = [Fraction(3), Fraction(-1, 2), Fraction(2, 5), Fraction(1), Fraction(-4), Fraction(5, 3),
+             Fraction(1, 7), Fraction(2), Fraction(-3, 4), Fraction(6), Fraction(1, 2), Fraction(-1)]
+
+
+def rescaled_3x4():
+    return apply_rescaling(build_matrix_poisson(3, 4), GAMMA_3X4)
+
+
+def _x_in_y_eager(ctx):
+    n = ctx.p.n
+    out = []
+    for k in range(n):
+        pk = ctx.eta.pred[k]
+        if pk is None:
+            out.append(MvLaurent.gen(n, k))
+            continue
+        ck = ctx.seq.c[k]
+        ck_y = substitute(ck, out + [MvLaurent.gen(n, i) for i in range(k, n)]) if not ck.is_zero() \
+            else MvLaurent.zero(n)
+        out.append(MvLaurent.gen(n, pk, -1) * (MvLaurent.gen(n, k) + ck_y))
+    return out
+
+
+def _oracle_build(p):
+    """ClusterContext.build as it was; returns the context and its eager x-to-y table."""
+    report, ps = validate_symmetric(p)
+    if not report.passed:
+        raise ClusterError("presentation is not symmetric: " + "; ".join(str(f) for f in report.failures))
+    eta, seq = compute_eta_and_primes(ps)
+    d_map, _ = compute_d_integers(ps, eta)
+    for i in range(ps.n):
+        if eta.succ[i] is not None:
+            ud = u_element_and_pi(ps, eta, i, 1)
+            if ud.pi != 1:
+                raise ClusterError(f"pi_[{i+1}, s({i+1})] = {ud.pi} != 1; rescale the generators first")
+    ctx = ClusterContext(p=ps, eta=eta, seq=seq, d_map=d_map)
+    return ctx, _x_in_y_eager(ctx)
+
+
+def _oracle_build_normalizing(p):
+    report, ps = validate_symmetric(p)
+    if not report.passed:
+        raise ClusterError("presentation is not symmetric: " + "; ".join(str(f) for f in report.failures))
+    eta, _ = compute_eta_and_primes(ps)
+    gamma, ps2 = rescale_generators(ps, eta)
+    return _oracle_build(ps2), gamma
+
+
+def _oracle_build_context(p):
+    """The CLI's _build_context as it was: (context, x_in_y), gamma or None."""
+    try:
+        return _oracle_build(p), None
+    except ClusterError:
+        return _oracle_build_normalizing(p)
+
+
+INPUTS = {
+    "2x3": lambda: build_matrix_poisson(2, 3),
+    "3x3": lambda: build_matrix_poisson(3, 3),
+    "rescaled_3x3": rescaled_3x3,
+    "weyl_block": lambda: weyl_block(2),
+    "two_block": lambda: two_block(2, 3),
+    "rescaled_3x4": rescaled_3x4,
+}
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except Exception as exc:      # compared by type and message below
+        return None, (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_context_equals_three_pass_build(name, tmp_path, capsys):
+    p = INPUTS[name]()
+    (want, want_x_in_y), want_gamma = _oracle_build_context(p)
+    ctx, gamma = ClusterContext.build_normalizing(p)
+    assert ctx.p == want.p
+    assert ctx.eta == want.eta
+    assert ctx.seq.y == want.seq.y and ctx.seq.c == want.seq.c
+    assert ctx.d_map == want.d_map
+    assert gamma == (want_gamma if want_gamma is not None else [1] * p.n)
+    assert ctx.x_in_y == want_x_in_y
+    # the CLI reports gamma_applied exactly when the old path had to rescale
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(presentation_to_doc(p)))
+    assert cli.main(["seeds", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc.get("gamma_applied") == (None if want_gamma is None else [fraction_to_json(g) for g in want_gamma])
+
+    got, got_err = _outcome(ClusterContext.build, p)
+    old, old_err = _outcome(_oracle_build, p)
+    assert got_err == old_err
+    if old_err is None:
+        assert got.p == old[0].p and got.eta == old[0].eta and got.d_map == old[0].d_map
+
+
+def _nonsymmetric():
+    """The 2x2 preset with zero h* rows: every lambda*_j is 0."""
+    p = build_matrix_poisson(2, 2)
+    return replace(p, h_star=((Fraction(0),) * p.torus_rank,) * p.n)
+
+
+ERROR_INPUTS = {
+    "nonsymmetric": _nonsymmetric,
+    "incompatible": lambda: two_block(2, -2),
+    "rescaled_incompatible": lambda: apply_rescaling(two_block(2, -2), [2, Fraction(1, 3), -1, 5]),
+}
+
+
+@pytest.mark.parametrize("name", ERROR_INPUTS)
+def test_same_exception_as_three_pass_build(name):
+    p = ERROR_INPUTS[name]()
+    _, want = _outcome(_oracle_build_context, p)
+    assert want is not None
+    assert want[0] is (ClusterError if name == "nonsymmetric" else Incompatible)
+    assert _outcome(ClusterContext.build_normalizing, p)[1] == want
+    assert _outcome(ClusterContext.build, p)[1] == _outcome(_oracle_build, p)[1]
+
+
+def test_pi_not_one_after_rescaling_still_raises(monkeypatch):
+    # a rescaling that changes nothing leaves pi != 1, and the certificate catches it
+    monkeypatch.setattr(cluster, "rescale_generators", lambda p, eta: ([Fraction(1)] * p.n, p))
+    with pytest.raises(ClusterError, match=r"pi_\[1, s\(1\)\] = .* != 1; rescale the generators first"):
+        ClusterContext.build_normalizing(weyl_block(2))
+
+
+class _Counter:
+    def __init__(self, monkeypatch):
+        self.calls = {}
+        self.monkeypatch = monkeypatch
+
+    def wrap(self, owners, name, label):
+        inner = getattr(owners[0], name)
+
+        def counted(*args, **kwargs):
+            self.calls[label] = self.calls.get(label, 0) + 1
+            return inner(*args, **kwargs)
+
+        for owner in owners:
+            self.monkeypatch.setattr(owner, name, counted)
+
+    def __getitem__(self, label):
+        return self.calls.get(label, 0)
+
+
+@pytest.fixture
+def counter(monkeypatch):
+    c = _Counter(monkeypatch)
+    c.wrap([symmetric, cluster], "validate_symmetric", "validate")
+    c.wrap([cgl, symmetric, cluster], "compute_eta_and_primes", "eta")
+    c.wrap([ClusterContext], "_solve_x_in_y", "x_in_y")
+    return c
+
+
+def test_rescaled_build_counts(counter):
+    ctx, gamma = ClusterContext.build_normalizing(rescaled_3x4())
+    assert any(g != 1 for g in gamma)
+    assert counter["validate"] == 1
+    assert counter["eta"] <= 2
+    assert counter["x_in_y"] == 0
+    chain_verify(ctx)
+    seed_for_tau(ctx, tuple(range(ctx.p.n)))
+    f = parse_poly_expr("x1*x6 - x2*x5", ctx.p.n, None, prefix="x")
+    assert upper_membership(ctx, f)[0]
+    assert counter["x_in_y"] == 0
+    ctx.to_y_coordinates(f)
+    ctx.to_y_coordinates(f)
+    assert counter["x_in_y"] == 1
+
+
+@pytest.mark.parametrize("argv, x_in_y", [
+    (["chain-verify"], 0),
+    (["btilde"], 0),
+    (["membership", "--elem", "x1*x6 - x2*x5"], 0),
+    (["seeds"], 1),
+    (["mutate", "--at", "1"], 1),
+])
+def test_cli_builds_context_once(argv, x_in_y, counter, tmp_path, capsys):
+    path = tmp_path / "m34.json"
+    path.write_text(json.dumps(presentation_to_doc(rescaled_3x4())))
+    assert cli.main([argv[0], str(path), *argv[1:]]) == 0
+    capsys.readouterr()
+    assert counter["validate"] == 1
+    assert counter["eta"] <= 2
+    assert counter["x_in_y"] == x_in_y
