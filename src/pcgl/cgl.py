@@ -121,12 +121,7 @@ def delta(p: PoissonPresentation, k: int, f: MvLaurent) -> MvLaurent:
 
 def sigma(p: PoissonPresentation, k: int, f: MvLaurent) -> MvLaurent:
     """The diagonal derivation sigma_k = (h_k . ) applied termwise."""
-    out = MvLaurent.zero(p.n)
-    for e, c in f.terms.items():
-        s = p.sigma_scalar(k, e)
-        if s:
-            out = out + MvLaurent.monomial(p.n, e, c * s)
-    return out
+    return MvLaurent.from_terms(p.n, ((e, c * p.sigma_scalar(k, e)) for e, c in f.terms.items()))
 
 
 def compute_eta_and_primes(p: PoissonPresentation) -> Tuple[EtaData, PrimeSequenceReport]:

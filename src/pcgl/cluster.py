@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -194,23 +195,22 @@ def mutate_matrix(b: BMatrix, k: int) -> BMatrix:
 
 def check_compatible(r: RMatrix, b: BMatrix) -> Dict[int, Fraction]:
     """Beta scalars of a compatible pair; raises CompatibilityFailure otherwise."""
-    n = b.n
-    beta: Dict[int, Fraction] = {}
+    btr, den = _btr(b, r)
+    beta: Dict[int, int] = {}
     for l in b.ex:
-        col = b.cols[l]
-        for j in range(n):
-            val = sum((col[i] * r[i][j] for i in range(n) if col[i]), Fraction(0))
+        for j in range(b.n):
+            val = btr[(l, j)]
             if j == l:
                 if val == 0:
-                    raise CompatibilityFailure(l, l, val)
+                    raise CompatibilityFailure(l, l, Fraction(0))
                 beta[l] = val
             elif val != 0:
-                raise CompatibilityFailure(l, j, val)
+                raise CompatibilityFailure(l, j, Fraction(val, den))
     for k in b.ex:
         for j in b.ex:
             if beta[k] * b.entry(k, j) != -beta[j] * b.entry(j, k):
-                raise CompatibilityFailure(k, j, beta[k] * b.entry(k, j))
-    return beta
+                raise CompatibilityFailure(k, j, Fraction(beta[k] * b.entry(k, j), den))
+    return {l: Fraction(v, den) for l, v in beta.items()}
 
 
 @dataclass
@@ -261,18 +261,23 @@ def mutate_pair(pair: CompatiblePair, k: int) -> CompatiblePair:
         raise CompatibilityLost(str(exc)) from exc
     betas = list(pair.beta.values())
     if betas and (all(x > 0 for x in betas) or all(x < 0 for x in betas)):
-        if _btr(pair.btilde, pair.r) != _btr(b2, r2):
+        before, den = _btr(pair.btilde, pair.r)
+        after, den2 = _btr(b2, r2)
+        if any(v * den2 != after[key] * den for key, v in before.items()):
             raise CompatibilityLost("B^T r changed under pair mutation")
     return CompatiblePair(r=r2, btilde=b2, beta=beta2)
 
 
-def _btr(b: BMatrix, r: RMatrix) -> Dict[Tuple[int, int], Fraction]:
+def _btr(b: BMatrix, r: RMatrix) -> Tuple[Dict[Tuple[int, int], int], int]:
+    """B^T r as int numerators over one common denominator of r's entries."""
+    den = lcm(*[x.denominator for row in r for x in row])
+    rn = [[x.numerator * (den // x.denominator) for x in row] for row in r]
     out = {}
     for l in b.ex:
-        col = b.cols[l]
+        nz = [(i, c) for i, c in enumerate(b.cols[l]) if c]
         for j in range(b.n):
-            out[(l, j)] = sum((col[i] * r[i][j] for i in range(b.n) if col[i]), Fraction(0))
-    return out
+            out[(l, j)] = sum(c * rn[i][j] for i, c in nz)
+    return out, den
 
 
 # ------------------------------------------------------------------ seed context

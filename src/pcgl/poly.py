@@ -5,6 +5,13 @@ generator, negative entries allowed) to nonzero ``Fraction`` coefficients.
 The zero polynomial is the empty map.  All arithmetic is exact; there is no
 floating point anywhere in this package.
 
+Coefficients are ``Fraction`` at the interface and ``int`` numerators inside
+the multiply kernel: each operand of a product, power, substitution or exact
+division is scaled once to integer numerators over the lcm of its
+coefficient denominators, the work runs on those integers, and the result's
+``Fraction`` coefficients are built once, at the end (sparse arithmetic after
+Johnson, SIGSAM Bull. 8 (1974), and Monagan & Pearce, CASC 2007).
+
 The term order used throughout is reverse lexicographic: exponent vectors are
 compared from the last coordinate down, and the first differing coordinate
 decides.  Equivalently, ``reversed(e)`` compared lexicographically.
@@ -13,9 +20,13 @@ decides.  Equivalently, ``reversed(e)`` compared lexicographically.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple
+from math import gcd, lcm
+from operator import add, sub
+from typing import Dict, Iterable, Sequence, Tuple
 
 ExpVec = Tuple[int, ...]
+# Int numerators keyed by exponent vector, over one positive common denominator.
+Scaled = Tuple[Dict[ExpVec, int], int]
 
 
 class PolyError(Exception):
@@ -40,6 +51,45 @@ class NonInvertibleImage(PolyError):
 
 def _revlex_key(e: ExpVec) -> Tuple[int, ...]:
     return tuple(reversed(e))
+
+
+# -------------------------------------------------------------------- int kernel
+
+
+def _scale(terms: Dict[ExpVec, Fraction]) -> Scaled:
+    """Coefficients as int numerators over the lcm of their denominators."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    if den == 1:
+        return {e: c.numerator for e, c in terms.items()}, 1
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
+
+
+def _fractions(nums: Dict[ExpVec, int], den: int) -> Dict[ExpVec, Fraction]:
+    if den == 1:
+        return {e: Fraction(c) for e, c in nums.items()}
+    return {e: Fraction(c, den) for e, c in nums.items()}
+
+
+def _mul(a: Dict[ExpVec, int], b: Dict[ExpVec, int]) -> Dict[ExpVec, int]:
+    """Term-by-term product of two int term maps.
+
+    The shorter operand (the first on a tie) drives the outer loop and a sum
+    that cancels drops its term, so the result's terms come in the order the
+    rational product always produced them.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    out: Dict[ExpVec, int] = {}
+    get = out.get
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            s = get(e, 0) + ca * cb
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
 
 
 class MvLaurent:
@@ -88,6 +138,31 @@ class MvLaurent:
         if len(exp) != nvars:
             raise ValueError("exponent vector length mismatch")
         return cls(nvars, {exp: c})
+
+    @classmethod
+    def from_terms(cls, nvars: int, terms: Iterable[Tuple[ExpVec, Fraction]]) -> "MvLaurent":
+        """The sum of (exponent, coefficient) terms, added in order into one
+        map; a sum that cancels drops its term."""
+        out: Dict[ExpVec, Fraction] = {}
+        get = out.get
+        for e, c in terms:
+            if not c:
+                continue
+            s = get(e, 0) + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return cls._of(nvars, out)
+
+    @classmethod
+    def _of(cls, nvars: int, terms: Dict[ExpVec, Fraction]) -> "MvLaurent":
+        """Wrap a term map that holds no zero coefficient, without copying it."""
+        self = object.__new__(cls)
+        self.nvars = nvars
+        self.terms = terms
+        self._lt = None
+        return self
 
     # ---------------------------------------------------------------- predicates
 
@@ -173,18 +248,9 @@ class MvLaurent:
         other = self._coerce(other)
         if not self.terms or not other.terms:
             return MvLaurent(self.nvars)
-        # iterate over the shorter operand's terms in the outer loop
-        a, b = (self.terms, other.terms) if len(self.terms) <= len(other.terms) else (other.terms, self.terms)
-        out: Dict[ExpVec, Fraction] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, Fraction(0)) + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return MvLaurent(self.nvars, out)
+        a, da = _scale(self.terms)
+        b, db = _scale(other.terms)
+        return MvLaurent._of(self.nvars, _fractions(_mul(a, b), da * db))
 
     __rmul__ = __mul__
 
@@ -198,15 +264,15 @@ class MvLaurent:
                 raise NonInvertibleImage("negative power of a non-monomial")
             (e, c), = self.terms.items()
             return MvLaurent(self.nvars, {tuple(x * n for x in e): c ** n})
-        result = MvLaurent.const(self.nvars, 1)
-        base = self
+        base, den = _scale(self.terms)
+        result = {(0,) * self.nvars: 1}
         k = n
         while k:
             if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
+                result = _mul(result, base)
+            base = _mul(base, base) if k > 1 else base
             k >>= 1
-        return result
+        return MvLaurent._of(self.nvars, _fractions(result, den ** n))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MvLaurent):
@@ -260,20 +326,8 @@ def leading_term_revlex(f: MvLaurent) -> Tuple[Fraction, ExpVec]:
     return f.leading_term()
 
 
-def _monomial_shift(f: MvLaurent, shift: ExpVec) -> MvLaurent:
-    return MvLaurent(f.nvars, {tuple(x + s for x, s in zip(e, shift)): c for e, c in f.terms.items()})
-
-
 def _min_exponents(f: MvLaurent) -> ExpVec:
-    mins = [0] * f.nvars
-    first = True
-    for e in f.terms:
-        if first:
-            mins = list(e)
-            first = False
-        else:
-            mins = [min(a, b) for a, b in zip(mins, e)]
-    return tuple(mins)
+    return tuple(min(col) for col in zip(*f.terms))
 
 
 def exact_divide(num: MvLaurent, den: MvLaurent) -> MvLaurent:
@@ -281,7 +335,10 @@ def exact_divide(num: MvLaurent, den: MvLaurent) -> MvLaurent:
 
     Laurent inputs are normalized by pulling out the componentwise-minimal
     monomial of each operand, which reduces the problem to exact division of
-    honest polynomials by leading-term cancellation in revlex order.
+    honest polynomials by leading-term cancellation in revlex order.  The
+    remainder is one map of int numerators, updated in place and keyed by
+    reversed exponent vectors, so that its revlex leading term is the plain
+    tuple maximum.
     """
     if den.is_zero():
         raise ZeroDivisor("division by the zero polynomial")
@@ -289,20 +346,51 @@ def exact_divide(num: MvLaurent, den: MvLaurent) -> MvLaurent:
         return MvLaurent(num.nvars)
     gnum = _min_exponents(num)
     gden = _min_exponents(den)
-    rem = _monomial_shift(num, tuple(-x for x in gnum))
-    d = _monomial_shift(den, tuple(-x for x in gden))
-    cd, ed = d.leading_term()
+    rnums, rden = _scale(num.terms)
+    dnums, dden = _scale(den.terms)
+    rg, dg = gnum[::-1], gden[::-1]
+    rem = {tuple(map(sub, e[::-1], rg)): c for e, c in rnums.items()}
+    d = [(tuple(map(sub, e[::-1], dg)), c) for e, c in dnums.items()]
+    ed, ld = max(d)
+    # rem holds the remainder times `scale`; when ld does not divide the
+    # leading numerator, all of rem is scaled up so that every update is in ints.
+    scale = 1
     q: Dict[ExpVec, Fraction] = {}
-    while rem.terms:
-        cr, er = rem.leading_term()
-        et = tuple(a - b for a, b in zip(er, ed))
+    get = rem.get
+    while rem:
+        er = max(rem)
+        cr = rem[er]
+        et = tuple(map(sub, er, ed))
         if min(et) < 0:
             raise NotDivisible("no Laurent quotient exists")
-        ct = cr / cd
-        q[et] = ct
-        rem = rem - _monomial_shift(d, et) * ct
-    shift = tuple(a - b for a, b in zip(gnum, gden))
-    return _monomial_shift(MvLaurent(num.nvars, q), shift)
+        if cr % ld:
+            k = abs(ld) // gcd(cr, ld)
+            for e in rem:
+                rem[e] *= k
+            scale *= k
+            cr *= k
+        t = cr // ld
+        q[et] = Fraction(t * dden, scale * rden)
+        for e, c in d:
+            e = tuple(map(add, e, et))
+            s = get(e, 0) - t * c
+            if s:
+                rem[e] = s
+            else:
+                del rem[e]
+    shift = tuple(map(sub, gnum, gden))
+    return MvLaurent._of(num.nvars, {tuple(map(add, e[::-1], shift)): c for e, c in q.items()})
+
+
+def _product(factors: Sequence[Scaled], nvars: int) -> Scaled:
+    """The product of scaled factors, multiplied left to right; 1 for none."""
+    if not factors:
+        return {(0,) * nvars: 1}, 1
+    nums, den = factors[0]
+    for fnums, fden in factors[1:]:
+        nums = _mul(nums, fnums)
+        den *= fden
+    return nums, den
 
 
 def substitute(f: MvLaurent, images: Sequence[MvLaurent]) -> MvLaurent:
@@ -312,6 +400,10 @@ def substitute(f: MvLaurent, images: Sequence[MvLaurent]) -> MvLaurent:
     otherwise every term is put over the common denominator
     prod images[i]^(max negative power) and the division must come out exact,
     else NonInvertibleImage is raised.
+
+    Each power images[i] ** m is computed once per call.  Every term's
+    product is formed in ints and added into one accumulator over the lcm of
+    the terms' denominators.
     """
     if len(images) != f.nvars:
         raise ValueError("need one image per generator")
@@ -332,30 +424,40 @@ def substitute(f: MvLaurent, images: Sequence[MvLaurent]) -> MvLaurent:
         if neg_max[i] and images[i].is_zero():
             raise NonInvertibleImage(f"generator {i} appears with negative power, image is zero")
 
-    if not hard:
-        # every inverted image is a monomial: substitute term by term
-        out = MvLaurent(nv)
-        for e, c in f.terms.items():
-            term = MvLaurent.const(nv, c)
-            for i, m in enumerate(e):
-                if m:
-                    term = term * images[i] ** m
-            out = out + term
-        return out
+    powers: Dict[Tuple[int, int], Scaled] = {}
 
-    # common-denominator route: f = N / prod images[i]^neg_max[i]
-    numerator = MvLaurent(nv)
+    def power(i: int, m: int) -> Scaled:
+        if (i, m) not in powers:
+            powers[(i, m)] = _scale((images[i] ** m).terms)
+        return powers[(i, m)]
+
+    # With every inverted image a monomial, x^e maps to prod images[i]^e[i].
+    # Otherwise f = N / prod images[i]^neg_max[i], and x^e maps to
+    # prod images[i]^(e[i] + neg_max[i]) in the numerator N.
+    shift = neg_max if hard else [0] * f.nvars
+    terms = []
     for e, c in f.terms.items():
-        term = MvLaurent.const(nv, c)
-        for i, m in enumerate(e):
-            power = m + neg_max[i]
-            if power:
-                term = term * images[i] ** power
-        numerator = numerator + term
-    denominator = MvLaurent.const(nv, 1)
-    for i, m in enumerate(neg_max):
-        if m:
-            denominator = denominator * images[i] ** m
+        fs = [power(i, m + s) for i, (m, s) in enumerate(zip(e, shift)) if m + s]
+        den = c.denominator
+        for _, fden in fs:
+            den *= fden
+        terms.append((c.numerator, den, fs))
+    common = lcm(*[den for _, den, _ in terms])
+    acc: Dict[ExpVec, int] = {}
+    get = acc.get
+    for num, den, fs in terms:
+        k = num * (common // den)
+        for e, c in _product(fs, nv)[0].items():
+            s = get(e, 0) + k * c
+            if s:
+                acc[e] = s
+            else:
+                del acc[e]
+    numerator = MvLaurent._of(nv, _fractions(acc, common))
+    if not hard:
+        return numerator
+    dnums, dden = _product([power(i, m) for i, m in enumerate(neg_max) if m], nv)
+    denominator = MvLaurent._of(nv, _fractions(dnums, dden))
     try:
         return exact_divide(numerator, denominator)
     except NotDivisible as exc:
@@ -370,12 +472,16 @@ def apply_derivation(gen_images: Sequence[MvLaurent], f: MvLaurent) -> MvLaurent
     """
     if len(gen_images) != f.nvars:
         raise ValueError("need one image per generator")
-    out = MvLaurent(f.nvars)
-    for e, c in f.terms.items():
-        for i, m in enumerate(e):
-            if not m or gen_images[i].is_zero():
-                continue
-            shifted = list(e)
-            shifted[i] -= 1
-            out = out + MvLaurent.monomial(f.nvars, shifted, c * m) * gen_images[i]
-    return out
+
+    def terms():
+        for e, c in f.terms.items():
+            for i, m in enumerate(e):
+                if not m or gen_images[i].is_zero():
+                    continue
+                shifted = list(e)
+                shifted[i] -= 1
+                cm = c * m
+                for eg, cg in gen_images[i].terms.items():
+                    yield tuple(map(add, shifted, eg)), cm * cg
+
+    return MvLaurent.from_terms(f.nvars, terms())

@@ -114,7 +114,7 @@ def solid_minor(m: int, n: int, rows: Tuple[int, int], cols: Tuple[int, int]) ->
         raise ShapeMismatch("intervals escape the matrix shape")
     size = r1 - r0 + 1
     N = m * n
-    out = MvLaurent.zero(N)
+    terms = []
     for perm in permutations(range(size)):
         sign = 1
         seen = list(perm)
@@ -127,8 +127,8 @@ def solid_minor(m: int, n: int, rows: Tuple[int, int], cols: Tuple[int, int]) ->
             r = r0 + i
             c = c0 + perm[i]
             e[(r - 1) * n + (c - 1)] += 1
-        out = out + MvLaurent.monomial(N, e, sign)
-    return out
+        terms.append((tuple(e), Fraction(sign)))
+    return MvLaurent.from_terms(N, terms)
 
 
 def expected_minor_for_generator(m: int, n: int, k: int) -> MvLaurent:

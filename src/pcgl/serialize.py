@@ -56,7 +56,7 @@ def poly_to_triples(f: MvLaurent) -> List[list]:
 def poly_from_triples(nvars: int, triples) -> MvLaurent:
     if not isinstance(triples, list):
         raise FormatError("polynomial must be a list of [num, den, exps] triples")
-    out = MvLaurent.zero(nvars)
+    terms = []
     for item in triples:
         if not (isinstance(item, list) and len(item) == 3):
             raise FormatError(f"bad polynomial term {item!r}")
@@ -65,8 +65,8 @@ def poly_from_triples(nvars: int, triples) -> MvLaurent:
             raise FormatError(f"bad coefficient in term {item!r}")
         if not (isinstance(exps, list) and len(exps) == nvars and all(isinstance(e, int) for e in exps)):
             raise FormatError(f"bad exponent vector in term {item!r}")
-        out = out + MvLaurent.monomial(nvars, exps, Fraction(num, den))
-    return out
+        terms.append((tuple(int(e) for e in exps), Fraction(num, den)))
+    return MvLaurent.from_terms(nvars, terms)
 
 
 def presentation_to_doc(p: PoissonPresentation, names: Optional[Sequence[str]] = None) -> dict:
@@ -151,7 +151,7 @@ def parse_poly_expr(expr: str, nvars: int, names: Optional[Sequence[str]] = None
     if names:
         for i, nm in enumerate(names):
             lookup[nm] = i
-    out = MvLaurent.zero(nvars)
+    terms = []
     pos = 0
     expr = expr.strip()
     if not expr:
@@ -178,5 +178,5 @@ def parse_poly_expr(expr: str, nvars: int, names: Optional[Sequence[str]] = None
                     coeff *= Fraction(chunk)
                 except (ValueError, ZeroDivisionError) as exc:
                     raise FormatError(f"unknown factor {chunk!r}") from exc
-        out = out + MvLaurent.monomial(nvars, exps, coeff)
-    return out
+        terms.append((tuple(exps), coeff))
+    return MvLaurent.from_terms(nvars, terms)
