@@ -291,15 +291,15 @@ def test_substitute_either_outcome(case):
        polys(exps=(0, 1), max_terms=3), polys(exps=(0, 1), max_terms=2),
        polys(exps=(0, 2), max_terms=3), coeffs.filter(bool))
 def test_substitute_cancels_a_non_monomial_inverse(p, a, b, g, c):
-    # f = c x1^-1 x2 - c x1^-1 x3 + g with x1 -> p, x2 -> p a + b, x3 -> b:
-    # no term is divisible by p, but the sum is, and the result is c a + g.
-    nv = NV
-    f = MvLaurent(nv, {(-1, 1, 0): c, (-1, 0, 1): -c})
-    f = _o_add(f, MvLaurent(nv, {(0,) + e[1:]: cf for e, cf in g.terms.items()}))
+    # f = c x1^-1 x2 - c x1^-1 x3 + g0 with x1 -> p, x2 -> p a + b, x3 -> b
+    # and g0 free of x1: no term of f is divisible by p, but the sum is, and
+    # the result is c a + g0(images).
+    g0 = MvLaurent(NV, {(0,) + e[1:]: cf for e, cf in g.terms.items()})
+    f = _o_add(MvLaurent(NV, {(-1, 1, 0): c, (-1, 0, 1): -c}), g0)
     images = [p, _o_add(oracle_mul(p, a), b), b]
     got = substitute(f, images)
     same(got, oracle_substitute(f, images))
-    assert got == _o_add(_o_scalar(a, c), substitute(MvLaurent(nv, {(0,) + e[1:]: cf for e, cf in g.terms.items()}), images))
+    assert got == _o_add(_o_scalar(a, c), oracle_substitute(g0, images))
 
 
 @SETTINGS
