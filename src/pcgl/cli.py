@@ -20,7 +20,14 @@ from .poly import PolyError
 from .presentation import PresentationError, validate_algebra
 from .presets import build_affine_space, build_matrix_poisson
 from .serialize import FormatError
-from .symmetric import compute_d_integers, pi_values, rescale_generators, validate_symmetric
+from .symmetric import (
+    Incompatible,
+    compute_d_integers,
+    lambda_star,
+    pi_values,
+    rescale_generators,
+    validate_symmetric,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -37,12 +44,16 @@ class CliInputError(Exception):
 
 def _read_doc(path: str) -> dict:
     try:
-        text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
-    except OSError as exc:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:   # nesting too deep to decode
         raise CliInputError(f"{path}: invalid JSON: {exc}") from exc
     if isinstance(doc, dict) and "presentation" in doc and "n_gens" not in doc:
         doc = doc["presentation"]
@@ -50,16 +61,17 @@ def _read_doc(path: str) -> dict:
 
 
 def _load_presentation(path: str):
-    doc = _read_doc(path)
-    p, names = ser.presentation_from_doc(doc)
-    return p, names, doc
+    return ser.presentation_from_doc(_read_doc(path))
 
 
 def _emit(report: dict, out: Optional[str], summary: str) -> None:
     text = ser.dump_json(report)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliInputError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
     if summary:
@@ -119,6 +131,16 @@ def _rmatrix_dict(r) -> List[List[str]]:
     return [[ser.fraction_to_json(x) for x in row] for row in r]
 
 
+def _beta_dict(beta) -> Dict[str, str]:
+    return {str(l + 1): ser.fraction_to_json(v) for l, v in sorted(beta.items())}
+
+
+def _note_gamma(doc: dict, gamma) -> None:
+    """Report the pi-normalizing rescaling, when one was applied."""
+    if any(g != 1 for g in gamma):
+        doc["gamma_applied"] = [ser.fraction_to_json(g) for g in gamma]
+
+
 def _y_names(n: int) -> List[str]:
     return [f"y{i+1}" for i in range(n)]
 
@@ -139,7 +161,7 @@ def _bundle_dict(ctx: cl.ClusterContext, bundle: cl.TauSeedBundle, names,
         "weights": [list(w) for w in bundle.weights],
         "r": _rmatrix_dict(bundle.r),
         "btilde": _bmatrix_dict(bundle.btilde),
-        "beta": {str(l + 1): ser.fraction_to_json(v) for l, v in sorted(bundle.beta.items())},
+        "beta": _beta_dict(bundle.beta),
     }
 
 
@@ -164,7 +186,7 @@ def cmd_preset(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    p, names, _ = _load_presentation(args.file)
+    p, names = _load_presentation(args.file)
     report = validate_algebra(p, max_nilpotence_iters=args.max_nilpotence_iters)
     doc = {"command": "validate", "validation": report.as_dict()}
     ok = report.passed
@@ -174,7 +196,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    p, names, _ = _load_presentation(args.file)
+    p, names = _load_presentation(args.file)
     vrep = validate_algebra(p, max_nilpotence_iters=args.max_nilpotence_iters)
     if not vrep.passed:
         _emit({"command": "analyze", "validation": vrep.as_dict()}, args.output,
@@ -201,7 +223,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_symmetric(args) -> int:
-    p, names, _ = _load_presentation(args.file)
+    p, names = _load_presentation(args.file)
     vrep = validate_algebra(p)
     if not vrep.passed:
         _emit({"command": "symmetric", "validation": vrep.as_dict()}, args.output,
@@ -213,7 +235,6 @@ def cmd_symmetric(args) -> int:
         _emit(doc, args.output, "symmetric validation FAILED")
         return EXIT_INPUT
     eta, _seq = compute_eta_and_primes(ps)
-    from .symmetric import Incompatible, lambda_star
     doc["lambda_star"] = [ser.fraction_to_json(lambda_star(ps, j)) for j in range(ps.n)]
     try:
         d_map, qscale = compute_d_integers(ps, eta)
@@ -228,7 +249,7 @@ def cmd_symmetric(args) -> int:
 
 
 def cmd_rescale(args) -> int:
-    p, names, _ = _load_presentation(args.file)
+    p, names = _load_presentation(args.file)
     vrep = validate_algebra(p)
     srep, ps = validate_symmetric(p)
     if not (vrep.passed and srep.passed):
@@ -250,7 +271,7 @@ def cmd_rescale(args) -> int:
 
 
 def cmd_seeds(args) -> int:
-    p, names, _ = _load_presentation(args.file)
+    p, names = _load_presentation(args.file)
     if args.gamma:
         _check_gamma_size(p.n)
     ctx, gamma = cl.ClusterContext.build_normalizing(p)
@@ -263,26 +284,25 @@ def cmd_seeds(args) -> int:
     y_reports: Dict[Tuple[int, int], dict] = {}
     bundles = [_bundle_dict(ctx, cl.seed_for_tau(ctx, tau), names, y_reports) for tau in taus]
     doc = {"command": "seeds", "bundles": bundles}
-    if any(g != 1 for g in gamma):
-        doc["gamma_applied"] = [ser.fraction_to_json(g) for g in gamma]
+    _note_gamma(doc, gamma)
     _emit(doc, args.output, f"{len(bundles)} seed bundle(s) computed")
     return EXIT_OK
 
 
 def cmd_btilde(args) -> int:
-    p, names, _ = _load_presentation(args.file)
+    p, names = _load_presentation(args.file)
     ctx, _ = cl.ClusterContext.build_normalizing(p)
     tau = _parse_tau(args.tau, p.n) if args.tau else tuple(range(p.n))
     bundle = cl.seed_for_tau(ctx, tau)
     doc = {"command": "btilde", "tau": [v + 1 for v in tau],
            "btilde": _bmatrix_dict(bundle.btilde),
-           "beta": {str(l + 1): ser.fraction_to_json(v) for l, v in sorted(bundle.beta.items())}}
+           "beta": _beta_dict(bundle.beta)}
     _emit(doc, args.output, f"exchange matrix with columns {[l+1 for l in bundle.btilde.ex]}")
     return EXIT_OK
 
 
 def cmd_mutate(args) -> int:
-    p, names, _ = _load_presentation(args.file)
+    p, names = _load_presentation(args.file)
     ctx, _ = cl.ClusterContext.build_normalizing(p)
     tau = _parse_tau(args.tau, p.n) if args.tau else tuple(range(p.n))
     bundle = cl.seed_for_tau(ctx, tau)
@@ -296,14 +316,14 @@ def cmd_mutate(args) -> int:
         "variables_y": [ser.poly_report(v, ynames) for v in mutated.vars_y],
         "r": _rmatrix_dict(mutated.r),
         "btilde": _bmatrix_dict(mutated.btilde),
-        "beta": {str(l + 1): ser.fraction_to_json(v) for l, v in sorted(mutated.beta.items())},
+        "beta": _beta_dict(mutated.beta),
     }
     _emit(doc, args.output, f"mutated seed at direction {args.at}")
     return EXIT_OK
 
 
 def cmd_chain_verify(args) -> int:
-    p, names, _ = _load_presentation(args.file)
+    p, names = _load_presentation(args.file)
     _check_gamma_size(p.n)
     ctx, gamma = cl.ClusterContext.build_normalizing(p)
     link_dicts = [link.as_dict() for link in cl.chain_verify(ctx)]
@@ -312,15 +332,14 @@ def cmd_chain_verify(args) -> int:
     doc = {"command": "chain-verify", "links": link_dicts,
            "summary": {"links": len(link_dicts), "mutations": n_mut,
                        "equal": len(link_dicts) - n_mut, "all_verified": ok}}
-    if any(g != 1 for g in gamma):
-        doc["gamma_applied"] = [ser.fraction_to_json(g) for g in gamma]
+    _note_gamma(doc, gamma)
     _emit(doc, args.output,
           f"{len(link_dicts)} links, {n_mut} mutations, all verified: {ok}")
     return EXIT_OK if ok else EXIT_VERIFY
 
 
 def cmd_membership(args) -> int:
-    p, names, _ = _load_presentation(args.file)
+    p, names = _load_presentation(args.file)
     _check_gamma_size(p.n)
     ctx, _ = cl.ClusterContext.build_normalizing(p)
     coords = args.coords
@@ -420,11 +439,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except (CliInputError, FormatError) as exc:
-        _emit(_error_report(args.command, exc), getattr(args, "output", None), f"input error: {exc}")
+        _emit_error(args, exc, f"input error: {exc}")
         return EXIT_INPUT
     except (PresentationError, PolyError) as exc:
-        _emit(_error_report(args.command, exc), getattr(args, "output", None), f"error: {exc}")
+        _emit_error(args, exc, f"error: {exc}")
         return EXIT_INPUT
+
+
+def _emit_error(args, exc: Exception, summary: str) -> None:
+    """Write the error report to -o, or to stdout when -o cannot be written."""
+    report = _error_report(args.command, exc)
+    try:
+        _emit(report, getattr(args, "output", None), summary)
+    except CliInputError:
+        _emit(report, None, summary)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,10 @@ its variables) together with r_tau, and many permutations share a key
 matrix preset).  So a context builds, solves and checks one seed per key
 and builds each interval prime once; r_tau, the paper's per-permutation
 quantity, is still assembled for every permutation and compared with the
-key's record.
+key's record.  Every function here that needs sigma = tau_bullet o tau,
+the seed key or the tau-predecessors takes them from one call of
+symmetric.tau_data, and the generators are written in a cluster by one
+back-substitution, cluster_expressions (the initial cluster included).
 """
 
 from __future__ import annotations
@@ -34,16 +37,15 @@ from .presentation import PoissonPresentation, PresentationError, bracket, weigh
 from .symmetric import (
     GammaChain,
     Perm,
+    SeedKey,
     compute_d_integers,
     gamma_chain,
-    interval_data_for_tau,
     interval_prime,
     lambda_star,
-    perm_compose,
     perm_inverse,
     pi_values,
     rescale_generators,
-    tau_bullet,
+    tau_data,
     validate_symmetric,
 )
 
@@ -127,7 +129,6 @@ class SeedInvariantFailure(ClusterError):
 
 RMatrix = List[List[Fraction]]
 RNumerators = Tuple[Tuple[int, ...], ...]
-SeedKey = Tuple[Tuple[int, int], ...]
 
 
 # -------------------------------------------------------------- exchange matrices
@@ -152,20 +153,11 @@ class BMatrix:
     def column(self, l: int) -> Tuple[int, ...]:
         return self.cols[l]
 
-    def principal(self) -> List[List[int]]:
-        return [[self.cols[l][k] for l in self.ex] for k in self.ex]
-
     def full_rank(self) -> bool:
-        if not self.ex:
-            return True
-        rows = [[self.cols[l][i] for l in self.ex] for i in range(self.n)]
-        return linalg.rank(rows) == len(self.ex)
+        return not self.ex or linalg.rank(self.as_rows()) == len(self.ex)
 
     def as_rows(self) -> List[List[int]]:
         return [[self.cols[l][i] for l in self.ex] for i in range(self.n)]
-
-    def __eq__(self, other):
-        return isinstance(other, BMatrix) and self.n == other.n and self.ex == other.ex and self.cols == other.cols
 
 
 def _check_direction(b: BMatrix, k: int) -> None:
@@ -306,8 +298,8 @@ class ClusterContext:
     Besides the presentation data it holds one SeedRecord per seed key and
     one table of interval primes keyed by their label (start, m); both are
     filled on first use by seed_for_tau and cluster_expressions.  The table
-    x_in_y of the generators in initial-cluster coordinates is built on
-    first read.
+    x_in_y of the generators in initial-cluster coordinates is the identity
+    permutation's cluster_expressions, read on first use.
     """
 
     p: PoissonPresentation
@@ -352,22 +344,8 @@ class ClusterContext:
 
     @cached_property
     def x_in_y(self) -> List[MvLaurent]:
-        return self._solve_x_in_y()
-
-    # x_k as Laurent polynomials in the initial cluster
-    def _solve_x_in_y(self) -> List[MvLaurent]:
-        n = self.p.n
-        out: List[MvLaurent] = []
-        for k in range(n):
-            pk = self.eta.pred[k]
-            if pk is None:
-                out.append(MvLaurent.gen(n, k))
-                continue
-            ck = self.seq.c[k]
-            ck_y = substitute(ck, out + [MvLaurent.gen(n, i) for i in range(k, n)]) if not ck.is_zero() \
-                else MvLaurent.zero(n)
-            out.append(MvLaurent.gen(n, pk, -1) * (MvLaurent.gen(n, k) + ck_y))
-        return out
+        """x_k as Laurent polynomials in the initial cluster y_1..y_N."""
+        return cluster_expressions(self, tuple(range(self.p.n)))
 
     def to_y_coordinates(self, f: MvLaurent) -> MvLaurent:
         """Rewrite a polynomial in the generators as Laurent in y_1..y_N."""
@@ -390,7 +368,7 @@ class ClusterContext:
         return rec
 
     def gamma(self) -> GammaChain:
-        return gamma_chain(self.p.n).annotate(self.eta)
+        return gamma_chain(self.p.n)
 
 
 # -------------------------------------------------------------------- tau seeds
@@ -416,42 +394,10 @@ class TauSeedBundle:
                     btilde=self.btilde, beta=dict(self.beta), base_tau=self.tau, history=())
 
 
-def eta_tau_data(eta: EtaData, tau: Perm) -> EtaData:
-    """EtaData of the tau-reordered presentation (labels eta о tau)."""
-    n = len(tau)
-    labels = [eta.eta[tau[k]] for k in range(n)]
-    last: Dict[int, int] = {}
-    pred: List[Optional[int]] = []
-    for k in range(n):
-        pred.append(last.get(labels[k]))
-        last[labels[k]] = k
-    succ: List[Optional[int]] = [None] * n
-    for k in range(n):
-        if pred[k] is not None:
-            succ[pred[k]] = k
-    exchangeable = [k for k in range(n) if succ[k] is not None]
-    rank = sum(1 for k in range(n) if pred[k] is None)
-    return EtaData(eta=labels, pred=pred, succ=succ, exchangeable=exchangeable, rank=rank)
-
-
-def seed_key(eta: EtaData, tau: Perm) -> Tuple[Perm, SeedKey]:
-    """sigma = tau_bullet o tau and the seed key of tau.
-
-    The seed key is the slot-ordered tuple of interval labels (start, m):
-    slot s holds the label of the tau-sequence prime at position
-    sigma^{-1}(s), so it lists the cluster variables y_[start, s^m(start)]
-    in ytilde order.  Permutations with equal keys have equal clusters.
-    Raises SymmetryError unless tau is in Xi_N.
-    """
-    data = interval_data_for_tau(eta, tau)
-    sigma = perm_compose(tau_bullet(tau, eta), tau)
-    sig_inv = perm_inverse(sigma)
-    return sigma, tuple(data[sig_inv[s]] for s in range(len(tau)))
-
-
-def r_numerators_for_tau(p: PoissonPresentation, eta: EtaData, tau: Perm,
-                         sigma: Perm) -> RNumerators:
-    """Numerators of r_tau over p.lam_den, with sigma = tau_bullet o tau.
+def r_numerators_for_tau(p: PoissonPresentation, tau: Perm, sigma: Perm,
+                         pred: Sequence[Optional[int]]) -> RNumerators:
+    """Numerators of r_tau over p.lam_den, with sigma and the tau-predecessors
+    pred as tau_data gives them.
 
     q_tau[k][j] = omega_lambda(ebar_k, ebar_j) on the predecessor chains of
     the tau-presentation; moved back to the generators, ebar_k is the
@@ -462,7 +408,6 @@ def r_numerators_for_tau(p: PoissonPresentation, eta: EtaData, tau: Perm,
     """
     n = p.n
     num = p.lam_num
-    pred = eta_tau_data(eta, tau).pred
     rows: List[List[int]] = []
     for k in range(n):
         pk = pred[k]
@@ -487,8 +432,8 @@ def _r_fractions(p: PoissonPresentation, r_num: RNumerators) -> RMatrix:
 def r_matrix_for_tau(p: PoissonPresentation, eta: EtaData, tau: Perm) -> RMatrix:
     """r_tau = (tau_bullet tau) q_tau (tau_bullet tau)^{-1}, where q_tau is
     omega_lambda on the predecessor chains of the tau-presentation."""
-    sigma = perm_compose(tau_bullet(tau, eta), tau)
-    return _r_fractions(p, r_numerators_for_tau(p, eta, tau, sigma))
+    sigma, _key, pred = tau_data(eta, tau)
+    return _r_fractions(p, r_numerators_for_tau(p, tau, sigma, pred))
 
 
 def solve_btilde(ctx: ClusterContext, tau: Perm, r: RMatrix,
@@ -567,8 +512,8 @@ def seed_for_tau(ctx: ClusterContext, tau: Perm) -> TauSeedBundle:
     must not be mutated.
     """
     tau = tuple(tau)
-    sigma, key = seed_key(ctx.eta, tau)
-    r_num = r_numerators_for_tau(ctx.p, ctx.eta, tau, sigma)
+    sigma, key, pred = tau_data(ctx.eta, tau)
+    r_num = r_numerators_for_tau(ctx.p, tau, sigma, pred)
     rec = ctx.seed_record(key)
     if rec.bundle is None:
         rec.bundle = _build_bundle(ctx, tau, sigma, key, r_num)
@@ -640,9 +585,8 @@ def verify_one_step(ctx: ClusterContext, tau: Perm, tau_next: Perm) -> LinkRepor
                           k_bullet=None, verified=ok,
                           detail="" if ok else "bundles differ despite distinct eta classes")
 
-    asc = tau if tau[k] < tau[k + 1] else tau_next
     low, high = (a, b) if tau[k] < tau[k + 1] else (b, a)
-    k_bullet = perm_compose(tau_bullet(asc, eta), asc)[k]
+    k_bullet = low.sigma[k]
 
     problems: List[str] = []
     for j in range(n):
@@ -726,22 +670,20 @@ def cluster_expressions(ctx: ClusterContext, tau: Perm) -> List[MvLaurent]:
     the same key have the same cluster variables, and the Laurent expansion
     of each x_j in an algebraically independent set is unique, so they share
     the result.  The y_tau are read from the context's interval-prime table.
+    For the identity permutation this is the table ctx.x_in_y.
     """
-    tau = tuple(tau)
-    p, eta = ctx.p, ctx.eta
-    sigma, key = seed_key(eta, tau)
+    sigma, key, pred = tau_data(ctx.eta, tau)
     rec = ctx.seed_record(key)
     if rec.expressions is not None:
         return rec.expressions
-    n = p.n
-    etau = eta_tau_data(eta, tau)
+    n = ctx.p.n
     y_tau = [ctx.prime(key[sigma[k]]) for k in range(n)]
     gens = [MvLaurent.gen(n, i) for i in range(n)]
 
     images: List[Optional[MvLaurent]] = [None] * n   # indexed by generator
     for k in range(n):
         v = tau[k]
-        pk = etau.pred[k]
+        pk = pred[k]
         slot_k = sigma[k]
         if pk is None:
             images[v] = MvLaurent.gen(n, slot_k)
@@ -827,7 +769,7 @@ def upper_membership(ctx: ClusterContext, f: MvLaurent, inv: Sequence[int] = (),
     by_key: Dict[SeedKey, MembershipWitness] = {}
     witnesses: List[MembershipWitness] = []
     for tau in ctx.gamma().perms:
-        _sigma, key = seed_key(ctx.eta, tau)
+        key = tau_data(ctx.eta, tau)[1]
         w = by_key.get(key)
         if w is None:
             try:

@@ -88,6 +88,14 @@ def presentation_to_doc(p: PoissonPresentation, names: Optional[Sequence[str]] =
     return doc
 
 
+def _list_field(doc: dict, key: str) -> Optional[list]:
+    """doc[key] when it is a list, None when it is absent or null."""
+    value = doc.get(key)
+    if value is not None and not isinstance(value, list):
+        raise FormatError(f"{key} must be a list, not {type(value).__name__}")
+    return value
+
+
 def presentation_from_doc(doc: dict) -> Tuple[PoissonPresentation, Optional[List[str]]]:
     if not isinstance(doc, dict):
         raise FormatError("presentation document must be a JSON object")
@@ -99,11 +107,14 @@ def presentation_from_doc(doc: dict) -> Tuple[PoissonPresentation, Optional[List
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed presentation document: {exc}") from exc
     h_star = None
-    if doc.get("h_star") is not None:
-        h_star = tuple(tuple(fraction_from_json(x) for x in row) for row in doc["h_star"])
+    if _list_field(doc, "h_star") is not None:
+        try:
+            h_star = tuple(tuple(fraction_from_json(x) for x in row) for row in doc["h_star"])
+        except TypeError as exc:
+            raise FormatError(f"malformed h_star: {exc}") from exc
     delta: Dict[Tuple[int, int], MvLaurent] = {}
     seen = set()
-    for entry in doc.get("delta", []):
+    for entry in _list_field(doc, "delta") or []:
         try:
             k = int(entry["k"]) - 1
             j = int(entry["j"]) - 1
@@ -116,7 +127,7 @@ def presentation_from_doc(doc: dict) -> Tuple[PoissonPresentation, Optional[List
         if not poly.is_zero():
             delta[(k, j)] = poly
     names = None
-    if doc.get("names") is not None:
+    if _list_field(doc, "names") is not None:
         names = [str(x) for x in doc["names"]]
         if len(names) != n:
             raise FormatError("names must list one label per generator")

@@ -4,15 +4,19 @@ A presentation is symmetric when every delta_k(x_j) lives strictly between
 x_j and x_k and a second family h*_j realizes the reversed adjunction order.
 That symmetry produces one P-CGL presentation per permutation in Xi_N (the
 prefixes-are-intervals subgroup-like subset of S_N), whose prime sequences
-are selected from a single stock of interval primes y_[i, s^m(i)].  The
-u-elements, their leading data (pi, f, g), and the gamma-rescaling that
-normalizes all pi to 1 also live here.
+are selected from a single stock of interval primes y_[i, s^m(i)].  All the
+data that fixes the selection for one tau -- sigma = tau_bullet o tau, the
+seed key of interval labels (start, m), and the tau-predecessors -- is read
+off one walk along tau in tau_data; tau_bullet and y_sequence_for_tau are
+reads of it.  The u-elements, their leading data (pi, f, g), and the
+gamma-rescaling that normalizes all pi to 1 also live here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -27,6 +31,7 @@ from .presentation import (
 )
 
 Perm = Tuple[int, ...]  # one-line notation, 0-based entries
+SeedKey = Tuple[Tuple[int, int], ...]  # interval labels (start, m) in ytilde order
 
 
 class SymmetryError(PresentationError):
@@ -187,16 +192,7 @@ def compute_d_integers(p: PoissonPresentation, eta: EtaData) -> Tuple[Dict[int, 
                 raise Incompatible(f"lambda*_{l+1}/lambda*_{j+1} = {ratio} not in Q_>0", (l, j))
 
     # q = gcd of the values as positive rationals, carrying the common sign
-    from math import gcd
-    nums = [abs(v.numerator) for v in vals]
-    dens = [v.denominator for v in vals]
-    g = nums[0]
-    for x in nums[1:]:
-        g = gcd(g, x)
-    lcm = dens[0]
-    for x in dens[1:]:
-        lcm = lcm * x // gcd(lcm, x)
-    q = Fraction(sign * g, lcm)
+    q = Fraction(sign * gcd(*[abs(v.numerator) for v in vals]), lcm(*[v.denominator for v in vals]))
     d_map = {lbl: int(v / q) for lbl, v in values.items()}
     if any(m <= 0 for m in d_map.values()):
         raise Incompatible("normalized multipliers are not positive integers")
@@ -246,23 +242,15 @@ def tau_ij(N: int, i: int, j: int) -> Perm:
 class GammaChain:
     """The linearly ordered subset Gamma_N with its adjacent transpositions.
 
-    links[idx] = (position k, 0-based) for perms[idx] -> perms[idx+1];
-    the same-class flags eta(tau(k)) == eta(tau(k+1)) are filled in by
-    annotate() once an eta labeling is available.
+    links[idx] = (position k, 0-based) for perms[idx] -> perms[idx+1].
     """
 
     perms: List[Perm]                      # tau_{1,1} = id, ..., tau_{N,N} = w_circ
     links: List[int]                       # transposed position per adjacent pair
-    same_class: Optional[List[bool]] = None
 
     def adjacent_pairs(self):
         for idx in range(len(self.perms) - 1):
             yield self.perms[idx], self.perms[idx + 1], self.links[idx]
-
-    def annotate(self, eta: EtaData) -> "GammaChain":
-        flags = [eta.eta[tau[k]] == eta.eta[tau[k + 1]]
-                 for (tau, _t2, k) in self.adjacent_pairs()]
-        return GammaChain(perms=self.perms, links=self.links, same_class=flags)
 
 
 def gamma_chain(N: int) -> GammaChain:
@@ -281,27 +269,53 @@ def gamma_chain(N: int) -> GammaChain:
     return GammaChain(perms=perms, links=links)
 
 
+def tau_data(eta: EtaData, tau: Perm) -> Tuple[Perm, SeedKey, Tuple[Optional[int], ...]]:
+    """sigma = tau_bullet o tau, the seed key and the tau-predecessors, in one pass.
+
+    Every prefix tau([1, k]) is an interval, and the members of an eta class
+    increase along its p/s chain, so the class members placed up to position
+    k form one interval of that chain: y_{tau,k} = y_[start, s^m(start)]
+    with start the smallest of them and m the number placed before k.  So
+        pred[k]       = the last earlier position of the class of tau(k),
+        sigma[k]      = the (m+1)-th smallest member of that class,
+        key[sigma[k]] = (start, m).
+    The seed key lists the cluster variables in ytilde order; permutations
+    with equal keys have equal clusters.  Raises SymmetryError unless tau is
+    in Xi_N.
+    """
+    n = len(eta.eta)
+    if sorted(tau) != list(range(n)):
+        raise SymmetryError(f"{[v+1 for v in tau]} is not a permutation of 1..{n}")
+    if not is_xi_element(tau):
+        raise SymmetryError(f"{[v+1 for v in tau]} is not an interval-prefix permutation")
+    members: Dict[int, List[int]] = {}
+    for v in range(n):
+        members.setdefault(eta.eta[v], []).append(v)
+    last: Dict[int, int] = {}
+    count: Dict[int, int] = {}
+    start: Dict[int, int] = {}
+    sigma = [0] * n
+    key: List[Tuple[int, int]] = [(0, 0)] * n
+    pred: List[Optional[int]] = [None] * n
+    for k, v in enumerate(tau):
+        lbl = eta.eta[v]
+        m = count.get(lbl, 0)
+        pred[k] = last.get(lbl)
+        lo = start[lbl] = min(start.get(lbl, v), v)
+        last[lbl], count[lbl] = k, m + 1
+        sigma[k] = members[lbl][m]
+        key[sigma[k]] = (lo, m)
+    return tuple(sigma), tuple(key), tuple(pred)
+
+
 def tau_bullet(tau: Perm, eta: EtaData) -> Perm:
-    """The level-set order-normalizing companion permutation of tau.
+    """The level-set order-normalizing companion permutation of tau in Xi_N.
 
     For each level set L of eta, tau_bullet maps the values of L, taken in
     the order their tau-positions occur, onto L in increasing order; composed
     as tau_bullet(tau(k)), positions within each level set become increasing.
     """
-    n = len(tau)
-    out = [0] * n
-    by_label: Dict[int, List[int]] = {}
-    for v in range(n):
-        by_label.setdefault(eta.eta[v], []).append(v)
-    inv = [0] * n
-    for pos, v in enumerate(tau):
-        inv[v] = pos
-    for label, members in by_label.items():
-        sorted_vals = sorted(members)
-        by_position = sorted(members, key=lambda v: inv[v])
-        for val, target in zip(by_position, sorted_vals):
-            out[val] = target
-    return tuple(out)
+    return perm_compose(tau_data(eta, tau)[0], perm_inverse(tau))
 
 
 def perm_inverse(tau: Perm) -> Perm:
@@ -370,42 +384,8 @@ def interval_exponent(eta: EtaData, i: int, m: int) -> ExpVec:
 
 def y_sequence_for_tau(p: PoissonPresentation, eta: EtaData, tau: Perm) -> List[MvLaurent]:
     """Prime sequence of the tau-reordered presentation via interval selection."""
-    return [interval_prime(p, eta, i, m) for (i, m) in interval_data_for_tau(eta, tau)]
-
-
-def interval_data_for_tau(eta: EtaData, tau: Perm) -> List[Tuple[int, int]]:
-    """(start, m) pairs such that y_{tau,k} = y_[start, s^m(start)].
-
-    For position k: if tau(k) >= tau(1), take y_[p^m(tau(k)), tau(k)] with m
-    maximal such that p^m stays inside tau([1, k]); in the opposite case use
-    successor powers.  Predecessors/successors are those of the original
-    presentation.  Raises SymmetryError unless tau is in Xi_N.
-    """
-    n = len(eta.eta)
-    if sorted(tau) != list(range(n)):
-        raise SymmetryError(f"{[v+1 for v in tau]} is not a permutation of 1..{n}")
-    if not is_xi_element(tau):
-        raise SymmetryError(f"{[v+1 for v in tau]} is not an interval-prefix permutation")
-    prefix = set()
-    out: List[Tuple[int, int]] = []
-    for k in range(len(tau)):
-        v = tau[k]
-        prefix.add(v)
-        if v >= tau[0]:
-            m = 0
-            cur = eta.pred[v]
-            while cur is not None and cur in prefix:
-                m += 1
-                cur = eta.pred[cur]
-            out.append((eta.pred_power(v, m), m))
-        else:
-            m = 0
-            cur = eta.succ[v]
-            while cur is not None and cur in prefix:
-                m += 1
-                cur = eta.succ[cur]
-            out.append((v, m))
-    return out
+    sigma, key, _pred = tau_data(eta, tau)
+    return [interval_prime(p, eta, *key[s]) for s in sigma]
 
 
 # ------------------------------------------------------------------ u-elements

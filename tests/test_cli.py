@@ -230,6 +230,73 @@ class TestInputBoundary:
         argv = ["membership", m22_file, "--elem", "t11", "--inv", inv]
         assert self._error_code(argv, capsys) == "CliInputError"
 
+    def test_unwritable_output_reports_on_stdout(self, m22_file, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "report.json")
+        assert main(["analyze", m22_file, "-o", out]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["code"] == "CliInputError"
+        assert error["detail"].startswith(f"cannot write {out}")
+        # an input error meant for -o lands on stdout too
+        assert main(["btilde", m22_file, "--tau", "2,4,1,3", "-o", out]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == "SymmetryError"
+
+    def test_input_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"n_gens": 1, "names": ["\u00e9"]}'.encode("latin-1"))
+        assert self._error_code(["analyze", str(path)], capsys) == "CliInputError"
+
+    def test_json_nested_too_deep(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        assert self._error_code(["analyze", str(path)], capsys) == "CliInputError"
+
+
+def _corrupt(**fields):
+    """The 2x2 preset document with some fields replaced (Ellipsis deletes one)."""
+    doc = presentation_to_doc(build_matrix_poisson(2, 2), ["a", "b", "c", "d"])
+    for key, value in fields.items():
+        if value is ...:
+            del doc[key]
+        else:
+            doc[key] = value
+    return doc
+
+
+MALFORMED = {
+    "not_an_object": ([1, 2], "FormatError"),
+    "no_n_gens": (_corrupt(n_gens=...), "FormatError"),
+    "n_gens_not_a_number": (_corrupt(n_gens="four"), "FormatError"),
+    "n_gens_mismatch": (_corrupt(n_gens=5), "FormatError"),
+    "weights_not_a_list": (_corrupt(weights=5), "FormatError"),
+    "weights_too_short": (_corrupt(weights=[[1, 0, 1, 0]]), "PresentationError"),
+    "h_not_a_list": (_corrupt(h=5), "FormatError"),
+    "h_float": (_corrupt(h=[[0.5] * 4] * 4), "FormatError"),
+    "h_star_not_a_list": (_corrupt(h_star=5), "FormatError"),
+    "h_star_rows_not_lists": (_corrupt(h_star=[5, 5, 5, 5]), "FormatError"),
+    "h_star_too_short": (_corrupt(h_star=[["1"] * 4]), "PresentationError"),
+    "delta_not_a_list": (_corrupt(delta=5), "FormatError"),
+    "delta_an_object": (_corrupt(delta={"k": 4, "j": 1}), "FormatError"),
+    "delta_entry_not_an_object": (_corrupt(delta=[5]), "FormatError"),
+    "delta_poly_not_a_list": (_corrupt(delta=[{"k": 4, "j": 1, "poly": 5}]), "FormatError"),
+    "delta_index_out_of_range": (
+        _corrupt(delta=[{"k": 9, "j": 1, "poly": [[1, 1, [0, 1, 1, 0]]]}]), "PresentationError"),
+    "names_not_a_list": (_corrupt(names=5), "FormatError"),
+    "names_a_string": (_corrupt(names="abcd"), "FormatError"),
+    "names_too_short": (_corrupt(names=["a"]), "FormatError"),
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "chain-verify"])
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_presentation_exit_2(name, command, tmp_path, capsys):
+    doc, code = MALFORMED[name]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["command"] == command
+    assert report["error"]["code"] == code
+
 
 def _variables_y_per_bundle(ctx, tau):
     """The y-coordinate reports of one bundle, each variable rewritten anew."""

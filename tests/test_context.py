@@ -3,7 +3,8 @@
 ClusterContext.build and build_normalizing share one pass: validate once,
 compute eta, the primes and the d-integers once, and rescale (then certify
 pi == 1 again) only when some pi_[i, s(i)] is not 1.  The x-to-y table is
-built on first read.  The oracle below is the old path: `build` with its
+the identity permutation's cluster_expressions, read on first use.  The
+oracle below is the old path: `build` with its
 eager x-to-y table, `build_normalizing` validating and computing eta again
 before calling `build`, and the CLI's catch-and-rebuild `_build_context`.
 """
@@ -183,7 +184,7 @@ def counter(monkeypatch):
     c = _Counter(monkeypatch)
     c.wrap([symmetric, cluster], "validate_symmetric", "validate")
     c.wrap([cgl, symmetric, cluster], "compute_eta_and_primes", "eta")
-    c.wrap([ClusterContext], "_solve_x_in_y", "x_in_y")
+    c.wrap([ClusterContext], "to_y_coordinates", "to_y")
     return c
 
 
@@ -192,29 +193,30 @@ def test_rescaled_build_counts(counter):
     assert any(g != 1 for g in gamma)
     assert counter["validate"] == 1
     assert counter["eta"] <= 2
-    assert counter["x_in_y"] == 0
     chain_verify(ctx)
-    seed_for_tau(ctx, tuple(range(ctx.p.n)))
+    identity = tuple(range(ctx.p.n))
+    seed_for_tau(ctx, identity)
     f = parse_poly_expr("x1*x6 - x2*x5", ctx.p.n, None, prefix="x")
     assert upper_membership(ctx, f)[0]
-    assert counter["x_in_y"] == 0
-    ctx.to_y_coordinates(f)
-    ctx.to_y_coordinates(f)
-    assert counter["x_in_y"] == 1
+    assert counter["to_y"] == 0
+    # membership built the identity cluster's expressions; x_in_y reuses them
+    built = ctx.seed_record(symmetric.tau_data(ctx.eta, identity)[1]).expressions
+    assert ctx.x_in_y is built
+    assert built == _x_in_y_eager(ctx)
 
 
-@pytest.mark.parametrize("argv, x_in_y", [
+@pytest.mark.parametrize("argv, reads_y", [
     (["chain-verify"], 0),
     (["btilde"], 0),
     (["membership", "--elem", "x1*x6 - x2*x5"], 0),
     (["seeds"], 1),
     (["mutate", "--at", "1"], 1),
 ])
-def test_cli_builds_context_once(argv, x_in_y, counter, tmp_path, capsys):
+def test_cli_builds_context_once(argv, reads_y, counter, tmp_path, capsys):
     path = tmp_path / "m34.json"
     path.write_text(json.dumps(presentation_to_doc(rescaled_3x4())))
     assert cli.main([argv[0], str(path), *argv[1:]]) == 0
     capsys.readouterr()
     assert counter["validate"] == 1
     assert counter["eta"] <= 2
-    assert counter["x_in_y"] == x_in_y
+    assert min(counter["to_y"], 1) == reads_y

@@ -1,8 +1,11 @@
-"""Every name a pcgl module imports is used in that module.
+"""Every name a pcgl module imports is used in that module, and imported at
+module level.
 
 Stdlib-only: each module under src/pcgl is parsed with ``ast`` and the names
 its import statements bind are checked against the names it reads.  The
-package ``__init__`` re-exports names on purpose and is exempt.
+package ``__init__`` re-exports names on purpose and is exempt from that
+check.  No module imports inside a function body, so a module's
+dependencies are all listed at its top.
 """
 
 import ast
@@ -38,3 +41,23 @@ def test_scanner_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def function_local_imports(source: str):
+    tree = ast.parse(source)
+    found = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [(node.lineno, fn.name)
+                      for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    return sorted(set(found))
+
+
+def test_scanner_flags_a_function_local_import():
+    src = "import os\ndef f():\n    from math import gcd\n    return gcd\nclass C:\n    def g(self):\n        import json\n"
+    assert function_local_imports(src) == [(3, "f"), (7, "g")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_local_imports(path):
+    assert function_local_imports(path.read_text()) == []

@@ -15,17 +15,16 @@ from pcgl.cluster import (
     TauSeedBundle,
     chain_verify,
     check_seed_invariants,
-    eta_tau_data,
     mutate_seed,
     seed_for_tau,
-    seed_key,
     solve_btilde,
 )
 from pcgl.presentation import weight_of
 from pcgl.presets import build_matrix_poisson
-from pcgl.symmetric import interval_prime, perm_compose, perm_inverse, tau_bullet
+from pcgl.symmetric import interval_prime, perm_compose, perm_inverse
 
 from conftest import rescaled_3x3
+from tau_oracles import eta_tau_data, seed_key, tau_bullet
 
 
 def _r_matrix_for_tau_omega(p, eta, tau):
@@ -120,8 +119,8 @@ def _verify_with_perturbed_r(monkeypatch, target):
     e = _stealth_perturbation(_seed_for_tau_per_tau(ctx, target))
     assemble = cluster.r_numerators_for_tau
 
-    def perturbed(p, eta, tau, sigma):
-        num = assemble(p, eta, tau, sigma)
+    def perturbed(p, tau, sigma, pred):
+        num = assemble(p, tau, sigma, pred)
         if tuple(tau) != target:
             return num
         return tuple(tuple(x + d for x, d in zip(row, drow)) for row, drow in zip(num, e))

@@ -7,6 +7,7 @@ from itertools import permutations
 import pytest
 
 from pcgl.cgl import compute_eta_and_primes
+from pcgl.cluster import chain_verify
 from pcgl.poly import MvLaurent
 from pcgl.presentation import PoissonPresentation, SupportViolation
 from pcgl.presets import build_affine_space, build_matrix_poisson, solid_minor
@@ -17,7 +18,6 @@ from pcgl.symmetric import (
     compute_d_integers,
     enumerate_xi,
     gamma_chain,
-    interval_data_for_tau,
     interval_prime,
     is_xi_element,
     lambda_star,
@@ -26,6 +26,7 @@ from pcgl.symmetric import (
     permute_presentation,
     rescale_generators,
     tau_bullet,
+    tau_data,
     u_element_and_pi,
     validate_symmetric,
     y_sequence_for_tau,
@@ -125,8 +126,9 @@ class TestXiEnumeration:
                 assert tau_next == tau[:k] + (tau[k + 1], tau[k]) + tau[k + 2:]
 
     def test_gamma_chain_annotation(self, ctx22):
-        chain = gamma_chain(4).annotate(ctx22.eta)
-        assert chain.same_class == [False, False, True, False, False, False]
+        # a link mutates exactly when the swapped values share an eta class
+        branches = [rep.branch for rep in chain_verify(ctx22)]
+        assert branches == ["equal", "equal", "mutation", "equal", "equal", "equal"]
 
 
 class TestTauBullet:
@@ -229,7 +231,7 @@ class TestYSequenceForTau:
 
     def test_non_xi_rejected(self, p22, ctx22):
         with pytest.raises(SymmetryError):
-            interval_data_for_tau(ctx22.eta, (1, 3, 0, 2))
+            tau_data(ctx22.eta, (1, 3, 0, 2))
         with pytest.raises(SymmetryError):
             y_sequence_for_tau(p22, ctx22.eta, (1, 3, 0, 2))
 
