@@ -37,6 +37,11 @@ EXIT_INPUT = 2
 # accepts: Gamma_N has N(N-1)/2 + 1 permutations; 36 admits the 6x6 preset.
 MAX_GAMMA_GENERATORS = 36
 
+# Largest total degree (sum of absolute exponents) of one term of a
+# membership --elem.  The cost of expressing a term grows steeply with its
+# degree: x1^6 on the 4x4 preset takes about 6 s, x1^8 over a minute.
+MAX_ELEM_DEGREE = 6
+
 
 class CliInputError(Exception):
     pass
@@ -114,6 +119,22 @@ def _check_gamma_size(n: int) -> None:
     if n > MAX_GAMMA_GENERATORS:
         raise CliInputError(f"N = {n} exceeds {MAX_GAMMA_GENERATORS}, the largest number of "
                             "generators a Gamma_N command accepts")
+
+
+def _parse_elem(text: str, n: int, names, coords: str):
+    """The membership element: JSON triples, else a polynomial expression,
+    with every term of total degree at most MAX_ELEM_DEGREE."""
+    try:
+        f = ser.poly_from_triples(n, json.loads(text))
+    except (ValueError, RecursionError, FormatError):   # JSONDecodeError is a ValueError
+        prefix = "y" if coords == "y" else "x"
+        f = ser.parse_poly_expr(text, n, names if coords == "x" else None, prefix=prefix)
+    for e in f.terms:
+        degree = sum(map(abs, e))
+        if degree > MAX_ELEM_DEGREE:
+            raise CliInputError(f"--elem has a term of total degree {degree}; membership accepts "
+                                f"at most {MAX_ELEM_DEGREE}")
+    return f
 
 
 def _error_report(command: str, exc: Exception) -> dict:
@@ -341,15 +362,9 @@ def cmd_chain_verify(args) -> int:
 def cmd_membership(args) -> int:
     p, names = _load_presentation(args.file)
     _check_gamma_size(p.n)
-    ctx, _ = cl.ClusterContext.build_normalizing(p)
     coords = args.coords
-    elem_text = args.elem
-    try:
-        triples = json.loads(elem_text)
-        f = ser.poly_from_triples(p.n, triples)
-    except (json.JSONDecodeError, FormatError):
-        prefix = "y" if coords == "y" else "x"
-        f = ser.parse_poly_expr(elem_text, p.n, names if coords == "x" else None, prefix=prefix)
+    f = _parse_elem(args.elem, p.n, names, coords)
+    ctx, _ = cl.ClusterContext.build_normalizing(p)
     inv = _parse_inv(args.inv, p.n)
     ok, witnesses = cl.upper_membership(ctx, f, inv=inv, coords=coords)
     doc = {

@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import lcm
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .poly import MvLaurent, apply_derivation
+from .poly import ExpVec, MvLaurent, _fractions, _scale, apply_derivation
 
 
 class PresentationError(Exception):
@@ -89,8 +90,10 @@ class PoissonPresentation:
     * ``lam_star`` -- the eigenvalues lambda*_j = <h*_j, chi_j>, or None
       without h_star;
     * ``delta_items`` -- the nonzero table entries as sorted (k, j, poly);
-    * ``delta_rows`` -- the same entries by k: ``delta_rows[k]`` maps j to
-      delta_k(x_j).
+    * ``delta_num`` / ``delta_den`` -- the same entries by k, as integer
+      numerators over one common denominator (the lcm of every table
+      coefficient's denominator): ``delta_num[k]`` holds, in table order, one
+      ``(j, ((exp, numerator), ...))`` per nonzero delta_k(x_j).
     """
 
     n: int
@@ -105,7 +108,8 @@ class PoissonPresentation:
     lam_diagonal: Tuple[Fraction, ...] = _derived()
     lam_star: Optional[Tuple[Fraction, ...]] = _derived()
     delta_items: Tuple[Tuple[int, int, MvLaurent], ...] = _derived()
-    delta_rows: Tuple[Dict[int, MvLaurent], ...] = _derived()
+    delta_num: Tuple[Tuple[Tuple[int, Tuple[Tuple[ExpVec, int], ...]], ...], ...] = _derived()
+    delta_den: int = _derived()
 
     def __post_init__(self):
         if self.n < 1:
@@ -144,10 +148,16 @@ class PoissonPresentation:
         put("lam_diagonal", tuple(_dot(self.h[k], self.weights[k]) for k in range(n)))
         put("lam_star", None if self.h_star is None else
             tuple(_dot(self.h_star[j], self.weights[j]) for j in range(n)))
-        put("delta_items", tuple((k, j, poly) for (k, j), poly in sorted(self.delta.items())
-                                 if not poly.is_zero()))
-        put("delta_rows", tuple({j: poly for kk, j, poly in self.delta_items if kk == k}
-                                for k in range(n)))
+        items = tuple((k, j, poly) for (k, j), poly in sorted(self.delta.items())
+                      if not poly.is_zero())
+        put("delta_items", items)
+        dden = lcm(*(c.denominator for _, _, poly in items for c in poly.terms.values()))
+        rows = [[] for _ in range(n)]
+        for k, j, poly in items:
+            rows[k].append((j, tuple((e, c.numerator * (dden // c.denominator))
+                                     for e, c in poly.terms.items())))
+        put("delta_num", tuple(tuple(row) for row in rows))
+        put("delta_den", dden)
 
     @classmethod
     def from_lambda(cls, n: int, lam_rows, lam_diag, delta=None) -> "PoissonPresentation":
@@ -259,46 +269,46 @@ def bracket(p: PoissonPresentation, f: MvLaurent, g: MvLaurent) -> MvLaurent:
     which covers negative exponents via the derivation rule on inverses.
     A table entry (k, j) contributes only when x_k and x_j both occur in
     x^a or x^b, so only those entries are visited, in table order.
+
+    f and g are scaled once to int numerators; every term accumulates in
+    ints over fden * gden * lcm(lam_den, delta_den), adding in the order
+    repeated ``out + term`` would, and the result's Fractions are built once.
     """
     n = p.n
     if f.is_zero() or g.is_zero():
         return MvLaurent.zero(n)
-    num, den, delta_rows = p.lam_num, p.lam_den, p.delta_rows
+    fnums, fden = _scale(f.terms)
+    gnums, gden = _scale(g.terms)
+    lam, rows = p.lam_num, p.delta_num
+    den = lcm(p.lam_den, p.delta_den)
+    lam_scale, delta_scale = den // p.lam_den, den // p.delta_den
     g_terms = []
-    for eb, cb in g.terms.items():
+    for eb, cb in gnums.items():
         b_nz = [(j, m) for j, m in enumerate(eb) if m]
         g_terms.append((eb, cb, b_nz, {j for j, _ in b_nz}))
-    # Terms accumulate in the order repeated `out + term` would add them.
-    out: Dict[Tuple[int, ...], Fraction] = {}
-
-    def add(e, c):
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        else:
-            del out[e]
-
-    for ea, ca in f.terms.items():
+    out: Dict[ExpVec, int] = {}
+    get = out.get
+    for ea, ca in fnums.items():
         a_nz = [(k, m) for k, m in enumerate(ea) if m]
         a_supp = {k for k, _ in a_nz}
         for eb, cb, b_nz, b_supp in g_terms:
             scale = ca * cb
             total = 0
             for k, ak in a_nz:
-                row = num[k]
+                row = lam[k]
                 for j, bj in b_nz:
                     total += ak * bj * row[j]
-            ab = tuple(x + y for x, y in zip(ea, eb))
+            ab = tuple(map(add, ea, eb))
             if total:
-                add(ab, scale * Fraction(total, den))
-            supp = sorted(a_supp | b_supp)
-            for i, k in enumerate(supp):
-                entries = delta_rows[k]
-                if not entries:
-                    continue
-                for j in supp[:i]:
-                    poly = entries.get(j)
-                    if poly is None:
+                s = get(ab, 0) + scale * total * lam_scale
+                if s:
+                    out[ab] = s
+                else:
+                    del out[ab]
+            supp = a_supp | b_supp
+            for k in sorted(supp):
+                for j, terms in rows[k]:
+                    if j not in supp:
                         continue
                     factor = ea[k] * eb[j] - ea[j] * eb[k]
                     if not factor:
@@ -306,10 +316,15 @@ def bracket(p: PoissonPresentation, f: MvLaurent, g: MvLaurent) -> MvLaurent:
                     shift = list(ab)
                     shift[k] -= 1
                     shift[j] -= 1
-                    c = scale * factor
-                    for ep, cp in poly.terms.items():
-                        add(tuple(x + y for x, y in zip(shift, ep)), c * cp)
-    return MvLaurent(n, out)
+                    c = scale * factor * delta_scale
+                    for ep, cp in terms:
+                        e = tuple(map(add, shift, ep))
+                        s = get(e, 0) + c * cp
+                        if s:
+                            out[e] = s
+                        else:
+                            del out[e]
+    return MvLaurent._of(n, _fractions(out, fden * gden * den))
 
 
 def weight_of(p: PoissonPresentation, f: MvLaurent) -> Tuple[int, ...]:
@@ -374,12 +389,20 @@ def validate_algebra(p: PoissonPresentation, max_nilpotence_iters: int | None = 
                 cur = apply_derivation(images, cur)
 
     gens = [MvLaurent.gen(n, i) for i in range(n)]
+    # {x_a, x_b} for each ordered generator pair, computed on first use.
+    pairs: Dict[Tuple[int, int], MvLaurent] = {}
+
+    def gen_bracket(a: int, b: int) -> MvLaurent:
+        if (a, b) not in pairs:
+            pairs[(a, b)] = bracket(p, gens[a], gens[b])
+        return pairs[(a, b)]
+
     for k in range(2, n):
         for j in range(1, k):
             for i in range(j):
-                acc = bracket(p, gens[i], bracket(p, gens[j], gens[k]))
-                acc = acc + bracket(p, gens[j], bracket(p, gens[k], gens[i]))
-                acc = acc + bracket(p, gens[k], bracket(p, gens[i], gens[j]))
+                acc = bracket(p, gens[i], gen_bracket(j, k))
+                acc = acc + bracket(p, gens[j], gen_bracket(k, i))
+                acc = acc + bracket(p, gens[k], gen_bracket(i, j))
                 if not acc.is_zero():
                     checks["jacobi"] = False
                     failures.append(JacobiFailure(k, j, i, acc))

@@ -183,7 +183,10 @@ def parse_poly_expr(expr: str, nvars: int, names: Optional[Sequence[str]] = None
             fm = _FACTOR_RE.match(chunk)
             if fm and fm.group("name") in lookup:
                 idx = lookup[fm.group("name")]
-                exps[idx] += int(fm.group("pow") or 1)
+                try:
+                    exps[idx] += int(fm.group("pow") or 1)
+                except ValueError as exc:   # more digits than int() converts
+                    raise FormatError(f"exponent of {fm.group('name')} has too many digits") from exc
             else:
                 try:
                     coeff *= Fraction(chunk)

@@ -88,6 +88,8 @@ def validate_symmetric(p: PoissonPresentation) -> Tuple[ValidationReport, Poisso
         for j in range(n):
             for k in range(j + 1, n):
                 want = -p.lam(k, j)
+                # Read from h*_j itself: lambda holds only the h-pairings, and
+                # whether <h*_j, chi_k> equals -lambda_kj is what this checks.
                 got = sum((a * b for a, b in zip(p.h_star[j], p.weights[k])), Fraction(0))
                 if got != want:
                     checks["h_star"] = False

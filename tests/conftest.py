@@ -71,6 +71,17 @@ def rescaled_3x3() -> PoissonPresentation:
     return apply_rescaling(scaled_bracket(build_matrix_poisson(3, 3), Fraction(2, 3)), gamma)
 
 
+def rescaled_2x3() -> PoissonPresentation:
+    """The 2x3 preset with bracket scaled by 2/7 and rescaled generators.
+
+    Its lambda matrix has denominator 7 and its delta table denominator 36,
+    so neither common denominator divides the other.
+    """
+    gamma = [Fraction(7), Fraction(3, 2), Fraction(-1, 5), Fraction(4), Fraction(2, 3),
+             Fraction(-7, 4)]
+    return apply_rescaling(scaled_bracket(build_matrix_poisson(2, 3), Fraction(2, 7)), gamma)
+
+
 @pytest.fixture(scope="session")
 def p22():
     return build_matrix_poisson(2, 2)

@@ -1,6 +1,9 @@
-"""The precomputed lambda data and the bracket against the per-call code they
-replaced, kept here as the oracle."""
+"""The precomputed lambda and delta data and the integer bracket kernel
+against the code they replaced, kept here as the oracles: the per-call
+lambda and the term-by-term bracket, and the Fraction bracket that visited
+only the table entries inside a term pair's support."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -12,7 +15,7 @@ from pcgl.presentation import _dot, bracket
 from pcgl.presets import build_matrix_poisson
 from pcgl.symmetric import lambda_star, validate_symmetric
 
-from conftest import rescaled_3x3, two_block
+from conftest import rescaled_2x3, rescaled_3x3, two_block
 
 
 # ------------------------------------------------------------------ the oracle
@@ -70,11 +73,66 @@ def _oracle_bracket(p, f, g):
     return out
 
 
+def _fraction_bracket(p, f, g):
+    """The Fraction-coefficient bracket the integer kernel replaced: it visits
+    the same table entries in the same order, adding Fractions term by term."""
+    n = p.n
+    if f.is_zero() or g.is_zero():
+        return MvLaurent.zero(n)
+    num, den = p.lam_num, p.lam_den
+    delta_rows = [{j: poly for kk, j, poly in p.delta_items if kk == k} for k in range(n)]
+    g_terms = []
+    for eb, cb in g.terms.items():
+        b_nz = [(j, m) for j, m in enumerate(eb) if m]
+        g_terms.append((eb, cb, b_nz, {j for j, _ in b_nz}))
+    out = {}
+
+    def add(e, c):
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+
+    for ea, ca in f.terms.items():
+        a_nz = [(k, m) for k, m in enumerate(ea) if m]
+        a_supp = {k for k, _ in a_nz}
+        for eb, cb, b_nz, b_supp in g_terms:
+            scale = ca * cb
+            total = 0
+            for k, ak in a_nz:
+                row = num[k]
+                for j, bj in b_nz:
+                    total += ak * bj * row[j]
+            ab = tuple(x + y for x, y in zip(ea, eb))
+            if total:
+                add(ab, scale * Fraction(total, den))
+            supp = sorted(a_supp | b_supp)
+            for i, k in enumerate(supp):
+                entries = delta_rows[k]
+                for j in supp[:i]:
+                    poly = entries.get(j)
+                    if poly is None:
+                        continue
+                    factor = ea[k] * eb[j] - ea[j] * eb[k]
+                    if not factor:
+                        continue
+                    shift = list(ab)
+                    shift[k] -= 1
+                    shift[j] -= 1
+                    c = scale * factor
+                    for ep, cp in poly.terms.items():
+                        add(tuple(x + y for x, y in zip(shift, ep)), c * cp)
+    return MvLaurent(n, out)
+
+
 # --------------------------------------------------------------- presentations
 
 PRESENTATIONS = {
     "2x3": build_matrix_poisson(2, 3),
     "rescaled_3x3": validate_symmetric(rescaled_3x3())[1],
+    # lam_den 7, delta_den 36: neither common denominator divides the other
+    "rescaled_2x3": rescaled_2x3(),
     "two_block": two_block(2, 3),
 }
 NAMES = sorted(PRESENTATIONS)
@@ -98,9 +156,34 @@ def test_lambda_data_equals_oracle(name):
     assert [lambda_star(p, j) for j in range(n)] == [_oracle_lambda_star(p, j) for j in range(n)]
 
 
+def test_coprime_denominators_preset():
+    p = PRESENTATIONS["rescaled_2x3"]
+    assert (p.lam_den, p.delta_den) == (7, 36)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_delta_table_equals_entries(name):
+    """Fraction(num, delta_den) gives back every table coefficient, row by row
+    in table order and term by term in each entry's order."""
+    p = PRESENTATIONS[name]
+    assert len(p.delta_num) == p.n
+    for k, row in enumerate(p.delta_num):
+        got = [(j, [(e, Fraction(c, p.delta_den)) for e, c in terms]) for j, terms in row]
+        want = [(j, list(poly.terms.items())) for kk, j, poly in p.delta_items if kk == k]
+        assert got == want
+
+
+DERIVED = ("lam_rows", "lam_num", "lam_den", "lam_diagonal", "lam_star", "delta_items",
+           "delta_num", "delta_den")
+
+
 def test_derived_fields_outside_equality_and_repr(p23):
     twin = build_matrix_poisson(2, 3)
     assert twin == p23
+    by_name = {f.name: f for f in fields(p23)}
+    for name in DERIVED:
+        assert not (by_name[name].compare or by_name[name].repr or by_name[name].init), name
+        assert f"{name}=" not in repr(p23)
     assert "lam_num" not in repr(p23) and "delta_items" not in repr(p23)
 
 
@@ -130,9 +213,11 @@ def test_bracket_equals_oracle(case):
     assert got == want
     # same terms in the same order, so every report built from it is unchanged
     assert list(got.terms.items()) == list(want.terms.items())
+    assert list(got.terms.items()) == list(_fraction_bracket(p, f, g).terms.items())
     # {f, f + g}: the {f, f} terms cancel on the way, exercising term removal
     got = bracket(p, f, f + g)
     assert list(got.terms.items()) == list(_oracle_bracket(p, f, f + g).terms.items())
+    assert list(got.terms.items()) == list(_fraction_bracket(p, f, f + g).terms.items())
 
 
 @st.composite

@@ -1,8 +1,10 @@
 """CLI surface: subcommands, exit codes, pipelines, determinism."""
 
+import importlib.util
 import itertools
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -249,6 +251,49 @@ class TestInputBoundary:
         path = tmp_path / "deep.json"
         path.write_text("[" * 100000)
         assert self._error_code(["analyze", str(path)], capsys) == "CliInputError"
+
+    @pytest.mark.parametrize("elem", [
+        "x1^100000",
+        "x2*x3 - 1/2*x1^100000",
+        "x1^-7",
+        "[[1, 1, [100000, 0, 0, 0, 0, 0]]]",
+        "[[3, 2, [0, 4, -3, 0, 0, 0]]]",
+    ])
+    def test_membership_elem_degree_bound(self, m23_file, elem, capsys, monkeypatch):
+        # rejected before the cluster context is built, so the exit is immediate
+        def no_context(p):
+            raise AssertionError("context built for an element over the degree bound")
+
+        monkeypatch.setattr(cli.cl.ClusterContext, "build_normalizing", staticmethod(no_context))
+        argv = ["membership", m23_file, "--elem", elem]
+        assert self._error_code(argv, capsys) == "CliInputError"
+
+    def test_membership_elem_degree_bound_is_inclusive(self, m23_file, capsys):
+        elem = f"x1^{cli.MAX_ELEM_DEGREE}"
+        assert main(["membership", m23_file, "--elem", elem]) == 0
+        assert json.loads(capsys.readouterr().out)["certified"] is True
+
+    @pytest.mark.parametrize("elem", ["x1^" + "9" * 5000, "[[1, 1, [" + "9" * 5000 + "]]]",
+                                      "[" * 100000])
+    def test_membership_elem_unconvertible(self, m23_file, elem, capsys):
+        # more digits than int() converts, or JSON nested too deep to decode
+        assert self._error_code(["membership", m23_file, "--elem", elem], capsys) == "FormatError"
+
+    def test_readme_and_benchmark_elems_under_degree_bound(self):
+        """The README's membership example and the benchmark's probes (x-probe
+        support of degree 4, y-probe of degree 2) stay under the bound."""
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_inputs", README.parent / "perfbench" / "inputs.py")
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        names = [f"t{r}{c}" for r in range(1, 5) for c in range(1, 5)]
+        elems = re.findall(r'membership FILE --elem "([^"]+)"', README.read_text(encoding="utf-8"))
+        assert elems
+        for elem in elems + list(inputs.X_PROBE_SUPPORT):
+            f = cli._parse_elem(elem, 16, names, "x")
+            assert max(sum(map(abs, e)) for e in f.terms) < cli.MAX_ELEM_DEGREE
+        f = cli._parse_elem("y9^-1*y16", 16, None, "y")
+        assert max(sum(map(abs, e)) for e in f.terms) < cli.MAX_ELEM_DEGREE
 
 
 def _corrupt(**fields):

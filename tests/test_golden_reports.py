@@ -1,16 +1,24 @@
-"""Pinned reports: the stdout of four commands on the 3x3 matrix preset.
+"""Pinned reports: the stdout of four commands on the 3x3 matrix preset, and
+of the bracket's consumers on rescaled presets.
 
-The digests were taken before the polynomial core moved to integer
+The first digests were taken before the polynomial core moved to integer
 numerators.  Every reported polynomial passes through that core, so a kernel
 change that alters a coefficient, an exponent or the order of terms fails
-here instead of passing silently.
+here instead of passing silently.  The bracket digests were taken before the
+bracket moved to integer numerators, on presentations whose delta tables
+carry several coprime denominators.
 """
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
+from pcgl import serialize as ser
 from pcgl.cli import main
+from pcgl.presentation import PoissonPresentation
+
+from conftest import rescaled_2x3, rescaled_3x3
 
 GOLDEN = [
     (["membership", "--elem", "t11*t22 - t12*t21"], 0,
@@ -36,4 +44,46 @@ def test_report_digest(m33_file, capsys, args, code, digest):
     command, *rest = args
     assert main([command, m33_file, *rest]) == code
     out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def jacobi_broken_3x3() -> PoissonPresentation:
+    """rescaled_3x3 with its third delta entry scaled by 5/7: six generator
+    triples fail the Jacobi identity, with fractional witnesses."""
+    p = rescaled_3x3()
+    delta = dict(p.delta)
+    key = sorted(delta)[2]
+    delta[key] = delta[key] * Fraction(5, 7)
+    return PoissonPresentation(n=p.n, torus_rank=p.torus_rank, weights=p.weights, h=p.h,
+                               delta=delta, h_star=p.h_star)
+
+
+BRACKET_INPUTS = {"r33": rescaled_3x3, "r23": rescaled_2x3, "broken": jacobi_broken_3x3}
+
+BRACKET_GOLDEN = [
+    ("analyze", "r33", 0, "9b5f9df692a85336778e5c0b3482df653ed062fd5794850ef4847302aa3d4207"),
+    ("validate", "r33", 0, "984eb32983a51a1ba34478e4da8f9ca888d216143f7293c4e6ef11981ff5ecf1"),
+    ("analyze", "r23", 0, "d7b5bcb661b9737d597be5cb39df88b1d6ffee069aa22afdc4dbc32d878be223"),
+    ("validate", "broken", 2, "c9e495726eff2c1fa518f53c9cd528a831e5758608c4ef4cb2e08460f9b0b6bc"),
+]
+
+
+@pytest.fixture(scope="module")
+def bracket_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("bracket_golden")
+    files = {}
+    for name, build in BRACKET_INPUTS.items():
+        path = root / f"{name}.json"
+        path.write_text(ser.dump_json(ser.presentation_to_doc(build())))
+        files[name] = str(path)
+    return files
+
+
+@pytest.mark.parametrize("command,name,code,digest", BRACKET_GOLDEN,
+                         ids=[f"{g[0]} {g[1]}" for g in BRACKET_GOLDEN])
+def test_bracket_report_digest(bracket_files, capsys, command, name, code, digest):
+    assert main([command, bracket_files[name]]) == code
+    out = capsys.readouterr().out
+    if name == "broken":
+        assert '"code": "JacobiFailure"' in out and '"witness"' in out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
