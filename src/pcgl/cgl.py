@@ -12,11 +12,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .poly import ExpVec, MvLaurent, apply_derivation
+from .poly import ExpVec, MvLaurent, _mul, _scale, apply_derivation
 from .presentation import (
     PoissonPresentation,
     PresentationError,
     SupportViolation,
+    _bracket_is_multiple,
+    _prepare,
+    _prepared_gens,
     bracket,
     weight_of,
 )
@@ -208,6 +211,10 @@ def certify_prime_sequence(p: PoissonPresentation, eta: EtaData, seq: PrimeSeque
       * lt(y_k) = x^(ebar_k) with unit coefficient,
       * {y_j, x_k} = -alpha_kj y_j x_k whenever s(j) > k,
       * {y_k, y_j} = q_kj y_k y_j for all pairs.
+    Each y_k and x_k is scaled to int numerators and prepared for the
+    bracket kernel once.  A bracket identity is decided on those integers,
+    against the exponent shift y_j x_k or the int product y_k y_j; Fractions
+    are built only for a failure's lhs and rhs.
     Returns the alpha/q matrices on success, raises CertFailure otherwise.
     """
     n = p.n
@@ -218,21 +225,24 @@ def certify_prime_sequence(p: PoissonPresentation, eta: EtaData, seq: PrimeSeque
         if coeff != 1 or exp != eta.ebar(k):
             raise CertFailure(f"lt(y_{k+1})", (coeff, exp), (Fraction(1), eta.ebar(k)))
         weight_of(p, seq.y[k])  # raises Inhomogeneous on failure
+    ys = [_scale(y.terms) for y in seq.y]
+    yops = [_prepare(p, nums) for nums, _ in ys]
+    xops = _prepared_gens(p)
     for j in range(n):
+        ynums = ys[j][0]
         for k in range(n):
             sj = eta.succ[j]
             if sj is not None and sj <= k:
                 continue
-            lhs = bracket(p, seq.y[j], gens[k])
-            rhs = seq.y[j] * gens[k] * (-qd.alpha[k][j])
-            if lhs != rhs:
-                raise CertFailure(f"{{y_{j+1}, x_{k+1}}} = -alpha y x", lhs, rhs)
+            shifted = {e[:k] + (e[k] + 1,) + e[k + 1:]: c for e, c in ynums.items()}
+            if not _bracket_is_multiple(p, yops[j], xops[k], -qd.alpha[k][j], shifted):
+                raise CertFailure(f"{{y_{j+1}, x_{k+1}}} = -alpha y x", bracket(p, seq.y[j], gens[k]),
+                                  seq.y[j] * gens[k] * (-qd.alpha[k][j]))
     for k in range(n):
         for j in range(k):
-            lhs = bracket(p, seq.y[k], seq.y[j])
-            rhs = seq.y[k] * seq.y[j] * qd.q[k][j]
-            if lhs != rhs:
-                raise CertFailure(f"{{y_{k+1}, y_{j+1}}} = q y y", lhs, rhs)
+            if not _bracket_is_multiple(p, yops[k], yops[j], qd.q[k][j], _mul(ys[k][0], ys[j][0])):
+                raise CertFailure(f"{{y_{k+1}, y_{j+1}}} = q y y", bracket(p, seq.y[k], seq.y[j]),
+                                  seq.y[k] * seq.y[j] * qd.q[k][j])
     return qd
 
 

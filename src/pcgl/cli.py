@@ -42,6 +42,11 @@ MAX_GAMMA_GENERATORS = 36
 # degree: x1^6 on the 4x4 preset takes about 6 s, x1^8 over a minute.
 MAX_ELEM_DEGREE = 6
 
+# Longest error detail a report or summary echoes.  A detail can quote the
+# offending input (a whole --elem or --tau); a longer one keeps its first
+# MAX_ERROR_DETAIL characters and says how many it cut.
+MAX_ERROR_DETAIL = 500
+
 
 class CliInputError(Exception):
     pass
@@ -137,8 +142,16 @@ def _parse_elem(text: str, n: int, names, coords: str):
     return f
 
 
+def _detail(exc: Exception) -> str:
+    """str(exc), cut to MAX_ERROR_DETAIL characters with the cut marked."""
+    text = str(exc)
+    if len(text) <= MAX_ERROR_DETAIL:
+        return text
+    return f"{text[:MAX_ERROR_DETAIL]}... [{len(text) - MAX_ERROR_DETAIL} more characters cut]"
+
+
 def _error_report(command: str, exc: Exception) -> dict:
-    return {"command": command, "error": {"code": type(exc).__name__, "detail": str(exc)}}
+    return {"command": command, "error": {"code": type(exc).__name__, "detail": _detail(exc)}}
 
 
 def _bmatrix_dict(b: cl.BMatrix) -> dict:
@@ -454,10 +467,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except (CliInputError, FormatError) as exc:
-        _emit_error(args, exc, f"input error: {exc}")
+        _emit_error(args, exc, f"input error: {_detail(exc)}")
         return EXIT_INPUT
     except (PresentationError, PolyError) as exc:
-        _emit_error(args, exc, f"error: {exc}")
+        _emit_error(args, exc, f"error: {_detail(exc)}")
         return EXIT_INPUT
 
 

@@ -32,8 +32,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .cgl import EtaData, PrimeSequenceReport, compute_eta_and_primes
-from .poly import MvLaurent, NonInvertibleImage, exact_divide, substitute
-from .presentation import PoissonPresentation, PresentationError, bracket, weight_of
+from .poly import MvLaurent, NonInvertibleImage, _mul, _scale, exact_divide, substitute
+from .presentation import (
+    PoissonPresentation,
+    PresentationError,
+    _bracket_is_multiple,
+    _prepare,
+    bracket,
+    weight_of,
+)
 from .symmetric import (
     GammaChain,
     Perm,
@@ -643,15 +650,23 @@ def check_log_canonical(ctx: ClusterContext, bundle: TauSeedBundle) -> int:
     """Verify every pairwise bracket of the seed variables against r_tau.
 
     Brackets are computed in the polynomial ring on the generators, so no
-    denominators arise.  Returns the number of pairs checked.
+    denominators arise.  Each variable is scaled to int numerators and
+    prepared for the bracket kernel once, and each identity
+    {v_l, v_j} = r_lj v_l v_j is decided on integers, as in
+    cgl.certify_prime_sequence; Fractions are built only for a failure's lhs
+    and rhs.  Returns the number of pairs checked.
     """
-    n = ctx.p.n
+    p = ctx.p
+    n = p.n
+    scaled = [_scale(v.terms) for v in bundle.vars_x]
+    ops = [_prepare(p, nums) for nums, _ in scaled]
     count = 0
     for l in range(n):
         for j in range(l):
-            lhs = bracket(ctx.p, bundle.vars_x[l], bundle.vars_x[j])
-            rhs = bundle.vars_x[l] * bundle.vars_x[j] * bundle.r[l][j]
-            if lhs != rhs:
+            prod = _mul(scaled[l][0], scaled[j][0])
+            if not _bracket_is_multiple(p, ops[l], ops[j], bundle.r[l][j], prod):
+                lhs = bracket(p, bundle.vars_x[l], bundle.vars_x[j])
+                rhs = bundle.vars_x[l] * bundle.vars_x[j] * bundle.r[l][j]
                 raise LogCanonicalFailure(l, j, lhs, rhs)
             count += 1
     return count

@@ -220,13 +220,14 @@ class MvLaurent:
     def __add__(self, other) -> "MvLaurent":
         other = self._coerce(other)
         out = dict(self.terms)
+        get = out.get
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = get(e, 0) + c
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
-        return MvLaurent(self.nvars, out)
+                del out[e]
+        return MvLaurent._of(self.nvars, out)
 
     __radd__ = __add__
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import partial
 from math import lcm
 from operator import add
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .poly import ExpVec, MvLaurent, _fractions, _scale, apply_derivation
 
@@ -259,52 +259,62 @@ class ValidationReport:
 
 # ----------------------------------------------------------------- bracket engine
 
+# One prepared term of a bracket operand: exponent a, int numerator, the
+# nonzero (index, exponent) entries of a, their indices, and the row
+# L.a = sum_k a_k * lam_num[k], so that Omega_lambda(a, b) = (L.a . b) / lam_den.
+Operand = List[Tuple[ExpVec, int, List[Tuple[int, int]], FrozenSet[int], List[int]]]
 
-def bracket(p: PoissonPresentation, f: MvLaurent, g: MvLaurent) -> MvLaurent:
-    """Poisson bracket {f, g}, extended as a biderivation from the table.
 
-    On Laurent monomials:
+def _prepare(p: PoissonPresentation, nums: Dict[ExpVec, int]) -> Operand:
+    """The terms of an int term map, prepared once for any number of brackets."""
+    lam = p.lam_num
+    out = []
+    for e, c in nums.items():
+        nz = [(k, m) for k, m in enumerate(e) if m]
+        row = [0] * p.n
+        for k, m in nz:
+            row = [x + m * v for x, v in zip(row, lam[k])]
+        out.append((e, c, nz, frozenset(k for k, _ in nz), row))
+    return out
+
+
+def _prepared_gens(p: PoissonPresentation) -> List[Operand]:
+    """The generators x_1..x_N, prepared; each numerator is 1 over 1."""
+    n = p.n
+    return [_prepare(p, {tuple(int(i == a) for i in range(n)): 1}) for a in range(n)]
+
+
+def _bracket_into(p: PoissonPresentation, fa: Operand, gb: Operand, acc: Dict[ExpVec, int]) -> None:
+    """Add the int numerators of {f, g} into acc.
+
+    fa and gb are f and g prepared over denominators fden and gden; what is
+    added is {f, g} times fden * gden * lcm(lam_den, delta_den).  On Laurent
+    monomials
         {x^a, x^b} = Omega_lambda(a,b) x^(a+b)
                      + sum_{k>j} (a_k b_j - a_j b_k) x^(a+b-e_k-e_j) delta_k(x_j),
-    which covers negative exponents via the derivation rule on inverses.
-    A table entry (k, j) contributes only when x_k and x_j both occur in
-    x^a or x^b, so only those entries are visited, in table order.
-
-    f and g are scaled once to int numerators; every term accumulates in
-    ints over fden * gden * lcm(lam_den, delta_den), adding in the order
-    repeated ``out + term`` would, and the result's Fractions are built once.
+    which covers negative exponents via the derivation rule on inverses.  A
+    table entry (k, j) contributes only when x_k and x_j both occur in x^a or
+    x^b, so only those entries are visited, in table order.  Terms are added
+    in the order repeated ``out + term`` would add them; a sum that cancels
+    drops its term.
     """
-    n = p.n
-    if f.is_zero() or g.is_zero():
-        return MvLaurent.zero(n)
-    fnums, fden = _scale(f.terms)
-    gnums, gden = _scale(g.terms)
-    lam, rows = p.lam_num, p.delta_num
+    rows = p.delta_num
     den = lcm(p.lam_den, p.delta_den)
     lam_scale, delta_scale = den // p.lam_den, den // p.delta_den
-    g_terms = []
-    for eb, cb in gnums.items():
-        b_nz = [(j, m) for j, m in enumerate(eb) if m]
-        g_terms.append((eb, cb, b_nz, {j for j, _ in b_nz}))
-    out: Dict[ExpVec, int] = {}
-    get = out.get
-    for ea, ca in fnums.items():
-        a_nz = [(k, m) for k, m in enumerate(ea) if m]
-        a_supp = {k for k, _ in a_nz}
-        for eb, cb, b_nz, b_supp in g_terms:
+    get = acc.get
+    for ea, ca, _, a_supp, la in fa:
+        for eb, cb, b_nz, b_supp, _ in gb:
             scale = ca * cb
             total = 0
-            for k, ak in a_nz:
-                row = lam[k]
-                for j, bj in b_nz:
-                    total += ak * bj * row[j]
+            for j, bj in b_nz:
+                total += bj * la[j]
             ab = tuple(map(add, ea, eb))
             if total:
                 s = get(ab, 0) + scale * total * lam_scale
                 if s:
-                    out[ab] = s
+                    acc[ab] = s
                 else:
-                    del out[ab]
+                    del acc[ab]
             supp = a_supp | b_supp
             for k in sorted(supp):
                 for j, terms in rows[k]:
@@ -321,10 +331,47 @@ def bracket(p: PoissonPresentation, f: MvLaurent, g: MvLaurent) -> MvLaurent:
                         e = tuple(map(add, shift, ep))
                         s = get(e, 0) + c * cp
                         if s:
-                            out[e] = s
+                            acc[e] = s
                         else:
-                            del out[e]
-    return MvLaurent._of(n, _fractions(out, fden * gden * den))
+                            del acc[e]
+
+
+def bracket(p: PoissonPresentation, f: MvLaurent, g: MvLaurent) -> MvLaurent:
+    """Poisson bracket {f, g}, extended as a biderivation from the table.
+
+    The public wrapper of the int kernel ``_bracket_into``: f and g are
+    scaled and prepared once, their bracket accumulates in ints over
+    fden * gden * lcm(lam_den, delta_den), and the result's Fractions are
+    built once.
+    """
+    n = p.n
+    if f.is_zero() or g.is_zero():
+        return MvLaurent.zero(n)
+    fnums, fden = _scale(f.terms)
+    gnums, gden = _scale(g.terms)
+    acc: Dict[ExpVec, int] = {}
+    _bracket_into(p, _prepare(p, fnums), _prepare(p, gnums), acc)
+    return MvLaurent._of(n, _fractions(acc, fden * gden * lcm(p.lam_den, p.delta_den)))
+
+
+def _bracket_is_multiple(p: PoissonPresentation, fa: Operand, gb: Operand, c: Fraction,
+                         prod: Dict[ExpVec, int]) -> bool:
+    """Whether {f, g} == c * f * g, decided on int numerators.
+
+    fa and gb are f and g prepared over fden and gden, and prod holds the
+    numerators of f * g over fden * gden.  The bracket's numerators are over
+    fden * gden * den with den = lcm(lam_den, delta_den), so the identity
+    holds term by term as numerator * c.denominator == c.numerator * den * prod.
+    """
+    acc: Dict[ExpVec, int] = {}
+    _bracket_into(p, fa, gb, acc)
+    if not c:
+        return not acc
+    if len(acc) != len(prod):
+        return False
+    a, b = c.numerator * lcm(p.lam_den, p.delta_den), c.denominator
+    get = acc.get
+    return all(get(e, 0) * b == a * v for e, v in prod.items())
 
 
 def weight_of(p: PoissonPresentation, f: MvLaurent) -> Tuple[int, ...]:
@@ -347,7 +394,10 @@ def validate_algebra(p: PoissonPresentation, max_nilpotence_iters: int | None = 
     """Check the iterated Poisson-Ore axioms on the presentation.
 
     (a) Jacobi identity on all generator triples (sufficient, since the
-        bracket is extended as a biderivation);
+        bracket is extended as a biderivation).  Each generator pair is
+        bracketed once; the three brackets of a triple add into one map of
+        int numerators, and a JacobiFailure's witness (the Fraction sum of
+        the three) is built only when that map is not empty;
     (b) each delta_k(x_j) homogeneous of weight chi_k + chi_j;
     (c) lambda_k != 0 for every k;
     (d) local nilpotence of each delta_k on each x_j, iterated up to a bound;
@@ -388,24 +438,37 @@ def validate_algebra(p: PoissonPresentation, max_nilpotence_iters: int | None = 
                     break
                 cur = apply_derivation(images, cur)
 
-    gens = [MvLaurent.gen(n, i) for i in range(n)]
-    # {x_a, x_b} for each ordered generator pair, computed on first use.
-    pairs: Dict[Tuple[int, int], MvLaurent] = {}
+    # Each triple's three brackets add into one int map, over den^2 with
+    # den = lcm(lam_den, delta_den): the generators are over 1, and each
+    # {x_a, x_b} is kept as its numerators over den, prepared on first use.
+    den = lcm(p.lam_den, p.delta_den)
+    gens = _prepared_gens(p)
+    pairs: Dict[Tuple[int, int], Operand] = {}
 
-    def gen_bracket(a: int, b: int) -> MvLaurent:
+    def gen_bracket(a: int, b: int) -> Operand:
         if (a, b) not in pairs:
-            pairs[(a, b)] = bracket(p, gens[a], gens[b])
+            nums: Dict[ExpVec, int] = {}
+            _bracket_into(p, gens[a], gens[b], nums)
+            pairs[(a, b)] = _prepare(p, nums)
         return pairs[(a, b)]
 
     for k in range(2, n):
         for j in range(1, k):
             for i in range(j):
-                acc = bracket(p, gens[i], gen_bracket(j, k))
-                acc = acc + bracket(p, gens[j], gen_bracket(k, i))
-                acc = acc + bracket(p, gens[k], gen_bracket(i, j))
-                if not acc.is_zero():
-                    checks["jacobi"] = False
-                    failures.append(JacobiFailure(k, j, i, acc))
+                outer = ((i, gen_bracket(j, k)), (j, gen_bracket(k, i)), (k, gen_bracket(i, j)))
+                acc: Dict[ExpVec, int] = {}
+                for a, pb in outer:
+                    _bracket_into(p, gens[a], pb, acc)
+                if not acc:
+                    continue
+                # The witness is the sum of the three brackets, added as Fractions.
+                witness = MvLaurent.zero(n)
+                for a, pb in outer:
+                    part: Dict[ExpVec, int] = {}
+                    _bracket_into(p, gens[a], pb, part)
+                    witness = witness + MvLaurent._of(n, _fractions(part, den * den))
+                checks["jacobi"] = False
+                failures.append(JacobiFailure(k, j, i, witness))
 
     passed = all(checks.values())
     return ValidationReport(passed=passed, checks=checks, failures=failures)

@@ -82,6 +82,19 @@ def rescaled_2x3() -> PoissonPresentation:
     return apply_rescaling(scaled_bracket(build_matrix_poisson(2, 3), Fraction(2, 7)), gamma)
 
 
+def rescaled_4x5() -> PoissonPresentation:
+    """The 4x5 preset with bracket scaled by 3/2 and rescaled generators.
+
+    Its lambda matrix has denominator 2 and its delta table denominator
+    10125 = 3^4 5^3, so the two common denominators are coprime.
+    """
+    gamma = [Fraction(3), Fraction(-1, 5), Fraction(5, 3), Fraction(1), Fraction(-3, 5),
+             Fraction(1, 3), Fraction(5), Fraction(-1), Fraction(9, 5), Fraction(1, 5),
+             Fraction(-5), Fraction(3, 5), Fraction(1), Fraction(-1, 3), Fraction(5, 9),
+             Fraction(3), Fraction(1, 5), Fraction(-3), Fraction(5, 3), Fraction(1)]
+    return apply_rescaling(scaled_bracket(build_matrix_poisson(4, 5), Fraction(3, 2)), gamma)
+
+
 @pytest.fixture(scope="session")
 def p22():
     return build_matrix_poisson(2, 2)

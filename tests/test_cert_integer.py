@@ -1,0 +1,250 @@
+"""The integer bracket identities against the Fraction checks they replaced.
+
+`certify_prime_sequence`, the Jacobi loop of `validate_algebra` and
+`check_log_canonical` decide their identities on int numerators through the
+bracket kernel.  The oracles below are those checks as they were before, with
+every bracket and right-hand side a `Fraction` polynomial; they call only the
+public `bracket` and `MvLaurent` arithmetic.  Pass or fail, exception, `what`,
+`lhs`, `rhs` and the validation report must agree.
+"""
+
+from dataclasses import replace
+from fractions import Fraction
+from math import gcd
+from typing import Dict, List, Tuple
+
+import pytest
+
+from pcgl import cgl
+from pcgl.cgl import CertFailure, QData, certify_prime_sequence, compute_eta_and_primes
+from pcgl.cluster import ClusterContext, LogCanonicalFailure, check_log_canonical, seed_for_tau
+from pcgl.poly import MvLaurent
+from pcgl.presentation import (
+    JacobiFailure,
+    PoissonPresentation,
+    ValidationReport,
+    bracket,
+    validate_algebra,
+    weight_of,
+)
+from pcgl.presets import build_matrix_poisson
+from pcgl.symmetric import validate_symmetric
+
+from conftest import rescaled_3x3, rescaled_4x5, two_block
+
+PRESENTATIONS = {
+    "2x3": build_matrix_poisson(2, 3),
+    "rescaled_3x3": validate_symmetric(rescaled_3x3())[1],
+    "two_block": two_block(2, 3),
+    "rescaled_4x5": rescaled_4x5(),
+}
+NAMES = sorted(PRESENTATIONS)
+
+# ---------------------------------------------------------------- oracles
+
+
+def oracle_certify(p, eta, seq) -> QData:
+    """certify_prime_sequence with Fraction brackets and right-hand sides."""
+    n = p.n
+    qd = cgl.alpha_q_matrices(p, eta)
+    gens = [MvLaurent.gen(n, i) for i in range(n)]
+    for k in range(n):
+        coeff, exp = seq.y[k].leading_term()
+        if coeff != 1 or exp != eta.ebar(k):
+            raise CertFailure(f"lt(y_{k+1})", (coeff, exp), (Fraction(1), eta.ebar(k)))
+        weight_of(p, seq.y[k])
+    for j in range(n):
+        for k in range(n):
+            sj = eta.succ[j]
+            if sj is not None and sj <= k:
+                continue
+            lhs = bracket(p, seq.y[j], gens[k])
+            rhs = seq.y[j] * gens[k] * (-qd.alpha[k][j])
+            if lhs != rhs:
+                raise CertFailure(f"{{y_{j+1}, x_{k+1}}} = -alpha y x", lhs, rhs)
+    for k in range(n):
+        for j in range(k):
+            lhs = bracket(p, seq.y[k], seq.y[j])
+            rhs = seq.y[k] * seq.y[j] * qd.q[k][j]
+            if lhs != rhs:
+                raise CertFailure(f"{{y_{k+1}, y_{j+1}}} = q y y", lhs, rhs)
+    return qd
+
+
+def oracle_jacobi(p) -> List[JacobiFailure]:
+    """The Jacobi triple loop, each generator pair bracketed once, summed as Fractions."""
+    n = p.n
+    gens = [MvLaurent.gen(n, i) for i in range(n)]
+    pairs: Dict[Tuple[int, int], MvLaurent] = {}
+
+    def gen_bracket(a, b):
+        if (a, b) not in pairs:
+            pairs[(a, b)] = bracket(p, gens[a], gens[b])
+        return pairs[(a, b)]
+
+    failures = []
+    for k in range(2, n):
+        for j in range(1, k):
+            for i in range(j):
+                acc = bracket(p, gens[i], gen_bracket(j, k))
+                acc = acc + bracket(p, gens[j], gen_bracket(k, i))
+                acc = acc + bracket(p, gens[k], gen_bracket(i, j))
+                if not acc.is_zero():
+                    failures.append(JacobiFailure(k, j, i, acc))
+    return failures
+
+
+def oracle_log_canonical(p, bundle) -> int:
+    n = p.n
+    for l in range(n):
+        for j in range(l):
+            lhs = bracket(p, bundle.vars_x[l], bundle.vars_x[j])
+            rhs = bundle.vars_x[l] * bundle.vars_x[j] * bundle.r[l][j]
+            if lhs != rhs:
+                raise LogCanonicalFailure(l, j, lhs, rhs)
+    return n * (n - 1) // 2
+
+
+def _outcome(fn, *args):
+    """What fn returns, or the type and witnesses of the exception it raises."""
+    try:
+        return "ok", fn(*args)
+    except (CertFailure, LogCanonicalFailure) as exc:
+        return type(exc).__name__, (str(exc), getattr(exc, "what", getattr(exc, "pair", None)),
+                                    exc.lhs, exc.rhs)
+
+
+# ---------------------------------------------------------------- fixtures
+
+
+def test_rescaled_4x5_has_coprime_denominators():
+    p = PRESENTATIONS["rescaled_4x5"]
+    assert p.lam_den > 1 and p.delta_den > 1 and gcd(p.lam_den, p.delta_den) == 1
+
+
+@pytest.fixture(scope="module", params=NAMES)
+def primes(request):
+    p = PRESENTATIONS[request.param]
+    eta, seq = compute_eta_and_primes(p)
+    return p, eta, seq
+
+
+# ---------------------------------------------------------------- prime sequence
+
+
+def test_certify_passes_with_the_oracle(primes):
+    p, eta, seq = primes
+    got = certify_prime_sequence(p, eta, seq)
+    want = oracle_certify(p, eta, seq)
+    assert (got.alpha, got.q) == (want.alpha, want.q)
+
+
+def _assert_same_failure(p, eta, seq):
+    got = _outcome(certify_prime_sequence, p, eta, seq)
+    want = _outcome(oracle_certify, p, eta, seq)
+    assert got[0] == "CertFailure"
+    assert got == want
+
+
+def test_perturbed_y_coefficient_fails_like_the_oracle(primes):
+    p, eta, seq = primes
+    k = max(range(p.n), key=lambda i: len(seq.y[i].terms))
+    y = seq.y[k]
+    lead = y.leading_term()[1]
+    e = next(e for e in y.terms if e != lead)
+    terms = dict(y.terms)
+    terms[e] += Fraction(1, 3)
+    ys = list(seq.y)
+    ys[k] = MvLaurent(p.n, terms)
+    _assert_same_failure(p, eta, replace(seq, y=ys))
+
+
+def test_truncated_y_fails_like_the_oracle(primes):
+    # y_k cut to its leading monomial: its brackets keep every term of the
+    # right-hand side and gain the terms the cut part cancelled
+    p, eta, seq = primes
+    k = max(range(p.n), key=lambda i: len(seq.y[i].terms))
+    coeff, lead = seq.y[k].leading_term()
+    ys = list(seq.y)
+    ys[k] = MvLaurent.monomial(p.n, lead, coeff)
+    _assert_same_failure(p, eta, replace(seq, y=ys))
+
+
+def _corrupt(monkeypatch, which: str, k: int, j: int):
+    """Make alpha_q_matrices return a QData with one entry off by 1/5."""
+    right = cgl.alpha_q_matrices
+
+    def wrong(p, eta):
+        qd = right(p, eta)
+        rows = [list(row) for row in getattr(qd, which)]
+        rows[k][j] += Fraction(1, 5)
+        return replace(qd, **{which: rows})
+
+    monkeypatch.setattr(cgl, "alpha_q_matrices", wrong)
+
+
+def test_wrong_alpha_fails_like_the_oracle(primes, monkeypatch):
+    p, eta, seq = primes
+    # {y_N, x_1} is checked: y_N has no successor.
+    _corrupt(monkeypatch, "alpha", 0, p.n - 1)
+    _assert_same_failure(p, eta, seq)
+
+
+def test_wrong_q_fails_like_the_oracle(primes, monkeypatch):
+    p, eta, seq = primes
+    _corrupt(monkeypatch, "q", p.n - 1, 0)
+    _assert_same_failure(p, eta, seq)
+
+
+# ---------------------------------------------------------------- Jacobi
+
+
+def _with_entry(p: PoissonPresentation, k: int, j: int, poly: MvLaurent) -> PoissonPresentation:
+    delta = dict(p.delta)
+    delta[(k, j)] = poly
+    return PoissonPresentation(n=p.n, torus_rank=p.torus_rank, weights=p.weights, h=p.h,
+                               delta=delta, h_star=p.h_star)
+
+
+def _corrupted_tables(p: PoissonPresentation):
+    """The last table entry scaled by 3/2 plus x_1, and 2/7 x_2 added to delta_N(x_1)."""
+    n = p.n
+    k, j, poly = p.delta_items[-1]
+    yield _with_entry(p, k, j, poly * Fraction(3, 2) + MvLaurent.gen(n, 0))
+    yield _with_entry(p, n - 1, 0, p.delta_entry(n - 1, 0) + MvLaurent.gen(n, 1) * Fraction(2, 7))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_jacobi_report_equals_the_oracle(name):
+    p = PRESENTATIONS[name]
+    assert validate_algebra(p).checks["jacobi"] and not oracle_jacobi(p)
+    for bad in _corrupted_tables(p):
+        report = validate_algebra(bad, max_nilpotence_iters=3)
+        oracle = oracle_jacobi(bad)
+        assert oracle, "the corruption must break the Jacobi identity"
+        checks = dict(report.checks, jacobi=False)
+        rest = [f for f in report.failures if not isinstance(f, JacobiFailure)]
+        want = ValidationReport(passed=False, checks=checks, failures=rest + oracle)
+        assert report.as_dict() == want.as_dict()
+        got = [f for f in report.failures if isinstance(f, JacobiFailure)]
+        assert [list(f.witness.terms.items()) for f in got] == \
+            [list(f.witness.terms.items()) for f in oracle]
+
+
+# ---------------------------------------------------------------- log-canonicality
+
+
+@pytest.mark.parametrize("name", ["2x3", "rescaled_3x3"])
+def test_log_canonical_failure_equals_the_oracle(name):
+    ctx = ClusterContext.build_normalizing(PRESENTATIONS[name])[0]
+    n = ctx.p.n
+    tau = tuple(range(1, n)) + (0,)
+    bundle = seed_for_tau(ctx, tau)
+    assert check_log_canonical(ctx, bundle) == oracle_log_canonical(ctx.p, bundle)
+    for l, j, bump in ((1, 0, Fraction(1, 3)), (n - 1, n - 2, Fraction(-2))):
+        r = [list(row) for row in bundle.r]
+        r[l][j] += bump
+        bad = replace(bundle, r=r)
+        got = _outcome(check_log_canonical, ctx, bad)
+        assert got[0] == "LogCanonicalFailure"
+        assert got == _outcome(oracle_log_canonical, ctx.p, bad)

@@ -279,6 +279,21 @@ class TestInputBoundary:
         # more digits than int() converts, or JSON nested too deep to decode
         assert self._error_code(["membership", m23_file, "--elem", elem], capsys) == "FormatError"
 
+    def test_membership_elem_echo_is_cut(self, m23_file, tmp_path, capsys):
+        # the FormatError quotes the whole --elem; report and summary keep a bounded part
+        out = tmp_path / "report.json"
+        assert main(["membership", m23_file, "--elem", "[" * 100000, "-o", str(out)]) == 2
+        detail = json.loads(out.read_text(encoding="utf-8"))["error"]["detail"]
+        assert detail.startswith("unknown factor '[[[")
+        assert detail.endswith("more characters cut]")
+        assert out.stat().st_size < 2 * cli.MAX_ERROR_DETAIL
+        assert len(capsys.readouterr().err) < 2 * cli.MAX_ERROR_DETAIL
+
+    def test_error_detail_cut_only_past_the_bound(self):
+        text = "e" * cli.MAX_ERROR_DETAIL
+        assert cli._detail(ValueError(text)) == text
+        assert cli._detail(ValueError(text + "xyz")) == text + "... [3 more characters cut]"
+
     def test_readme_and_benchmark_elems_under_degree_bound(self):
         """The README's membership example and the benchmark's probes (x-probe
         support of degree 4, y-probe of degree 2) stay under the bound."""

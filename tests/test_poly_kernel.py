@@ -220,6 +220,16 @@ def test_mul_equals_oracle(f, g, signs):
     same(f * flipped(f, signs), oracle_mul(f, flipped(f, signs)))
 
 
+@SETTINGS
+@given(polys(), polys(), st.lists(st.sampled_from((1, -1)), min_size=5, max_size=5))
+def test_add_equals_oracle(f, g, signs):
+    same(f + g, _o_add(f, g))
+    same(g - f, _o_add(g, _o_scalar(f, -1)))
+    # some of f's terms cancel against -f', the others double
+    minus = _o_scalar(flipped(f, signs), -1)
+    same(f + minus, _o_add(f, minus))
+
+
 def test_mul_cancels_to_fewer_terms():
     x, y = MvLaurent.gen(2, 0), MvLaurent.gen(2, 1)
     h = Fraction(1, 2)
