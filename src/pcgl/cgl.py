@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .poly import ExpVec, MvLaurent, _mul, _scale, apply_derivation
 from .presentation import (
@@ -193,14 +193,40 @@ def compute_eta_and_primes(p: PoissonPresentation) -> Tuple[EtaData, PrimeSequen
     return eta_data, report
 
 
+def chain_numerators(p: PoissonPresentation, tau: Sequence[int],
+                     pred: Sequence[Optional[int]]) -> Tuple[List[List[int]], List[List[int]]]:
+    """alpha and q of the tau-presentation as numerators over p.lam_den.
+
+    Generator k of the tau-presentation is x_tau(k), and pred holds its
+    predecessors.  alpha[k][j] = Omega_lambda(e_k, ebar_j) and
+    q[k][j] = Omega_lambda(ebar_k, ebar_j) on its predecessor chains.  The
+    chains nest, ebar_j = ebar_{p(j)} + e_j, so every entry is one integer
+    add from a neighbour:
+        alpha[k][j] = alpha[k][p(j)] + lam_num[tau(k)][tau(j)],  q[k] = q[p(k)] + alpha[k].
+    """
+    n = p.n
+    num = p.lam_num
+    alpha: List[List[int]] = []
+    for k in range(n):
+        src = num[tau[k]]
+        row = [0] * n
+        for j in range(n):
+            pj = pred[j]
+            row[j] = src[tau[j]] if pj is None else row[pj] + src[tau[j]]
+        alpha.append(row)
+    q: List[List[int]] = []
+    for k in range(n):
+        pk = pred[k]
+        q.append(list(alpha[k]) if pk is None else [a + b for a, b in zip(q[pk], alpha[k])])
+    return alpha, q
+
+
 def alpha_q_matrices(p: PoissonPresentation, eta: EtaData) -> QData:
     """alpha_kj = Omega_lambda(e_k, ebar_j) and q_kj = Omega_lambda(ebar_k, ebar_j)."""
-    n = p.n
-    ebars = [eta.ebar(k) for k in range(n)]
-    unit = [tuple(1 if i == k else 0 for i in range(n)) for k in range(n)]
-    alpha = [[p.omega_lambda(unit[k], ebars[j]) for j in range(n)] for k in range(n)]
-    q = [[p.omega_lambda(ebars[k], ebars[j]) for j in range(n)] for k in range(n)]
-    return QData(alpha=alpha, q=q)
+    alpha, q = chain_numerators(p, range(p.n), eta.pred)
+    den = p.lam_den
+    return QData(alpha=[[Fraction(x, den) for x in row] for row in alpha],
+                 q=[[Fraction(x, den) for x in row] for row in q])
 
 
 def certify_prime_sequence(p: PoissonPresentation, eta: EtaData, seq: PrimeSequenceReport) -> QData:

@@ -13,13 +13,15 @@ exponents.
 A seed is determined by its seed key (the slot-ordered interval labels of
 its variables) together with r_tau, and many permutations share a key
 (9 distinct clusters among the 67 permutations of Gamma_12 on the 3x4
-matrix preset).  So a context builds, solves and checks one seed per key
-and builds each interval prime once; r_tau, the paper's per-permutation
-quantity, is still assembled for every permutation and compared with the
-key's record.  Every function here that needs sigma = tau_bullet o tau,
-the seed key or the tau-predecessors takes them from one call of
-symmetric.tau_data, and the generators are written in a cluster by one
-back-substitution, cluster_expressions (the initial cluster included).
+matrix preset).  So a context builds, solves and checks one seed per key,
+and builds and weighs each interval prime once; r_tau, the paper's
+per-permutation quantity, is still assembled for every permutation (by the
+chain recurrence cgl.chain_numerators) and compared with the key's.
+chain_verify builds one bundle per permutation and checks each link on the
+bundles of its two ends.  Every function here that needs sigma =
+tau_bullet o tau, the seed key or the tau-predecessors takes them from one
+call of symmetric.tau_data, and the generators are written in a cluster by
+one back-substitution, cluster_expressions (the initial cluster included).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .cgl import EtaData, PrimeSequenceReport, compute_eta_and_primes
+from .cgl import EtaData, PrimeSequenceReport, chain_numerators, compute_eta_and_primes
 from .poly import MvLaurent, NonInvertibleImage, _mul, _scale, exact_divide, substitute
 from .presentation import (
     PoissonPresentation,
@@ -39,6 +41,7 @@ from .presentation import (
     _bracket_is_multiple,
     _prepare,
     bracket,
+    validate_algebra,
     weight_of,
 )
 from .symmetric import (
@@ -136,6 +139,7 @@ class SeedInvariantFailure(ClusterError):
 
 RMatrix = List[List[Fraction]]
 RNumerators = Tuple[Tuple[int, ...], ...]
+Weight = Tuple[int, ...]
 
 
 # -------------------------------------------------------------- exchange matrices
@@ -159,9 +163,6 @@ class BMatrix:
 
     def column(self, l: int) -> Tuple[int, ...]:
         return self.cols[l]
-
-    def full_rank(self) -> bool:
-        return not self.ex or linalg.rank(self.as_rows()) == len(self.ex)
 
     def as_rows(self) -> List[List[int]]:
         return [[self.cols[l][i] for l in self.ex] for i in range(self.n)]
@@ -287,34 +288,24 @@ def _first_pi_not_one(p: PoissonPresentation, eta: EtaData) -> Optional[Tuple[in
 
 
 @dataclass
-class SeedRecord:
-    """What a context knows about one seed key, each part filled on first use:
-    the bundle of the first permutation built with this key, that
-    permutation's r_tau numerators over lam_den, and the generators'
-    expressions in the cluster (cluster_expressions)."""
-
-    bundle: Optional["TauSeedBundle"] = None
-    r_num: Optional[RNumerators] = None
-    expressions: Optional[List[MvLaurent]] = None
-
-
-@dataclass
 class ClusterContext:
     """Everything derived from one validated, pi-normalized presentation.
 
-    Besides the presentation data it holds one SeedRecord per seed key and
-    one table of interval primes keyed by their label (start, m); both are
-    filled on first use by seed_for_tau and cluster_expressions.  The table
-    x_in_y of the generators in initial-cluster coordinates is the identity
-    permutation's cluster_expressions, read on first use.
+    Besides the presentation data it holds two tables, each filled on first
+    use: _seeds maps a seed key to the bundle seed_for_tau built for it and
+    that permutation's r_tau numerators, and _primes maps an interval label
+    (start, m) to its interval prime and that prime's certified torus
+    weight.  The table x_in_y of the generators in initial-cluster
+    coordinates is the identity permutation's cluster_expressions, read on
+    first use.
     """
 
     p: PoissonPresentation
     eta: EtaData
     seq: PrimeSequenceReport
     d_map: Dict[int, int]
-    _seeds: Dict[SeedKey, SeedRecord] = field(default_factory=dict)
-    _primes: Dict[Tuple[int, int], MvLaurent] = field(default_factory=dict)
+    _seeds: Dict[SeedKey, Tuple["TauSeedBundle", RNumerators]] = field(default_factory=dict)
+    _primes: Dict[Tuple[int, int], Tuple[MvLaurent, Weight]] = field(default_factory=dict)
 
     @classmethod
     def build(cls, p: PoissonPresentation) -> "ClusterContext":
@@ -328,11 +319,15 @@ class ClusterContext:
 
     @classmethod
     def _build(cls, p: PoissonPresentation, rescale: bool) -> Tuple["ClusterContext", List[Fraction]]:
-        """One pass: validate, compute eta, the primes and the d-integers once;
-        only when some pi != 1 (and rescale is set) rescale, recompute the
-        primes and certify pi == 1 on the rescaled presentation.  Rescaling
-        keeps the weights, h and h*, so the symmetry check and the
+        """One pass: check the algebra axioms (raising the first failure) and
+        the symmetry, compute eta, the primes and the d-integers once; only
+        when some pi != 1 (and rescale is set) rescale, recompute the primes
+        and certify pi == 1 on the rescaled presentation.  Rescaling keeps the
+        weights, h and h*, so the axioms, the symmetry check and the
         d-integers carry over to it."""
+        axioms = validate_algebra(p)
+        if not axioms.passed:
+            raise axioms.failures[0]
         report, ps = validate_symmetric(p)
         if not report.passed:
             raise ClusterError("presentation is not symmetric: " + "; ".join(str(f) for f in report.failures))
@@ -361,18 +356,14 @@ class ClusterContext:
     def lambda_star(self, l: int) -> Fraction:
         return lambda_star(self.p, l)
 
-    def prime(self, label: Tuple[int, int]) -> MvLaurent:
-        """The interval prime y_[start, s^m(start)] of label (start, m), built once."""
-        y = self._primes.get(label)
-        if y is None:
-            y = self._primes[label] = interval_prime(self.p, self.eta, *label)
-        return y
-
-    def seed_record(self, key: SeedKey) -> SeedRecord:
-        rec = self._seeds.get(key)
-        if rec is None:
-            rec = self._seeds[key] = SeedRecord()
-        return rec
+    def prime(self, label: Tuple[int, int]) -> Tuple[MvLaurent, Weight]:
+        """The interval prime y_[start, s^m(start)] of label (start, m) and its
+        torus weight, each computed once; weight_of certifies homogeneity."""
+        entry = self._primes.get(label)
+        if entry is None:
+            y = interval_prime(self.p, self.eta, *label)
+            entry = self._primes[label] = (y, weight_of(self.p, y))
+        return entry
 
     def gamma(self) -> GammaChain:
         return gamma_chain(self.p.n)
@@ -387,13 +378,10 @@ class TauSeedBundle:
     sigma: Perm                           # tau_bullet o tau
     vars_x: List[MvLaurent]               # ytilde entries as polynomials in x
     intervals: List[Tuple[int, int]]      # (start, m) of vars_x[k] as interval prime
-    weights: List[Tuple[int, ...]]
+    weights: List[Weight]
     r: RMatrix
     btilde: BMatrix
     beta: Dict[int, Fraction]
-
-    def var_names(self) -> List[str]:
-        return [f"y[{i+1},{j}]" for (i, m) in self.intervals for j in [i + 1 + m]]
 
     def as_seed(self, ctx: ClusterContext) -> "Seed":
         """The same seed with its variables rewritten in initial-y coordinates."""
@@ -404,29 +392,9 @@ class TauSeedBundle:
 def r_numerators_for_tau(p: PoissonPresentation, tau: Perm, sigma: Perm,
                          pred: Sequence[Optional[int]]) -> RNumerators:
     """Numerators of r_tau over p.lam_den, with sigma and the tau-predecessors
-    pred as tau_data gives them.
-
-    q_tau[k][j] = omega_lambda(ebar_k, ebar_j) on the predecessor chains of
-    the tau-presentation; moved back to the generators, ebar_k is the
-    indicator of S_k = tau({c <= k : c in the eta-class of k}).  The chains
-    nest, S_k = S_{p(k)} + {tau(k)}, so with row_k = sum of the lambda rows
-    over S_k every entry is one integer add from a neighbour:
-        row_k = row_{p(k)} + lam_num[tau(k)],  q[k][j] = q[k][p(j)] + row_k[tau(j)].
-    """
-    n = p.n
-    num = p.lam_num
-    rows: List[List[int]] = []
-    for k in range(n):
-        pk = pred[k]
-        src = num[tau[k]]
-        rows.append(list(src) if pk is None else [a + b for a, b in zip(rows[pk], src)])
-    q: List[List[int]] = []
-    for row in rows:
-        qk = [0] * n
-        for j in range(n):
-            pj = pred[j]
-            qk[j] = row[tau[j]] if pj is None else qk[pj] + row[tau[j]]
-        q.append(qk)
+    pred as tau_data gives them: the tau-presentation's q-matrix from
+    cgl.chain_numerators, conjugated by sigma."""
+    _alpha, q = chain_numerators(p, tau, pred)
     sig_inv = perm_inverse(sigma)
     return tuple(tuple(q[i][j] for j in sig_inv) for i in sig_inv)
 
@@ -481,14 +449,14 @@ def check_seed_invariants(variables: Sequence[MvLaurent], r: RMatrix, btilde: BM
 
     The variables may be given in any one coordinate system (generators or
     initial cluster): their leading exponents must be independent, btilde
-    must have full rank and be compatible with r, and its principal part
-    must be skew-symmetrized by the d-integers of the eta classes.
+    must be compatible with r, and its principal part must be
+    skew-symmetrized by the d-integers of the eta classes.  Compatibility
+    makes B^T r diagonal and nonzero on the exchangeable columns, so it
+    implies full rank, which is therefore not checked on its own.
     """
     lt_rows = [[Fraction(x) for x in v.leading_term()[1]] for v in variables]
     if linalg.rank(lt_rows) != len(variables):
         raise SeedInvariantFailure("variable leading exponents are linearly dependent")
-    if not btilde.full_rank():
-        raise SeedInvariantFailure("exchange matrix is rank-deficient")
     check_compatible(r, btilde)
     for k in btilde.ex:
         for j in btilde.ex:
@@ -499,8 +467,9 @@ def check_seed_invariants(variables: Sequence[MvLaurent], r: RMatrix, btilde: BM
 
 def _build_bundle(ctx: ClusterContext, tau: Perm, sigma: Perm, key: SeedKey,
                   r_num: RNumerators) -> TauSeedBundle:
-    vars_x = [ctx.prime(label) for label in key]
-    weights = [weight_of(ctx.p, v) for v in vars_x]
+    primes = [ctx.prime(label) for label in key]
+    vars_x = [y for y, _ in primes]
+    weights = [w for _, w in primes]
     r = _r_fractions(ctx.p, r_num)
     btilde, beta = solve_btilde(ctx, tau, r, weights)
     check_seed_invariants(vars_x, r, btilde, ctx.d_map, ctx.eta)
@@ -514,20 +483,19 @@ def seed_for_tau(ctx: ClusterContext, tau: Perm) -> TauSeedBundle:
     Every other field of a bundle is a function of its seed key and r_tau.
     So r_tau is assembled for every tau, while the variables, the solve and
     the seed checks run once per key; the key's bundle is returned with this
-    tau and sigma.  A tau whose r_tau differs from the key's record gets a
-    bundle built for it alone.  Bundles of one key share their lists and
-    must not be mutated.
+    tau and sigma.  A tau whose r_tau differs from the key's gets a bundle
+    built for it alone.  Bundles of one key share their lists and must not
+    be mutated.
     """
     tau = tuple(tau)
     sigma, key, pred = tau_data(ctx.eta, tau)
     r_num = r_numerators_for_tau(ctx.p, tau, sigma, pred)
-    rec = ctx.seed_record(key)
-    if rec.bundle is None:
-        rec.bundle = _build_bundle(ctx, tau, sigma, key, r_num)
-        rec.r_num = r_num
-    elif rec.r_num != r_num:
+    known = ctx._seeds.get(key)
+    if known is None:
+        known = ctx._seeds[key] = (_build_bundle(ctx, tau, sigma, key, r_num), r_num)
+    elif known[1] != r_num:
         return _build_bundle(ctx, tau, sigma, key, r_num)
-    return replace(rec.bundle, tau=tau, sigma=sigma)
+    return replace(known[0], tau=tau, sigma=sigma)
 
 
 # --------------------------------------------------------------- one-step links
@@ -582,8 +550,13 @@ def verify_one_step(ctx: ClusterContext, tau: Perm, tau_next: Perm) -> LinkRepor
     if len(diffs) != 2 or diffs[1] != diffs[0] + 1 or tau[diffs[0]] != tau_next[diffs[1]] \
             or tau[diffs[1]] != tau_next[diffs[0]]:
         raise LinkFailure("permutations are not adjacent by one transposition")
-    k = diffs[0]
-    a, b = seed_for_tau(ctx, tau), seed_for_tau(ctx, tau_next)
+    return _verify_link(ctx, seed_for_tau(ctx, tau), seed_for_tau(ctx, tau_next), diffs[0])
+
+
+def _verify_link(ctx: ClusterContext, a: TauSeedBundle, b: TauSeedBundle, k: int) -> LinkReport:
+    """The checks of verify_one_step on the bundles of tau and tau' = tau (k, k+1)."""
+    n = ctx.p.n
+    tau, tau_next = a.tau, b.tau
     eta = ctx.eta
 
     if eta.eta[tau[k]] != eta.eta[tau[k + 1]]:
@@ -635,12 +608,11 @@ def verify_one_step(ctx: ClusterContext, tau: Perm, tau_next: Perm) -> LinkRepor
 
 
 def chain_verify(ctx: ClusterContext) -> List[LinkReport]:
-    """Walk the whole Gamma_N chain, verifying every adjacent link."""
+    """Walk the whole Gamma_N chain, verifying every adjacent link; each
+    permutation's bundle is built once and serves both of its links."""
     chain = ctx.gamma()
-    reports = []
-    for tau, tau_next, _k in chain.adjacent_pairs():
-        reports.append(verify_one_step(ctx, tau, tau_next))
-    return reports
+    bundles = [seed_for_tau(ctx, tau) for tau in chain.perms]
+    return [_verify_link(ctx, a, b, k) for a, b, k in zip(bundles, bundles[1:], chain.links)]
 
 
 # ----------------------------------------------------------------- log-canonical
@@ -681,18 +653,14 @@ def cluster_expressions(ctx: ClusterContext, tau: Perm) -> List[MvLaurent]:
     Built by back-substitution along the tau-presentation:
     x_tau(k) = y_{tau, p_tau(k)}^{-1} (y_{tau,k} + c_{tau,k}).  Exponent slots
     follow the ytilde ordering (variable j of the tau-sequence sits in slot
-    (tau_bullet tau)(j)).  Kept in the seed key's record: permutations with
-    the same key have the same cluster variables, and the Laurent expansion
-    of each x_j in an algebraically independent set is unique, so they share
-    the result.  The y_tau are read from the context's interval-prime table.
-    For the identity permutation this is the table ctx.x_in_y.
+    (tau_bullet tau)(j)).  Nothing is kept: upper_membership calls this once
+    per seed key, and for the identity permutation the result is the
+    context's one cached table, ctx.x_in_y.  The y_tau are read from the
+    context's interval-prime table.
     """
     sigma, key, pred = tau_data(ctx.eta, tau)
-    rec = ctx.seed_record(key)
-    if rec.expressions is not None:
-        return rec.expressions
     n = ctx.p.n
-    y_tau = [ctx.prime(key[sigma[k]]) for k in range(n)]
+    y_tau = [ctx.prime(key[sigma[k]])[0] for k in range(n)]
     gens = [MvLaurent.gen(n, i) for i in range(n)]
 
     images: List[Optional[MvLaurent]] = [None] * n   # indexed by generator
@@ -711,7 +679,6 @@ def cluster_expressions(ctx: ClusterContext, tau: Perm) -> List[MvLaurent]:
             c_expr = substitute(c_tk, partial)
         slot_p = sigma[pk]
         images[v] = MvLaurent.gen(n, slot_p, -1) * (MvLaurent.gen(n, slot_k) + c_expr)
-    rec.expressions = images          # type: ignore[assignment]
     return images                     # type: ignore[return-value]
 
 

@@ -20,6 +20,8 @@ from pcgl.poly import MvLaurent
 from pcgl.presentation import PoissonPresentation, SupportViolation, bracket
 from pcgl.presets import build_affine_space, build_matrix_poisson, expected_minor_for_generator
 
+from conftest import rescaled_3x3, rescaled_4x5, two_block, weyl_block
+
 
 class TestDelta:
     def test_matrix_2x2_examples(self, p22):
@@ -168,6 +170,21 @@ class TestAlphaQ:
         t12 = MvLaurent.gen(4, 1)
         assert qd.alpha[1][3] == 0
         assert bracket(p22, seq.y[3], t12).is_zero()
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_matrix_poisson(2, 3), lambda: build_matrix_poisson(3, 4),
+        rescaled_3x3, weyl_block, two_block, rescaled_4x5,
+    ], ids=["2x3", "3x4", "rescaled_3x3", "weyl_block", "two_block", "rescaled_4x5"])
+    def test_chain_recurrence_equals_omega_lambda(self, build):
+        # the definition: Omega_lambda on unit and ebar vectors
+        p = build()
+        eta, _ = compute_eta_and_primes(p)
+        n = p.n
+        ebars = [eta.ebar(k) for k in range(n)]
+        units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+        qd = alpha_q_matrices(p, eta)
+        assert qd.alpha == [[p.omega_lambda(units[k], ebars[j]) for j in range(n)] for k in range(n)]
+        assert qd.q == [[p.omega_lambda(ebars[k], ebars[j]) for j in range(n)] for k in range(n)]
 
 
 class TestCauchonTheta:

@@ -358,6 +358,46 @@ def test_malformed_presentation_exit_2(name, command, tmp_path, capsys):
     assert report["error"]["code"] == code
 
 
+def _matrix_doc(m, n):
+    names = [f"t{r}{c}" for r in range(1, m + 1) for c in range(1, n + 1)]
+    return presentation_to_doc(build_matrix_poisson(m, n), names)
+
+
+def _zero_eigenvalue_doc():
+    """The 2x2 preset with h_1 = (1, 0, 1, 0), so lambda_1 = 0."""
+    doc = _matrix_doc(2, 2)
+    doc["h"][0] = ["1", "0", "1", "0"]
+    return doc
+
+
+def _jacobi_failure_doc():
+    """The 3x3 preset with the coefficient of delta_9(x_1) changed from -2 to -3."""
+    doc = _matrix_doc(3, 3)
+    entry = next(e for e in doc["delta"] if (e["k"], e["j"]) == (9, 1))
+    assert [term[0] for term in entry["poly"]] == [-2]
+    entry["poly"][0][0] = -3
+    return doc
+
+
+AXIOM_FAILURES = {"ZeroEigenvalue": _zero_eigenvalue_doc, "JacobiFailure": _jacobi_failure_doc}
+
+
+@pytest.mark.parametrize("argv", [["chain-verify"], ["seeds"], ["btilde"], ["mutate", "--at", "1"],
+                                  ["membership", "--elem", "t11"]],
+                         ids=["chain-verify", "seeds", "btilde", "mutate", "membership"])
+@pytest.mark.parametrize("code", sorted(AXIOM_FAILURES))
+def test_cluster_commands_check_the_algebra_axioms(code, argv, tmp_path, capsys):
+    """Inputs that validate rejects are input errors for every cluster command too."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(AXIOM_FAILURES[code]()))
+    assert main(["validate", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["validation"]["failures"][0]["code"] == code
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["command"] == argv[0]
+    assert report["error"]["code"] == code
+
+
 def _variables_y_per_bundle(ctx, tau):
     """The y-coordinate reports of one bundle, each variable rewritten anew."""
     bundle = cli.cl.seed_for_tau(ctx, tau)
