@@ -12,8 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .poly import ExpVec, MvLaurent, _mul, _scale, apply_derivation
+from .poly import ExpVec, MvLaurent, Scaled, _mul, _scale, apply_derivation
 from .presentation import (
+    Operand,
     PoissonPresentation,
     PresentationError,
     SupportViolation,
@@ -193,40 +194,45 @@ def compute_eta_and_primes(p: PoissonPresentation) -> Tuple[EtaData, PrimeSequen
     return eta_data, report
 
 
-def chain_numerators(p: PoissonPresentation, tau: Sequence[int],
-                     pred: Sequence[Optional[int]]) -> Tuple[List[List[int]], List[List[int]]]:
-    """alpha and q of the tau-presentation as numerators over p.lam_den.
+def alpha_q_matrices(p: PoissonPresentation, eta: EtaData) -> QData:
+    """alpha_kj = Omega_lambda(e_k, ebar_j) and q_kj = Omega_lambda(ebar_k, ebar_j).
 
-    Generator k of the tau-presentation is x_tau(k), and pred holds its
-    predecessors.  alpha[k][j] = Omega_lambda(e_k, ebar_j) and
-    q[k][j] = Omega_lambda(ebar_k, ebar_j) on its predecessor chains.  The
-    chains nest, ebar_j = ebar_{p(j)} + e_j, so every entry is one integer
-    add from a neighbour:
-        alpha[k][j] = alpha[k][p(j)] + lam_num[tau(k)][tau(j)],  q[k] = q[p(k)] + alpha[k].
+    The predecessor chains nest, ebar_j = ebar_{p(j)} + e_j, so every entry
+    is one integer add from a neighbour, on numerators over p.lam_den:
+        alpha[k][j] = alpha[k][p(j)] + lam_num[k][j],  q[k] = q[p(k)] + alpha[k].
     """
     n = p.n
-    num = p.lam_num
+    pred = eta.pred
     alpha: List[List[int]] = []
-    for k in range(n):
-        src = num[tau[k]]
+    for src in p.lam_num:
         row = [0] * n
         for j in range(n):
             pj = pred[j]
-            row[j] = src[tau[j]] if pj is None else row[pj] + src[tau[j]]
+            row[j] = src[j] if pj is None else row[pj] + src[j]
         alpha.append(row)
     q: List[List[int]] = []
     for k in range(n):
         pk = pred[k]
         q.append(list(alpha[k]) if pk is None else [a + b for a, b in zip(q[pk], alpha[k])])
-    return alpha, q
-
-
-def alpha_q_matrices(p: PoissonPresentation, eta: EtaData) -> QData:
-    """alpha_kj = Omega_lambda(e_k, ebar_j) and q_kj = Omega_lambda(ebar_k, ebar_j)."""
-    alpha, q = chain_numerators(p, range(p.n), eta.pred)
     den = p.lam_den
     return QData(alpha=[[Fraction(x, den) for x in row] for row in alpha],
                  q=[[Fraction(x, den) for x in row] for row in q])
+
+
+def _first_non_multiple_pair(p: PoissonPresentation, scaled: Sequence[Scaled],
+                             ops: Sequence[Operand],
+                             c: Sequence[Sequence[Fraction]]) -> Optional[Tuple[int, int]]:
+    """The first pair (l, j), j < l in row order, with {v_l, v_j} != c[l][j] v_l v_j, or None.
+
+    scaled[l] and ops[l] are v_l as poly._scale and presentation._prepare
+    give it, so each identity is decided on int numerators against the int
+    product v_l v_j, with no Fraction built.
+    """
+    for l in range(len(ops)):
+        for j in range(l):
+            if not _bracket_is_multiple(p, ops[l], ops[j], c[l][j], _mul(scaled[l][0], scaled[j][0])):
+                return l, j
+    return None
 
 
 def certify_prime_sequence(p: PoissonPresentation, eta: EtaData, seq: PrimeSequenceReport) -> QData:
@@ -264,11 +270,11 @@ def certify_prime_sequence(p: PoissonPresentation, eta: EtaData, seq: PrimeSeque
             if not _bracket_is_multiple(p, yops[j], xops[k], -qd.alpha[k][j], shifted):
                 raise CertFailure(f"{{y_{j+1}, x_{k+1}}} = -alpha y x", bracket(p, seq.y[j], gens[k]),
                                   seq.y[j] * gens[k] * (-qd.alpha[k][j]))
-    for k in range(n):
-        for j in range(k):
-            if not _bracket_is_multiple(p, yops[k], yops[j], qd.q[k][j], _mul(ys[k][0], ys[j][0])):
-                raise CertFailure(f"{{y_{k+1}, y_{j+1}}} = q y y", bracket(p, seq.y[k], seq.y[j]),
-                                  seq.y[k] * seq.y[j] * qd.q[k][j])
+    bad = _first_non_multiple_pair(p, ys, yops, qd.q)
+    if bad is not None:
+        k, j = bad
+        raise CertFailure(f"{{y_{k+1}, y_{j+1}}} = q y y", bracket(p, seq.y[k], seq.y[j]),
+                          seq.y[k] * seq.y[j] * qd.q[k][j])
     return qd
 
 

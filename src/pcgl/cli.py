@@ -42,6 +42,16 @@ MAX_GAMMA_GENERATORS = 36
 # degree: x1^6 on the 4x4 preset takes about 6 s, x1^8 over a minute.
 MAX_ELEM_DEGREE = 6
 
+# Most decimal digits in the numerator or denominator of one --elem
+# coefficient: the report prints the element, and 4300 digits is the most
+# Python converts between int and str by default.
+MAX_ELEM_COEFF_DIGITS = 4300
+
+# Most generators `pcgl preset` emits (m*n for matrix, n for affine).  The
+# cost grows as N^3: 10x10 takes about 1 s and 43 MB, 20x20 took 30 s and
+# 1.5 GB.
+MAX_PRESET_GENERATORS = 100
+
 # Longest error detail a report or summary echoes.  A detail can quote the
 # offending input (a whole --elem or --tau); a longer one keeps its first
 # MAX_ERROR_DETAIL characters and says how many it cut.
@@ -63,7 +73,7 @@ def _read_doc(path: str) -> dict:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:   # nesting too deep to decode
+    except (ValueError, RecursionError) as exc:   # JSONDecodeError, too many digits, too deep
         raise CliInputError(f"{path}: invalid JSON: {exc}") from exc
     if isinstance(doc, dict) and "presentation" in doc and "n_gens" not in doc:
         doc = doc["presentation"]
@@ -128,17 +138,22 @@ def _check_gamma_size(n: int) -> None:
 
 def _parse_elem(text: str, n: int, names, coords: str):
     """The membership element: JSON triples, else a polynomial expression,
-    with every term of total degree at most MAX_ELEM_DEGREE."""
+    with every term of total degree at most MAX_ELEM_DEGREE and every
+    coefficient of at most MAX_ELEM_COEFF_DIGITS digits over and under."""
     try:
         f = ser.poly_from_triples(n, json.loads(text))
     except (ValueError, RecursionError, FormatError):   # JSONDecodeError is a ValueError
         prefix = "y" if coords == "y" else "x"
         f = ser.parse_poly_expr(text, n, names if coords == "x" else None, prefix=prefix)
-    for e in f.terms:
+    too_long = 10 ** MAX_ELEM_COEFF_DIGITS
+    for e, c in f.terms.items():
         degree = sum(map(abs, e))
         if degree > MAX_ELEM_DEGREE:
             raise CliInputError(f"--elem has a term of total degree {degree}; membership accepts "
                                 f"at most {MAX_ELEM_DEGREE}")
+        if abs(c.numerator) >= too_long or c.denominator >= too_long:
+            raise CliInputError(f"--elem has a coefficient of more than {MAX_ELEM_COEFF_DIGITS} "
+                                f"digits; membership accepts at most {MAX_ELEM_COEFF_DIGITS}")
     return f
 
 
@@ -203,6 +218,10 @@ def _bundle_dict(ctx: cl.ClusterContext, bundle: cl.TauSeedBundle, names,
 
 
 def cmd_preset(args) -> int:
+    n_gens = args.m * args.n if args.kind == "matrix" else args.n
+    if n_gens > MAX_PRESET_GENERATORS:
+        raise CliInputError(f"N = {n_gens} exceeds {MAX_PRESET_GENERATORS}, the largest number of "
+                            "generators a preset emits")
     if args.kind == "matrix":
         p = build_matrix_poisson(args.m, args.n)
         if args.m <= 9 and args.n <= 9:

@@ -10,18 +10,20 @@ one mutation, and membership in the upper cluster algebra is decided by
 expressing elements in every chain cluster with frozen-nonnegative
 exponents.
 
-A seed is determined by its seed key (the slot-ordered interval labels of
-its variables) together with r_tau, and many permutations share a key
-(9 distinct clusters among the 67 permutations of Gamma_12 on the 3x4
-matrix preset).  So a context builds, solves and checks one seed per key,
-and builds and weighs each interval prime once; r_tau, the paper's
-per-permutation quantity, is still assembled for every permutation (by the
-chain recurrence cgl.chain_numerators) and compared with the key's.
-chain_verify builds one bundle per permutation and checks each link on the
-bundles of its two ends.  Every function here that needs sigma =
-tau_bullet o tau, the seed key or the tau-predecessors takes them from one
-call of symmetric.tau_data, and the generators are written in a cluster by
-one back-substitution, cluster_expressions (the initial cluster included).
+A seed is determined by its seed key, the slot-ordered interval labels of
+its variables, and many permutations share a key (9 distinct clusters among
+the 67 permutations of Gamma_12 on the 3x4 matrix preset).  r_tau is a
+function of the key too: r_tau[a][b] = Omega_lambda(ebar(key[a]),
+ebar(key[b])) with ebar(i, m) the interval exponent of label (i, m), because
+by bilinearity the q-entry of the tau-presentation is Omega_lambda on the
+predecessor chains, and the chain of position k covers exactly the interval
+of its label.  So a context builds r, solves and checks one seed per key,
+and builds and weighs each interval prime once; chain_verify builds one
+bundle per permutation and checks each link on the bundles of its two ends.
+Every function here that needs sigma = tau_bullet o tau, the seed key or the
+tau-predecessors takes them from one call of symmetric.tau_data, and the
+generators are written in a cluster by one back-substitution,
+cluster_expressions (the initial cluster included).
 """
 
 from __future__ import annotations
@@ -33,12 +35,11 @@ from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .cgl import EtaData, PrimeSequenceReport, chain_numerators, compute_eta_and_primes
-from .poly import MvLaurent, NonInvertibleImage, _mul, _scale, exact_divide, substitute
+from .cgl import EtaData, PrimeSequenceReport, _first_non_multiple_pair, compute_eta_and_primes
+from .poly import MvLaurent, NonInvertibleImage, _scale, exact_divide, substitute
 from .presentation import (
     PoissonPresentation,
     PresentationError,
-    _bracket_is_multiple,
     _prepare,
     bracket,
     validate_algebra,
@@ -50,9 +51,9 @@ from .symmetric import (
     SeedKey,
     compute_d_integers,
     gamma_chain,
+    interval_exponent,
     interval_prime,
     lambda_star,
-    perm_inverse,
     pi_values,
     rescale_generators,
     tau_data,
@@ -138,7 +139,6 @@ class SeedInvariantFailure(ClusterError):
 
 
 RMatrix = List[List[Fraction]]
-RNumerators = Tuple[Tuple[int, ...], ...]
 Weight = Tuple[int, ...]
 
 
@@ -292,8 +292,8 @@ class ClusterContext:
     """Everything derived from one validated, pi-normalized presentation.
 
     Besides the presentation data it holds two tables, each filled on first
-    use: _seeds maps a seed key to the bundle seed_for_tau built for it and
-    that permutation's r_tau numerators, and _primes maps an interval label
+    use: _seeds maps a seed key to the bundle seed_for_tau built for it, r
+    and the exchange matrix included, and _primes maps an interval label
     (start, m) to its interval prime and that prime's certified torus
     weight.  The table x_in_y of the generators in initial-cluster
     coordinates is the identity permutation's cluster_expressions, read on
@@ -304,7 +304,7 @@ class ClusterContext:
     eta: EtaData
     seq: PrimeSequenceReport
     d_map: Dict[int, int]
-    _seeds: Dict[SeedKey, Tuple["TauSeedBundle", RNumerators]] = field(default_factory=dict)
+    _seeds: Dict[SeedKey, "TauSeedBundle"] = field(default_factory=dict)
     _primes: Dict[Tuple[int, int], Tuple[MvLaurent, Weight]] = field(default_factory=dict)
 
     @classmethod
@@ -389,29 +389,18 @@ class TauSeedBundle:
                     btilde=self.btilde, beta=dict(self.beta), base_tau=self.tau, history=())
 
 
-def r_numerators_for_tau(p: PoissonPresentation, tau: Perm, sigma: Perm,
-                         pred: Sequence[Optional[int]]) -> RNumerators:
-    """Numerators of r_tau over p.lam_den, with sigma and the tau-predecessors
-    pred as tau_data gives them: the tau-presentation's q-matrix from
-    cgl.chain_numerators, conjugated by sigma."""
-    _alpha, q = chain_numerators(p, tau, pred)
-    sig_inv = perm_inverse(sigma)
-    return tuple(tuple(q[i][j] for j in sig_inv) for i in sig_inv)
-
-
-def _r_fractions(p: PoissonPresentation, r_num: RNumerators) -> RMatrix:
-    den = p.lam_den
-    return [[Fraction(x, den) for x in row] for row in r_num]
+def _key_r(p: PoissonPresentation, eta: EtaData, key: SeedKey) -> RMatrix:
+    """r of a seed key: r[a][b] = Omega_lambda(ebar(key[a]), ebar(key[b])) on the
+    interval exponents of its labels, built once per key by _build_bundle."""
+    return p.omega_lambda_matrix([interval_exponent(eta, i, m) for i, m in key])
 
 
 def r_matrix_for_tau(p: PoissonPresentation, eta: EtaData, tau: Perm) -> RMatrix:
-    """r_tau = (tau_bullet tau) q_tau (tau_bullet tau)^{-1}, where q_tau is
-    omega_lambda on the predecessor chains of the tau-presentation."""
-    sigma, _key, pred = tau_data(eta, tau)
-    return _r_fractions(p, r_numerators_for_tau(p, tau, sigma, pred))
+    """r_tau = (tau_bullet tau) q_tau (tau_bullet tau)^{-1}, a function of tau's seed key."""
+    return _key_r(p, eta, tau_data(eta, tau)[1])
 
 
-def solve_btilde(ctx: ClusterContext, tau: Perm, r: RMatrix,
+def solve_btilde(ctx: ClusterContext, r: RMatrix,
                  var_weights: List[Tuple[int, ...]]) -> Tuple[BMatrix, Dict[int, Fraction]]:
     """Solve the stacked linear system for every exchangeable column.
 
@@ -465,13 +454,12 @@ def check_seed_invariants(variables: Sequence[MvLaurent], r: RMatrix, btilde: BM
                 raise SeedInvariantFailure("principal part not skew-symmetrized by the d-integers")
 
 
-def _build_bundle(ctx: ClusterContext, tau: Perm, sigma: Perm, key: SeedKey,
-                  r_num: RNumerators) -> TauSeedBundle:
+def _build_bundle(ctx: ClusterContext, tau: Perm, sigma: Perm, key: SeedKey) -> TauSeedBundle:
     primes = [ctx.prime(label) for label in key]
     vars_x = [y for y, _ in primes]
     weights = [w for _, w in primes]
-    r = _r_fractions(ctx.p, r_num)
-    btilde, beta = solve_btilde(ctx, tau, r, weights)
+    r = _key_r(ctx.p, ctx.eta, key)
+    btilde, beta = solve_btilde(ctx, r, weights)
     check_seed_invariants(vars_x, r, btilde, ctx.d_map, ctx.eta)
     return TauSeedBundle(tau=tau, sigma=sigma, vars_x=vars_x, intervals=list(key),
                          weights=weights, r=r, btilde=btilde, beta=beta)
@@ -480,22 +468,18 @@ def _build_bundle(ctx: ClusterContext, tau: Perm, sigma: Perm, key: SeedKey,
 def seed_for_tau(ctx: ClusterContext, tau: Perm) -> TauSeedBundle:
     """Assemble and sanity-check the full seed bundle for one permutation.
 
-    Every other field of a bundle is a function of its seed key and r_tau.
-    So r_tau is assembled for every tau, while the variables, the solve and
-    the seed checks run once per key; the key's bundle is returned with this
-    tau and sigma.  A tau whose r_tau differs from the key's gets a bundle
-    built for it alone.  Bundles of one key share their lists and must not
-    be mutated.
+    Every field of a bundle but tau and sigma is a function of the seed key,
+    r_tau included (see the module docstring), so the variables, r, the
+    solve and the seed checks run once per key, and the key's bundle is
+    returned with this tau and sigma.  Bundles of one key share their lists
+    and must not be mutated.
     """
     tau = tuple(tau)
-    sigma, key, pred = tau_data(ctx.eta, tau)
-    r_num = r_numerators_for_tau(ctx.p, tau, sigma, pred)
-    known = ctx._seeds.get(key)
-    if known is None:
-        known = ctx._seeds[key] = (_build_bundle(ctx, tau, sigma, key, r_num), r_num)
-    elif known[1] != r_num:
-        return _build_bundle(ctx, tau, sigma, key, r_num)
-    return replace(known[0], tau=tau, sigma=sigma)
+    sigma, key, _pred = tau_data(ctx.eta, tau)
+    bundle = ctx._seeds.get(key)
+    if bundle is None:
+        bundle = ctx._seeds[key] = _build_bundle(ctx, tau, sigma, key)
+    return replace(bundle, tau=tau, sigma=sigma)
 
 
 # --------------------------------------------------------------- one-step links
@@ -624,24 +608,19 @@ def check_log_canonical(ctx: ClusterContext, bundle: TauSeedBundle) -> int:
     Brackets are computed in the polynomial ring on the generators, so no
     denominators arise.  Each variable is scaled to int numerators and
     prepared for the bracket kernel once, and each identity
-    {v_l, v_j} = r_lj v_l v_j is decided on integers, as in
-    cgl.certify_prime_sequence; Fractions are built only for a failure's lhs
-    and rhs.  Returns the number of pairs checked.
+    {v_l, v_j} = r_lj v_l v_j is decided on integers by the pair loop that
+    cgl.certify_prime_sequence also runs; Fractions are built only for a
+    failure's lhs and rhs.  Returns the number of pairs checked.
     """
     p = ctx.p
-    n = p.n
     scaled = [_scale(v.terms) for v in bundle.vars_x]
-    ops = [_prepare(p, nums) for nums, _ in scaled]
-    count = 0
-    for l in range(n):
-        for j in range(l):
-            prod = _mul(scaled[l][0], scaled[j][0])
-            if not _bracket_is_multiple(p, ops[l], ops[j], bundle.r[l][j], prod):
-                lhs = bracket(p, bundle.vars_x[l], bundle.vars_x[j])
-                rhs = bundle.vars_x[l] * bundle.vars_x[j] * bundle.r[l][j]
-                raise LogCanonicalFailure(l, j, lhs, rhs)
-            count += 1
-    return count
+    bad = _first_non_multiple_pair(p, scaled, [_prepare(p, nums) for nums, _ in scaled], bundle.r)
+    if bad is not None:
+        l, j = bad
+        lhs = bracket(p, bundle.vars_x[l], bundle.vars_x[j])
+        rhs = bundle.vars_x[l] * bundle.vars_x[j] * bundle.r[l][j]
+        raise LogCanonicalFailure(l, j, lhs, rhs)
+    return p.n * (p.n - 1) // 2
 
 
 # ------------------------------------------------------------------- membership

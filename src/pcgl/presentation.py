@@ -202,14 +202,23 @@ class PoissonPresentation:
 
     def omega_lambda(self, f: Sequence[int], g: Sequence[int]) -> Fraction:
         """Skew-symmetric bicharacter of the lambda matrix on Z^N."""
+        return self.omega_lambda_matrix((f, g))[0][1]
+
+    def omega_lambda_matrix(self, vecs: Sequence[Sequence[int]]) -> List[List[Fraction]]:
+        """Omega_lambda(f, g) for every f (row) and g (column) in vecs.
+
+        Each row L.f = sum_k f_k lam_num[k] is summed once and read on the
+        nonzero entries of every g: Omega_lambda(f, g) = (L.f . g) / lam_den.
+        """
         num = self.lam_num
-        g_nz = [(j, gj) for j, gj in enumerate(g) if gj]
-        total = 0
-        for k, fk in enumerate(f):
-            if fk:
-                row = num[k]
-                total += fk * sum(gj * row[j] for j, gj in g_nz)
-        return Fraction(total, self.lam_den)
+        nzs = [[(j, x) for j, x in enumerate(v) if x] for v in vecs]
+        out = []
+        for f_nz in nzs:
+            row = [0] * self.n
+            for k, fk in f_nz:
+                row = [x + fk * v for x, v in zip(row, num[k])]
+            out.append([Fraction(sum(gj * row[j] for j, gj in g_nz), self.lam_den) for g_nz in nzs])
+        return out
 
     def delta_entry(self, k: int, j: int) -> MvLaurent:
         return self.delta.get((k, j), MvLaurent.zero(self.n))

@@ -1,15 +1,19 @@
-"""The per-permutation derivations that symmetric.tau_data replaced, kept as oracles.
+"""Per-permutation derivations that the seed key replaced, kept as oracles.
 
-Each derives part of what tau_data reads off one walk along tau: the
-interval labels by walking the p/s chains inside the prefix, the
-tau-predecessors from a full EtaData of the labels eta o tau, tau_bullet by
-sorting each level set by position, and the seed key from those.
+Each but the last derives part of what symmetric.tau_data reads off one
+walk along tau: the interval labels by walking the p/s chains inside the
+prefix, the tau-predecessors from a full EtaData of the labels eta o tau,
+tau_bullet by sorting each level set by position, and the seed key from
+those.  The last is r_tau by the chain recurrence of the tau-presentation,
+which cluster.r_matrix_for_tau replaced by omega_lambda on the key's
+interval exponents.
 """
 
+from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from pcgl.cgl import EtaData
-from pcgl.symmetric import SymmetryError, is_xi_element, perm_compose, perm_inverse
+from pcgl.symmetric import SymmetryError, is_xi_element, perm_compose, perm_inverse, tau_data
 
 
 def interval_data_for_tau(eta: EtaData, tau) -> List[Tuple[int, int]]:
@@ -88,3 +92,31 @@ def seed_key(eta: EtaData, tau):
     sigma = perm_compose(tau_bullet(tau, eta), tau)
     sig_inv = perm_inverse(sigma)
     return sigma, tuple(data[sig_inv[s]] for s in range(len(tau)))
+
+
+def r_matrix_per_tau(p, eta: EtaData, tau) -> List[List[Fraction]]:
+    """r_tau as it was assembled for every permutation.
+
+    Generator k of the tau-presentation is x_tau(k), with the predecessors
+    pred of tau_data.  Its alpha and q, as numerators over p.lam_den, follow
+    the nested chains ebar_j = ebar_{p(j)} + e_j:
+        alpha[k][j] = alpha[k][p(j)] + lam_num[tau(k)][tau(j)],  q[k] = q[p(k)] + alpha[k],
+    and r_tau is q conjugated by sigma = tau_bullet o tau.
+    """
+    sigma, _key, pred = tau_data(eta, tau)
+    n = p.n
+    num = p.lam_num
+    alpha: List[List[int]] = []
+    for k in range(n):
+        src = num[tau[k]]
+        row = [0] * n
+        for j in range(n):
+            pj = pred[j]
+            row[j] = src[tau[j]] if pj is None else row[pj] + src[tau[j]]
+        alpha.append(row)
+    q: List[List[int]] = []
+    for k in range(n):
+        pk = pred[k]
+        q.append(list(alpha[k]) if pk is None else [a + b for a, b in zip(q[pk], alpha[k])])
+    sig_inv = perm_inverse(sigma)
+    return [[Fraction(q[i][j], p.lam_den) for j in sig_inv] for i in sig_inv]

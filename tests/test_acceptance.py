@@ -322,5 +322,5 @@ class TestCriterion9NegativeControls:
         bid = seed_for_tau(ctx22, (0, 1, 2, 3))
         wts = [tuple(3 * x for x in w) if i == 2 else w for i, w in enumerate(bid.weights)]
         with pytest.raises(NonIntegral):
-            solve_btilde(ctx22, (0, 1, 2, 3), bid.r, wts)
+            solve_btilde(ctx22, bid.r, wts)
         mark("9c", "NonIntegral triggered on the corrupted weight table")

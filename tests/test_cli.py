@@ -268,6 +268,48 @@ class TestInputBoundary:
         argv = ["membership", m23_file, "--elem", elem]
         assert self._error_code(argv, capsys) == "CliInputError"
 
+    @pytest.mark.parametrize("elem", [
+        "1e5000",
+        "9" * 3000 + "*" + "9" * 3000 + "*x1",
+        "1/" + "9" * 3000 + "*1/" + "9" * 3000 + "*x1",
+    ])
+    def test_membership_elem_coefficient_bound(self, m23_file, elem, capsys, monkeypatch):
+        # a coefficient the report could not print, rejected before the context is built
+        def no_context(p):
+            raise AssertionError("context built for an element over the coefficient bound")
+
+        monkeypatch.setattr(cli.cl.ClusterContext, "build_normalizing", staticmethod(no_context))
+        argv = ["membership", m23_file, "--elem", elem]
+        assert self._error_code(argv, capsys) == "CliInputError"
+
+    def test_membership_elem_coefficient_bound_is_inclusive(self, m23_file, capsys):
+        elem = "9" * cli.MAX_ELEM_COEFF_DIGITS + "*x1"
+        assert main(["membership", m23_file, "--elem", elem]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["certified"] is True
+        assert report["element"]["terms"] == [[10 ** cli.MAX_ELEM_COEFF_DIGITS - 1, 1, [1, 0, 0, 0, 0, 0]]]
+
+    @pytest.mark.parametrize("argv", [["matrix", "--m", str(cli.MAX_PRESET_GENERATORS + 1), "--n", "1"],
+                                      ["affine", "--n", str(cli.MAX_PRESET_GENERATORS + 1)]],
+                             ids=["matrix", "affine"])
+    def test_preset_size_bound(self, argv, capsys, monkeypatch):
+        # rejected before the presentation is built
+        def no_build(*args):
+            raise AssertionError("preset built over the size bound")
+
+        monkeypatch.setattr(cli, "build_matrix_poisson", no_build)
+        monkeypatch.setattr(cli, "build_affine_space", no_build)
+        assert self._error_code(["preset", *argv], capsys) == "CliInputError"
+
+    def test_preset_size_bound_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_PRESET_GENERATORS", 6)
+        assert main(["preset", "matrix", "--m", "2", "--n", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["n_gens"] == 6
+        assert main(["preset", "affine", "--n", "6"]) == 0
+        assert json.loads(capsys.readouterr().out)["n_gens"] == 6
+        assert self._error_code(["preset", "matrix", "--m", "7", "--n", "1"], capsys) == "CliInputError"
+        assert self._error_code(["preset", "affine", "--n", "7"], capsys) == "CliInputError"
+
     def test_membership_elem_degree_bound_is_inclusive(self, m23_file, capsys):
         elem = f"x1^{cli.MAX_ELEM_DEGREE}"
         assert main(["membership", m23_file, "--elem", elem]) == 0
@@ -343,6 +385,9 @@ MALFORMED = {
     "names_not_a_list": (_corrupt(names=5), "FormatError"),
     "names_a_string": (_corrupt(names="abcd"), "FormatError"),
     "names_too_short": (_corrupt(names=["a"]), "FormatError"),
+    # more digits than json converts to an int; written as text, as json.dumps cannot
+    "integer_of_5000_digits": (
+        json.dumps(_corrupt(torus_rank="BIG")).replace('"BIG"', "1" * 5000), "CliInputError"),
 }
 
 
@@ -351,7 +396,7 @@ MALFORMED = {
 def test_malformed_presentation_exit_2(name, command, tmp_path, capsys):
     doc, code = MALFORMED[name]
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert main([command, str(path)]) == 2
     report = json.loads(capsys.readouterr().out)
     assert report["command"] == command

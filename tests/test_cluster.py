@@ -40,8 +40,8 @@ from pcgl.presentation import _dot
 from pcgl.presets import build_affine_space, build_matrix_poisson, solid_minor
 from pcgl.symmetric import SymmetryError, gamma_chain, perm_compose, perm_inverse
 
-from conftest import rescaled_3x3, two_block, weyl_block
-from tau_oracles import eta_tau_data, tau_bullet
+from conftest import rescaled_3x3, rescaled_4x5, two_block, weyl_block
+from tau_oracles import eta_tau_data, r_matrix_per_tau, tau_bullet
 
 
 def random_skew_symmetrizable(rng, n, ex):
@@ -200,6 +200,14 @@ class TestAgainstDenseOracles:
     def contexts(self, ctx23, ctx33):
         return [ctx23, ctx33, ClusterContext.build_normalizing(rescaled_3x3())[0]]
 
+    @pytest.fixture(scope="class")
+    def r_contexts(self, contexts):
+        """The contexts above, plus inputs for the r_tau oracles alone."""
+        affine_q = [[0, 1, 2, -1], [-1, 0, 3, 1], [-2, -3, 0, 2], [1, -1, -2, 0]]
+        extra = [build_matrix_poisson(3, 4), build_matrix_poisson(4, 4), two_block(),
+                 rescaled_4x5(), build_affine_space(4, affine_q)]
+        return contexts + [ClusterContext.build_normalizing(p)[0] for p in extra]
+
     def test_every_chain_mutation(self, contexts, monkeypatch):
         seen = []
 
@@ -215,10 +223,15 @@ class TestAgainstDenseOracles:
             assert all(rep.verified for rep in chain_verify(ctx))
             assert len(seen) > before
 
-    def test_r_tau_on_all_gamma(self, contexts):
-        for ctx in contexts:
+    def test_r_tau_on_all_gamma(self, r_contexts):
+        for ctx in r_contexts:
             for tau in gamma_chain(ctx.p.n).perms:
                 assert r_matrix_for_tau(ctx.p, ctx.eta, tau) == _r_matrix_for_tau_dense(ctx.p, ctx.eta, tau)
+
+    def test_r_tau_equals_the_per_tau_recurrence(self, r_contexts):
+        for ctx in r_contexts:
+            for tau in gamma_chain(ctx.p.n).perms:
+                assert r_matrix_for_tau(ctx.p, ctx.eta, tau) == r_matrix_per_tau(ctx.p, ctx.eta, tau)
 
     def test_random_r_and_b(self):
         rng = random.Random(21)
@@ -265,7 +278,7 @@ class TestSolver:
         wts[2] = [3 * x for x in wts[2]]
         r = seed_for_tau(ctx22, (0, 1, 2, 3)).r
         with pytest.raises(NonIntegral):
-            solve_btilde(ctx22, (0, 1, 2, 3), r, [tuple(w) for w in wts])
+            solve_btilde(ctx22, r, [tuple(w) for w in wts])
 
 
 class TestSeeds:

@@ -1,10 +1,10 @@
 """Each Gamma_N quantity is computed once, where it is defined.
 
-chain_verify builds one bundle per permutation, so r_tau is assembled once
-per permutation; the variables, the solve and the seed checks run once per
-seed key; and each interval prime is built and weighed once per label.  The
-full-rank check that check_seed_invariants no longer makes is kept here as
-a test of every bundle along the chain.
+chain_verify builds one bundle per permutation; r, the variables, the
+solve and the seed checks run once per seed key; and each interval prime is
+built and weighed once per label.  The full-rank check that
+check_seed_invariants no longer makes is kept here as a test of every
+bundle along the chain.
 """
 
 import pytest
@@ -50,13 +50,13 @@ def test_chain_verify_computes_each_quantity_once(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    for name in ("seed_for_tau", "r_numerators_for_tau", "weight_of"):
+    for name in ("seed_for_tau", "_key_r", "weight_of"):
         count(cluster, name)
     count(linalg, "rank")
     reports = chain_verify(ctx)
     assert len(reports) == 66 and all(rep.verified for rep in reports)
     # 67 permutations, 9 seed keys, 20 interval labels
-    assert calls == {"seed_for_tau": 67, "r_numerators_for_tau": 67, "rank": 9, "weight_of": 20}
+    assert calls == {"seed_for_tau": 67, "_key_r": 9, "rank": 9, "weight_of": 20}
     assert len(ctx._seeds) == 9
     assert len(ctx._primes) == 20
 

@@ -164,7 +164,7 @@ class TestAgainstOracle:
 # ------------------------------------------------- solve_btilde failure order
 
 
-def _solve_btilde_per_column(ctx, tau, r, var_weights):
+def _solve_btilde_per_column(ctx, r, var_weights):
     """solve_btilde as it was: one oracle elimination per exchangeable l."""
     n, d = ctx.p.n, ctx.p.torus_rank
     rows = [[r[i][j] for i in range(n)] for j in range(n)]
@@ -227,8 +227,8 @@ class TestSolveBtildeFailures:
                 bundle = seed_for_tau(ctx, tau)
                 for _ in range(12):
                     r, w = _corrupt(rng, bundle.r, bundle.weights)
-                    got = _outcome(solve_btilde, ctx, tau, r, w)
-                    assert got == _outcome(_solve_btilde_per_column, ctx, tau, r, w)
+                    got = _outcome(solve_btilde, ctx, r, w)
+                    assert got == _outcome(_solve_btilde_per_column, ctx, r, w)
                     seen.add(got[0] if got[0] == "ok" else (got[0], got[1] == ctx.eta.exchangeable[0]))
         # every failure class, at the first and at a later direction, and success
         assert {"ok", ("NoSolution", True), ("NoSolution", False), ("NonUnique", True),

@@ -1,11 +1,13 @@
 """One seed per seed key, against the per-permutation construction it replaced.
 
-seed_for_tau builds, solves and checks one bundle per seed key and hands it
-out with each permutation's own tau and sigma, while r_tau is still
-assembled for every permutation.  The oracle below is the old path: every
-permutation built on its own, with r_tau from omega_lambda on every pair of
-ebar vectors.
+seed_for_tau builds r, solves and checks one bundle per seed key and hands
+it out with each permutation's own tau and sigma.  The oracle below is the
+old path: every permutation built on its own, with r_tau from omega_lambda
+on every pair of the tau-presentation's ebar vectors.
 """
+
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -46,7 +48,7 @@ def _seed_for_tau_per_tau(ctx, tau):
     vars_x = [interval_prime(p, eta, i, m) for (i, m) in key]
     weights = [weight_of(p, v) for v in vars_x]
     r = _r_matrix_for_tau_omega(p, eta, tau)
-    btilde, beta = solve_btilde(ctx, tau, r, weights)
+    btilde, beta = solve_btilde(ctx, r, weights)
     check_seed_invariants(vars_x, r, btilde, ctx.d_map, eta)
     return TauSeedBundle(tau=tau, sigma=sigma, vars_x=vars_x, intervals=list(key),
                          weights=weights, r=r, btilde=btilde, beta=beta)
@@ -95,15 +97,15 @@ def test_bundles_and_links_equal_the_per_tau_oracle(name, monkeypatch):
     _assert_matches_oracle(ctx, want)
 
 
-# ------------------------------------------------- r_tau is checked per tau
+# ------------------------------------------------- a key's r is checked on its links
 
 
 def _stealth_perturbation(bundle, c=1):
     """c (u v^T - v u^T) for two rows u, v of the variables' weight matrix.
 
     Every exchange-matrix column b has zero weight, so u.b = v.b = 0: adding
-    this to the numerators of r leaves the solved exchange matrix, beta and
-    every seed check unchanged.  Only the comparison of r itself sees it.
+    this to r leaves the solved exchange matrix, beta and every seed check
+    unchanged.  Only the mutation links' comparison of r sees it.
     """
     u = [w[0] for w in bundle.weights]
     v = [w[1] for w in bundle.weights]
@@ -112,36 +114,28 @@ def _stealth_perturbation(bundle, c=1):
     return e
 
 
-def _verify_with_perturbed_r(monkeypatch, target):
-    """chain_verify on a fresh 3x3 context whose r_tau assembly is perturbed
-    for the permutation `target` alone."""
-    ctx = _fresh_context("3x3")
-    e = _stealth_perturbation(_seed_for_tau_per_tau(ctx, target))
-    assemble = cluster.r_numerators_for_tau
-
-    def perturbed(p, tau, sigma, pred):
-        num = assemble(p, tau, sigma, pred)
-        if tuple(tau) != target:
-            return num
-        return tuple(tuple(x + d for x, d in zip(row, drow)) for row, drow in zip(num, e))
-
-    monkeypatch.setattr(cluster, "r_numerators_for_tau", perturbed)
-    return chain_verify(ctx)
-
-
-def _target_link(branch):
-    ctx = _fresh_context("3x3")
-    return next(rep for rep in chain_verify(ctx) if rep.branch == branch)
-
-
-@pytest.mark.parametrize("branch, detail", [
-    ("equal", "bundles differ despite distinct eta classes"),
-    ("mutation", "r' != mu_k(r)"),
-])
+@pytest.mark.parametrize("branch, detail", [("mutation", "r' != mu_k(r)")])
 def test_perturbed_r_tau_fails_its_links(monkeypatch, branch, detail):
-    link = _target_link(branch)
-    target = link.tau_next
-    reports = _verify_with_perturbed_r(monkeypatch, target)
-    rep = next(r for r in reports if r.tau_next == target)
-    assert (rep.branch, rep.verified, rep.detail) == (branch, False, detail)
-    assert all(r.verified for r in reports if target not in (r.tau, r.tau_next))
+    """chain_verify on a fresh 3x3 context whose r is perturbed for the seed
+    key of one mutation link's far end: exactly the mutation links into or
+    out of that key fail, each with the r comparison alone.  Links between
+    two permutations of one key compare two equal, perturbed r's and pass."""
+    ctx = _fresh_context("3x3")
+    link = next(rep for rep in chain_verify(_fresh_context("3x3")) if rep.branch == branch)
+    target = seed_key(ctx.eta, link.tau_next)[1]
+    e = _stealth_perturbation(_seed_for_tau_per_tau(ctx, link.tau_next))
+    key_r = cluster._key_r
+
+    def perturbed(p, eta, key):
+        r = key_r(p, eta, key)
+        if key != target:
+            return r
+        return [[x + Fraction(d, p.lam_den) for x, d in zip(row, drow)] for row, drow in zip(r, e)]
+
+    monkeypatch.setattr(cluster, "_key_r", perturbed)
+    reports = chain_verify(ctx)
+    touched = [rep for rep in reports if rep.branch == branch
+               and target in (seed_key(ctx.eta, rep.tau)[1], seed_key(ctx.eta, rep.tau_next)[1])]
+    assert link in [replace(rep, verified=True, detail="") for rep in touched]
+    assert all((rep.verified, rep.detail) == (False, detail) for rep in touched)
+    assert all(rep.verified for rep in reports if rep not in touched)
