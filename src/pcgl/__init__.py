@@ -18,7 +18,6 @@ from .poly import (
     ZeroPolynomial,
     apply_derivation,
     exact_divide,
-    leading_term_revlex,
     substitute,
 )
 from .presentation import (
@@ -51,7 +50,6 @@ from .cgl import (
 )
 from .symmetric import (
     GammaChain,
-    IntervalPrime,
     Incompatible,
     NoHStarSolution,
     UElementData,
@@ -61,7 +59,6 @@ from .symmetric import (
     enumerate_xi,
     gamma_chain,
     interval_prime,
-    interval_prime_data,
     permute_presentation,
     rescale_generators,
     tau_bullet,
@@ -73,7 +70,6 @@ from .cluster import (
     BMatrix,
     Seed,
     ClusterContext,
-    CompatiblePair,
     LinkReport,
     TauSeedBundle,
     chain_verify,
@@ -81,7 +77,6 @@ from .cluster import (
     check_log_canonical,
     express_in_cluster,
     mutate_matrix,
-    mutate_pair,
     mutate_seed,
     seed_for_tau,
     solve_btilde,

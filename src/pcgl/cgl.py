@@ -67,14 +67,6 @@ class EtaData:
     def level_set(self, k: int) -> List[int]:
         return [j for j, lbl in enumerate(self.eta) if lbl == self.eta[k]]
 
-    def pred_power(self, k: int, m: int) -> Optional[int]:
-        cur: Optional[int] = k
-        for _ in range(m):
-            if cur is None:
-                return None
-            cur = self.pred[cur]
-        return cur
-
     def succ_power(self, k: int, m: int) -> Optional[int]:
         cur: Optional[int] = k
         for _ in range(m):

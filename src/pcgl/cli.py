@@ -23,7 +23,6 @@ from .serialize import FormatError
 from .symmetric import (
     Incompatible,
     compute_d_integers,
-    lambda_star,
     pi_values,
     rescale_generators,
     validate_symmetric,
@@ -62,6 +61,17 @@ class CliInputError(Exception):
     pass
 
 
+def _load_json(text: str, what: str):
+    """json.loads, raising every failure as a CliInputError about `what`."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:   # malformed, or nested too deep
+        raise CliInputError(f"{what}: invalid JSON: {exc}") from exc
+    except ValueError as exc:   # an integer longer than Python converts from str
+        raise CliInputError(f"{what}: invalid JSON: pcgl reads integers of at most "
+                            f"{sys.get_int_max_str_digits()} digits") from exc
+
+
 def _read_doc(path: str) -> dict:
     try:
         if path == "-":
@@ -71,10 +81,7 @@ def _read_doc(path: str) -> dict:
                 text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:   # JSONDecodeError, too many digits, too deep
-        raise CliInputError(f"{path}: invalid JSON: {exc}") from exc
+    doc = _load_json(text, path)
     if isinstance(doc, dict) and "presentation" in doc and "n_gens" not in doc:
         doc = doc["presentation"]
     return doc
@@ -121,10 +128,7 @@ def _parse_inv(text: Optional[str], n: int) -> List[int]:
 
 
 def _parse_q(text: str) -> List[list]:
-    try:
-        rows = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CliInputError(f"--q: invalid JSON: {exc}") from exc
+    rows = _load_json(text, "--q")
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
         raise CliInputError("--q must be a JSON list of rows")
     return [[ser.fraction_from_json(x) for x in row] for row in rows]
@@ -141,8 +145,8 @@ def _parse_elem(text: str, n: int, names, coords: str):
     with every term of total degree at most MAX_ELEM_DEGREE and every
     coefficient of at most MAX_ELEM_COEFF_DIGITS digits over and under."""
     try:
-        f = ser.poly_from_triples(n, json.loads(text))
-    except (ValueError, RecursionError, FormatError):   # JSONDecodeError is a ValueError
+        f = ser.poly_from_triples(n, _load_json(text, "--elem"))
+    except (CliInputError, FormatError):
         prefix = "y" if coords == "y" else "x"
         f = ser.parse_poly_expr(text, n, names if coords == "x" else None, prefix=prefix)
     too_long = 10 ** MAX_ELEM_COEFF_DIGITS
@@ -288,7 +292,7 @@ def cmd_symmetric(args) -> int:
         _emit(doc, args.output, "symmetric validation FAILED")
         return EXIT_INPUT
     eta, _seq = compute_eta_and_primes(ps)
-    doc["lambda_star"] = [ser.fraction_to_json(lambda_star(ps, j)) for j in range(ps.n)]
+    doc["lambda_star"] = [ser.fraction_to_json(v) for v in ps.lam_star]
     try:
         d_map, qscale = compute_d_integers(ps, eta)
     except Incompatible as exc:

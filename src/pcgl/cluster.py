@@ -53,7 +53,6 @@ from .symmetric import (
     gamma_chain,
     interval_exponent,
     interval_prime,
-    lambda_star,
     pi_values,
     rescale_generators,
     tau_data,
@@ -213,17 +212,6 @@ def check_compatible(r: RMatrix, b: BMatrix) -> Dict[int, Fraction]:
     return {l: Fraction(v, den) for l, v in beta.items()}
 
 
-@dataclass
-class CompatiblePair:
-    r: RMatrix
-    btilde: BMatrix
-    beta: Dict[int, Fraction]
-
-    @classmethod
-    def build(cls, r: RMatrix, btilde: BMatrix) -> "CompatiblePair":
-        return cls(r=r, btilde=btilde, beta=check_compatible(r, btilde))
-
-
 def mutate_r(r: RMatrix, b: BMatrix, k: int) -> RMatrix:
     """E_eps^T r E_eps, computed for both signs and checked equal.
 
@@ -247,25 +235,6 @@ def mutate_r(r: RMatrix, b: BMatrix, k: int) -> RMatrix:
     if results[0] != results[1]:
         raise EpsilonMismatch("mutated r depends on the sign choice")
     return results[0]
-
-
-def mutate_pair(pair: CompatiblePair, k: int) -> CompatiblePair:
-    """Mutate a compatible pair; asserts epsilon-independence, compatibility,
-    and invariance of B^T r whenever the principal part is skew-symmetrizable
-    (equivalently, all beta share a sign)."""
-    r2 = mutate_r(pair.r, pair.btilde, k)
-    b2 = mutate_matrix(pair.btilde, k)
-    try:
-        beta2 = check_compatible(r2, b2)
-    except CompatibilityFailure as exc:
-        raise CompatibilityLost(str(exc)) from exc
-    betas = list(pair.beta.values())
-    if betas and (all(x > 0 for x in betas) or all(x < 0 for x in betas)):
-        before, den = _btr(pair.btilde, pair.r)
-        after, den2 = _btr(b2, r2)
-        if any(v * den2 != after[key] * den for key, v in before.items()):
-            raise CompatibilityLost("B^T r changed under pair mutation")
-    return CompatiblePair(r=r2, btilde=b2, beta=beta2)
 
 
 def _btr(b: BMatrix, r: RMatrix) -> Tuple[Dict[Tuple[int, int], int], int]:
@@ -353,9 +322,6 @@ class ClusterContext:
         """Rewrite a polynomial in the generators as Laurent in y_1..y_N."""
         return substitute(f, self.x_in_y)
 
-    def lambda_star(self, l: int) -> Fraction:
-        return lambda_star(self.p, l)
-
     def prime(self, label: Tuple[int, int]) -> Tuple[MvLaurent, Weight]:
         """The interval prime y_[start, s^m(start)] of label (start, m) and its
         torus weight, each computed once; weight_of certifies homogeneity."""
@@ -386,7 +352,7 @@ class TauSeedBundle:
     def as_seed(self, ctx: ClusterContext) -> "Seed":
         """The same seed with its variables rewritten in initial-y coordinates."""
         return Seed(vars_y=[ctx.to_y_coordinates(v) for v in self.vars_x], r=self.r,
-                    btilde=self.btilde, beta=dict(self.beta), base_tau=self.tau, history=())
+                    btilde=self.btilde, beta=dict(self.beta))
 
 
 def _key_r(p: PoissonPresentation, eta: EtaData, key: SeedKey) -> RMatrix:
@@ -415,7 +381,7 @@ def solve_btilde(ctx: ClusterContext, r: RMatrix,
     cols: Dict[int, Tuple[int, ...]] = {}
     beta: Dict[int, Fraction] = {}
     ex = ctx.eta.exchangeable
-    lams = [ctx.lambda_star(l) for l in ex]
+    lams = [ctx.p.lam_star[l] for l in ex]
     rhs_columns = [[lam_l if j == l else 0 for j in range(n)] + [0] * d
                    for l, lam_l in zip(ex, lams)]
     particulars, null_basis = linalg.solve(rows, rhs_columns) if ex else ([], [])
@@ -433,25 +399,28 @@ def solve_btilde(ctx: ClusterContext, r: RMatrix,
 
 
 def check_seed_invariants(variables: Sequence[MvLaurent], r: RMatrix, btilde: BMatrix,
-                          d_map: Dict[int, int], eta: EtaData) -> None:
-    """Raise SeedInvariantFailure (or CompatibilityFailure) unless the seed is sound.
+                          d_map: Dict[int, int], eta: EtaData) -> Dict[int, Fraction]:
+    """The beta scalars of a sound seed; raises SeedInvariantFailure (or
+    CompatibilityFailure) otherwise.
 
     The variables may be given in any one coordinate system (generators or
     initial cluster): their leading exponents must be independent, btilde
     must be compatible with r, and its principal part must be
     skew-symmetrized by the d-integers of the eta classes.  Compatibility
     makes B^T r diagonal and nonzero on the exchangeable columns, so it
-    implies full rank, which is therefore not checked on its own.
+    implies full rank, which is therefore not checked on its own.  The
+    returned beta is the one check_compatible certifies.
     """
     lt_rows = [[Fraction(x) for x in v.leading_term()[1]] for v in variables]
     if linalg.rank(lt_rows) != len(variables):
         raise SeedInvariantFailure("variable leading exponents are linearly dependent")
-    check_compatible(r, btilde)
+    beta = check_compatible(r, btilde)
     for k in btilde.ex:
         for j in btilde.ex:
             dk, dj = d_map[eta.eta[k]], d_map[eta.eta[j]]
             if dk * btilde.entry(k, j) != -dj * btilde.entry(j, k):
                 raise SeedInvariantFailure("principal part not skew-symmetrized by the d-integers")
+    return beta
 
 
 def _build_bundle(ctx: ClusterContext, tau: Perm, sigma: Perm, key: SeedKey) -> TauSeedBundle:
@@ -758,7 +727,6 @@ class Seed:
     r: RMatrix
     btilde: BMatrix
     beta: Dict[int, Fraction]
-    base_tau: Optional[Perm] = None
     history: Tuple[int, ...] = ()
 
 
@@ -766,17 +734,27 @@ def mutate_seed(ctx: ClusterContext, seed, k: int) -> Seed:
     """One seed mutation in direction k, variables kept in y-coordinates.
 
     Accepts either a TauSeedBundle or a Seed, so arbitrary ex-sequences can
-    be chained.  The new variable is (prod_+ + prod_-)/old with the division
-    exact in the initial-cluster Laurent ring (Laurent phenomenon).
+    be chained; the given seed's beta is taken as certified, as it is for
+    every seed built by seed_for_tau or mutate_seed.  The new variable is
+    (prod_+ + prod_-)/old with the division exact in the initial-cluster
+    Laurent ring (Laurent phenomenon).  r and B are mutated together
+    (mutate_r raises EpsilonMismatch when mu(r) depends on the sign), and
+    check_seed_invariants certifies the new seed once; a compatibility
+    failure there is raised as CompatibilityLost.  When every beta has one
+    sign (the principal part is skew-symmetrizable), B^T r = [diag(beta) | 0]
+    must be invariant, which on two compatible pairs is beta' == beta.
     """
     if isinstance(seed, TauSeedBundle):
         seed = seed.as_seed(ctx)
-    _check_direction(seed.btilde, k)
-    pair = CompatiblePair(r=seed.r, btilde=seed.btilde, beta=seed.beta)
-    mutated = mutate_pair(pair, k)
-    new_var = exact_divide(_exchange_binomial(seed.vars_y, seed.btilde.column(k)), seed.vars_y[k])
+    r = mutate_r(seed.r, seed.btilde, k)
+    btilde = mutate_matrix(seed.btilde, k)
     vars_y = list(seed.vars_y)
-    vars_y[k] = new_var
-    check_seed_invariants(vars_y, mutated.r, mutated.btilde, ctx.d_map, ctx.eta)
-    return Seed(vars_y=vars_y, r=mutated.r, btilde=mutated.btilde, beta=mutated.beta,
-                base_tau=seed.base_tau, history=seed.history + (k,))
+    vars_y[k] = exact_divide(_exchange_binomial(seed.vars_y, seed.btilde.column(k)), seed.vars_y[k])
+    try:
+        beta = check_seed_invariants(vars_y, r, btilde, ctx.d_map, ctx.eta)
+    except CompatibilityFailure as exc:
+        raise CompatibilityLost(str(exc)) from exc
+    betas = list(seed.beta.values())
+    if (all(x > 0 for x in betas) or all(x < 0 for x in betas)) and beta != seed.beta:
+        raise CompatibilityLost("B^T r changed under pair mutation")
+    return Seed(vars_y=vars_y, r=r, btilde=btilde, beta=beta, history=seed.history + (k,))

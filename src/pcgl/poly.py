@@ -322,11 +322,6 @@ class MvLaurent:
 # -------------------------------------------------------------------- operations
 
 
-def leading_term_revlex(f: MvLaurent) -> Tuple[Fraction, ExpVec]:
-    """Leading (coefficient, exponent) of f in the reverse lexicographic order."""
-    return f.leading_term()
-
-
 def _min_exponents(f: MvLaurent) -> ExpVec:
     return tuple(min(col) for col in zip(*f.terms))
 

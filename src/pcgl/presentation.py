@@ -193,9 +193,6 @@ class PoissonPresentation:
         """Entry lambda_kj of the skew-symmetric scalar matrix."""
         return self.lam_rows[k][j]
 
-    def lambda_matrix(self) -> List[List[Fraction]]:
-        return [list(row) for row in self.lam_rows]
-
     def lam_diag(self, k: int) -> Fraction:
         """The h_k-eigenvalue lambda_k of x_k (nonzero for valid input)."""
         return self.lam_diagonal[k]

@@ -4,7 +4,10 @@ A presentation is symmetric when every delta_k(x_j) lives strictly between
 x_j and x_k and a second family h*_j realizes the reversed adjunction order.
 That symmetry produces one P-CGL presentation per permutation in Xi_N (the
 prefixes-are-intervals subgroup-like subset of S_N), whose prime sequences
-are selected from a single stock of interval primes y_[i, s^m(i)].  All the
+are selected from a single stock of interval primes y_[i, s^m(i)]
+(interval_prime builds one, interval_exponent gives its leading exponent
+without building it).  The eigenvalues lambda*_j = <h*_j, chi_j> are the
+presentation's lam_star, computed once with it.  All the
 data that fixes the selection for one tau -- sigma = tau_bullet o tau, the
 seed key of interval labels (start, m), and the tau-predecessors -- is read
 off one walk along tau in tau_data; tau_bullet and y_sequence_for_tau are
@@ -153,13 +156,6 @@ def _successors(p: PoissonPresentation) -> List[Optional[int]]:
     return eta.succ
 
 
-def lambda_star(p: PoissonPresentation, j: int) -> Fraction:
-    """Eigenvalue <h*_j, chi_j>; requires h_star (run validate_symmetric first)."""
-    if p.lam_star is None:
-        raise SymmetryError("presentation has no h_star data")
-    return p.lam_star[j]
-
-
 def compute_d_integers(p: PoissonPresentation, eta: EtaData) -> Tuple[Dict[int, int], Fraction]:
     """Positive integers d per eta-label with lambda*_l = d_{eta(l)} q on ex.
 
@@ -173,9 +169,10 @@ def compute_d_integers(p: PoissonPresentation, eta: EtaData) -> Tuple[Dict[int, 
     if not ex:
         return {}, Fraction(1)
 
+    lam_star = p.lam_star
     values: Dict[int, Fraction] = {}
     for l in ex:
-        ls = lambda_star(p, l)
+        ls = lam_star[l]
         s_l = eta.succ[l]
         if ls != -p.lam_diag(s_l):
             raise Incompatible(
@@ -189,7 +186,7 @@ def compute_d_integers(p: PoissonPresentation, eta: EtaData) -> Tuple[Dict[int, 
     sign = 1 if vals[0] > 0 else -1
     for l in ex:
         for j in ex:
-            ratio = lambda_star(p, l) / lambda_star(p, j)
+            ratio = lam_star[l] / lam_star[j]
             if ratio <= 0:
                 raise Incompatible(f"lambda*_{l+1}/lambda*_{j+1} = {ratio} not in Q_>0", (l, j))
 
@@ -249,10 +246,6 @@ class GammaChain:
 
     perms: List[Perm]                      # tau_{1,1} = id, ..., tau_{N,N} = w_circ
     links: List[int]                       # transposed position per adjacent pair
-
-    def adjacent_pairs(self):
-        for idx in range(len(self.perms) - 1):
-            yield self.perms[idx], self.perms[idx + 1], self.links[idx]
 
 
 def gamma_chain(N: int) -> GammaChain:
@@ -333,21 +326,6 @@ def perm_compose(a: Perm, b: Perm) -> Perm:
 
 
 # ------------------------------------------------------------- interval primes
-
-
-@dataclass
-class IntervalPrime:
-    """y_[i, s^m(i)] with its certified leading exponent."""
-
-    i: int
-    m: int
-    poly: MvLaurent
-    exponent: ExpVec
-
-
-def interval_prime_data(p: PoissonPresentation, eta: EtaData, i: int, m: int) -> IntervalPrime:
-    return IntervalPrime(i=i, m=m, poly=interval_prime(p, eta, i, m),
-                         exponent=interval_exponent(eta, i, m))
 
 
 def interval_prime(p: PoissonPresentation, eta: EtaData, i: int, m: int) -> MvLaurent:

@@ -16,6 +16,16 @@ from pcgl.cgl import EtaData
 from pcgl.symmetric import SymmetryError, is_xi_element, perm_compose, perm_inverse, tau_data
 
 
+def _pred_power(eta: EtaData, k: int, m: int) -> Optional[int]:
+    """p^m(k), or None once the predecessor chain ends."""
+    cur: Optional[int] = k
+    for _ in range(m):
+        if cur is None:
+            return None
+        cur = eta.pred[cur]
+    return cur
+
+
 def interval_data_for_tau(eta: EtaData, tau) -> List[Tuple[int, int]]:
     """(start, m) pairs such that y_{tau,k} = y_[start, s^m(start)].
 
@@ -39,7 +49,7 @@ def interval_data_for_tau(eta: EtaData, tau) -> List[Tuple[int, int]]:
             while cur is not None and cur in prefix:
                 m += 1
                 cur = eta.pred[cur]
-            out.append((eta.pred_power(v, m), m))
+            out.append((_pred_power(eta, v, m), m))
         else:
             m = 0
             cur = eta.succ[v]

@@ -20,12 +20,12 @@ from pcgl.cgl import (
 from pcgl.cluster import (
     BMatrix,
     ClusterContext,
-    CompatiblePair,
     NonIntegral,
     chain_verify,
+    check_compatible,
     check_log_canonical,
     mutate_matrix,
-    mutate_pair,
+    mutate_r,
     seed_for_tau,
     solve_btilde,
     upper_membership,
@@ -183,22 +183,23 @@ class TestCriterion8Properties:
         mark("8a", f"matrix mutation involutive on {count} random instances")
 
     def test_epsilon_independence_and_btr_invariance(self, ctx23, ctx33):
-        # mutate_pair computes both epsilon signs and asserts equality, and
-        # asserts B^T r invariance; each call is one instance of each property
+        # mutate_r computes both epsilon signs and asserts equality; the
+        # mutated pair must stay compatible with B^T r unchanged; each
+        # mutation is one instance of each property
         rng = random.Random(88)
         count = 0
         for ctx in (ctx23, ctx33):
             bundle = seed_for_tau(ctx, tuple(range(ctx.p.n)))
-            pair = CompatiblePair.build(bundle.r, bundle.btilde)
-            base_btr = {(l, j): sum(pair.btilde.column(l)[i] * pair.r[i][j]
-                                    for i in range(ctx.p.n))
-                        for l in pair.btilde.ex for j in range(ctx.p.n)}
+            r, b = bundle.r, bundle.btilde
+            check_compatible(r, b)
+            base_btr = {(l, j): sum(b.column(l)[i] * r[i][j] for i in range(ctx.p.n))
+                        for l in b.ex for j in range(ctx.p.n)}
             for _ in range(55):
-                k = rng.choice(pair.btilde.ex)
-                pair = mutate_pair(pair, k)
-                got_btr = {(l, j): sum(pair.btilde.column(l)[i] * pair.r[i][j]
-                                       for i in range(ctx.p.n))
-                           for l in pair.btilde.ex for j in range(ctx.p.n)}
+                k = rng.choice(b.ex)
+                r, b = mutate_r(r, b, k), mutate_matrix(b, k)
+                check_compatible(r, b)
+                got_btr = {(l, j): sum(b.column(l)[i] * r[i][j] for i in range(ctx.p.n))
+                           for l in b.ex for j in range(ctx.p.n)}
                 assert got_btr == base_btr
                 count += 1
         assert count >= 100

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from pcgl.poly import MvLaurent
 from pcgl.presentation import _dot, bracket
 from pcgl.presets import build_matrix_poisson
-from pcgl.symmetric import lambda_star, validate_symmetric
+from pcgl.symmetric import validate_symmetric
 
 from conftest import rescaled_2x3, rescaled_3x3, two_block
 
@@ -150,10 +150,10 @@ def test_lambda_data_equals_oracle(name):
     n = p.n
     want = [[_oracle_lam(p, k, j) for j in range(n)] for k in range(n)]
     assert [[p.lam(k, j) for j in range(n)] for k in range(n)] == want
-    assert p.lambda_matrix() == want
+    assert [list(row) for row in p.lam_rows] == want
     assert [[Fraction(x, p.lam_den) for x in row] for row in p.lam_num] == want
     assert [p.lam_diag(k) for k in range(n)] == [_oracle_lam_diag(p, k) for k in range(n)]
-    assert [lambda_star(p, j) for j in range(n)] == [_oracle_lambda_star(p, j) for j in range(n)]
+    assert list(p.lam_star) == [_oracle_lambda_star(p, j) for j in range(n)]
 
 
 def test_coprime_denominators_preset():

@@ -218,6 +218,12 @@ class TestInputBoundary:
         argv = ["preset", "affine", "--n", "3", "--q", "notjson"]
         assert self._error_code(argv, capsys) == "CliInputError"
 
+    @pytest.mark.parametrize("q", ["1" * 5000, "[" * 100000], ids=["integer_of_5000_digits", "nested"])
+    def test_affine_q_undecodable(self, q, capsys):
+        # more digits than json converts to an int, or nested too deep to decode
+        argv = ["preset", "affine", "--n", "2", "--q", q]
+        assert self._error_code(argv, capsys) == "CliInputError"
+
     def test_affine_q_not_rational(self, capsys):
         argv = ["preset", "affine", "--n", "2", "--q", '[[0,"a"],["-a",0]]']
         assert self._error_code(argv, capsys) == "FormatError"
@@ -401,6 +407,15 @@ def test_malformed_presentation_exit_2(name, command, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["command"] == command
     assert report["error"]["code"] == code
+
+
+def test_integer_limit_detail_names_the_limit(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(MALFORMED["integer_of_5000_digits"][0])
+    assert main(["analyze", str(path)]) == 2
+    detail = json.loads(capsys.readouterr().out)["error"]["detail"]
+    assert detail.endswith("invalid JSON: pcgl reads integers of at most 4300 digits")
+    assert "set_int_max_str_digits" not in detail
 
 
 def _matrix_doc(m, n):

@@ -9,8 +9,8 @@ import pytest
 from pcgl.cluster import (
     BMatrix,
     ClusterContext,
-    CompatiblePair,
     CompatibilityFailure,
+    CompatibilityLost,
     DirectionOutOfRange,
     EpsilonMismatch,
     MembershipWitness,
@@ -25,7 +25,6 @@ from pcgl.cluster import (
     cluster_expressions,
     express_in_cluster,
     mutate_matrix,
-    mutate_pair,
     mutate_r,
     mutate_seed,
     r_matrix_for_tau,
@@ -124,23 +123,26 @@ class TestCompatiblePairs:
             check_compatible(bundle.r, broken)
 
     def test_pair_mutation_preserves_btr(self, ctx22):
+        # mutate_seed mutates r and B together and raises unless the pair
+        # stays compatible with B^T r unchanged
         bundle = seed_for_tau(ctx22, (0, 1, 2, 3))
-        pair = CompatiblePair.build(bundle.r, bundle.btilde)
-        mutated = mutate_pair(pair, 0)
+        mutated = mutate_seed(ctx22, bundle, 0)
         assert mutated.beta == {0: 2}
-        back = mutate_pair(mutated, 0)
-        assert back.r == pair.r and back.btilde == pair.btilde
+        back = mutate_seed(ctx22, mutated, 0)
+        assert back.r == bundle.r and back.btilde == bundle.btilde
 
     def test_random_mutation_walks(self, ctx23):
         # epsilon-independence and B^T r invariance along random walks
         rng = random.Random(77)
         for start in (ctx23,):
             bundle = seed_for_tau(start, tuple(range(start.p.n)))
-            pair = CompatiblePair.build(bundle.r, bundle.btilde)
+            r, b = bundle.r, bundle.btilde
+            beta = check_compatible(r, b)
             for _ in range(60):
                 k = rng.choice(bundle.btilde.ex)
-                pair = mutate_pair(pair, k)  # internally asserts both properties
-            assert set(pair.beta) == set(bundle.beta)
+                r, b = mutate_r(r, b, k), mutate_matrix(b, k)  # mutate_r checks both signs
+                assert check_compatible(r, b) == beta  # compatible, B^T r unchanged
+            assert set(beta) == set(bundle.beta)
 
 
 # ------------------------------------------ dense r-mutation and r_tau, oracles
@@ -169,14 +171,19 @@ def _mutate_r_dense(r, b, k):
     return results[0]
 
 
-def _r_matrix_for_tau_dense(p, eta, tau):
-    """r_matrix_for_tau as it was: a permuted lambda matrix per tau."""
-    n = p.n
-    etau = eta_tau_data(eta, tau)
+def _lambda_dense(p):
+    """The lambda matrix as Fractions, from h and the weights alone."""
     def lam(k, j):
         return _dot(p.h[k], p.weights[j]) if k > j else -_dot(p.h[j], p.weights[k]) if k < j else 0
 
-    lam_tau = [[lam(tau[l], tau[j]) for j in range(n)] for l in range(n)]
+    return [[lam(k, j) for j in range(p.n)] for k in range(p.n)]
+
+
+def _r_matrix_for_tau_dense(lam, eta, tau):
+    """r_matrix_for_tau as it was: the lambda matrix lam, permuted by tau."""
+    n = len(tau)
+    etau = eta_tau_data(eta, tau)
+    lam_tau = [[lam[tau[l]][tau[j]] for j in range(n)] for l in range(n)]
     ebars = [etau.ebar(k) for k in range(n)]
 
     def omega(f, g):
@@ -225,8 +232,9 @@ class TestAgainstDenseOracles:
 
     def test_r_tau_on_all_gamma(self, r_contexts):
         for ctx in r_contexts:
+            lam = _lambda_dense(ctx.p)
             for tau in gamma_chain(ctx.p.n).perms:
-                assert r_matrix_for_tau(ctx.p, ctx.eta, tau) == _r_matrix_for_tau_dense(ctx.p, ctx.eta, tau)
+                assert r_matrix_for_tau(ctx.p, ctx.eta, tau) == _r_matrix_for_tau_dense(lam, ctx.eta, tau)
 
     def test_r_tau_equals_the_per_tau_recurrence(self, r_contexts):
         for ctx in r_contexts:
@@ -307,7 +315,7 @@ class TestSeeds:
         for tau in gamma_chain(6).perms:
             bundle = seed_for_tau(ctx23, tau)
             for l, val in bundle.beta.items():
-                assert val == ctx23.lambda_star(l) == 2
+                assert val == ctx23.p.lam_star[l] == 2
 
     def test_weyl_seed(self):
         ctx, gamma = ClusterContext.build_normalizing(weyl_block(2))
@@ -598,3 +606,30 @@ class TestMutateSeed:
         frozen = [l for l in range(6) if ctx23.eta.succ[l] is None]
         for v in seed.vars_y:
             assert all(e[l] >= 0 for e in v.terms for l in frozen)
+
+    def test_doubled_r_keeps_compatibility_but_changes_btr(self, ctx23, monkeypatch):
+        # 2 mu(r) is compatible with mu(B) with every beta doubled
+        bundle = seed_for_tau(ctx23, tuple(range(6)))
+        k = bundle.btilde.ex[0]
+        doubled = [[2 * x for x in row] for row in mutate_r(bundle.r, bundle.btilde, k)]
+        assert check_compatible(doubled, mutate_matrix(bundle.btilde, k)) == {
+            l: 2 * v for l, v in bundle.beta.items()}
+        monkeypatch.setattr(cluster, "mutate_r", lambda r, b, l: doubled)
+        with pytest.raises(CompatibilityLost, match=r"^B\^T r changed under pair mutation$"):
+            mutate_seed(ctx23, bundle, k)
+
+    def test_incompatible_mutated_r(self, ctx23, monkeypatch):
+        bundle = seed_for_tau(ctx23, tuple(range(6)))
+        k = bundle.btilde.ex[0]
+        b2 = mutate_matrix(bundle.btilde, k)
+        broken = [list(row) for row in mutate_r(bundle.r, bundle.btilde, k)]
+        i = next(i for i, c in enumerate(b2.column(k)) if c)
+        j = next(j for j in range(6) if j != k)
+        broken[i][j] += 1
+        with pytest.raises(CompatibilityFailure) as direct:
+            check_compatible(broken, b2)
+        monkeypatch.setattr(cluster, "mutate_r", lambda r, b, l: broken)
+        with pytest.raises(CompatibilityLost, match="violates compatibility") as lost:
+            mutate_seed(ctx23, bundle, k)
+        assert str(lost.value) == str(direct.value)
+        assert isinstance(lost.value.__cause__, CompatibilityFailure)

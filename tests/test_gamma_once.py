@@ -4,7 +4,8 @@ chain_verify builds one bundle per permutation; r, the variables, the
 solve and the seed checks run once per seed key; and each interval prime is
 built and weighed once per label.  The full-rank check that
 check_seed_invariants no longer makes is kept here as a test of every
-bundle along the chain.
+bundle along the chain.  One seed mutation certifies the mutated pair's
+compatibility once.
 """
 
 import pytest
@@ -16,6 +17,7 @@ from pcgl.cluster import (
     CompatibilityFailure,
     chain_verify,
     check_seed_invariants,
+    mutate_seed,
     seed_for_tau,
 )
 from pcgl.presentation import weight_of
@@ -59,6 +61,28 @@ def test_chain_verify_computes_each_quantity_once(monkeypatch):
     assert calls == {"seed_for_tau": 67, "_key_r": 9, "rank": 9, "weight_of": 20}
     assert len(ctx._seeds) == 9
     assert len(ctx._primes) == 20
+
+
+def test_mutate_seed_checks_compatibility_once(monkeypatch, ctx33):
+    bundle = seed_for_tau(ctx33, tuple(range(ctx33.p.n)))
+    calls = {}
+
+    def count(name):
+        inner = getattr(cluster, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(cluster, name, counted)
+
+    for name in ("check_compatible", "_btr", "mutate_r", "mutate_matrix"):
+        count(name)
+    for k in bundle.btilde.ex:
+        calls.clear()
+        seed = mutate_seed(ctx33, bundle, k)
+        assert seed.beta == bundle.beta
+        assert calls == {"check_compatible": 1, "_btr": 1, "mutate_r": 1, "mutate_matrix": 1}
 
 
 @pytest.mark.parametrize("name", sorted(BUILDS))

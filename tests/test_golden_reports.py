@@ -6,7 +6,9 @@ numerators.  Every reported polynomial passes through that core, so a kernel
 change that alters a coefficient, an exponent or the order of terms fails
 here instead of passing silently.  The bracket digests were taken before the
 bracket moved to integer numerators, on presentations whose delta tables
-carry several coprime denominators.
+carry several coprime denominators.  The mutate digests on rescaled_3x3,
+one per exchangeable direction and one on a non-identity permutation, were
+taken before a seed's mutation was folded into one path.
 """
 
 import hashlib
@@ -86,4 +88,21 @@ def test_bracket_report_digest(bracket_files, capsys, command, name, code, diges
     out = capsys.readouterr().out
     if name == "broken":
         assert '"code": "JacobiFailure"' in out and '"witness"' in out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+MUTATE_GOLDEN = [
+    (["--at", "1"], "201d28d647600272c4e4b4c1e70b7f7a09d102955d5938d1f7546f65d233402d"),
+    (["--at", "2"], "0f8e5de01a131b44f8c1d09da412cc67db3fe7b834a720b599840458048fa827"),
+    (["--at", "4"], "63e5657323aa34c4b55cb67811aa8f164aa87453a4037f602656a5caee868eae"),
+    (["--at", "5"], "0ad8b9ea67c3d2b9d48d36eacecbb49d615b4e10f671d7dea1fcd8125193f49c"),
+    (["--tau", "5,4,6,3,7,2,8,1,9", "--at", "4"],
+     "eda58e83dc45d1b37e5a5929f1d4222e6b4cabcb1609aadf4ffd02e506c07430"),
+]
+
+
+@pytest.mark.parametrize("args,digest", MUTATE_GOLDEN, ids=[" ".join(g[0]) for g in MUTATE_GOLDEN])
+def test_mutate_report_digest(bracket_files, capsys, args, digest):
+    assert main(["mutate", bracket_files["r33"], *args]) == 0
+    out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

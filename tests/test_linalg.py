@@ -171,7 +171,7 @@ def _solve_btilde_per_column(ctx, r, var_weights):
     rows += [[Fraction(var_weights[k][a]) for k in range(n)] for a in range(d)]
     cols, beta = {}, {}
     for l in ctx.eta.exchangeable:
-        lam_l = ctx.lambda_star(l)
+        lam_l = ctx.p.lam_star[l]
         rhs = [lam_l if j == l else Fraction(0) for j in range(n)] + [Fraction(0)] * d
         particular, null_basis = _oracle_solve(rows, rhs)
         if particular is None:

@@ -13,7 +13,6 @@ from pcgl.poly import (
     ZeroPolynomial,
     apply_derivation,
     exact_divide,
-    leading_term_revlex,
     substitute,
 )
 
@@ -34,22 +33,22 @@ def random_poly(rng, n=3, max_terms=3, exp_range=(0, 2)):
 class TestLeadingTerm:
     def test_two_by_two_determinant(self):
         f = gen(0) * gen(3) - gen(1) * gen(2)
-        coeff, exp = leading_term_revlex(f)
+        coeff, exp = f.leading_term()
         assert coeff == 1
         assert exp == (1, 0, 0, 1)
 
     def test_constant(self):
-        coeff, exp = leading_term_revlex(MvLaurent.const(4, 5))
+        coeff, exp = MvLaurent.const(4, 5).leading_term()
         assert (coeff, exp) == (5, (0, 0, 0, 0))
 
     def test_last_coordinate_decides(self):
         f = MvLaurent.gen(2, 0) + MvLaurent.gen(2, 1)
-        coeff, exp = leading_term_revlex(f)
+        coeff, exp = f.leading_term()
         assert exp == (0, 1)
 
     def test_zero_raises(self):
         with pytest.raises(ZeroPolynomial):
-            leading_term_revlex(MvLaurent.zero(3))
+            MvLaurent.zero(3).leading_term()
 
     def test_multiplicative(self):
         rng = random.Random(11)

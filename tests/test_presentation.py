@@ -180,7 +180,7 @@ class TestValidate:
         lam = [[0, 1, -2], [-1, 0, 3], [2, -3, 0]]
         p = PoissonPresentation.from_lambda(3, lam, [1, 1, 1])
         assert validate_algebra(p).passed
-        assert p.lambda_matrix() == [[Fraction(x) for x in row] for row in lam]
+        assert [list(row) for row in p.lam_rows] == [[Fraction(x) for x in row] for row in lam]
         assert all(p.lam_diag(k) == 1 for k in range(3))
         with pytest.raises(Exception):
             PoissonPresentation.from_lambda(2, [[0, 1], [1, 0]], [1, 1])

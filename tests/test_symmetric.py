@@ -18,9 +18,9 @@ from pcgl.symmetric import (
     compute_d_integers,
     enumerate_xi,
     gamma_chain,
+    interval_exponent,
     interval_prime,
     is_xi_element,
-    lambda_star,
     perm_compose,
     perm_inverse,
     permute_presentation,
@@ -39,7 +39,7 @@ class TestValidateSymmetric:
     def test_matrix_preset_with_h_star(self, p23):
         report, ps = validate_symmetric(p23)
         assert report.passed
-        assert all(lambda_star(ps, j) == 2 for j in range(6))
+        assert all(ps.lam_star[j] == 2 for j in range(6))
 
     def test_solved_h_star(self, p23):
         bare = PoissonPresentation(n=6, torus_rank=5, weights=p23.weights, h=p23.h,
@@ -52,7 +52,7 @@ class TestValidateSymmetric:
         assert check.passed
         eta, _ = compute_eta_and_primes(ps)
         for l in eta.exchangeable:
-            assert lambda_star(ps, l) == -ps.lam_diag(eta.succ[l])
+            assert ps.lam_star[l] == -ps.lam_diag(eta.succ[l])
 
     def test_affine_passes(self):
         p = build_affine_space(3, [[0, 5, -1], [-5, 0, 2], [1, -2, 0]])
@@ -122,7 +122,7 @@ class TestXiEnumeration:
             assert len(chain.perms) == n * (n - 1) // 2 + 1
             assert all(is_xi_element(t) for t in chain.perms)
             # adjacency by one transposition of neighboring positions
-            for tau, tau_next, k in chain.adjacent_pairs():
+            for tau, tau_next, k in zip(chain.perms, chain.perms[1:], chain.links):
                 assert tau_next == tau[:k] + (tau[k + 1], tau[k]) + tau[k + 2:]
 
     def test_gamma_chain_annotation(self, ctx22):
@@ -190,11 +190,11 @@ class TestIntervalPrimes:
             interval_prime(p22, ctx22.eta, 1, 1)
 
     def test_interval_prime_record(self, p22, ctx22):
-        from pcgl.symmetric import interval_prime_data
-        rec = interval_prime_data(p22, ctx22.eta, 0, 1)
-        assert rec.poly == solid_minor(2, 2, (1, 2), (1, 2))
-        assert rec.exponent == (1, 0, 0, 1)
-        assert rec.poly.leading_term() == (1, rec.exponent)
+        poly = interval_prime(p22, ctx22.eta, 0, 1)
+        exponent = interval_exponent(ctx22.eta, 0, 1)
+        assert poly == solid_minor(2, 2, (1, 2), (1, 2))
+        assert exponent == (1, 0, 0, 1)
+        assert poly.leading_term() == (1, exponent)
 
 
 class TestYSequenceForTau:
@@ -378,6 +378,6 @@ class TestIntervalBrackets:
             level = sorted(v for v in range(9) if eta.eta[v] == lbl)
             if len(level) < 2:
                 continue
-            stars = {lambda_star(ps, v) for v in level[:-1]}
+            stars = {ps.lam_star[v] for v in level[:-1]}
             lams = {-ps.lam_diag(v) for v in level[1:]}
             assert len(stars | lams) == 1
