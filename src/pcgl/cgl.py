@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from math import lcm
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .poly import ExpVec, MvLaurent, Scaled, _mul, _scale, apply_derivation
 from .presentation import (
@@ -218,13 +219,42 @@ def _first_non_multiple_pair(p: PoissonPresentation, scaled: Sequence[Scaled],
 
     scaled[l] and ops[l] are v_l as poly._scale and presentation._prepare
     give it, so each identity is decided on int numerators against the int
-    product v_l v_j, with no Fraction built.
+    product v_l v_j, with no Fraction built.  check_log_canonical is its only
+    caller: seed variables carry no certified relations with the generators,
+    so every pair goes through the bracket kernel.
     """
     for l in range(len(ops)):
         for j in range(l):
             if not _bracket_is_multiple(p, ops[l], ops[j], c[l][j], _mul(scaled[l][0], scaled[j][0])):
                 return l, j
     return None
+
+
+def _q_verdicts(p: PoissonPresentation, eta: EtaData, qd: QData, ys: Sequence[Scaled],
+                yops: Sequence[Operand]) -> Iterator[Tuple[int, int, bool]]:
+    """(l, j, whether {y_l, y_j} = q_lj y_l y_j) for each pair j < l, in row order.
+
+    Valid only once {y_l, x_i} = -alpha_il y_l x_i is certified for every
+    i < s(l).  A pair whose y_j has every exponent below s(l) is decided, as
+    certify_prime_sequence derives, by sum_i alpha_il e_i == -q_lj on every
+    exponent e of y_j, in ints over the lcm of the denominators of alpha and
+    q; any other pair goes through the bracket kernel.
+    """
+    den = lcm(*(x.denominator for m in (qd.alpha, qd.q) for row in m for x in row))
+    alpha, q = ([[x.numerator * (den // x.denominator) for x in row] for row in m]
+                for m in (qd.alpha, qd.q))
+    exps = [[nz for _, _, nz, _, _ in op] for op in yops]
+    top = [max(i for _, _, _, supp, _ in op for i in supp) for op in yops]
+    for l in range(p.n):
+        sl = eta.succ[l]
+        col = [row[l] for row in alpha]
+        for j in range(l):
+            if sl is None or top[j] < sl:
+                target = -q[l][j]
+                holds = all(sum(m * col[i] for i, m in nz) == target for nz in exps[j])
+            else:
+                holds = _bracket_is_multiple(p, yops[l], yops[j], qd.q[l][j], _mul(ys[l][0], ys[j][0]))
+            yield l, j, holds
 
 
 def certify_prime_sequence(p: PoissonPresentation, eta: EtaData, seq: PrimeSequenceReport) -> QData:
@@ -236,9 +266,21 @@ def certify_prime_sequence(p: PoissonPresentation, eta: EtaData, seq: PrimeSeque
       * {y_j, x_k} = -alpha_kj y_j x_k whenever s(j) > k,
       * {y_k, y_j} = q_kj y_k y_j for all pairs.
     Each y_k and x_k is scaled to int numerators and prepared for the
-    bracket kernel once.  A bracket identity is decided on those integers,
-    against the exponent shift y_j x_k or the int product y_k y_j; Fractions
-    are built only for a failure's lhs and rhs.
+    bracket kernel once.  A y-x identity is decided by the kernel on those
+    integers, against the exponent shift y_j x_k.
+
+    The y-y identities then follow from the y-x ones.  {y_l, -} is a
+    derivation and {y_l, x_i} = -alpha_il y_l x_i is certified for every
+    i < s(l), so for y_j = sum_e c_e x^e with every exponent below s(l)
+
+        {y_l, y_j} = -y_l sum_e c_e (sum_i alpha_il e_i) x^e.
+
+    As y_l != 0, {y_l, y_j} = q_lj y_l y_j holds exactly when
+    sum_i alpha_il e_i == -q_lj on every term c_e x^e of y_j; that is
+    compared in ints (_q_verdicts).  A pair whose y_j has an exponent at or
+    above s(l) is not covered by the certified relations and goes through
+    the kernel, against the int product y_l y_j.  Fractions are built only
+    for a failure's lhs and rhs.
     Returns the alpha/q matrices on success, raises CertFailure otherwise.
     """
     n = p.n
@@ -262,11 +304,10 @@ def certify_prime_sequence(p: PoissonPresentation, eta: EtaData, seq: PrimeSeque
             if not _bracket_is_multiple(p, yops[j], xops[k], -qd.alpha[k][j], shifted):
                 raise CertFailure(f"{{y_{j+1}, x_{k+1}}} = -alpha y x", bracket(p, seq.y[j], gens[k]),
                                   seq.y[j] * gens[k] * (-qd.alpha[k][j]))
-    bad = _first_non_multiple_pair(p, ys, yops, qd.q)
-    if bad is not None:
-        k, j = bad
-        raise CertFailure(f"{{y_{k+1}, y_{j+1}}} = q y y", bracket(p, seq.y[k], seq.y[j]),
-                          seq.y[k] * seq.y[j] * qd.q[k][j])
+    for l, j, holds in _q_verdicts(p, eta, qd, ys, yops):
+        if not holds:
+            raise CertFailure(f"{{y_{l+1}, y_{j+1}}} = q y y", bracket(p, seq.y[l], seq.y[j]),
+                              seq.y[l] * seq.y[j] * qd.q[l][j])
     return qd
 
 

@@ -366,26 +366,23 @@ def r_matrix_for_tau(p: PoissonPresentation, eta: EtaData, tau: Perm) -> RMatrix
     return _key_r(p, eta, tau_data(eta, tau)[1])
 
 
-def solve_btilde(ctx: ClusterContext, r: RMatrix,
-                 var_weights: List[Tuple[int, ...]]) -> Tuple[BMatrix, Dict[int, Fraction]]:
+def solve_btilde(ctx: ClusterContext, r: RMatrix, var_weights: List[Tuple[int, ...]]) -> BMatrix:
     """Solve the stacked linear system for every exchangeable column.
 
     For l in ex: Omega_r(b, e_j) = delta_jl lambda*_l for all j, plus zero
     torus weight of the ytilde-monomial with exponent b.  Uniqueness and
-    integrality are required; anything else is a presentation defect.
+    integrality are required; anything else is a presentation defect.  The
+    beta scalars are not returned: check_seed_invariants certifies them.
     """
     n = ctx.p.n
     d = ctx.p.torus_rank
     rows = [[r[i][j] for i in range(n)] for j in range(n)]
     rows += [[var_weights[k][a] for k in range(n)] for a in range(d)]
     cols: Dict[int, Tuple[int, ...]] = {}
-    beta: Dict[int, Fraction] = {}
     ex = ctx.eta.exchangeable
-    lams = [ctx.p.lam_star[l] for l in ex]
-    rhs_columns = [[lam_l if j == l else 0 for j in range(n)] + [0] * d
-                   for l, lam_l in zip(ex, lams)]
+    rhs_columns = [[ctx.p.lam_star[l] if j == l else 0 for j in range(n)] + [0] * d for l in ex]
     particulars, null_basis = linalg.solve(rows, rhs_columns) if ex else ([], [])
-    for l, lam_l, particular in zip(ex, lams, particulars):
+    for l, particular in zip(ex, particulars):
         if particular is None:
             raise NoSolution(l)
         if null_basis:
@@ -393,9 +390,7 @@ def solve_btilde(ctx: ClusterContext, r: RMatrix,
         if any(x.denominator != 1 for x in particular):
             raise NonIntegral(l, particular)
         cols[l] = tuple(int(x) for x in particular)
-        beta[l] = lam_l
-    b = BMatrix.from_columns(n, cols) if cols else BMatrix(n=n, ex=(), cols={})
-    return b, beta
+    return BMatrix.from_columns(n, cols) if cols else BMatrix(n=n, ex=(), cols={})
 
 
 def check_seed_invariants(variables: Sequence[MvLaurent], r: RMatrix, btilde: BMatrix,
@@ -428,8 +423,8 @@ def _build_bundle(ctx: ClusterContext, tau: Perm, sigma: Perm, key: SeedKey) -> 
     vars_x = [y for y, _ in primes]
     weights = [w for _, w in primes]
     r = _key_r(ctx.p, ctx.eta, key)
-    btilde, beta = solve_btilde(ctx, r, weights)
-    check_seed_invariants(vars_x, r, btilde, ctx.d_map, ctx.eta)
+    btilde = solve_btilde(ctx, r, weights)
+    beta = check_seed_invariants(vars_x, r, btilde, ctx.d_map, ctx.eta)
     return TauSeedBundle(tau=tau, sigma=sigma, vars_x=vars_x, intervals=list(key),
                          weights=weights, r=r, btilde=btilde, beta=beta)
 
@@ -577,9 +572,9 @@ def check_log_canonical(ctx: ClusterContext, bundle: TauSeedBundle) -> int:
     Brackets are computed in the polynomial ring on the generators, so no
     denominators arise.  Each variable is scaled to int numerators and
     prepared for the bracket kernel once, and each identity
-    {v_l, v_j} = r_lj v_l v_j is decided on integers by the pair loop that
-    cgl.certify_prime_sequence also runs; Fractions are built only for a
-    failure's lhs and rhs.  Returns the number of pairs checked.
+    {v_l, v_j} = r_lj v_l v_j is decided on integers by the bracket kernel
+    (cgl._first_non_multiple_pair); Fractions are built only for a failure's
+    lhs and rhs.  Returns the number of pairs checked.
     """
     p = ctx.p
     scaled = [_scale(v.terms) for v in bundle.vars_x]

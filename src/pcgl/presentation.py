@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -134,18 +134,26 @@ class PoissonPresentation:
             if any(i >= k for i in poly.support()):
                 raise SupportViolation(k, j, f"delta_{k+1}(x_{j+1}) involves generators >= x_{k+1}")
         n = self.n
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        # h as ints over hden; lambda_kj = <h_k, chi_j> is then an int dot
+        # product over hden, and lam_den is hden with the gcd of hden and
+        # every such numerator divided out.
+        hden = lcm(*(x.denominator for hk in self.h for x in hk))
+        hnum = [[x.numerator * (hden // x.denominator) for x in hk] for hk in self.h]
+        dots = [[sum(a * b for a, b in zip(hnum[k], self.weights[j])) for j in range(k)]
+                for k in range(n)]
+        den = hden // gcd(hden, *(v for row in dots for v in row))
+        cut = hden // den
+        nums = [[0] * n for _ in range(n)]
         for k in range(n):
-            for j in range(k):
-                v = _dot(self.h[k], self.weights[j])
-                rows[k][j] = v
-                rows[j][k] = -v
-        den = lcm(*(v.denominator for row in rows for v in row))
+            for j, v in enumerate(dots[k]):
+                nums[k][j] = v // cut
+                nums[j][k] = -nums[k][j]
         put = partial(object.__setattr__, self)
-        put("lam_rows", tuple(tuple(row) for row in rows))
-        put("lam_num", tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in rows))
+        put("lam_rows", tuple(tuple(Fraction(v, den) for v in row) for row in nums))
+        put("lam_num", tuple(tuple(row) for row in nums))
         put("lam_den", den)
-        put("lam_diagonal", tuple(_dot(self.h[k], self.weights[k]) for k in range(n)))
+        put("lam_diagonal", tuple(Fraction(sum(a * b for a, b in zip(hnum[k], self.weights[k])), hden)
+                                  for k in range(n)))
         put("lam_star", None if self.h_star is None else
             tuple(_dot(self.h_star[j], self.weights[j]) for j in range(n)))
         items = tuple((k, j, poly) for (k, j), poly in sorted(self.delta.items())

@@ -18,7 +18,6 @@ from pcgl.cgl import (
     sigma,
 )
 from pcgl.cluster import (
-    BMatrix,
     ClusterContext,
     NonIntegral,
     chain_verify,

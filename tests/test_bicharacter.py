@@ -5,13 +5,14 @@ only the table entries inside a term pair's support."""
 
 from dataclasses import fields
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcgl.poly import MvLaurent
-from pcgl.presentation import _dot, bracket
+from pcgl.presentation import PoissonPresentation, _dot, bracket
 from pcgl.presets import build_matrix_poisson
 from pcgl.symmetric import validate_symmetric
 
@@ -154,6 +155,44 @@ def test_lambda_data_equals_oracle(name):
     assert [[Fraction(x, p.lam_den) for x in row] for row in p.lam_num] == want
     assert [p.lam_diag(k) for k in range(n)] == [_oracle_lam_diag(p, k) for k in range(n)]
     assert list(p.lam_star) == [_oracle_lambda_star(p, j) for j in range(n)]
+
+
+def _oracle_lambda_matrix(p):
+    """lam_rows, lam_num and lam_den as __post_init__ built them from Fraction
+    dot products: the lower triangle, negated above, over the lcm of the
+    entries' denominators."""
+    n = p.n
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k):
+            v = _dot(p.h[k], p.weights[j])
+            rows[k][j] = v
+            rows[j][k] = -v
+    den = lcm(*(v.denominator for row in rows for v in row))
+    num = tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in rows)
+    return tuple(tuple(row) for row in rows), num, den
+
+
+@st.composite
+def weighted_h(draw):
+    """(n, torus rank, weights, h) with rational h; h is all zero, and so is
+    lambda, about one time in four."""
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    weights = tuple(tuple(draw(st.integers(-3, 3)) for _ in range(d)) for _ in range(n))
+    entry = st.just(Fraction(0)) if draw(st.integers(0, 3)) == 0 else \
+        st.fractions(min_value=-6, max_value=6, max_denominator=12)
+    h = tuple(tuple(draw(entry) for _ in range(d)) for _ in range(n))
+    return n, d, weights, h
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_h())
+@example((3, 2, ((1, 0), (0, 1), (1, 1)), ((Fraction(0),) * 2,) * 3))
+def test_lambda_matrix_equals_the_fraction_loop(data):
+    n, d, weights, h = data
+    p = PoissonPresentation(n=n, torus_rank=d, weights=weights, h=h)
+    assert (p.lam_rows, p.lam_num, p.lam_den) == _oracle_lambda_matrix(p)
+    assert p.lam_diagonal == tuple(_oracle_lam_diag(p, k) for k in range(n))
 
 
 def test_coprime_denominators_preset():

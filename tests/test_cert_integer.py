@@ -2,10 +2,12 @@
 
 `certify_prime_sequence`, the Jacobi loop of `validate_algebra` and
 `check_log_canonical` decide their identities on int numerators through the
-bracket kernel.  The oracles below are those checks as they were before, with
-every bracket and right-hand side a `Fraction` polynomial; they call only the
-public `bracket` and `MvLaurent` arithmetic.  Pass or fail, exception, `what`,
-`lhs`, `rhs` and the validation report must agree.
+bracket kernel; `certify_prime_sequence` decides its {y_k, y_j} identities
+from the certified {y_k, x_i} relations instead, and brackets only a pair
+those relations do not cover.  The oracles below are those checks as they
+were before, with every bracket and right-hand side a `Fraction` polynomial;
+they call only the public `bracket` and `MvLaurent` arithmetic.  Pass or
+fail, exception, `what`, `lhs`, `rhs` and the validation report must agree.
 """
 
 from dataclasses import replace
@@ -18,11 +20,13 @@ import pytest
 from pcgl import cgl
 from pcgl.cgl import CertFailure, QData, certify_prime_sequence, compute_eta_and_primes
 from pcgl.cluster import ClusterContext, LogCanonicalFailure, check_log_canonical, seed_for_tau
-from pcgl.poly import MvLaurent
+from pcgl.poly import MvLaurent, _mul, _scale
 from pcgl.presentation import (
     JacobiFailure,
     PoissonPresentation,
     ValidationReport,
+    _bracket_is_multiple,
+    _prepare,
     bracket,
     validate_algebra,
     weight_of,
@@ -194,6 +198,85 @@ def test_wrong_q_fails_like_the_oracle(primes, monkeypatch):
     p, eta, seq = primes
     _corrupt(monkeypatch, "q", p.n - 1, 0)
     _assert_same_failure(p, eta, seq)
+
+
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+def test_wrong_q_in_loop_order_fails_like_the_oracle(primes, monkeypatch, at):
+    p, eta, seq = primes
+    pairs = [(l, j) for l in range(p.n) for j in range(l)]
+    l, j = {"first": pairs[0], "middle": pairs[len(pairs) // 2], "last": pairs[-1]}[at]
+    _corrupt(monkeypatch, "q", l, j)
+    _assert_same_failure(p, eta, seq)
+
+
+# ---------------------------------------------------------------- y-y pairs from y-x relations
+
+VERDICT_INPUTS = dict(PRESENTATIONS, **{"4x4": build_matrix_poisson(4, 4)})
+
+
+@pytest.mark.parametrize("name", sorted(VERDICT_INPUTS))
+def test_derived_verdicts_equal_the_kernel(name):
+    """Every pair's verdict, under the true q and under a q off by 1/5 on every
+    other pair, equals the bracket kernel's."""
+    p = VERDICT_INPUTS[name]
+    eta, seq = compute_eta_and_primes(p)
+    qd = certify_prime_sequence(p, eta, seq)
+    ys = [_scale(y.terms) for y in seq.y]
+    yops = [_prepare(p, nums) for nums, _ in ys]
+    skewed = [[x + Fraction(1, 5) * ((l + j) % 2) for j, x in enumerate(row)]
+              for l, row in enumerate(qd.q)]
+    for q in (qd.q, skewed):
+        got = list(cgl._q_verdicts(p, eta, replace(qd, q=q), ys, yops))
+        want = [(l, j, _bracket_is_multiple(p, yops[l], yops[j], q[l][j], _mul(ys[l][0], ys[j][0])))
+                for l in range(p.n) for j in range(l)]
+        assert got == want
+    assert {v for *_, v in got} == {True, False}
+
+
+def _kernel_calls(monkeypatch):
+    """Record the arguments of every bracket-kernel call cgl makes."""
+    calls = []
+    kernel = cgl._bracket_is_multiple
+
+    def spy(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(cgl, "_bracket_is_multiple", spy)
+    return calls
+
+
+def test_a_genuine_sequence_brackets_no_y_y_pair(primes, monkeypatch):
+    p, eta, seq = primes
+    calls = _kernel_calls(monkeypatch)
+    certify_prime_sequence(p, eta, seq)
+    y_x = sum(p.n if s is None else s for s in eta.succ)
+    assert len(calls) == y_x
+
+
+@pytest.mark.parametrize("wrong_q", [False, True])
+def test_pairs_beyond_the_certified_relations_go_through_the_kernel(primes, monkeypatch, wrong_q):
+    """With s(y_N) forged to 2, only {y_N, x_1} is certified, so every pair
+    (N, j) whose y_j involves a generator past x_1 goes through the kernel.
+    alpha is made wrong at {y_N, x_2}, which no longer is checked: it must
+    decide no pair.  With q also wrong at (N, 2), that pair fails as in the
+    oracle."""
+    p, eta, seq = primes
+    n = p.n
+    succ = list(eta.succ)
+    succ[n - 1] = 1
+    forged = replace(eta, succ=succ)
+    _corrupt(monkeypatch, "alpha", 1, n - 1)
+    if wrong_q:
+        _corrupt(monkeypatch, "q", n - 1, 1)
+    want = _outcome(oracle_certify, p, forged, seq)
+    calls = _kernel_calls(monkeypatch)
+    assert _outcome(certify_prime_sequence, p, forged, seq) == want
+    assert want[0] == ("CertFailure" if wrong_q else "ok")
+    # y_1 = x_1 is decided from {y_N, x_1}; each of y_2..y_{N-1} involves
+    # its own generator, so it reaches the kernel, and y_2 comes first.
+    y_x = sum(n if s is None else s for s in succ)
+    assert len(calls) - y_x == (1 if wrong_q else n - 2)
 
 
 # ---------------------------------------------------------------- Jacobi

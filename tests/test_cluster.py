@@ -179,18 +179,28 @@ def _lambda_dense(p):
     return [[lam(k, j) for j in range(p.n)] for k in range(p.n)]
 
 
-def _r_matrix_for_tau_dense(lam, eta, tau):
-    """r_matrix_for_tau as it was: the lambda matrix lam, permuted by tau."""
+def _omega_dense(lam):
+    """Omega_lambda of the lambda matrix lam on sets of generators (0/1
+    exponent vectors), summed as Fractions once per pair of sets."""
+    memo = {}
+
+    def omega(a, b):
+        if (a, b) not in memo:
+            memo[(a, b)] = sum((lam[i][j] for i in a for j in b), Fraction(0))
+        return memo[(a, b)]
+
+    return omega
+
+
+def _r_matrix_for_tau_dense(omega, eta, tau):
+    """r_matrix_for_tau as it was: the bicharacter of lam permuted by tau, on
+    the ebar vectors of the tau-presentation.  Position m stands for x_tau(m)
+    there, so Omega_{lam_tau}(ebar_k, ebar_j) is omega on the generators
+    tau(m) that ebar_k and ebar_j cover."""
     n = len(tau)
     etau = eta_tau_data(eta, tau)
-    lam_tau = [[lam[tau[l]][tau[j]] for j in range(n)] for l in range(n)]
-    ebars = [etau.ebar(k) for k in range(n)]
-
-    def omega(f, g):
-        return sum((fk * gj * lam_tau[k][j] for k, fk in enumerate(f) if fk
-                    for j, gj in enumerate(g) if gj), Fraction(0))
-
-    q_tau = [[omega(ebars[k], ebars[j]) for j in range(n)] for k in range(n)]
+    covers = [frozenset(tau[m] for m, x in enumerate(etau.ebar(k)) if x) for k in range(n)]
+    q_tau = [[omega(covers[k], covers[j]) for j in range(n)] for k in range(n)]
     sig_inv = perm_inverse(perm_compose(tau_bullet(tau, eta), tau))
     return [[q_tau[sig_inv[a]][sig_inv[b]] for b in range(n)] for a in range(n)]
 
@@ -232,9 +242,9 @@ class TestAgainstDenseOracles:
 
     def test_r_tau_on_all_gamma(self, r_contexts):
         for ctx in r_contexts:
-            lam = _lambda_dense(ctx.p)
+            omega = _omega_dense(_lambda_dense(ctx.p))
             for tau in gamma_chain(ctx.p.n).perms:
-                assert r_matrix_for_tau(ctx.p, ctx.eta, tau) == _r_matrix_for_tau_dense(lam, ctx.eta, tau)
+                assert r_matrix_for_tau(ctx.p, ctx.eta, tau) == _r_matrix_for_tau_dense(omega, ctx.eta, tau)
 
     def test_r_tau_equals_the_per_tau_recurrence(self, r_contexts):
         for ctx in r_contexts:

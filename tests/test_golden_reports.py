@@ -8,19 +8,24 @@ here instead of passing silently.  The bracket digests were taken before the
 bracket moved to integer numerators, on presentations whose delta tables
 carry several coprime denominators.  The mutate digests on rescaled_3x3,
 one per exchangeable direction and one on a non-identity permutation, were
-taken before a seed's mutation was folded into one path.
+taken before a seed's mutation was folded into one path.  The analyze
+digests on rescaled_4x5, two_block and the 4x4 matrix preset were taken before the
+prime sequence's {y_k, y_j} identities were decided from the {y_l, x_i}
+relations instead of by bracketing.
 """
 
 import hashlib
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from pcgl import serialize as ser
 from pcgl.cli import main
 from pcgl.presentation import PoissonPresentation
+from pcgl.presets import build_matrix_poisson
 
-from conftest import rescaled_2x3, rescaled_3x3
+from conftest import rescaled_2x3, rescaled_3x3, rescaled_4x5, two_block
 
 GOLDEN = [
     (["membership", "--elem", "t11*t22 - t12*t21"], 0,
@@ -60,13 +65,17 @@ def jacobi_broken_3x3() -> PoissonPresentation:
                                delta=delta, h_star=p.h_star)
 
 
-BRACKET_INPUTS = {"r33": rescaled_3x3, "r23": rescaled_2x3, "broken": jacobi_broken_3x3}
+BRACKET_INPUTS = {"r33": rescaled_3x3, "r23": rescaled_2x3, "broken": jacobi_broken_3x3,
+                  "r45": rescaled_4x5, "two_block": two_block, "m44": partial(build_matrix_poisson, 4, 4)}
 
 BRACKET_GOLDEN = [
     ("analyze", "r33", 0, "9b5f9df692a85336778e5c0b3482df653ed062fd5794850ef4847302aa3d4207"),
     ("validate", "r33", 0, "984eb32983a51a1ba34478e4da8f9ca888d216143f7293c4e6ef11981ff5ecf1"),
     ("analyze", "r23", 0, "d7b5bcb661b9737d597be5cb39df88b1d6ffee069aa22afdc4dbc32d878be223"),
     ("validate", "broken", 2, "c9e495726eff2c1fa518f53c9cd528a831e5758608c4ef4cb2e08460f9b0b6bc"),
+    ("analyze", "r45", 0, "872c636262805d22e8021a02e569c26e9f3eae0ea5c968dfcc7d24ee9a071eaf"),
+    ("analyze", "two_block", 0, "92aef3f71527e6584440893a1ea9cc15c5fe65ccf899e67aa35ad41928905135"),
+    ("analyze", "m44", 0, "1fd31f9dde368b325e8916787e65a191abaf8083b786c1cb768f85bd604684bc"),
 ]
 
 
@@ -106,3 +115,4 @@ def test_mutate_report_digest(bracket_files, capsys, args, digest):
     assert main(["mutate", bracket_files["r33"], *args]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+

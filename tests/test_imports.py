@@ -1,11 +1,12 @@
-"""Every name a pcgl module imports is used in that module, and imported at
-module level.
+"""Every name a pcgl module or test file imports is used in that file, and
+every pcgl module imports at module level.
 
-Stdlib-only: each module under src/pcgl is parsed with ``ast`` and the names
-its import statements bind are checked against the names it reads.  The
-package ``__init__`` re-exports names on purpose and is exempt from that
-check.  No module imports inside a function body, so a module's
-dependencies are all listed at its top.
+Stdlib-only: each module under src/pcgl and each file under tests is parsed
+with ``ast`` and the names its import statements bind are checked against
+the names it reads.  The package ``__init__`` re-exports names on purpose
+and is exempt from that check.  No module imports inside a function body, so
+a module's dependencies are all listed at its top; the tests are not held to
+that rule.
 """
 
 import ast
@@ -15,6 +16,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pcgl"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str):
@@ -40,6 +42,11 @@ def test_scanner_flags_an_unused_import():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
+def test_no_unused_imports_in_tests(path):
     assert unused_imports(path.read_text()) == []
 
 

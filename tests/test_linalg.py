@@ -169,7 +169,7 @@ def _solve_btilde_per_column(ctx, r, var_weights):
     n, d = ctx.p.n, ctx.p.torus_rank
     rows = [[r[i][j] for i in range(n)] for j in range(n)]
     rows += [[Fraction(var_weights[k][a]) for k in range(n)] for a in range(d)]
-    cols, beta = {}, {}
+    cols = {}
     for l in ctx.eta.exchangeable:
         lam_l = ctx.p.lam_star[l]
         rhs = [lam_l if j == l else Fraction(0) for j in range(n)] + [Fraction(0)] * d
@@ -181,9 +181,7 @@ def _solve_btilde_per_column(ctx, r, var_weights):
         if any(x.denominator != 1 for x in particular):
             raise NonIntegral(l, particular)
         cols[l] = tuple(int(x) for x in particular)
-        beta[l] = lam_l
-    b = BMatrix.from_columns(n, cols) if cols else BMatrix(n=n, ex=(), cols={})
-    return b, beta
+    return BMatrix.from_columns(n, cols) if cols else BMatrix(n=n, ex=(), cols={})
 
 
 def _outcome(fn, *args):

@@ -15,7 +15,7 @@ from pcgl.presentation import (
     validate_algebra,
     weight_of,
 )
-from pcgl.presets import build_affine_space, build_matrix_poisson
+from pcgl.presets import build_affine_space
 
 from conftest import weyl_block
 

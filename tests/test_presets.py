@@ -1,7 +1,6 @@
 """Preset constructors and their ground-truth oracles."""
 
 import random
-from fractions import Fraction
 
 import pytest
 

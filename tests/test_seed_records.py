@@ -48,8 +48,10 @@ def _seed_for_tau_per_tau(ctx, tau):
     vars_x = [interval_prime(p, eta, i, m) for (i, m) in key]
     weights = [weight_of(p, v) for v in vars_x]
     r = _r_matrix_for_tau_omega(p, eta, tau)
-    btilde, beta = solve_btilde(ctx, r, weights)
+    btilde = solve_btilde(ctx, r, weights)
     check_seed_invariants(vars_x, r, btilde, ctx.d_map, eta)
+    # beta as solve_btilde returned it: the lambda*_l it solved for
+    beta = {l: p.lam_star[l] for l in eta.exchangeable}
     return TauSeedBundle(tau=tau, sigma=sigma, vars_x=vars_x, intervals=list(key),
                          weights=weights, r=r, btilde=btilde, beta=beta)
 

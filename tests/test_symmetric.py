@@ -10,7 +10,7 @@ from pcgl.cgl import compute_eta_and_primes
 from pcgl.cluster import chain_verify
 from pcgl.poly import MvLaurent
 from pcgl.presentation import PoissonPresentation, SupportViolation
-from pcgl.presets import build_affine_space, build_matrix_poisson, solid_minor
+from pcgl.presets import build_affine_space, solid_minor
 from pcgl.symmetric import (
     Incompatible,
     SymmetryError,
