@@ -42,10 +42,8 @@ from .cgl import (
     PrimeSequenceReport,
     QData,
     alpha_q_matrices,
-    cauchon_theta,
     certify_prime_sequence,
     compute_eta_and_primes,
-    delta,
     hmax_equations,
 )
 from .symmetric import (
@@ -56,15 +54,11 @@ from .symmetric import (
     ZeroLambdaStar,
     apply_rescaling,
     compute_d_integers,
-    enumerate_xi,
     gamma_chain,
     interval_prime,
-    permute_presentation,
     rescale_generators,
-    tau_bullet,
     u_element_and_pi,
     validate_symmetric,
-    y_sequence_for_tau,
 )
 from .cluster import (
     BMatrix,
@@ -83,6 +77,6 @@ from .cluster import (
     upper_membership,
     verify_one_step,
 )
-from .presets import build_affine_space, build_matrix_poisson, solid_minor
+from .presets import build_affine_space, build_matrix_poisson
 
 __version__ = "0.1.0"

@@ -2,8 +2,9 @@
 
 Computes the level-set labeling eta with its predecessor/successor functions,
 the recursive sequence y_1..y_N of homogeneous Poisson-prime elements, the
-alpha/q scalar matrices, the derivation-deleting map, and the maximal-torus
-equations, together with an exact certification pass for all of it.
+alpha/q scalar matrices as reads of the bicharacter Omega_lambda, and the
+maximal-torus equations, together with an exact certification pass for all
+of it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .presentation import (
     Operand,
     PoissonPresentation,
     PresentationError,
-    SupportViolation,
     _bracket_is_multiple,
     _prepare,
     _prepared_gens,
@@ -109,18 +109,6 @@ class QData:
     q: List[List[Fraction]]
 
 
-def delta(p: PoissonPresentation, k: int, f: MvLaurent) -> MvLaurent:
-    """The derivation delta_k applied to f (f must live below generator k)."""
-    if any(i >= k for i in f.support()):
-        raise SupportViolation(k, max(f.support()), f"argument of delta_{k+1} involves x_{max(f.support())+1}")
-    return apply_derivation(p.delta_gen_images(k), f)
-
-
-def sigma(p: PoissonPresentation, k: int, f: MvLaurent) -> MvLaurent:
-    """The diagonal derivation sigma_k = (h_k . ) applied termwise."""
-    return MvLaurent.from_terms(p.n, ((e, c * p.sigma_scalar(k, e)) for e, c in f.terms.items()))
-
-
 def compute_eta_and_primes(p: PoissonPresentation) -> Tuple[EtaData, PrimeSequenceReport]:
     """Run the k = 1..N recursion producing eta, p, s and the y-sequence.
 
@@ -188,46 +176,11 @@ def compute_eta_and_primes(p: PoissonPresentation) -> Tuple[EtaData, PrimeSequen
 
 
 def alpha_q_matrices(p: PoissonPresentation, eta: EtaData) -> QData:
-    """alpha_kj = Omega_lambda(e_k, ebar_j) and q_kj = Omega_lambda(ebar_k, ebar_j).
-
-    The predecessor chains nest, ebar_j = ebar_{p(j)} + e_j, so every entry
-    is one integer add from a neighbour, on numerators over p.lam_den:
-        alpha[k][j] = alpha[k][p(j)] + lam_num[k][j],  q[k] = q[p(k)] + alpha[k].
-    """
+    """alpha_kj = Omega_lambda(e_k, ebar_j) and q_kj = Omega_lambda(ebar_k, ebar_j)."""
     n = p.n
-    pred = eta.pred
-    alpha: List[List[int]] = []
-    for src in p.lam_num:
-        row = [0] * n
-        for j in range(n):
-            pj = pred[j]
-            row[j] = src[j] if pj is None else row[pj] + src[j]
-        alpha.append(row)
-    q: List[List[int]] = []
-    for k in range(n):
-        pk = pred[k]
-        q.append(list(alpha[k]) if pk is None else [a + b for a, b in zip(q[pk], alpha[k])])
-    den = p.lam_den
-    return QData(alpha=[[Fraction(x, den) for x in row] for row in alpha],
-                 q=[[Fraction(x, den) for x in row] for row in q])
-
-
-def _first_non_multiple_pair(p: PoissonPresentation, scaled: Sequence[Scaled],
-                             ops: Sequence[Operand],
-                             c: Sequence[Sequence[Fraction]]) -> Optional[Tuple[int, int]]:
-    """The first pair (l, j), j < l in row order, with {v_l, v_j} != c[l][j] v_l v_j, or None.
-
-    scaled[l] and ops[l] are v_l as poly._scale and presentation._prepare
-    give it, so each identity is decided on int numerators against the int
-    product v_l v_j, with no Fraction built.  check_log_canonical is its only
-    caller: seed variables carry no certified relations with the generators,
-    so every pair goes through the bracket kernel.
-    """
-    for l in range(len(ops)):
-        for j in range(l):
-            if not _bracket_is_multiple(p, ops[l], ops[j], c[l][j], _mul(scaled[l][0], scaled[j][0])):
-                return l, j
-    return None
+    ebars = [eta.ebar(k) for k in range(n)]
+    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    return QData(alpha=p.omega_lambda_matrix(units, ebars), q=p.omega_lambda_matrix(ebars, ebars))
 
 
 def _q_verdicts(p: PoissonPresentation, eta: EtaData, qd: QData, ys: Sequence[Scaled],
@@ -309,34 +262,6 @@ def certify_prime_sequence(p: PoissonPresentation, eta: EtaData, seq: PrimeSeque
             raise CertFailure(f"{{y_{l+1}, y_{j+1}}} = q y y", bracket(p, seq.y[l], seq.y[j]),
                               seq.y[l] * seq.y[j] * qd.q[l][j])
     return qd
-
-
-def cauchon_theta(p: PoissonPresentation, k: int, f: MvLaurent) -> MvLaurent:
-    """Derivation-deleting map: sum_n (1/n!)(-1/lambda_k)^n delta_k^n(f) x_k^(-n).
-
-    Local nilpotence of delta_k makes the series finite; the presentation's
-    nilpotence bound guards against invalid input.
-    """
-    if any(i >= k for i in f.support()):
-        raise SupportViolation(k, max(f.support()), f"theta at {k+1} needs input below x_{k+1}")
-    lam_k = p.lam_diag(k)
-    images = p.delta_gen_images(k)
-    bound = p.nilpotence_bound()
-    out = MvLaurent.zero(p.n)
-    cur = f
-    n_fact = 1
-    ratio = Fraction(-1) / lam_k
-    power = Fraction(1)
-    step = 0
-    while not cur.is_zero():
-        if step > bound:
-            raise PrimeSequenceError(f"delta_{k+1} failed to nilpotate within {bound} steps")
-        out = out + cur * (power / n_fact) * MvLaurent.gen(p.n, k, -step)
-        step += 1
-        n_fact *= step
-        power *= ratio
-        cur = apply_derivation(images, cur)
-    return out
 
 
 @dataclass

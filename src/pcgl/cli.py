@@ -308,8 +308,12 @@ def cmd_symmetric(args) -> int:
 def cmd_rescale(args) -> int:
     p, names = _load_presentation(args.file)
     vrep = validate_algebra(p)
+    if not vrep.passed:
+        _emit({"command": "rescale", "validation": vrep.as_dict()}, args.output,
+              "P-CGL validation FAILED")
+        return EXIT_INPUT
     srep, ps = validate_symmetric(p)
-    if not (vrep.passed and srep.passed):
+    if not srep.passed:
         _emit({"command": "rescale", "validation": vrep.as_dict(), "symmetric": srep.as_dict()},
               args.output, "input not a valid symmetric presentation")
         return EXIT_INPUT

@@ -17,9 +17,11 @@ function of the key too: r_tau[a][b] = Omega_lambda(ebar(key[a]),
 ebar(key[b])) with ebar(i, m) the interval exponent of label (i, m), because
 by bilinearity the q-entry of the tau-presentation is Omega_lambda on the
 predecessor chains, and the chain of position k covers exactly the interval
-of its label.  So a context builds r, solves and checks one seed per key,
-and builds and weighs each interval prime once; chain_verify builds one
+of its label.  So a context builds r, from the one bicharacter
+PoissonPresentation.omega_lambda_matrix, solves and checks one seed per
+key, and builds and weighs each interval prime once; chain_verify builds one
 bundle per permutation and checks each link on the bundles of its two ends.
+check_log_canonical brackets every pair of a seed's variables against r.
 Every function here that needs sigma = tau_bullet o tau, the seed key or the
 tau-predecessors takes them from one call of symmetric.tau_data, and the
 generators are written in a cluster by one back-substitution,
@@ -35,11 +37,12 @@ from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .cgl import EtaData, PrimeSequenceReport, _first_non_multiple_pair, compute_eta_and_primes
-from .poly import MvLaurent, NonInvertibleImage, _scale, exact_divide, substitute
+from .cgl import EtaData, PrimeSequenceReport, compute_eta_and_primes
+from .poly import MvLaurent, NonInvertibleImage, _mul, _scale, exact_divide, substitute
 from .presentation import (
     PoissonPresentation,
     PresentationError,
+    _bracket_is_multiple,
     _prepare,
     bracket,
     validate_algebra,
@@ -358,7 +361,8 @@ class TauSeedBundle:
 def _key_r(p: PoissonPresentation, eta: EtaData, key: SeedKey) -> RMatrix:
     """r of a seed key: r[a][b] = Omega_lambda(ebar(key[a]), ebar(key[b])) on the
     interval exponents of its labels, built once per key by _build_bundle."""
-    return p.omega_lambda_matrix([interval_exponent(eta, i, m) for i, m in key])
+    vecs = [interval_exponent(eta, i, m) for i, m in key]
+    return p.omega_lambda_matrix(vecs, vecs)
 
 
 def r_matrix_for_tau(p: PoissonPresentation, eta: EtaData, tau: Perm) -> RMatrix:
@@ -572,18 +576,22 @@ def check_log_canonical(ctx: ClusterContext, bundle: TauSeedBundle) -> int:
     Brackets are computed in the polynomial ring on the generators, so no
     denominators arise.  Each variable is scaled to int numerators and
     prepared for the bracket kernel once, and each identity
-    {v_l, v_j} = r_lj v_l v_j is decided on integers by the bracket kernel
-    (cgl._first_non_multiple_pair); Fractions are built only for a failure's
-    lhs and rhs.  Returns the number of pairs checked.
+    {v_l, v_j} = r_lj v_l v_j, j < l in row order, is decided on integers by
+    the bracket kernel against the int product v_l v_j.  Seed variables carry
+    no certified relations with the generators, so, unlike the prime
+    sequence's certificate, every pair goes through the kernel.  Fractions
+    are built only for the first failing pair's lhs and rhs.  Returns the
+    number of pairs checked.
     """
     p = ctx.p
-    scaled = [_scale(v.terms) for v in bundle.vars_x]
-    bad = _first_non_multiple_pair(p, scaled, [_prepare(p, nums) for nums, _ in scaled], bundle.r)
-    if bad is not None:
-        l, j = bad
-        lhs = bracket(p, bundle.vars_x[l], bundle.vars_x[j])
-        rhs = bundle.vars_x[l] * bundle.vars_x[j] * bundle.r[l][j]
-        raise LogCanonicalFailure(l, j, lhs, rhs)
+    v = bundle.vars_x
+    scaled = [_scale(f.terms) for f in v]
+    ops = [_prepare(p, nums) for nums, _ in scaled]
+    for l in range(p.n):
+        for j in range(l):
+            if not _bracket_is_multiple(p, ops[l], ops[j], bundle.r[l][j],
+                                        _mul(scaled[l][0], scaled[j][0])):
+                raise LogCanonicalFailure(l, j, bracket(p, v[l], v[j]), v[l] * v[j] * bundle.r[l][j])
     return p.n * (p.n - 1) // 2
 
 

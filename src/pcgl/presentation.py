@@ -167,34 +167,6 @@ class PoissonPresentation:
         put("delta_num", tuple(tuple(row) for row in rows))
         put("delta_den", dden)
 
-    @classmethod
-    def from_lambda(cls, n: int, lam_rows, lam_diag, delta=None) -> "PoissonPresentation":
-        """Raw-lambda input mode: synthesize h for the standard (K^x)^N torus.
-
-        `lam_rows` is the skew-symmetric scalar matrix and `lam_diag` the
-        nonzero eigenvalues of the x_k.  With the standard action (weight of
-        x_k is e_k), h_k := (lam_k1, ..., lam_k,k-1, lam_k, 0, ...) realizes
-        exactly those scalars, so the torus-compatibility condition is
-        asserted by construction rather than verified against user data.
-        """
-        lam_rows = [[Fraction(x) for x in row] for row in lam_rows]
-        lam_diag = [Fraction(x) for x in lam_diag]
-        if len(lam_rows) != n or any(len(r) != n for r in lam_rows) or len(lam_diag) != n:
-            raise PresentationError("lambda data must be N x N plus N diagonal eigenvalues")
-        for k in range(n):
-            for j in range(n):
-                if lam_rows[k][j] != -lam_rows[j][k]:
-                    raise PresentationError("lambda matrix must be skew-symmetric")
-        weights = tuple(tuple(1 if i == j else 0 for i in range(n)) for j in range(n))
-        h = []
-        for k in range(n):
-            row = [Fraction(0)] * n
-            for j in range(k):
-                row[j] = lam_rows[k][j]
-            row[k] = lam_diag[k]
-            h.append(tuple(row))
-        return cls(n=n, torus_rank=n, weights=weights, h=tuple(h), delta=dict(delta or {}))
-
     # ------------------------------------------------------------- derived data
 
     def lam(self, k: int, j: int) -> Fraction:
@@ -205,24 +177,22 @@ class PoissonPresentation:
         """The h_k-eigenvalue lambda_k of x_k (nonzero for valid input)."""
         return self.lam_diagonal[k]
 
-    def omega_lambda(self, f: Sequence[int], g: Sequence[int]) -> Fraction:
-        """Skew-symmetric bicharacter of the lambda matrix on Z^N."""
-        return self.omega_lambda_matrix((f, g))[0][1]
-
-    def omega_lambda_matrix(self, vecs: Sequence[Sequence[int]]) -> List[List[Fraction]]:
-        """Omega_lambda(f, g) for every f (row) and g (column) in vecs.
+    def omega_lambda_matrix(self, rows: Sequence[Sequence[int]],
+                            cols: Sequence[Sequence[int]]) -> List[List[Fraction]]:
+        """Omega_lambda(f, g) for every f in rows and g in cols.
 
         Each row L.f = sum_k f_k lam_num[k] is summed once and read on the
         nonzero entries of every g: Omega_lambda(f, g) = (L.f . g) / lam_den.
         """
         num = self.lam_num
-        nzs = [[(j, x) for j, x in enumerate(v) if x] for v in vecs]
+        col_nzs = [[(j, x) for j, x in enumerate(g) if x] for g in cols]
         out = []
-        for f_nz in nzs:
+        for f in rows:
             row = [0] * self.n
-            for k, fk in f_nz:
-                row = [x + fk * v for x, v in zip(row, num[k])]
-            out.append([Fraction(sum(gj * row[j] for j, gj in g_nz), self.lam_den) for g_nz in nzs])
+            for k, fk in enumerate(f):
+                if fk:
+                    row = [x + fk * v for x, v in zip(row, num[k])]
+            out.append([Fraction(sum(gj * row[j] for j, gj in g_nz), self.lam_den) for g_nz in col_nzs])
         return out
 
     def delta_entry(self, k: int, j: int) -> MvLaurent:
@@ -235,10 +205,6 @@ class PoissonPresentation:
 
     def delta_is_zero(self, k: int) -> bool:
         return all((k, j) not in self.delta or self.delta[(k, j)].is_zero() for j in range(k))
-
-    def sigma_scalar(self, k: int, exp: Sequence[int]) -> Fraction:
-        """Eigenvalue of sigma_k = (h_k . ) on the monomial x^exp."""
-        return sum((m * _dot(self.h[k], self.weights[j]) for j, m in enumerate(exp) if m), Fraction(0))
 
     def monomial_weight(self, exp: Sequence[int]) -> Tuple[int, ...]:
         w = [0] * self.torus_rank

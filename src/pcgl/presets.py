@@ -1,4 +1,4 @@
-"""Canonical example presentations with ground-truth oracles.
+"""Canonical example presentations: the matrix Poisson space and Poisson affine space.
 
 The matrix Poisson space O(M_{m,n}) carries the standard bracket
 
@@ -16,8 +16,7 @@ standard (K^x)^N action.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
-from typing import Sequence, Tuple
+from typing import Sequence
 
 from .poly import MvLaurent
 from .presentation import PoissonPresentation, PresentationError
@@ -97,43 +96,3 @@ def build_affine_space(N: int, q: Sequence[Sequence]) -> PoissonPresentation:
     return PoissonPresentation(
         n=N, torus_rank=N, weights=weights, h=tuple(h), delta={}, h_star=tuple(h_star),
     )
-
-
-def solid_minor(m: int, n: int, rows: Tuple[int, int], cols: Tuple[int, int]) -> MvLaurent:
-    """Determinant of the t-submatrix on the given 1-based row/column intervals.
-
-    Used as the independent oracle for the prime sequences of the matrix
-    preset; computed by full Leibniz expansion, which is exact and cheap at
-    desk scale.
-    """
-    r0, r1 = rows
-    c0, c1 = cols
-    if r1 - r0 != c1 - c0:
-        raise ShapeMismatch("row and column intervals must have equal length")
-    if not (1 <= r0 <= r1 <= m and 1 <= c0 <= c1 <= n):
-        raise ShapeMismatch("intervals escape the matrix shape")
-    size = r1 - r0 + 1
-    N = m * n
-    terms = []
-    for perm in permutations(range(size)):
-        sign = 1
-        seen = list(perm)
-        for i in range(size):
-            for j in range(i + 1, size):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        e = [0] * N
-        for i in range(size):
-            r = r0 + i
-            c = c0 + perm[i]
-            e[(r - 1) * n + (c - 1)] += 1
-        terms.append((tuple(e), Fraction(sign)))
-    return MvLaurent.from_terms(N, terms)
-
-
-def expected_minor_for_generator(m: int, n: int, k: int) -> MvLaurent:
-    """Solid minor the prime sequence must produce at 0-based position k."""
-    r = k // n + 1
-    c = k % n + 1
-    t = min(r, c)
-    return solid_minor(m, n, (r - t + 1, r), (c - t + 1, c))

@@ -10,9 +10,10 @@ without building it).  The eigenvalues lambda*_j = <h*_j, chi_j> are the
 presentation's lam_star, computed once with it.  All the
 data that fixes the selection for one tau -- sigma = tau_bullet o tau, the
 seed key of interval labels (start, m), and the tau-predecessors -- is read
-off one walk along tau in tau_data; tau_bullet and y_sequence_for_tau are
-reads of it.  The u-elements, their leading data (pi, f, g), and the
-gamma-rescaling that normalizes all pi to 1 also live here.
+off one walk along tau in tau_data.  Commands walk only the chain Gamma_N
+inside Xi_N (gamma_chain), never all 2^(N-1) elements of Xi_N.  The
+u-elements, their leading data (pi, f, g), and the gamma-rescaling that
+normalizes all pi to 1 also live here.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .presentation import (
     PresentationError,
     SupportViolation,
     ValidationReport,
-    bracket,
 )
 
 Perm = Tuple[int, ...]  # one-line notation, 0-based entries
@@ -198,23 +198,7 @@ def compute_d_integers(p: PoissonPresentation, eta: EtaData) -> Tuple[Dict[int, 
     return d_map, q
 
 
-# --------------------------------------------------------------- Xi_N / Gamma_N
-
-
-def enumerate_xi(N: int, cap: int = 20) -> List[Perm]:
-    """All permutations whose one-line prefixes are integer intervals (2^(N-1))."""
-    if N < 1:
-        raise ValueError("N must be positive")
-    if N > cap:
-        raise SymmetryError(f"Xi_{N} has 2^{N-1} elements; enumeration capped at N = {cap}")
-    perms: List[Perm] = [(0,)]
-    for size in range(2, N + 1):
-        nxt: List[Perm] = []
-        for t in perms:
-            nxt.append(t + (size - 1,))
-            nxt.append(tuple(x + 1 for x in t) + (0,))
-        perms = nxt
-    return perms
+# --------------------------------------------------------------------- Gamma_N
 
 
 def is_xi_element(tau: Perm) -> bool:
@@ -303,28 +287,6 @@ def tau_data(eta: EtaData, tau: Perm) -> Tuple[Perm, SeedKey, Tuple[Optional[int
     return tuple(sigma), tuple(key), tuple(pred)
 
 
-def tau_bullet(tau: Perm, eta: EtaData) -> Perm:
-    """The level-set order-normalizing companion permutation of tau in Xi_N.
-
-    For each level set L of eta, tau_bullet maps the values of L, taken in
-    the order their tau-positions occur, onto L in increasing order; composed
-    as tau_bullet(tau(k)), positions within each level set become increasing.
-    """
-    return perm_compose(tau_data(eta, tau)[0], perm_inverse(tau))
-
-
-def perm_inverse(tau: Perm) -> Perm:
-    inv = [0] * len(tau)
-    for pos, v in enumerate(tau):
-        inv[v] = pos
-    return tuple(inv)
-
-
-def perm_compose(a: Perm, b: Perm) -> Perm:
-    """(a o b)(k) = a(b(k))."""
-    return tuple(a[b[k]] for k in range(len(b)))
-
-
 # ------------------------------------------------------------- interval primes
 
 
@@ -360,12 +322,6 @@ def interval_exponent(eta: EtaData, i: int, m: int) -> ExpVec:
         e[cur] = 1
         cur = eta.succ[cur]
     return tuple(e)
-
-
-def y_sequence_for_tau(p: PoissonPresentation, eta: EtaData, tau: Perm) -> List[MvLaurent]:
-    """Prime sequence of the tau-reordered presentation via interval selection."""
-    sigma, key, _pred = tau_data(eta, tau)
-    return [interval_prime(p, eta, *key[s]) for s in sigma]
 
 
 # ------------------------------------------------------------------ u-elements
@@ -487,47 +443,3 @@ def rescale_generators(p: PoissonPresentation, eta: EtaData) -> Tuple[List[Fract
                 monom *= gamma[idx] ** mm
         gamma[i] = monom / (gamma[pi_idx] * ud.pi)
     return gamma, apply_rescaling(p, gamma)
-
-
-# ------------------------------------------------- permuted-presentation oracle
-
-
-def permute_presentation(p: PoissonPresentation, tau: Perm) -> PoissonPresentation:
-    """The P-CGL presentation on generators z_k = x_{tau(k)} for tau in Xi_N.
-
-    Ascending steps reuse h_{tau(k)}, descending steps use h*_{tau(k)}; the
-    new delta entries are computed from the original bracket and reindexed
-    through tau.  Used as the recursion oracle for y_sequence_for_tau.
-    """
-    if p.h_star is None:
-        raise SymmetryError("permuted presentations need h_star (run validate_symmetric)")
-    if not is_xi_element(tau):
-        raise SymmetryError("tau must have interval prefixes")
-    n = p.n
-    weights = tuple(p.weights[tau[k]] for k in range(n))
-    h_rows: List[Tuple[Fraction, ...]] = [p.h[tau[0]]]
-    seen_max = tau[0]
-    for k in range(1, n):
-        v = tau[k]
-        if v == seen_max + 1:
-            h_rows.append(p.h[v])
-            seen_max = v
-        else:
-            h_rows.append(p.h_star[v])
-    gens = [MvLaurent.gen(n, i) for i in range(n)]
-    delta: Dict[Tuple[int, int], MvLaurent] = {}
-    for k in range(n):
-        for j in range(k):
-            a, b = tau[k], tau[j]
-            lam = sum((x * y for x, y in zip(h_rows[k], p.weights[b])), Fraction(0))
-            rest = bracket(p, gens[a], gens[b]) - MvLaurent.monomial(
-                n, [1 if i in (a, b) else 0 for i in range(n)], lam)
-            if rest.is_zero():
-                continue
-            moved = {}
-            for e, c in rest.terms.items():
-                moved[tuple(e[tau[idx]] for idx in range(n))] = c
-            delta[(k, j)] = MvLaurent(n, moved)
-    return PoissonPresentation(
-        n=n, torus_rank=p.torus_rank, weights=weights, h=tuple(h_rows), delta=delta, h_star=None,
-    )

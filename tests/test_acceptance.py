@@ -11,12 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from pcgl.cgl import (
-    AmbiguousPredecessor,
-    cauchon_theta,
-    compute_eta_and_primes,
-    sigma,
-)
+from pcgl.cgl import AmbiguousPredecessor, compute_eta_and_primes
 from pcgl.cluster import (
     ClusterContext,
     NonIntegral,
@@ -31,7 +26,7 @@ from pcgl.cluster import (
 )
 from pcgl.poly import MvLaurent
 from pcgl.presentation import PoissonPresentation, bracket, validate_algebra
-from pcgl.presets import build_matrix_poisson, expected_minor_for_generator
+from pcgl.presets import build_matrix_poisson
 from pcgl.symmetric import (
     apply_rescaling,
     gamma_chain,
@@ -39,6 +34,8 @@ from pcgl.symmetric import (
     u_element_and_pi,
     validate_symmetric,
 )
+
+from algebra_oracles import cauchon_theta, expected_minor_for_generator, sigma
 
 
 def mark(num, text):

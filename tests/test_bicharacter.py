@@ -16,6 +16,7 @@ from pcgl.presentation import PoissonPresentation, _dot, bracket
 from pcgl.presets import build_matrix_poisson
 from pcgl.symmetric import validate_symmetric
 
+from algebra_oracles import sigma_scalar
 from conftest import rescaled_2x3, rescaled_3x3, two_block
 
 
@@ -270,8 +271,10 @@ def presentation_and_vectors(draw):
 @given(presentation_and_vectors())
 def test_omega_lambda_equals_oracle(case):
     p, f, g = case
-    assert p.omega_lambda(f, g) == _oracle_omega_lambda(p, f, g)
-    assert p.omega_lambda(f, g) == -p.omega_lambda(g, f)
+    fg = _oracle_omega_lambda(p, f, g)
+    # rows f and g against the one column g: a 2x1 matrix, row by row
+    assert p.omega_lambda_matrix([f, g], [g]) == [[fg], [_oracle_omega_lambda(p, g, g)]]
+    assert p.omega_lambda_matrix([g], [f]) == [[-fg]]
 
 
 # ----------------------------------------------- h_k-pairing is not lambda_kj
@@ -292,6 +295,6 @@ def test_sigma_scalar_pairs_h_k_with_every_weight(name):
                 if j > 0:
                     exp[0] = 1
                 want = _dot(p.h[k], p.monomial_weight(exp))
-                assert p.sigma_scalar(k, exp) == want
+                assert sigma_scalar(p, k, exp) == want
                 differs += want != sum(e * p.lam(k, i) for i, e in enumerate(exp))
     assert differs

@@ -5,22 +5,24 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from pcgl.cgl import (
     AmbiguousPredecessor,
     NoPredecessor,
     alpha_q_matrices,
-    cauchon_theta,
     certify_prime_sequence,
     compute_eta_and_primes,
-    delta,
     hmax_equations,
-    sigma,
 )
 from pcgl.poly import MvLaurent
 from pcgl.presentation import PoissonPresentation, SupportViolation, bracket
-from pcgl.presets import build_affine_space, build_matrix_poisson, expected_minor_for_generator
+from pcgl.presets import build_affine_space, build_matrix_poisson
 
+from algebra_oracles import alpha_q_recurrence, cauchon_theta, delta, expected_minor_for_generator, sigma
 from conftest import rescaled_3x3, rescaled_4x5, two_block, weyl_block
+from tau_oracles import eta_of_labels
 
 
 class TestDelta:
@@ -173,18 +175,26 @@ class TestAlphaQ:
 
     @pytest.mark.parametrize("build", [
         lambda: build_matrix_poisson(2, 3), lambda: build_matrix_poisson(3, 4),
-        rescaled_3x3, weyl_block, two_block, rescaled_4x5,
+        rescaled_3x3, weyl_block, lambda: two_block(2, 3), rescaled_4x5,
     ], ids=["2x3", "3x4", "rescaled_3x3", "weyl_block", "two_block", "rescaled_4x5"])
     def test_chain_recurrence_equals_omega_lambda(self, build):
-        # the definition: Omega_lambda on unit and ebar vectors
+        # Omega_lambda on unit and ebar vectors against the chain recurrence
         p = build()
         eta, _ = compute_eta_and_primes(p)
-        n = p.n
-        ebars = [eta.ebar(k) for k in range(n)]
-        units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
-        qd = alpha_q_matrices(p, eta)
-        assert qd.alpha == [[p.omega_lambda(units[k], ebars[j]) for j in range(n)] for k in range(n)]
-        assert qd.q == [[p.omega_lambda(ebars[k], ebars[j]) for j in range(n)] for k in range(n)]
+        assert alpha_q_matrices(p, eta) == alpha_q_recurrence(p, eta)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.data())
+    def test_chain_recurrence_on_rational_h(self, data):
+        # alpha and q read only lambda and the predecessor chains, so any
+        # lambda (rational h, drawn weights) pairs with any level-set labels
+        n, d = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
+        weights = tuple(tuple(data.draw(st.integers(-3, 3)) for _ in range(d)) for _ in range(n))
+        entry = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+        h = tuple(tuple(data.draw(entry) for _ in range(d)) for _ in range(n))
+        p = PoissonPresentation(n=n, torus_rank=d, weights=weights, h=h)
+        eta = eta_of_labels(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        assert alpha_q_matrices(p, eta) == alpha_q_recurrence(p, eta)
 
 
 class TestCauchonTheta:

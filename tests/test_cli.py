@@ -8,12 +8,15 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from pcgl import cli
 from pcgl.cli import main
+from pcgl.poly import MvLaurent
+from pcgl.presentation import PoissonPresentation
 from pcgl.presets import build_affine_space, build_matrix_poisson
 from pcgl.serialize import poly_report, presentation_from_doc, presentation_to_doc
 
@@ -142,6 +145,24 @@ class TestSubcommands:
         assert doc["gamma"] == ["1", "1", "1", "1"]
         # the embedded presentation is consumable by other subcommands
         assert main(["analyze", str(tmp_path / "r.json")]) == 0
+
+    @pytest.mark.parametrize("h,delta", [
+        # lambda_2 = 0, so the prime sequence has no y_2
+        (((Fraction(1),), (Fraction(0),)), MvLaurent.const(2, 1)),
+        # lambda_1 = 0 and delta_2(x_1) = x_1 has the wrong weight, so y_2 is inhomogeneous
+        (((Fraction(0),), (Fraction(1),)), MvLaurent.gen(2, 0)),
+    ], ids=["lambda_2_zero", "inhomogeneous_delta"])
+    def test_rescale_reports_the_validation_of_an_invalid_algebra(self, h, delta, tmp_path, capsys):
+        # without h_star, solving for it would compute the prime sequence of
+        # an algebra that failed validation
+        p = PoissonPresentation(n=2, torus_rank=1, weights=((1,), (-1,)), h=h, delta={(1, 0): delta})
+        path = tmp_path / "invalid.json"
+        path.write_text(json.dumps(presentation_to_doc(p)))
+        assert main(["symmetric", str(path)]) == 2
+        validation = json.loads(capsys.readouterr().out)["validation"]
+        assert not validation["passed"]
+        assert main(["rescale", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out) == {"command": "rescale", "validation": validation}
 
     def test_bad_json_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "junk.json"

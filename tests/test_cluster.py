@@ -36,11 +36,12 @@ from pcgl.cluster import (
 from pcgl import cluster
 from pcgl.poly import NonInvertibleImage, MvLaurent, substitute
 from pcgl.presentation import _dot
-from pcgl.presets import build_affine_space, build_matrix_poisson, solid_minor
-from pcgl.symmetric import SymmetryError, gamma_chain, perm_compose, perm_inverse
+from pcgl.presets import build_affine_space, build_matrix_poisson
+from pcgl.symmetric import SymmetryError, gamma_chain
 
+from algebra_oracles import solid_minor
 from conftest import rescaled_3x3, rescaled_4x5, two_block, weyl_block
-from tau_oracles import eta_tau_data, r_matrix_per_tau, tau_bullet
+from tau_oracles import eta_tau_data, perm_compose, perm_inverse, r_matrix_per_tau, tau_bullet
 
 
 def random_skew_symmetrizable(rng, n, ex):

@@ -175,16 +175,6 @@ class TestValidate:
         report = validate_algebra(bad)
         assert not report.checks["local_nilpotence"]
 
-    def test_raw_lambda_mode(self):
-        # from_lambda synthesizes the standard torus realizing the scalars
-        lam = [[0, 1, -2], [-1, 0, 3], [2, -3, 0]]
-        p = PoissonPresentation.from_lambda(3, lam, [1, 1, 1])
-        assert validate_algebra(p).passed
-        assert [list(row) for row in p.lam_rows] == [[Fraction(x) for x in row] for row in lam]
-        assert all(p.lam_diag(k) == 1 for k in range(3))
-        with pytest.raises(Exception):
-            PoissonPresentation.from_lambda(2, [[0, 1], [1, 0]], [1, 1])
-
     def test_jacobi_on_generator_triples_all_presets(self, p22, p23, p33):
         for p in (p22, p23, p33):
             xs = gens(p.n)

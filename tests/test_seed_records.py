@@ -2,7 +2,7 @@
 
 seed_for_tau builds r, solves and checks one bundle per seed key and hands
 it out with each permutation's own tau and sigma.  The oracle below is the
-old path: every permutation built on its own, with r_tau from omega_lambda
+old path: every permutation built on its own, with r_tau from Omega_lambda
 on every pair of the tau-presentation's ebar vectors.
 """
 
@@ -23,19 +23,19 @@ from pcgl.cluster import (
 )
 from pcgl.presentation import weight_of
 from pcgl.presets import build_matrix_poisson
-from pcgl.symmetric import interval_prime, perm_compose, perm_inverse
+from pcgl.symmetric import interval_prime
 
 from conftest import rescaled_3x3
-from tau_oracles import eta_tau_data, seed_key, tau_bullet
+from tau_oracles import eta_tau_data, perm_compose, perm_inverse, seed_key, tau_bullet
 
 
 def _r_matrix_for_tau_omega(p, eta, tau):
-    """r_matrix_for_tau as it was: omega_lambda on every pair of ebar vectors."""
+    """r_matrix_for_tau as it was: Omega_lambda on every pair of ebar vectors."""
     n = p.n
     etau = eta_tau_data(eta, tau)
     tau_inv = perm_inverse(tau)
     vecs = [[e[l] for l in tau_inv] for e in map(etau.ebar, range(n))]
-    q_tau = [[p.omega_lambda(vecs[k], vecs[j]) for j in range(n)] for k in range(n)]
+    q_tau = p.omega_lambda_matrix(vecs, vecs)
     sig_inv = perm_inverse(perm_compose(tau_bullet(tau, eta), tau))
     return [[q_tau[sig_inv[a]][sig_inv[b]] for b in range(n)] for a in range(n)]
 
