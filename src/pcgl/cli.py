@@ -286,12 +286,12 @@ def cmd_symmetric(args) -> int:
         _emit({"command": "symmetric", "validation": vrep.as_dict()}, args.output,
               "P-CGL validation FAILED")
         return EXIT_INPUT
-    srep, ps = validate_symmetric(p)
+    srep, ps, primes = validate_symmetric(p)
     doc = {"command": "symmetric", "validation": vrep.as_dict(), "symmetric": srep.as_dict()}
     if not srep.passed:
         _emit(doc, args.output, "symmetric validation FAILED")
         return EXIT_INPUT
-    eta, _seq = compute_eta_and_primes(ps)
+    eta, _seq = primes or compute_eta_and_primes(ps)
     doc["lambda_star"] = [ser.fraction_to_json(v) for v in ps.lam_star]
     try:
         d_map, qscale = compute_d_integers(ps, eta)
@@ -312,12 +312,12 @@ def cmd_rescale(args) -> int:
         _emit({"command": "rescale", "validation": vrep.as_dict()}, args.output,
               "P-CGL validation FAILED")
         return EXIT_INPUT
-    srep, ps = validate_symmetric(p)
+    srep, ps, primes = validate_symmetric(p)
     if not srep.passed:
         _emit({"command": "rescale", "validation": vrep.as_dict(), "symmetric": srep.as_dict()},
               args.output, "input not a valid symmetric presentation")
         return EXIT_INPUT
-    eta, _ = compute_eta_and_primes(ps)
+    eta, _ = primes or compute_eta_and_primes(ps)
     gamma, p2 = rescale_generators(ps, eta)
     pis = dict(pi_values(p2, compute_eta_and_primes(p2)[0]))
     doc = {

@@ -23,9 +23,13 @@ key, and builds and weighs each interval prime once; chain_verify builds one
 bundle per permutation and checks each link on the bundles of its two ends.
 check_log_canonical brackets every pair of a seed's variables against r.
 Every function here that needs sigma = tau_bullet o tau, the seed key or the
-tau-predecessors takes them from one call of symmetric.tau_data, and the
-generators are written in a cluster by one back-substitution,
-cluster_expressions (the initial cluster included).
+tau-predecessors takes them from one call of symmetric.tau_data.  The
+generators are written in the initial cluster by one back-substitution,
+cluster_expressions; a walk along Gamma_N writes them in each new cluster
+from the cluster before it, which differs in one slot kb, by substituting
+y_kb -> Q / y'_kb in the slots that involve kb, with Q = y_kb y'_kb free of
+y_kb (the Laurent phenomenon makes the one division exact).  Any other
+step falls back to cluster_expressions.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .cgl import EtaData, PrimeSequenceReport, compute_eta_and_primes
-from .poly import MvLaurent, NonInvertibleImage, _mul, _scale, exact_divide, substitute
+from .poly import MvLaurent, NonInvertibleImage, _exchange_slot, _mul, _scale, exact_divide, substitute
 from .presentation import (
     PoissonPresentation,
     PresentationError,
@@ -269,7 +273,8 @@ class ClusterContext:
     (start, m) to its interval prime and that prime's certified torus
     weight.  The table x_in_y of the generators in initial-cluster
     coordinates is the identity permutation's cluster_expressions, read on
-    first use.
+    first use.  _held is the seed key and generator images of the cluster
+    that _cluster_images wrote last, from which it derives the next one.
     """
 
     p: PoissonPresentation
@@ -278,6 +283,7 @@ class ClusterContext:
     d_map: Dict[int, int]
     _seeds: Dict[SeedKey, "TauSeedBundle"] = field(default_factory=dict)
     _primes: Dict[Tuple[int, int], Tuple[MvLaurent, Weight]] = field(default_factory=dict)
+    _held: Optional[Tuple[SeedKey, List[MvLaurent]]] = None
 
     @classmethod
     def build(cls, p: PoissonPresentation) -> "ClusterContext":
@@ -300,10 +306,10 @@ class ClusterContext:
         axioms = validate_algebra(p)
         if not axioms.passed:
             raise axioms.failures[0]
-        report, ps = validate_symmetric(p)
+        report, ps, primes = validate_symmetric(p)
         if not report.passed:
             raise ClusterError("presentation is not symmetric: " + "; ".join(str(f) for f in report.failures))
-        eta, seq = compute_eta_and_primes(ps)
+        eta, seq = primes or compute_eta_and_primes(ps)
         d_map, _ = compute_d_integers(ps, eta)
         gamma = [Fraction(1)] * ps.n
         bad = _first_pi_not_one(ps, eta)
@@ -604,9 +610,10 @@ def cluster_expressions(ctx: ClusterContext, tau: Perm) -> List[MvLaurent]:
     Built by back-substitution along the tau-presentation:
     x_tau(k) = y_{tau, p_tau(k)}^{-1} (y_{tau,k} + c_{tau,k}).  Exponent slots
     follow the ytilde ordering (variable j of the tau-sequence sits in slot
-    (tau_bullet tau)(j)).  Nothing is kept: upper_membership calls this once
-    per seed key, and for the identity permutation the result is the
-    context's one cached table, ctx.x_in_y.  The y_tau are read from the
+    (tau_bullet tau)(j)).  Nothing is kept.  For the identity permutation the
+    result is the context's one cached table, ctx.x_in_y; _cluster_images
+    derives the other clusters of a walk from it by exchange and calls this
+    only where a derivation does not apply.  The y_tau are read from the
     context's interval-prime table.
     """
     sigma, key, pred = tau_data(ctx.eta, tau)
@@ -631,6 +638,58 @@ def cluster_expressions(ctx: ClusterContext, tau: Perm) -> List[MvLaurent]:
         slot_p = sigma[pk]
         images[v] = MvLaurent.gen(n, slot_p, -1) * (MvLaurent.gen(n, slot_k) + c_expr)
     return images                     # type: ignore[return-value]
+
+
+def _one_slot(a: SeedKey, b: SeedKey) -> Optional[int]:
+    """The slot where two seed keys differ, when they differ in exactly one."""
+    diff = [j for j, (u, v) in enumerate(zip(a, b)) if u != v]
+    return diff[0] if len(diff) == 1 else None
+
+
+def _exchanged_images(ctx: ClusterContext, held_key: SeedKey, held: List[MvLaurent],
+                      key: SeedKey) -> Optional[List[MvLaurent]]:
+    """The generator images in key's cluster, derived from those in held_key's,
+    or None when the derivation does not apply.
+
+    It applies when the keys differ in exactly one slot kb, so that every
+    other variable is the same element in the same slot.  The new variable
+    written in the old cluster is Y; when Q = Y * y_kb does not involve slot
+    kb, y_kb = Q / y'_kb, and each held image that involves kb is rewritten
+    by that one-slot substitution.  A result that is Laurent is the unique
+    expression in the new cluster, whose variables are algebraically
+    independent; a division that is not exact returns None.
+    """
+    kb = _one_slot(held_key, key)
+    if kb is None:
+        return None
+    q = substitute(ctx.prime(key[kb])[0], held) * MvLaurent.gen(ctx.p.n, kb)
+    if any(e[kb] for e in q.terms):
+        return None
+    try:
+        return [_exchange_slot(f, kb, q) if any(e[kb] for e in f.terms) else f for f in held]
+    except NonInvertibleImage:
+        return None
+
+
+def _cluster_images(ctx: ClusterContext, tau: Perm) -> List[MvLaurent]:
+    """The generators x_1..x_N in tau's cluster, equal to cluster_expressions(ctx, tau).
+
+    The context holds the images of the cluster this wrote last.  A key equal
+    to the held one reads them; a key one exchange away derives its images
+    from them (_exchanged_images); any other key, or a derivation that does
+    not apply, is back-substituted, by ctx.x_in_y for the identity
+    permutation and by cluster_expressions otherwise.  So a walk along
+    Gamma_N, whose adjacent keys are equal or one mutation apart, runs one
+    back-substitution, for its first cluster.
+    """
+    key = tau_data(ctx.eta, tau)[1]
+    held = ctx._held
+    if held is None or held[0] != key:
+        images = _exchanged_images(ctx, *held, key) if held is not None else None
+        if images is None:
+            images = ctx.x_in_y if tau == tuple(range(ctx.p.n)) else cluster_expressions(ctx, tau)
+        held = ctx._held = (key, images)
+    return held[1]
 
 
 @dataclass
@@ -663,7 +722,7 @@ def express_in_cluster(ctx: ClusterContext, f: MvLaurent, tau: Perm,
     `inv` after full cancellation; NotInRing is raised when f does not land
     in the Laurent ring of the cluster at all.
     """
-    x_imgs = cluster_expressions(ctx, tau)
+    x_imgs = _cluster_images(ctx, tau)
     if coords == "x":
         _require_polynomial(f)
         expr = substitute(f, x_imgs)
@@ -690,12 +749,14 @@ def upper_membership(ctx: ClusterContext, f: MvLaurent, inv: Sequence[int] = (),
                      coords: str = "x") -> Tuple[bool, List[MembershipWitness]]:
     """Certificate for membership in the Gamma_N intersection of mixed rings.
 
-    f is expressed once per distinct seed key along Gamma_N (adjacent
-    permutations share a cluster or differ by one mutation), and every
-    permutation gets its own witness carrying its key's result.  An
-    x-coordinate input that is not a polynomial raises NotInRing up front;
-    a y-coordinate input that is not Laurent in some cluster gets ok=False
-    witnesses there.
+    f is expressed once per distinct seed key along Gamma_N, and every
+    permutation gets its own witness carrying its key's result.  Adjacent
+    permutations share a cluster or differ by one mutation, so
+    express_in_cluster writes the generators in each new cluster by one
+    exchange from the cluster before it (_cluster_images), and only the
+    identity cluster by back-substitution.  An x-coordinate input that is
+    not a polynomial raises NotInRing up front; a y-coordinate input that is
+    not Laurent in some cluster gets ok=False witnesses there.
     """
     if coords == "x":
         _require_polynomial(f)

@@ -460,6 +460,51 @@ def substitute(f: MvLaurent, images: Sequence[MvLaurent]) -> MvLaurent:
         raise NonInvertibleImage("substitution does not cancel to a Laurent polynomial") from exc
 
 
+def _exchange_slot(f: MvLaurent, k: int, q: MvLaurent) -> MvLaurent:
+    """f at x_k -> q * x_k^-1, every other generator fixed; q must not involve x_k.
+
+    The same value and the same NonInvertibleImage as substitute with those
+    images, on one slot: the terms of f are grouped by their exponent m at
+    x_k, whose sign flips; group m is multiplied by q^(m + neg), with neg the
+    largest negative power of x_k in f, on int numerators over one common
+    denominator, and the sum is divided exactly by q^neg once.
+    """
+    nv = f.nvars
+    if not f.terms:
+        return MvLaurent(nv)
+    nums, den = _scale(f.terms)
+    groups: Dict[int, Dict[ExpVec, int]] = {}
+    for e, c in nums.items():
+        m = e[k]
+        groups.setdefault(m, {})[e[:k] + (-m,) + e[k + 1:]] = c
+    neg = max(0, -min(groups))
+    if neg and q.is_zero():
+        raise NonInvertibleImage(f"generator {k} appears with negative power, image is zero")
+    top = max(groups) + neg
+    qn, qd = _scale(q.terms)
+    qpow = [{(0,) * nv: 1}]
+    for _ in range(max(top, neg)):
+        qpow.append(_mul(qpow[-1], qn))
+    # group m over den * qd^(m + neg), raised to the common den * qd^top
+    acc: Dict[ExpVec, int] = {}
+    get = acc.get
+    for m, g in groups.items():
+        lift = qd ** (top - m - neg)
+        for e, c in _mul(g, qpow[m + neg]).items():
+            s = get(e, 0) + c * lift
+            if s:
+                acc[e] = s
+            else:
+                del acc[e]
+    numerator = MvLaurent._of(nv, _fractions(acc, den * qd ** top))
+    if not neg:
+        return numerator
+    try:
+        return exact_divide(numerator, MvLaurent._of(nv, _fractions(qpow[neg], qd ** neg)))
+    except NotDivisible as exc:
+        raise NonInvertibleImage("substitution does not cancel to a Laurent polynomial") from exc
+
+
 def apply_derivation(gen_images: Sequence[MvLaurent], f: MvLaurent) -> MvLaurent:
     """The derivation D with D(x_i) = gen_images[i], applied to f.
 

@@ -24,7 +24,7 @@ from math import gcd, lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .cgl import EtaData, compute_eta_and_primes
+from .cgl import EtaData, PrimeSequenceReport, compute_eta_and_primes
 from .poly import ExpVec, MvLaurent, apply_derivation
 from .presentation import (
     PoissonPresentation,
@@ -66,14 +66,19 @@ class LeadingFormViolation(SymmetryError):
 # ------------------------------------------------------------------ validation
 
 
-def validate_symmetric(p: PoissonPresentation) -> Tuple[ValidationReport, PoissonPresentation]:
+def validate_symmetric(p: PoissonPresentation) -> Tuple[
+        ValidationReport, PoissonPresentation, Optional[Tuple[EtaData, PrimeSequenceReport]]]:
     """Check Def-style symmetry: support condition plus existence of h* rows.
 
-    Returns the report and a presentation that definitely carries h_star
+    Returns the report, a presentation that definitely carries h_star
     vectors (the input itself when they were supplied, otherwise a copy with
-    a solved family).  Supplied h* rows are verified; missing ones are found
-    by exact linear solving, preferring the eigenvalue -lambda_{s(j)} on
-    exchangeable indices, which any valid symmetric structure must produce.
+    a solved family), and the prime sequence compute_eta_and_primes gave
+    when it was needed here, else None.  Supplied h* rows are verified;
+    missing ones are found by exact linear solving, preferring the
+    eigenvalue -lambda_{s(j)} on exchangeable indices, which any valid
+    symmetric structure must produce; that needs the successors s(j), so the
+    prime sequence is computed.  It reads no h*, so it is the returned
+    presentation's too, and callers reuse it instead of computing it again.
     """
     failures: List[PresentationError] = []
     checks = {"delta_support": True, "h_star": True}
@@ -100,9 +105,10 @@ def validate_symmetric(p: PoissonPresentation) -> Tuple[ValidationReport, Poisso
             if p.lam_star[j] == 0:
                 checks["h_star"] = False
                 failures.append(ZeroLambdaStar(j))
-        result = p
+        result, primes = p, None
     else:
-        succ_of = _successors(p)
+        primes = compute_eta_and_primes(p)
+        succ_of = primes[0].succ
         solved: List[Tuple[Fraction, ...]] = []
         for j in range(n):
             rows = [list(p.weights[k]) for k in range(j + 1, n)]
@@ -130,7 +136,7 @@ def validate_symmetric(p: PoissonPresentation) -> Tuple[ValidationReport, Poisso
         )
 
     passed = all(checks.values())
-    return ValidationReport(passed=passed, checks=checks, failures=failures), result
+    return ValidationReport(passed=passed, checks=checks, failures=failures), result, primes
 
 
 def _adjust_eigenvalue(particular, null_basis, base_val, dir_vals, target):
@@ -149,11 +155,6 @@ def _adjust_eigenvalue(particular, null_basis, base_val, dir_vals, target):
         if dv:
             return [a + b for a, b in zip(particular, v)]
     return None
-
-
-def _successors(p: PoissonPresentation) -> List[Optional[int]]:
-    eta, _ = compute_eta_and_primes(p)
-    return eta.succ
 
 
 def compute_d_integers(p: PoissonPresentation, eta: EtaData) -> Tuple[Dict[int, int], Fraction]:

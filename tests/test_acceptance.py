@@ -128,7 +128,7 @@ def test_criterion_7_normalization(ctx23):
     rng = random.Random(123)
     for m, n in [(2, 2), (2, 3), (3, 3)]:
         p = build_matrix_poisson(m, n)
-        _, ps = validate_symmetric(p)
+        _, ps, _ = validate_symmetric(p)
         eta, _ = compute_eta_and_primes(ps)
         gamma, _ = rescale_generators(ps, eta)
         assert all(g == 1 for g in gamma), (m, n)
@@ -220,7 +220,7 @@ class TestCriterion8Properties:
 
         for m, n, reps in [(3, 3, 40), (3, 4, 30)]:
             p0 = build_matrix_poisson(m, n)
-            _, ps = validate_symmetric(p0)
+            _, ps, _ = validate_symmetric(p0)
             eta0, _ = compute_eta_and_primes(ps)
             chains = [i for i in range(m * n)
                       if eta0.succ[i] is not None and eta0.succ_power(i, 2) is not None]

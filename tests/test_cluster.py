@@ -37,7 +37,7 @@ from pcgl import cluster
 from pcgl.poly import NonInvertibleImage, MvLaurent, substitute
 from pcgl.presentation import _dot
 from pcgl.presets import build_affine_space, build_matrix_poisson
-from pcgl.symmetric import SymmetryError, gamma_chain
+from pcgl.symmetric import SymmetryError, gamma_chain, tau_data
 
 from algebra_oracles import solid_minor
 from conftest import rescaled_3x3, rescaled_4x5, two_block, weyl_block
@@ -579,6 +579,149 @@ class TestMembershipDedupe:
         assert len(chain.perms) == 37
         mutations = sum(rep.branch == "mutation" for rep in chain_verify(ctx33))
         assert len(calls) == 6 == 1 + mutations
+
+
+WALK_INPUTS = {
+    "2x3": lambda: build_matrix_poisson(2, 3),
+    "3x3": lambda: build_matrix_poisson(3, 3),
+    "rescaled_3x3": rescaled_3x3,
+    "3x4": lambda: build_matrix_poisson(3, 4),
+    "4x4": lambda: build_matrix_poisson(4, 4),
+    "two_block": two_block,
+    "rescaled_4x5": rescaled_4x5,
+}
+# the presets whose per-permutation oracle runs in under a second per y-input
+SMALL_WALK_INPUTS = ("2x3", "3x3", "rescaled_3x3", "3x4", "two_block")
+
+
+def _walk_ctx(name):
+    return ClusterContext.build_normalizing(WALK_INPUTS[name]())[0]
+
+
+def _spy_back_substitution(monkeypatch):
+    """Count the calls of cluster_expressions; returns the list of their taus."""
+    calls = []
+    inner = cluster.cluster_expressions
+
+    def counting(ctx, tau):
+        calls.append(tau)
+        return inner(ctx, tau)
+
+    monkeypatch.setattr(cluster, "cluster_expressions", counting)
+    return calls
+
+
+def _walk_cases(ctx):
+    """An x-input, and a y-input that is not Laurent in some clusters and has
+    a negative power of the last frozen variable, without and with --inv."""
+    n = ctx.p.n
+    frozen = [l for l in range(n) if ctx.eta.succ[l] is None][-1]
+    b = 1 if ctx.eta.succ[1] is not None else ctx.eta.exchangeable[-1]
+    x = MvLaurent.gen(n, 0) * MvLaurent.gen(n, n - 1) - MvLaurent.gen(n, 1) * MvLaurent.gen(n, n - 2) \
+        + 3 * MvLaurent.gen(n, n // 2)
+    y = MvLaurent.gen(n, b, -1) * MvLaurent.gen(n, 0) * MvLaurent.gen(n, frozen, -1)
+    return [(x, (), "x"), (y, (), "y"), (y, (frozen,), "y")]
+
+
+class TestMembershipWalk:
+    """Each new cluster's generator images derived from the cluster before it
+    by one exchange, against the back-substitution of every cluster."""
+
+    @pytest.mark.parametrize("name", WALK_INPUTS)
+    def test_walked_images_equal_back_substitution(self, name, monkeypatch):
+        ctx = _walk_ctx(name)
+        back = cluster.cluster_expressions
+        calls = _spy_back_substitution(monkeypatch)
+        seen = set()
+        for tau in ctx.gamma().perms:
+            images = cluster._cluster_images(ctx, tau)
+            key = tau_data(ctx.eta, tau)[1]
+            if key not in seen:
+                seen.add(key)
+                assert images == back(ctx, tau)
+        assert calls == [tuple(range(ctx.p.n))]   # ctx.x_in_y, for the identity key only
+        assert len(seen) > 1
+
+    @pytest.mark.parametrize("name", WALK_INPUTS)
+    def test_equals_per_tau_oracle(self, name):
+        ctx = _walk_ctx(name)
+        first_of_key = {}
+        for tau in ctx.gamma().perms:
+            first_of_key.setdefault(tau_data(ctx.eta, tau)[1], tau)
+        outcomes = []
+        for i, (f, inv, coords) in enumerate(_walk_cases(ctx)):
+            got = upper_membership(ctx, f, inv=inv, coords=coords)
+            if coords == "x" or name in SMALL_WALK_INPUTS:
+                assert got == _upper_membership_per_tau(ctx, f, inv=inv, coords=coords)
+            else:
+                # the oracle rewrites every y_j in every cluster, about 5 s per
+                # input on rescaled_4x5, so it runs on the first permutation of
+                # each cluster; the other witnesses copy their cluster's
+                # (TestMembershipDedupe)
+                for w in got[1]:
+                    if w.tau in first_of_key.values():
+                        try:
+                            want = _express_per_tau(ctx, f, w.tau, inv=inv, coords=coords)
+                        except NotInRing:
+                            want = MembershipWitness(tau=w.tau, ok=False, expression=None, bad_frozen=[])
+                        assert w == want
+            outcomes.append((got[0], [w.expression is None for w in got[1]]))
+        assert outcomes[0][0] and not any(outcomes[0][1])
+        # the y-input is not Laurent in some clusters, and the walk resumes after them
+        assert outcomes[1][1] == outcomes[2][1]
+        assert any(outcomes[1][1]) and not all(outcomes[1][1])
+        assert outcomes[1][0] is False and outcomes[2][0] is False
+
+    @pytest.mark.parametrize("name", ["4x4", "rescaled_4x5"])
+    def test_one_back_substitution_per_membership(self, name, monkeypatch):
+        ctx = _walk_ctx(name)
+        calls = _spy_back_substitution(monkeypatch)
+        assert upper_membership(ctx, _walk_cases(ctx)[0][0])[0]
+        assert calls == [tuple(range(ctx.p.n))]
+
+    def _fallback_equals_walk(self, monkeypatch, name, replacement):
+        """Witnesses with cluster.<name> replaced equal those of a clean walk;
+        returns the number of back-substitutions of the first input."""
+        want = [upper_membership(_walk_ctx("3x4"), f, inv=inv, coords=coords)
+                for f, inv, coords in _walk_cases(_walk_ctx("3x4"))]
+        ctx = _walk_ctx("3x4")
+        monkeypatch.setattr(cluster, name, replacement)
+        calls = _spy_back_substitution(monkeypatch)
+        counts = []
+        for (f, inv, coords), w in zip(_walk_cases(ctx), want):
+            assert upper_membership(ctx, f, inv=inv, coords=coords) == w
+            counts.append(len(calls))
+        return counts[0]
+
+    def test_neighbour_two_slots_away_falls_back(self, monkeypatch):
+        # the third held key is corrupted in a second slot, so that step back-substitutes
+        inner = cluster._one_slot
+        seen = []
+
+        def two_slots(a, b):
+            seen.append(a)
+            if len(seen) == 3:
+                j = next(j for j in range(len(a)) if a[j] == b[j])
+                a = a[:j] + ((-1, -1),) + a[j + 1:]
+                assert inner(a, b) is None
+            return inner(a, b)
+
+        assert self._fallback_equals_walk(monkeypatch, "_one_slot", two_slots) == 2
+        assert len(seen) > 3
+
+    def test_inexact_division_falls_back(self, monkeypatch):
+        def inexact(f, k, q):
+            raise NonInvertibleImage("forced")
+
+        # every one of the 9 clusters of 3x4 is back-substituted
+        assert self._fallback_equals_walk(monkeypatch, "_exchange_slot", inexact) == 9
+
+    def test_exchange_polynomial_in_the_slot_falls_back(self, monkeypatch):
+        # a slot where the keys agree: y'_j is y_j, and Q = y_j^2 involves slot j
+        def same_slot(a, b):
+            return next((j for j in range(len(a)) if a[j] == b[j]), None)
+
+        assert self._fallback_equals_walk(monkeypatch, "_one_slot", same_slot) == 9
 
 
 class TestMutateSeed:

@@ -57,7 +57,7 @@ def _x_in_y_eager(ctx):
 
 def _oracle_build(p):
     """ClusterContext.build as it was; returns the context and its eager x-to-y table."""
-    report, ps = validate_symmetric(p)
+    report, ps, _ = validate_symmetric(p)
     if not report.passed:
         raise ClusterError("presentation is not symmetric: " + "; ".join(str(f) for f in report.failures))
     eta, seq = compute_eta_and_primes(ps)
@@ -72,7 +72,7 @@ def _oracle_build(p):
 
 
 def _oracle_build_normalizing(p):
-    report, ps = validate_symmetric(p)
+    report, ps, _ = validate_symmetric(p)
     if not report.passed:
         raise ClusterError("presentation is not symmetric: " + "; ".join(str(f) for f in report.failures))
     eta, _ = compute_eta_and_primes(ps)
@@ -200,6 +200,19 @@ def test_rescaled_build_counts(counter):
     assert upper_membership(ctx, f)[0]
     assert counter["to_y"] == 0
     assert ctx.x_in_y == _x_in_y_eager(ctx)
+
+
+def test_prime_sequence_of_a_solved_h_star_is_computed_once(counter, tmp_path, capsys):
+    # validate_symmetric needs the successors to solve h*, so it computes the
+    # prime sequence, and the context reuses it
+    doc = presentation_to_doc(build_matrix_poisson(3, 4))
+    del doc["h_star"]
+    path = tmp_path / "m34.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["chain-verify", str(path)]) == 0
+    capsys.readouterr()
+    assert counter["validate"] == 1
+    assert counter["eta"] == 1
 
 
 @pytest.mark.parametrize("argv, reads_y", [

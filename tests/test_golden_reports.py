@@ -11,7 +11,9 @@ one per exchangeable direction and one on a non-identity permutation, were
 taken before a seed's mutation was folded into one path.  The analyze
 digests on rescaled_4x5, two_block and the 4x4 matrix preset were taken before the
 prime sequence's {y_k, y_j} identities were decided from the {y_l, x_i}
-relations instead of by bracketing.
+relations instead of by bracketing.  The membership digests on the 4x4
+preset, rescaled_4x5 and two_block were taken while every cluster's
+generator images were still written by their own back-substitution.
 """
 
 import hashlib
@@ -116,3 +118,50 @@ def test_mutate_report_digest(bracket_files, capsys, args, digest):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+
+
+# membership on the 4x4 preset with the x-probe and y-probe argv of the
+# benchmark's seeds 1-3, and on rescaled_4x5 and two_block(2, 3).
+MEMBERSHIP_GOLDEN = [
+    ("m44", ["--elem", "3*t11*t22*t33*t44 + 3*t14*t23*t32*t41"
+              " - 5*t12*t21 + 5*t34*t43 + 5*t13*t31 + 3*t24*t42"], 0,
+     "44b5e3b24ac033bf37830e79db268e465521dec65beedb675b6e80b95451fa60"),
+    ("m44", ["--coords", "y", "--elem", "y6^-1*y5"], 1,
+     "b229ea895a4431652ec434947ea0e27ea49c0aa28ed16a3caed120a1ccd126f8"),
+    ("m44", ["--elem", "1*t11*t22*t33*t44 - 5*t14*t23*t32*t41"
+              " - 5*t12*t21 + 4*t34*t43 - 3*t13*t31 - 5*t24*t42"], 0,
+     "464d82770d00acfcb699768f1b2d836c6d76c739e6ac84ecf0bd3bb1224b6b88"),
+    ("m44", ["--coords", "y", "--elem", "y7^-1*y8"], 1,
+     "425f937ec39eefd14f4433bbc3dec295189d66d58cb82663c2b3cf9191292878"),
+    ("m44", ["--elem", "5*t11*t22*t33*t44 - 4*t14*t23*t32*t41"
+              " + 4*t12*t21 + 1*t34*t43 - 1*t13*t31 - 4*t24*t42"], 0,
+     "db224bc27d20fa0d2cfdb559d62356c5f4e03968dd793e9d1cb8f29595c41c83"),
+    ("m44", ["--coords", "y", "--elem", "y10^-1*y4"], 1,
+     "8f6dd3d02f9637810ac33952b5a60cafd4a3fb9a6301fdd6a50172e75eaac214"),
+    ("r45", ["--elem", "x1*x7 - x2*x6 + 2*x3*x20"], 0,
+     "bbffa50d54f4dab6048061aa3fd6802f6ff29d40276b9084fa6389cda40d0c2c"),
+    ("r45", ["--coords", "y", "--elem", "y6^-1*y1*y20"], 1,
+     "c78fd8aecfb75d3f4ab2a090b42c075f05826ef0d23f0111754d25aaba5da1f8"),
+    ("r45", ["--coords", "y", "--elem", "y20^-1*y3", "--inv", "20"], 0,
+     "020d68f4541894550f140e79160496191d1a121f13ec76cb319ecc1159d7c9ad"),
+    ("two_block", ["--elem", "x1*x2 + x3*x4"], 0,
+     "1bda1ed918876e10af4d7643b204a23830a10ad70fed5ce01ad1861da37f64d9"),
+    ("two_block", ["--coords", "y", "--elem", "y2^-1*y1"], 1,
+     "849a88e88d7793e4c7cc5f315096acc12db2269ba78a7e55ae33e7775f5ea65e"),
+]
+
+
+@pytest.fixture(scope="module")
+def m44_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden") / "m44.json"
+    assert main(["preset", "matrix", "--m", "4", "--n", "4", "-o", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("name,args,code,digest", MEMBERSHIP_GOLDEN,
+                         ids=[f"{g[0]} {' '.join(g[1])}"[:60] for g in MEMBERSHIP_GOLDEN])
+def test_membership_report_digest(m44_file, bracket_files, capsys, name, args, code, digest):
+    path = m44_file if name == "m44" else bracket_files[name]
+    assert main(["membership", path, *args]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -6,7 +6,9 @@ The oracles below are the `Fraction` implementations of `MvLaurent.__mul__`,
 the kernel scaled coefficients to int numerators.  They call only each other,
 never the code under test.  Results must agree in value, in the order of
 their terms (the order a rational product produces them), in the exception
-raised, and in coefficient type: every coefficient is a `Fraction`.
+raised, and in coefficient type: every coefficient is a `Fraction`.  The
+one-slot exchange kernel `_exchange_slot` is checked against `substitute`
+itself, in value, in coefficient type and in the exception raised.
 """
 
 from fractions import Fraction
@@ -21,6 +23,7 @@ from pcgl.poly import (
     MvLaurent,
     NonInvertibleImage,
     NotDivisible,
+    _exchange_slot,
     apply_derivation,
     exact_divide,
     substitute,
@@ -363,6 +366,42 @@ def test_substitute_computes_each_power_once(monkeypatch, hard):
 
 
 # ---------------------------------------------------------------- derivations and accumulation
+
+
+# ---------------------------------------------------------------- one-slot exchange
+
+
+def _without(f, k):
+    """f with the exponent of x_k set to 0 in every term, terms summed."""
+    return oracle_from_terms(NV, [(e[:k] + (0,) + e[k + 1:], c) for e, c in f.terms.items()])
+
+
+@SETTINGS
+@given(st.integers(0, NV - 1), polys(), polys(max_terms=3), st.booleans(),
+       polys(exps=(0, 2), max_terms=3), nonzero(polys(max_terms=2)), st.integers(1, 2))
+def test_exchange_slot_equals_substitute(k, f, q, laurent, h, g, j):
+    # x_k -> q x_k^-1 with q free of x_k; half the cases build an f with
+    # negative powers of x_k whose image is Laurent: h + g q^j x_k^-j with
+    # h free of negative powers of x_k and g free of x_k maps to h' + g x_k^j
+    q = _without(q, k)
+    if laurent:
+        f = _o_add(h, oracle_mul(oracle_mul(_without(g, k), oracle_pow(q, j)), MvLaurent.gen(NV, k, -j)))
+    images = [q * MvLaurent.gen(NV, k, -1) if i == k else MvLaurent.gen(NV, i) for i in range(NV)]
+    got, err = outcome(_exchange_slot, f, k, q)
+    want, want_err = outcome(substitute, f, images)
+    assert err is want_err
+    if want_err is None:
+        assert got == want
+        assert all(type(c) is Fraction for c in got.terms.values())
+    if laurent and not q.is_zero():
+        assert err is None
+
+
+def test_exchange_slot_zero_image():
+    f = MvLaurent(2, {(-1, 1): Fraction(1), (2, 0): Fraction(3)})
+    with pytest.raises(NonInvertibleImage):
+        _exchange_slot(f, 0, MvLaurent.zero(2))
+    assert _exchange_slot(f - MvLaurent(2, {(-1, 1): Fraction(1)}), 0, MvLaurent.zero(2)).is_zero()
 
 
 @SETTINGS

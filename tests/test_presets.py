@@ -31,7 +31,7 @@ class TestMatrixPreset:
 
     def test_validates_and_symmetric(self, p33):
         assert validate_algebra(p33).passed
-        report, _ = validate_symmetric(p33)
+        report, _, _ = validate_symmetric(p33)
         assert report.passed
 
     def test_lambda_diag(self, p33):

@@ -40,18 +40,18 @@ from tau_oracles import (
 
 class TestValidateSymmetric:
     def test_matrix_preset_with_h_star(self, p23):
-        report, ps = validate_symmetric(p23)
+        report, ps, _ = validate_symmetric(p23)
         assert report.passed
         assert all(ps.lam_star[j] == 2 for j in range(6))
 
     def test_solved_h_star(self, p23):
         bare = PoissonPresentation(n=6, torus_rank=5, weights=p23.weights, h=p23.h,
                                    delta=dict(p23.delta), h_star=None)
-        report, ps = validate_symmetric(bare)
+        report, ps, _ = validate_symmetric(bare)
         assert report.passed
         assert ps.h_star is not None
         # solved family satisfies the reversal constraints exactly
-        check, _ = validate_symmetric(ps)
+        check, _, _ = validate_symmetric(ps)
         assert check.passed
         eta, _ = compute_eta_and_primes(ps)
         for l in eta.exchangeable:
@@ -59,7 +59,7 @@ class TestValidateSymmetric:
 
     def test_affine_passes(self):
         p = build_affine_space(3, [[0, 5, -1], [-5, 0, 2], [1, -2, 0]])
-        report, _ = validate_symmetric(p)
+        report, _, _ = validate_symmetric(p)
         assert report.passed
 
     def test_support_violation(self, p22):
@@ -67,14 +67,14 @@ class TestValidateSymmetric:
         delta[(3, 0)] = MvLaurent.monomial(4, (1, 1, 0, 0), Fraction(1))  # touches x_1
         bad = PoissonPresentation(n=4, torus_rank=4, weights=p22.weights, h=p22.h,
                                   delta=delta, h_star=p22.h_star)
-        report, _ = validate_symmetric(bad)
+        report, _, _ = validate_symmetric(bad)
         assert not report.passed
         assert any(isinstance(f, SupportViolation) for f in report.failures)
 
 
 class TestDIntegers:
     def test_matrix_all_ones(self, p23):
-        _, ps = validate_symmetric(p23)
+        _, ps, _ = validate_symmetric(p23)
         eta, _ = compute_eta_and_primes(ps)
         d, q = compute_d_integers(ps, eta)
         assert set(d.values()) == {1}
@@ -82,7 +82,7 @@ class TestDIntegers:
 
     def test_two_classes(self):
         p = two_block(2, 3)
-        report, ps = validate_symmetric(p)
+        report, ps, _ = validate_symmetric(p)
         assert report.passed
         eta, _ = compute_eta_and_primes(ps)
         d, q = compute_d_integers(ps, eta)
@@ -91,7 +91,7 @@ class TestDIntegers:
 
     def test_opposite_signs_incompatible(self):
         p = two_block(2, -2)
-        report, ps = validate_symmetric(p)
+        report, ps, _ = validate_symmetric(p)
         assert report.passed
         eta, _ = compute_eta_and_primes(ps)
         with pytest.raises(Incompatible):
@@ -240,7 +240,7 @@ class TestYSequenceForTau:
 
     def test_weyl_and_blocks(self):
         for p in (weyl_block(), two_block()):
-            _, ps = validate_symmetric(p)
+            _, ps, _ = validate_symmetric(p)
             eta, _ = compute_eta_and_primes(ps)
             for tau in enumerate_xi(ps.n):
                 assert y_sequence_for_tau(ps, eta, tau) == self._roundtrip(ps, tau)
@@ -273,7 +273,7 @@ class TestUElements:
         assert ud.g == tuple(1 if i in (5, 7) else 0 for i in range(9))
 
     def test_rescaled_pi(self, p22):
-        _, ps = validate_symmetric(p22)
+        _, ps, _ = validate_symmetric(p22)
         scaled = apply_rescaling(ps, [Fraction(1), Fraction(1, 3), Fraction(1), Fraction(1)])
         eta, _ = compute_eta_and_primes(scaled)
         assert u_element_and_pi(scaled, eta, 0, 1).pi == 3
@@ -300,13 +300,13 @@ class TestUElements:
 class TestRescaling:
     def test_matrix_presets_trivial(self, p22, p23):
         for p in (p22, p23):
-            _, ps = validate_symmetric(p)
+            _, ps, _ = validate_symmetric(p)
             eta, _ = compute_eta_and_primes(ps)
             gamma, _ = rescale_generators(ps, eta)
             assert all(g == 1 for g in gamma)
 
     def test_prescaled_2x2(self, p22):
-        _, ps = validate_symmetric(p22)
+        _, ps, _ = validate_symmetric(p22)
         scaled = apply_rescaling(ps, [Fraction(1), Fraction(1, 3), Fraction(1), Fraction(1)])
         eta, _ = compute_eta_and_primes(scaled)
         gamma, fixed = rescale_generators(scaled, eta)
@@ -330,7 +330,7 @@ class TestRescaling:
 
     def test_random_rescale_then_fix(self, p23):
         rng = random.Random(13)
-        _, ps = validate_symmetric(p23)
+        _, ps, _ = validate_symmetric(p23)
         for _ in range(10):
             gamma = [Fraction(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(6)]
             scaled = apply_rescaling(ps, gamma)
@@ -375,7 +375,7 @@ class TestIntervalBrackets:
 
     def test_lambda_chain_consistency(self, p33):
         # lambda* constant on level sets, equal to -lambda_{s(l)}
-        _, ps = validate_symmetric(p33)
+        _, ps, _ = validate_symmetric(p33)
         eta, _ = compute_eta_and_primes(ps)
         for lbl in set(eta.eta):
             level = sorted(v for v in range(9) if eta.eta[v] == lbl)
