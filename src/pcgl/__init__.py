@@ -50,14 +50,12 @@ from .symmetric import (
     GammaChain,
     Incompatible,
     NoHStarSolution,
-    UElementData,
     ZeroLambdaStar,
     apply_rescaling,
     compute_d_integers,
     gamma_chain,
     interval_prime,
     rescale_generators,
-    u_element_and_pi,
     validate_symmetric,
 )
 from .cluster import (

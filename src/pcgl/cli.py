@@ -3,7 +3,7 @@
 JSON reports go to stdout (or -o FILE); a short human summary goes to
 stderr so pipelines like ``pcgl preset matrix --m 2 --n 2 | pcgl analyze -``
 stay machine-clean.  Exit codes: 0 all verified, 1 verification failure,
-2 input error.
+2 input error or any other error, whose report names the exception class.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import cluster as cl
 from . import serialize as ser
 from .cgl import certify_prime_sequence, compute_eta_and_primes, hmax_equations
-from .poly import PolyError
-from .presentation import PresentationError, validate_algebra
+from .presentation import validate_algebra
 from .presets import build_affine_space, build_matrix_poisson
 from .serialize import FormatError
 from .symmetric import (
@@ -134,6 +133,14 @@ def _parse_q(text: str) -> List[list]:
     return [[ser.fraction_from_json(x) for x in row] for row in rows]
 
 
+def _max_nilpotence_iters(args) -> Optional[int]:
+    """--max-nilpotence-iters, which must allow at least one iteration."""
+    bound = args.max_nilpotence_iters
+    if bound is not None and bound < 1:
+        raise CliInputError(f"--max-nilpotence-iters must be at least 1, not {bound}")
+    return bound
+
+
 def _check_gamma_size(n: int) -> None:
     if n > MAX_GAMMA_GENERATORS:
         raise CliInputError(f"N = {n} exceeds {MAX_GAMMA_GENERATORS}, the largest number of "
@@ -243,8 +250,9 @@ def cmd_preset(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    bound = _max_nilpotence_iters(args)
     p, names = _load_presentation(args.file)
-    report = validate_algebra(p, max_nilpotence_iters=args.max_nilpotence_iters)
+    report = validate_algebra(p, max_nilpotence_iters=bound)
     doc = {"command": "validate", "validation": report.as_dict()}
     ok = report.passed
     _emit(doc, args.output, f"validation {'passed' if ok else 'FAILED'}: "
@@ -253,8 +261,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    bound = _max_nilpotence_iters(args)
     p, names = _load_presentation(args.file)
-    vrep = validate_algebra(p, max_nilpotence_iters=args.max_nilpotence_iters)
+    vrep = validate_algebra(p, max_nilpotence_iters=bound)
     if not vrep.passed:
         _emit({"command": "analyze", "validation": vrep.as_dict()}, args.output,
               "validation FAILED; aborting analysis")
@@ -332,6 +341,8 @@ def cmd_rescale(args) -> int:
 
 
 def cmd_seeds(args) -> int:
+    if args.gamma and args.tau is not None:
+        raise CliInputError("--gamma and --tau exclude each other")
     p, names = _load_presentation(args.file)
     if args.gamma:
         _check_gamma_size(p.n)
@@ -496,7 +507,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (CliInputError, FormatError) as exc:
         _emit_error(args, exc, f"input error: {_detail(exc)}")
         return EXIT_INPUT
-    except (PresentationError, PolyError) as exc:
+    except Exception as exc:   # KeyboardInterrupt and SystemExit propagate
         _emit_error(args, exc, f"error: {_detail(exc)}")
         return EXIT_INPUT
 

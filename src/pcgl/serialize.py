@@ -49,6 +49,19 @@ def fraction_from_json(x) -> Fraction:
     raise FormatError(f"not a rational: {x!r}")
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: Python counts bools as ints, the format does not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_from_json(x, what: str) -> int:
+    """x when it is a JSON integer; int() would read a float, a bool or a
+    numeric string silently."""
+    if not _is_int(x):
+        raise FormatError(f"{what} must be an integer, not {x!r}")
+    return x
+
+
 def poly_to_triples(f: MvLaurent) -> List[list]:
     return [[c.numerator, c.denominator, list(e)] for e, c in f.sorted_terms()]
 
@@ -61,11 +74,11 @@ def poly_from_triples(nvars: int, triples) -> MvLaurent:
         if not (isinstance(item, list) and len(item) == 3):
             raise FormatError(f"bad polynomial term {item!r}")
         num, den, exps = item
-        if not (isinstance(num, int) and isinstance(den, int) and den != 0):
+        if not (_is_int(num) and _is_int(den) and den != 0):
             raise FormatError(f"bad coefficient in term {item!r}")
-        if not (isinstance(exps, list) and len(exps) == nvars and all(isinstance(e, int) for e in exps)):
+        if not (isinstance(exps, list) and len(exps) == nvars and all(_is_int(e) for e in exps)):
             raise FormatError(f"bad exponent vector in term {item!r}")
-        terms.append((tuple(int(e) for e in exps), Fraction(num, den)))
+        terms.append((tuple(exps), Fraction(num, den)))
     return MvLaurent.from_terms(nvars, terms)
 
 
@@ -100,11 +113,11 @@ def presentation_from_doc(doc: dict) -> Tuple[PoissonPresentation, Optional[List
     if not isinstance(doc, dict):
         raise FormatError("presentation document must be a JSON object")
     try:
-        n = int(doc["n_gens"])
-        d = int(doc["torus_rank"])
-        weights = tuple(tuple(int(x) for x in row) for row in doc["weights"])
+        n = _int_from_json(doc["n_gens"], "n_gens")
+        d = _int_from_json(doc["torus_rank"], "torus_rank")
+        weights = tuple(tuple(_int_from_json(x, "a weight entry") for x in row) for row in doc["weights"])
         h = tuple(tuple(fraction_from_json(x) for x in row) for row in doc["h"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed presentation document: {exc}") from exc
     h_star = None
     if _list_field(doc, "h_star") is not None:
@@ -116,9 +129,9 @@ def presentation_from_doc(doc: dict) -> Tuple[PoissonPresentation, Optional[List
     seen = set()
     for entry in _list_field(doc, "delta") or []:
         try:
-            k = int(entry["k"]) - 1
-            j = int(entry["j"]) - 1
-        except (KeyError, TypeError, ValueError) as exc:
+            k = _int_from_json(entry["k"], "delta k") - 1
+            j = _int_from_json(entry["j"], "delta j") - 1
+        except (KeyError, TypeError) as exc:
             raise FormatError(f"malformed delta entry {entry!r}") from exc
         if (k, j) in seen:
             raise FormatError(f"duplicate delta entry for k={k+1}, j={j+1}")

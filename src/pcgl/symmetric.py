@@ -12,8 +12,9 @@ data that fixes the selection for one tau -- sigma = tau_bullet o tau, the
 seed key of interval labels (start, m), and the tau-predecessors -- is read
 off one walk along tau in tau_data.  Commands walk only the chain Gamma_N
 inside Xi_N (gamma_chain), never all 2^(N-1) elements of Xi_N.  The
-u-elements, their leading data (pi, f, g), and the gamma-rescaling that
-normalizes all pi to 1 also live here.
+leading term (pi, f) of each u_[i, s(i)], read off the bracket table as
+lambda_s^-1 delta_s(x_i), and the gamma-rescaling that normalizes all pi
+to 1 also live here.
 """
 
 from __future__ import annotations
@@ -239,13 +240,10 @@ def gamma_chain(N: int) -> GammaChain:
     links: List[int] = []
     for i in range(1, N):
         for j in range(i, N):
-            nxt = tau_ij(N, i, j + 1)
-            prev = perms[-1]
-            k = next(pos for pos in range(N - 1) if prev[pos] != nxt[pos])
-            if not (prev[k] == nxt[k + 1] and prev[k + 1] == nxt[k]):
-                raise SymmetryError("gamma chain adjacency broken")
-            perms.append(nxt)
-            links.append(k)
+            # tau_ij(N, i, j) -> tau_ij(N, i, j+1) swaps i and j+1 at positions
+            # j-i and j-i+1 (0-based); tau_ij(N, i, N) is tau_ij(N, i+1, i+1).
+            perms.append(tau_ij(N, i, j + 1))
+            links.append(j - i)
     return GammaChain(perms=perms, links=links)
 
 
@@ -328,71 +326,43 @@ def interval_exponent(eta: EtaData, i: int, m: int) -> ExpVec:
 # ------------------------------------------------------------------ u-elements
 
 
-@dataclass
-class UElementData:
-    i: int
-    m: int
-    u: MvLaurent
-    pi: Fraction
-    f: ExpVec
-    g: ExpVec
+def u_leading_term(p: PoissonPresentation, eta: EtaData, i: int) -> Tuple[Fraction, ExpVec]:
+    """(pi, f): the leading coefficient and exponent of u_[i, s(i)].
 
-
-def u_element_and_pi(p: PoissonPresentation, eta: EtaData, i: int, m: int) -> UElementData:
-    """u_[i,s^m(i)] with its leading coefficient pi, exponent f, and ebar-basis g.
-
-    u = y_[i, s^(m-1)(i)] y_[s(i), s^m(i)] - y_[s(i), s^(m-1)(i)] y_[i, s^m(i)];
-    the leading exponent must avoid the eta-class of i, and g re-expresses f
-    in the interval ebar-vectors of the class-final indices inside the open
-    interval (unique since each such index owns its own coordinate).  The
-    degenerate case m = 0 is the convention u_[i,i] = 1.
+    With s = s(i), u_[i, s] = x_i x_s - y_[i, s], and interval_prime's
+    recursion gives y_[i, s] = x_i x_s - lambda_s^-1 delta_s(x_i), so
+    u_[i, s] = lambda_s^-1 delta_s(x_i) is read off the bracket table.  The
+    table holds delta_s(x_i) in generators below s only, so x_i x_s leads
+    y_[i, s] and that prime needs no check here.  f must avoid x_i and x_s
+    and be a combination of the interval ebar-vectors of the class-final
+    indices strictly between i and s (each owns its own coordinate).
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if m == 0:
-        zero = (0,) * p.n
-        return UElementData(i=i, m=0, u=MvLaurent.const(p.n, 1), pi=Fraction(1), f=zero, g=zero)
-    end = eta.succ_power(i, m)
-    if end is None:
-        raise IndexError(f"s^{m}({i+1}) is +infinity")
-    s_i = eta.succ[i]
-    a = interval_prime(p, eta, i, m - 1)
-    b = interval_prime(p, eta, s_i, m - 1)
-    big = interval_prime(p, eta, i, m)
-    inner = interval_prime(p, eta, s_i, m - 2) if m >= 2 else MvLaurent.const(p.n, 1)
-    u = a * b - inner * big
+    s = eta.succ[i]
+    u = p.delta_entry(s, i) * (1 / p.lam_diag(s))
     if u.is_zero():
-        raise LeadingFormViolation(f"u_[{i+1}, s^{m}] vanishes")
+        raise LeadingFormViolation(f"u_[{i+1}, s^1] vanishes")
     pi, f = u.leading_term()
-
-    chain = {eta.succ_power(i, t) for t in range(m + 1)}
-    if any(f[idx] for idx in chain):
-        raise LeadingFormViolation(f"leading exponent of u_[{i+1}, s^{m}] touches the class of {i+1}")
-
-    # P = class-final indices within the open interval (i, s^m(i))
-    p_set = [k for k in range(i + 1, end) if k not in chain
-             and (eta.succ[k] is None or eta.succ[k] > end)]
-    g = [0] * p.n
+    if f[i] or f[s]:
+        raise LeadingFormViolation(f"leading exponent of u_[{i+1}, s^1] touches the class of {i+1}")
     remaining = list(f)
-    for k in sorted(p_set, reverse=True):
+    for k in range(s - 1, i, -1):
         mk = remaining[k]
-        if mk:
-            g[k] = mk
+        if mk and (eta.succ[k] is None or eta.succ[k] > s):
             cur: Optional[int] = k
             while cur is not None and cur > i:
                 remaining[cur] -= mk
                 cur = eta.pred[cur]
     if any(remaining):
         raise LeadingFormViolation(
-            f"f of u_[{i+1}, s^{m}] is not a combination of interval ebar-vectors")
-    return UElementData(i=i, m=m, u=u, pi=pi, f=f, g=tuple(g))
+            f"f of u_[{i+1}, s^1] is not a combination of interval ebar-vectors")
+    return pi, f
 
 
 def pi_values(p: PoissonPresentation, eta: EtaData) -> Iterator[Tuple[int, Fraction]]:
     """(i, pi_[i, s(i)]) for every i with a successor, in increasing i, lazily."""
     for i in range(p.n):
         if eta.succ[i] is not None:
-            yield i, u_element_and_pi(p, eta, i, 1).pi
+            yield i, u_leading_term(p, eta, i)[0]
 
 
 # ----------------------------------------------------------------- normalization
@@ -437,10 +407,10 @@ def rescale_generators(p: PoissonPresentation, eta: EtaData) -> Tuple[List[Fract
         pi_idx = eta.pred[i]
         if pi_idx is None:
             continue
-        ud = u_element_and_pi(p, eta, pi_idx, 1)
+        pi, f = u_leading_term(p, eta, pi_idx)
         monom = Fraction(1)
-        for idx, mm in enumerate(ud.f):
+        for idx, mm in enumerate(f):
             if mm:
                 monom *= gamma[idx] ** mm
-        gamma[i] = monom / (gamma[pi_idx] * ud.pi)
+        gamma[i] = monom / (gamma[pi_idx] * pi)
     return gamma, apply_rescaling(p, gamma)

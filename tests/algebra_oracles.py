@@ -3,18 +3,24 @@
 The derivation-deleting map theta_k with the derivations delta_k and
 sigma_k it is built from; the integer chain recurrence for alpha and q,
 which cgl.alpha_q_matrices replaced by reading the bicharacter Omega_lambda
-on unit and ebar vectors; and the solid minors of a generic matrix, the
-ground truth for the prime sequences of the matrix preset.
+on unit and ebar vectors; the u-elements u_[i, s^m(i)] for every m, built
+from interval primes, with their leading data (pi, f, g), which
+symmetric.u_leading_term replaced for m = 1 by reading
+lambda_s^-1 delta_s(x_i) off the bracket table; and the solid minors of a
+generic matrix, the ground truth for the prime sequences of the matrix
+preset.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from pcgl.cgl import EtaData, PrimeSequenceError, QData
-from pcgl.poly import MvLaurent, apply_derivation
+from pcgl.poly import ExpVec, MvLaurent, apply_derivation
 from pcgl.presentation import PoissonPresentation, SupportViolation, _dot
 from pcgl.presets import ShapeMismatch
+from pcgl.symmetric import LeadingFormViolation, interval_prime
 
 
 # ------------------------------------------------------- derivation-deleting map
@@ -91,6 +97,69 @@ def alpha_q_recurrence(p: PoissonPresentation, eta: EtaData) -> QData:
     den = p.lam_den
     return QData(alpha=[[Fraction(x, den) for x in row] for row in alpha],
                  q=[[Fraction(x, den) for x in row] for row in q])
+
+
+# ------------------------------------------------------------------ u-elements
+
+
+@dataclass
+class UElementData:
+    i: int
+    m: int
+    u: MvLaurent
+    pi: Fraction
+    f: ExpVec
+    g: ExpVec
+
+
+def u_element_and_pi(p: PoissonPresentation, eta: EtaData, i: int, m: int) -> UElementData:
+    """u_[i,s^m(i)] with its leading coefficient pi, exponent f, and ebar-basis g.
+
+    u = y_[i, s^(m-1)(i)] y_[s(i), s^m(i)] - y_[s(i), s^(m-1)(i)] y_[i, s^m(i)];
+    the leading exponent must avoid the eta-class of i, and g re-expresses f
+    in the interval ebar-vectors of the class-final indices inside the open
+    interval (unique since each such index owns its own coordinate).  The
+    degenerate case m = 0 is the convention u_[i,i] = 1.
+    """
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    if m == 0:
+        zero = (0,) * p.n
+        return UElementData(i=i, m=0, u=MvLaurent.const(p.n, 1), pi=Fraction(1), f=zero, g=zero)
+    end = eta.succ_power(i, m)
+    if end is None:
+        raise IndexError(f"s^{m}({i+1}) is +infinity")
+    s_i = eta.succ[i]
+    a = interval_prime(p, eta, i, m - 1)
+    b = interval_prime(p, eta, s_i, m - 1)
+    big = interval_prime(p, eta, i, m)
+    inner = interval_prime(p, eta, s_i, m - 2) if m >= 2 else MvLaurent.const(p.n, 1)
+    u = a * b - inner * big
+    if u.is_zero():
+        raise LeadingFormViolation(f"u_[{i+1}, s^{m}] vanishes")
+    pi, f = u.leading_term()
+
+    chain = {eta.succ_power(i, t) for t in range(m + 1)}
+    if any(f[idx] for idx in chain):
+        raise LeadingFormViolation(f"leading exponent of u_[{i+1}, s^{m}] touches the class of {i+1}")
+
+    # P = class-final indices within the open interval (i, s^m(i))
+    p_set = [k for k in range(i + 1, end) if k not in chain
+             and (eta.succ[k] is None or eta.succ[k] > end)]
+    g = [0] * p.n
+    remaining = list(f)
+    for k in sorted(p_set, reverse=True):
+        mk = remaining[k]
+        if mk:
+            g[k] = mk
+            cur: Optional[int] = k
+            while cur is not None and cur > i:
+                remaining[cur] -= mk
+                cur = eta.pred[cur]
+    if any(remaining):
+        raise LeadingFormViolation(
+            f"f of u_[{i+1}, s^{m}] is not a combination of interval ebar-vectors")
+    return UElementData(i=i, m=m, u=u, pi=pi, f=f, g=tuple(g))
 
 
 # ------------------------------------------------------------------ solid minors

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +95,16 @@ def rescaled_4x5() -> PoissonPresentation:
              Fraction(-5), Fraction(3, 5), Fraction(1), Fraction(-1, 3), Fraction(5, 9),
              Fraction(3), Fraction(1, 5), Fraction(-3), Fraction(5, 3), Fraction(1)]
     return apply_rescaling(scaled_bracket(build_matrix_poisson(4, 5), Fraction(3, 2)), gamma)
+
+
+def benchmark_input(workload: str, seed: int, workdir) -> Path:
+    """The presentation file perfbench/inputs.py writes for one workload and seed."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    ops = inputs.make_workload(workload, seed, str(workdir))["ops"]
+    return Path(workdir) / ops[0]["argv"][1]
 
 
 @pytest.fixture(scope="session")

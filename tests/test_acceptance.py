@@ -31,11 +31,10 @@ from pcgl.symmetric import (
     apply_rescaling,
     gamma_chain,
     rescale_generators,
-    u_element_and_pi,
     validate_symmetric,
 )
 
-from algebra_oracles import cauchon_theta, expected_minor_for_generator, sigma
+from algebra_oracles import cauchon_theta, expected_minor_for_generator, sigma, u_element_and_pi
 
 
 def mark(num, text):

@@ -358,6 +358,47 @@ class TestInputBoundary:
         assert out.stat().st_size < 2 * cli.MAX_ERROR_DETAIL
         assert len(capsys.readouterr().err) < 2 * cli.MAX_ERROR_DETAIL
 
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    def test_max_nilpotence_iters_below_one(self, m22_file, command, bound, capsys):
+        # a bound below one would blame the algebra for the flag
+        argv = [command, m22_file, "--max-nilpotence-iters", bound]
+        assert self._error_code(argv, capsys) == "CliInputError"
+
+    def test_max_nilpotence_iters_one_is_accepted(self, m22_file, capsys):
+        assert main(["validate", m22_file, "--max-nilpotence-iters", "1"]) == 0
+
+    def test_seeds_gamma_with_tau(self, m22_file, capsys):
+        argv = ["seeds", m22_file, "--gamma", "--tau", "4,3,2,1"]
+        assert self._error_code(argv, capsys) == "CliInputError"
+
+    @pytest.mark.parametrize("exc", [MemoryError, RuntimeError])
+    @pytest.mark.parametrize("argv,target", [
+        (["chain-verify"], "chain_verify"),
+        (["membership", "--elem", "t11"], "upper_membership"),
+    ], ids=["chain-verify", "membership"])
+    def test_unexpected_exception_exit_2(self, m22_file, argv, target, exc, capsys, monkeypatch):
+        """Any exception ends in exit 2 and a report naming its class, never
+        in a traceback and exit 1, which means "not certified"."""
+        def fail(*args, **kwargs):
+            raise exc("out of luck")
+
+        monkeypatch.setattr(cli.cl, target, fail)
+        assert main([argv[0], m22_file, *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        error = json.loads(captured.out)["error"]
+        assert error == {"code": exc.__name__, "detail": "out of luck"}
+        assert captured.err.strip() == "error: out of luck"
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+    def test_interrupts_propagate(self, m22_file, exc, monkeypatch):
+        def fail(*args, **kwargs):
+            raise exc()
+
+        monkeypatch.setattr(cli.cl, "chain_verify", fail)
+        with pytest.raises(exc):
+            main(["chain-verify", m22_file])
+
     def test_error_detail_cut_only_past_the_bound(self):
         text = "e" * cli.MAX_ERROR_DETAIL
         assert cli._detail(ValueError(text)) == text
@@ -391,6 +432,18 @@ def _corrupt(**fields):
     return doc
 
 
+def _corrupt_entry(field, path, value):
+    """The 2x2 preset document with the entry at doc[field][path...] replaced."""
+    doc = _corrupt()
+    *head, last = path
+    target = doc[field]
+    for step in head:
+        target = target[step]
+    assert target[last] in (1, 4)   # the value int() would read back
+    target[last] = value
+    return doc
+
+
 MALFORMED = {
     "not_an_object": ([1, 2], "FormatError"),
     "no_n_gens": (_corrupt(n_gens=...), "FormatError"),
@@ -412,6 +465,17 @@ MALFORMED = {
     "names_not_a_list": (_corrupt(names=5), "FormatError"),
     "names_a_string": (_corrupt(names="abcd"), "FormatError"),
     "names_too_short": (_corrupt(names=["a"]), "FormatError"),
+    # int() reads each of these back as the value the field had, 1 or 4
+    "n_gens_float": (_corrupt(n_gens=4.7), "FormatError"),
+    "n_gens_string": (_corrupt(n_gens="4"), "FormatError"),
+    "torus_rank_float": (_corrupt(torus_rank=4.2), "FormatError"),
+    "weight_float": (_corrupt_entry("weights", [0, 0], 1.9), "FormatError"),
+    "weight_bool": (_corrupt_entry("weights", [0, 0], True), "FormatError"),
+    "delta_k_float": (_corrupt_entry("delta", [0, "k"], 4.2), "FormatError"),
+    "delta_j_float": (_corrupt_entry("delta", [0, "j"], 1.5), "FormatError"),
+    "delta_j_bool": (_corrupt_entry("delta", [0, "j"], True), "FormatError"),
+    "poly_denominator_bool": (_corrupt_entry("delta", [0, "poly", 0, 1], True), "FormatError"),
+    "poly_exponent_bool": (_corrupt_entry("delta", [0, "poly", 0, 2, 1], True), "FormatError"),
     # more digits than json converts to an int; written as text, as json.dumps cannot
     "integer_of_5000_digits": (
         json.dumps(_corrupt(torus_rank="BIG")).replace('"BIG"', "1" * 5000), "CliInputError"),

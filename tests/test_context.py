@@ -26,10 +26,10 @@ from pcgl.symmetric import (
     apply_rescaling,
     compute_d_integers,
     rescale_generators,
-    u_element_and_pi,
     validate_symmetric,
 )
 
+from algebra_oracles import u_element_and_pi
 from conftest import rescaled_3x3, two_block, weyl_block
 
 GAMMA_3X4 = [Fraction(3), Fraction(-1, 2), Fraction(2, 5), Fraction(1), Fraction(-4), Fraction(5, 3),

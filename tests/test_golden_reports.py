@@ -13,7 +13,10 @@ digests on rescaled_4x5, two_block and the 4x4 matrix preset were taken before t
 prime sequence's {y_k, y_j} identities were decided from the {y_l, x_i}
 relations instead of by bracketing.  The membership digests on the 4x4
 preset, rescaled_4x5 and two_block were taken while every cluster's
-generator images were still written by their own back-substitution.
+generator images were still written by their own back-substitution.  The
+rescale, symmetric and chain-verify digests on rescaled_3x3, rescaled_4x5
+and the benchmark's chain input of seed 1 were taken while each
+pi_[i, s(i)] was still read off a product of interval primes.
 """
 
 import hashlib
@@ -27,7 +30,7 @@ from pcgl.cli import main
 from pcgl.presentation import PoissonPresentation
 from pcgl.presets import build_matrix_poisson
 
-from conftest import rescaled_2x3, rescaled_3x3, rescaled_4x5, two_block
+from conftest import benchmark_input, rescaled_2x3, rescaled_3x3, rescaled_4x5, two_block
 
 GOLDEN = [
     (["membership", "--elem", "t11*t22 - t12*t21"], 0,
@@ -163,5 +166,31 @@ def m44_file(tmp_path_factory):
 def test_membership_report_digest(m44_file, bracket_files, capsys, name, args, code, digest):
     path = m44_file if name == "m44" else bracket_files[name]
     assert main(["membership", path, *args]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+PI_GOLDEN = [
+    ("rescale", "r33", "6895ba1e71c83cc2d9a8dd45c3ccd38ac98d235b6c70d1638aaf7a2870aa0ad7"),
+    ("symmetric", "r33", "a3a2e4f8c87089881332e746b629ee0f14dc168176374591f251260cfc85b986"),
+    ("chain-verify", "r33", "c7172194c039625f4014984c210788e2e0f46f78796e9ad7eb93ecad2ea8351a"),
+    ("rescale", "r45", "895cbc5479319ee850c09d7ab19da8d506da8d8442f971a975cee9b42c09ac0e"),
+    ("symmetric", "r45", "11af94a80a42b82a4f10dd10add081b5ebca4db949366a7f95ce96e582c7ef20"),
+    ("chain-verify", "r45", "e3be9fa21f9b5baf49c9ecc664e597edf80c3c02848b3d09d76689d061bbb6d6"),
+    ("rescale", "chain1", "0724aba32d0a401a72df2c4038ee001bc9de40432a786e5b41b3b0af2440bdf0"),
+    ("symmetric", "chain1", "b65115af03f7cdcb0f34beef78674689b1f3e494d7051dede8e6c628ab9afa15"),
+    ("chain-verify", "chain1", "89371e6a72974de891ce71b4e03747817f3ac868a9f8f4ddf7b8bc9a36b280e7"),
+]
+
+
+@pytest.fixture(scope="module")
+def chain1_file(tmp_path_factory):
+    return str(benchmark_input("chain", 1, tmp_path_factory.mktemp("chain1")))
+
+
+@pytest.mark.parametrize("command,name,digest", PI_GOLDEN, ids=[f"{g[0]} {g[1]}" for g in PI_GOLDEN])
+def test_pi_report_digest(bracket_files, chain1_file, capsys, command, name, digest):
+    path = chain1_file if name == "chain1" else bracket_files[name]
+    assert main([command, path]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

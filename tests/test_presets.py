@@ -8,9 +8,9 @@ from pcgl.cgl import compute_eta_and_primes
 from pcgl.poly import MvLaurent
 from pcgl.presentation import validate_algebra
 from pcgl.presets import ShapeMismatch, build_affine_space, build_matrix_poisson
-from pcgl.symmetric import u_element_and_pi, validate_symmetric
+from pcgl.symmetric import validate_symmetric
 
-from algebra_oracles import expected_minor_for_generator, solid_minor
+from algebra_oracles import expected_minor_for_generator, solid_minor, u_element_and_pi
 
 
 class TestMatrixPreset:

@@ -1,18 +1,23 @@
 """Symmetry validation, permutation combinatorics, interval primes, rescaling."""
 
+import json
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
 
 import pytest
 
-from pcgl.cgl import compute_eta_and_primes
-from pcgl.cluster import chain_verify
+from pcgl import cluster, symmetric
+from pcgl.cgl import EtaData, compute_eta_and_primes
+from pcgl.cluster import ClusterContext, chain_verify
 from pcgl.poly import MvLaurent
 from pcgl.presentation import PoissonPresentation, SupportViolation
-from pcgl.presets import build_affine_space
+from pcgl.presets import build_affine_space, build_matrix_poisson
+from pcgl.serialize import presentation_from_doc
 from pcgl.symmetric import (
     Incompatible,
+    LeadingFormViolation,
     SymmetryError,
     apply_rescaling,
     compute_d_integers,
@@ -22,12 +27,12 @@ from pcgl.symmetric import (
     is_xi_element,
     rescale_generators,
     tau_data,
-    u_element_and_pi,
+    u_leading_term,
     validate_symmetric,
 )
 
-from algebra_oracles import solid_minor
-from conftest import two_block, weyl_block
+from algebra_oracles import solid_minor, u_element_and_pi
+from conftest import benchmark_input, rescaled_3x3, rescaled_4x5, two_block, weyl_block
 from tau_oracles import (
     enumerate_xi,
     perm_compose,
@@ -120,7 +125,7 @@ class TestXiEnumeration:
                        (3, 2, 4, 1), (3, 4, 2, 1), (4, 3, 2, 1)]
 
     def test_gamma_chain_lengths(self):
-        for n in range(2, 8):
+        for n in range(2, 13):
             chain = gamma_chain(n)
             assert len(chain.perms) == n * (n - 1) // 2 + 1
             assert all(is_xi_element(t) for t in chain.perms)
@@ -295,6 +300,96 @@ class TestUElements:
             lhs_f = tuple(a + b for a, b in zip(u_ss.f, u_02.f))
             rhs_f = tuple(a + b for a, b in zip(u_01.f, u_41.f))
             assert lhs_f == rhs_f
+
+
+def _forged_eta(succ) -> EtaData:
+    """EtaData with the given successors; classes and predecessors follow."""
+    n = len(succ)
+    pred = [None] * n
+    for k, s_k in enumerate(succ):
+        if s_k is not None:
+            pred[s_k] = k
+    eta = list(range(n))
+    for k in range(n):
+        if pred[k] is not None:
+            eta[k] = eta[pred[k]]
+    return EtaData(eta=eta, pred=pred, succ=list(succ),
+                   exchangeable=[k for k in range(n) if succ[k] is not None], rank=len(set(eta)))
+
+
+def _forged(n, delta) -> PoissonPresentation:
+    """n generators of weight 1 with every lambda_k = 1 and the given table."""
+    return PoissonPresentation(n=n, torus_rank=1, weights=((1,),) * n, h=((Fraction(1),),) * n,
+                               delta={key: MvLaurent.from_terms(n, terms) for key, terms in delta.items()})
+
+
+def _benchmark_presentation(workload, seed, tmp) -> PoissonPresentation:
+    return presentation_from_doc(json.loads(benchmark_input(workload, seed, tmp).read_text()))[0]
+
+
+PI_INPUTS = {
+    "2x3": lambda tmp: build_matrix_poisson(2, 3),
+    "3x3": lambda tmp: build_matrix_poisson(3, 3),
+    "3x4": lambda tmp: build_matrix_poisson(3, 4),
+    "4x4": lambda tmp: build_matrix_poisson(4, 4),
+    "4x5": lambda tmp: build_matrix_poisson(4, 5),
+    "rescaled_3x3": lambda tmp: rescaled_3x3(),
+    "rescaled_4x5": lambda tmp: rescaled_4x5(),
+    "two_block": lambda tmp: two_block(),
+    "weyl_block": lambda tmp: weyl_block(),
+    **{f"{workload}{seed}": partial(_benchmark_presentation, workload, seed)
+       for workload in ("chain", "analyze") for seed in (1, 2, 3)},
+}
+
+
+class TestULeadingTerm:
+    """u_leading_term reads (pi, f) of u_[i, s(i)] = lambda_s^-1 delta_s(x_i)
+    off the table; the oracle builds u from three interval primes."""
+
+    @pytest.mark.parametrize("name", sorted(PI_INPUTS))
+    def test_equals_the_oracle(self, name, tmp_path):
+        p = PI_INPUTS[name](tmp_path)
+        eta, _ = compute_eta_and_primes(p)
+        checked = 0
+        for i, s_i in enumerate(eta.succ):
+            if s_i is None:
+                continue
+            ud = u_element_and_pi(p, eta, i, 1)
+            assert p.delta_entry(s_i, i) * (1 / p.lam_diag(s_i)) == ud.u
+            assert u_leading_term(p, eta, i) == (ud.pi, ud.f)
+            checked += 1
+        assert checked == len(eta.exchangeable) > 0
+
+    @pytest.mark.parametrize("n,succ,delta,message", [
+        (2, [1, None], {}, "u_[1, s^1] vanishes"),
+        (2, [1, None], {(1, 0): [((2, 0), 1)]},
+         "leading exponent of u_[1, s^1] touches the class of 1"),
+        (4, [3, 2, None, None], {(3, 0): [((0, 1, 0, 0), 1)]},
+         "f of u_[1, s^1] is not a combination of interval ebar-vectors"),
+        (4, [3, 2, None, None], {(3, 0): [((0, 0, 1, 0), 1)]},
+         "f of u_[1, s^1] is not a combination of interval ebar-vectors"),
+    ], ids=["vanishes", "touches_class", "not_class_final", "ebar_chain_cut_short"])
+    def test_violations_match_the_oracle(self, n, succ, delta, message):
+        p, eta = _forged(n, delta), _forged_eta(succ)
+        with pytest.raises(LeadingFormViolation) as new:
+            u_leading_term(p, eta, 0)
+        with pytest.raises(LeadingFormViolation) as old:
+            u_element_and_pi(p, eta, 0, 1)
+        assert str(new.value) == str(old.value) == message
+
+    @pytest.mark.parametrize("name", ["chain1", "4x4", "rescaled_3x3"])
+    def test_context_build_builds_no_interval_prime(self, name, tmp_path, monkeypatch):
+        p = PI_INPUTS[name](tmp_path)
+        built = []
+
+        def spy(*args):
+            built.append(args[2:])
+            return interval_prime(*args)
+
+        monkeypatch.setattr(symmetric, "interval_prime", spy)
+        monkeypatch.setattr(cluster, "interval_prime", spy)
+        ClusterContext.build_normalizing(p)
+        assert built == []
 
 
 class TestRescaling:
