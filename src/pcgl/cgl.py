@@ -98,7 +98,6 @@ class EtaData:
 @dataclass
 class PrimeSequenceReport:
     y: List[MvLaurent]
-    c: List[Optional[MvLaurent]]
     leading_exponents: List[ExpVec]
     weights: List[Tuple[int, ...]]
 
@@ -125,7 +124,6 @@ def compute_eta_and_primes(p: PoissonPresentation) -> Tuple[EtaData, PrimeSequen
     eta: List[int] = []
     pred: List[Optional[int]] = []
     y: List[MvLaurent] = []
-    c: List[Optional[MvLaurent]] = []
     next_label = 0
     final: List[int] = []  # indices j with s(j) currently +infinity
 
@@ -135,7 +133,6 @@ def compute_eta_and_primes(p: PoissonPresentation) -> Tuple[EtaData, PrimeSequen
             next_label += 1
             pred.append(None)
             y.append(MvLaurent.gen(n, k))
-            c.append(None)
             final.append(k)
             continue
         images = p.delta_gen_images(k)
@@ -152,7 +149,6 @@ def compute_eta_and_primes(p: PoissonPresentation) -> Tuple[EtaData, PrimeSequen
         eta.append(eta[j])
         pred.append(j)
         y.append(y[j] * MvLaurent.gen(n, k) - dkyj * (1 / lam_k))
-        c.append(dkyj * (1 / lam_k))
         final.remove(j)
         final.append(k)
 
@@ -171,7 +167,7 @@ def compute_eta_and_primes(p: PoissonPresentation) -> Tuple[EtaData, PrimeSequen
         wts.append(weight_of(p, y[k]))
 
     eta_data = EtaData(eta=eta, pred=pred, succ=succ, exchangeable=exchangeable, rank=rank)
-    report = PrimeSequenceReport(y=y, c=c, leading_exponents=lead, weights=wts)
+    report = PrimeSequenceReport(y=y, leading_exponents=lead, weights=wts)
     return eta_data, report
 
 

@@ -25,11 +25,11 @@ check_log_canonical brackets every pair of a seed's variables against r.
 Every function here that needs sigma = tau_bullet o tau, the seed key or the
 tau-predecessors takes them from one call of symmetric.tau_data.  The
 generators are written in the initial cluster by one back-substitution,
-cluster_expressions; a walk along Gamma_N writes them in each new cluster
-from the cluster before it, which differs in one slot kb, by substituting
-y_kb -> Q / y'_kb in the slots that involve kb, with Q = y_kb y'_kb free of
-y_kb (the Laurent phenomenon makes the one division exact).  Any other
-step falls back to cluster_expressions.
+cluster_expressions; the membership walk along Gamma_N writes them in each
+new cluster from the cluster before it, which differs in one slot kb, by
+substituting y_kb -> Q / y'_kb in the images that involve kb, with
+Q = y_kb y'_kb free of y_kb (the Laurent phenomenon makes the one division
+exact).  A step where this does not hold raises ClusterError.
 """
 
 from __future__ import annotations
@@ -273,8 +273,7 @@ class ClusterContext:
     (start, m) to its interval prime and that prime's certified torus
     weight.  The table x_in_y of the generators in initial-cluster
     coordinates is the identity permutation's cluster_expressions, read on
-    first use.  _held is the seed key and generator images of the cluster
-    that _cluster_images wrote last, from which it derives the next one.
+    first use.
     """
 
     p: PoissonPresentation
@@ -283,7 +282,6 @@ class ClusterContext:
     d_map: Dict[int, int]
     _seeds: Dict[SeedKey, "TauSeedBundle"] = field(default_factory=dict)
     _primes: Dict[Tuple[int, int], Tuple[MvLaurent, Weight]] = field(default_factory=dict)
-    _held: Optional[Tuple[SeedKey, List[MvLaurent]]] = None
 
     @classmethod
     def build(cls, p: PoissonPresentation) -> "ClusterContext":
@@ -611,10 +609,10 @@ def cluster_expressions(ctx: ClusterContext, tau: Perm) -> List[MvLaurent]:
     x_tau(k) = y_{tau, p_tau(k)}^{-1} (y_{tau,k} + c_{tau,k}).  Exponent slots
     follow the ytilde ordering (variable j of the tau-sequence sits in slot
     (tau_bullet tau)(j)).  Nothing is kept.  For the identity permutation the
-    result is the context's one cached table, ctx.x_in_y; _cluster_images
-    derives the other clusters of a walk from it by exchange and calls this
-    only where a derivation does not apply.  The y_tau are read from the
-    context's interval-prime table.
+    result is the context's one cached table, ctx.x_in_y, from which
+    upper_membership derives every other cluster of its walk by exchange
+    (_exchanged_images).  The y_tau are read from the context's
+    interval-prime table.
     """
     sigma, key, pred = tau_data(ctx.eta, tau)
     n = ctx.p.n
@@ -640,56 +638,29 @@ def cluster_expressions(ctx: ClusterContext, tau: Perm) -> List[MvLaurent]:
     return images                     # type: ignore[return-value]
 
 
-def _one_slot(a: SeedKey, b: SeedKey) -> Optional[int]:
-    """The slot where two seed keys differ, when they differ in exactly one."""
-    diff = [j for j, (u, v) in enumerate(zip(a, b)) if u != v]
-    return diff[0] if len(diff) == 1 else None
+def _exchanged_images(ctx: ClusterContext, key: SeedKey, images: List[MvLaurent],
+                      new_key: SeedKey) -> List[MvLaurent]:
+    """The generator images in new_key's cluster, derived from those in key's.
 
-
-def _exchanged_images(ctx: ClusterContext, held_key: SeedKey, held: List[MvLaurent],
-                      key: SeedKey) -> Optional[List[MvLaurent]]:
-    """The generator images in key's cluster, derived from those in held_key's,
-    or None when the derivation does not apply.
-
-    It applies when the keys differ in exactly one slot kb, so that every
-    other variable is the same element in the same slot.  The new variable
-    written in the old cluster is Y; when Q = Y * y_kb does not involve slot
-    kb, y_kb = Q / y'_kb, and each held image that involves kb is rewritten
-    by that one-slot substitution.  A result that is Laurent is the unique
-    expression in the new cluster, whose variables are algebraically
-    independent; a division that is not exact returns None.
+    The keys must differ in exactly one slot kb, so that every other variable
+    is the same element in the same slot.  The new variable written in the
+    old cluster is Y; Q = Y * y_kb must not involve slot kb, so that
+    y_kb -> Q / y'_kb rewrites each image that involves kb, and the Laurent
+    phenomenon makes that one division exact.  Adjacent Gamma_N seeds are
+    equal or one mutation apart, so this holds at every Gamma_N step; a step
+    where it fails raises ClusterError naming the slot.
     """
-    kb = _one_slot(held_key, key)
-    if kb is None:
-        return None
-    q = substitute(ctx.prime(key[kb])[0], held) * MvLaurent.gen(ctx.p.n, kb)
+    diff = [j for j, (u, v) in enumerate(zip(key, new_key)) if u != v]
+    if len(diff) != 1:
+        raise ClusterError(f"seed keys differ in slots {[j + 1 for j in diff]}, not in exactly one")
+    kb = diff[0]
+    q = substitute(ctx.prime(new_key[kb])[0], images) * MvLaurent.gen(ctx.p.n, kb)
     if any(e[kb] for e in q.terms):
-        return None
+        raise ClusterError(f"exchange polynomial of slot {kb+1} involves y_{kb+1}")
     try:
-        return [_exchange_slot(f, kb, q) if any(e[kb] for e in f.terms) else f for f in held]
-    except NonInvertibleImage:
-        return None
-
-
-def _cluster_images(ctx: ClusterContext, tau: Perm) -> List[MvLaurent]:
-    """The generators x_1..x_N in tau's cluster, equal to cluster_expressions(ctx, tau).
-
-    The context holds the images of the cluster this wrote last.  A key equal
-    to the held one reads them; a key one exchange away derives its images
-    from them (_exchanged_images); any other key, or a derivation that does
-    not apply, is back-substituted, by ctx.x_in_y for the identity
-    permutation and by cluster_expressions otherwise.  So a walk along
-    Gamma_N, whose adjacent keys are equal or one mutation apart, runs one
-    back-substitution, for its first cluster.
-    """
-    key = tau_data(ctx.eta, tau)[1]
-    held = ctx._held
-    if held is None or held[0] != key:
-        images = _exchanged_images(ctx, *held, key) if held is not None else None
-        if images is None:
-            images = ctx.x_in_y if tau == tuple(range(ctx.p.n)) else cluster_expressions(ctx, tau)
-        held = ctx._held = (key, images)
-    return held[1]
+        return [_exchange_slot(f, kb, q) if any(e[kb] for e in f.terms) else f for f in images]
+    except NonInvertibleImage as exc:
+        raise ClusterError(f"exchange in slot {kb+1} is not exact: {exc}") from exc
 
 
 @dataclass
@@ -712,9 +683,10 @@ def _require_polynomial(f: MvLaurent) -> None:
         raise NotInRing("x-coordinate input must be a polynomial in the generators")
 
 
-def express_in_cluster(ctx: ClusterContext, f: MvLaurent, tau: Perm,
+def express_in_cluster(ctx: ClusterContext, f: MvLaurent, tau: Perm, x_imgs: Sequence[MvLaurent],
                        inv: Sequence[int] = (), coords: str = "x") -> Tuple[MvLaurent, MembershipWitness]:
-    """Rewrite f in the tau-cluster and test mixed-ring membership.
+    """Rewrite f in the tau-cluster, whose generator images x_imgs are those
+    of cluster_expressions(ctx, tau), and test mixed-ring membership.
 
     `coords` says how f is given: "x" for a polynomial in the generators,
     "y" for a Laurent polynomial in the initial cluster.  The membership
@@ -722,7 +694,6 @@ def express_in_cluster(ctx: ClusterContext, f: MvLaurent, tau: Perm,
     `inv` after full cancellation; NotInRing is raised when f does not land
     in the Laurent ring of the cluster at all.
     """
-    x_imgs = _cluster_images(ctx, tau)
     if coords == "x":
         _require_polynomial(f)
         expr = substitute(f, x_imgs)
@@ -749,28 +720,28 @@ def upper_membership(ctx: ClusterContext, f: MvLaurent, inv: Sequence[int] = (),
                      coords: str = "x") -> Tuple[bool, List[MembershipWitness]]:
     """Certificate for membership in the Gamma_N intersection of mixed rings.
 
-    f is expressed once per distinct seed key along Gamma_N, and every
-    permutation gets its own witness carrying its key's result.  Adjacent
-    permutations share a cluster or differ by one mutation, so
-    express_in_cluster writes the generators in each new cluster by one
-    exchange from the cluster before it (_cluster_images), and only the
-    identity cluster by back-substitution.  An x-coordinate input that is
-    not a polynomial raises NotInRing up front; a y-coordinate input that is
-    not Laurent in some cluster gets ok=False witnesses there.
+    One walk along Gamma_N holds the current seed key and the generators
+    written in its cluster: ctx.x_in_y at the identity, where the chain
+    starts, then at each change of key the images _exchanged_images derives
+    from the cluster before.  f is expressed once per run of equal keys, and
+    every permutation gets a witness carrying its run's result.  An
+    x-coordinate input that is not a polynomial raises NotInRing up front; a
+    y-coordinate input that is not Laurent in some cluster gets ok=False
+    witnesses there.
     """
     if coords == "x":
         _require_polynomial(f)
-    by_key: Dict[SeedKey, MembershipWitness] = {}
     witnesses: List[MembershipWitness] = []
+    key: Optional[SeedKey] = None
     for tau in ctx.gamma().perms:
-        key = tau_data(ctx.eta, tau)[1]
-        w = by_key.get(key)
-        if w is None:
+        new_key = tau_data(ctx.eta, tau)[1]
+        if new_key != key:
+            images = ctx.x_in_y if key is None else _exchanged_images(ctx, key, images, new_key)
+            key = new_key
             try:
-                _, w = express_in_cluster(ctx, f, tau, inv=inv, coords=coords)
+                w = express_in_cluster(ctx, f, tau, images, inv=inv, coords=coords)[1]
             except NotInRing:
                 w = MembershipWitness(tau=tau, ok=False, expression=None, bad_frozen=[])
-            by_key[key] = w
         witnesses.append(replace(w, tau=tau, bad_frozen=list(w.bad_frozen)))
     return all(w.ok for w in witnesses), witnesses
 

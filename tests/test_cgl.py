@@ -92,15 +92,15 @@ class TestEtaAndPrimes:
         assert eta.rank == n_pred_inf == n_succ_inf == len(set(eta.eta))
 
     def test_c_relations(self, p33):
-        # delta_k(y_p(k)) = lambda_k c_k and delta_k(c_k) = 0
+        # with c_k = y_p(k) x_k - y_k: delta_k(y_p(k)) = lambda_k c_k and delta_k(c_k) = 0
         eta, seq = compute_eta_and_primes(p33)
         for k in range(9):
             pk = eta.pred[k]
             if pk is None:
                 continue
-            lam_k = p33.lam_diag(k)
-            assert delta(p33, k, seq.y[pk]) == seq.c[k] * lam_k
-            assert delta(p33, k, seq.c[k]).is_zero()
+            ck = seq.y[pk] * MvLaurent.gen(9, k) - seq.y[k]
+            assert delta(p33, k, seq.y[pk]) == ck * p33.lam_diag(k)
+            assert delta(p33, k, ck).is_zero()
 
     def test_ambiguous_predecessor(self):
         # crafted non-P-CGL input: delta_3 nonzero on both final primes

@@ -372,6 +372,12 @@ class TestInputBoundary:
         argv = ["seeds", m22_file, "--gamma", "--tau", "4,3,2,1"]
         assert self._error_code(argv, capsys) == "CliInputError"
 
+    @pytest.mark.parametrize("command,extra", [("seeds", []), ("btilde", []), ("mutate", ["--at", "1"])])
+    def test_empty_tau(self, m22_file, command, extra, capsys):
+        # an empty --tau is not read as the identity permutation
+        argv = [command, m22_file, "--tau", "", *extra]
+        assert self._error_code(argv, capsys) == "CliInputError"
+
     @pytest.mark.parametrize("exc", [MemoryError, RuntimeError])
     @pytest.mark.parametrize("argv,target", [
         (["chain-verify"], "chain_verify"),

@@ -1,5 +1,6 @@
 """Seeds, mutation, compatible pairs, links, membership, log-canonicality."""
 
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from pcgl.cluster import (
     BMatrix,
     ClusterContext,
+    ClusterError,
     CompatibilityFailure,
     CompatibilityLost,
     DirectionOutOfRange,
@@ -33,7 +35,7 @@ from pcgl.cluster import (
     upper_membership,
     verify_one_step,
 )
-from pcgl import cluster
+from pcgl import cli, cluster
 from pcgl.poly import NonInvertibleImage, MvLaurent, substitute
 from pcgl.presentation import _dot
 from pcgl.presets import build_affine_space, build_matrix_poisson
@@ -433,19 +435,20 @@ class TestLogCanonical:
 
 class TestExpressAndMembership:
     def test_x4_in_initial_cluster(self, ctx22):
-        expr, witness = express_in_cluster(ctx22, MvLaurent.gen(4, 3), (0, 1, 2, 3))
+        expr, witness = express_in_cluster(ctx22, MvLaurent.gen(4, 3), (0, 1, 2, 3), ctx22.x_in_y)
         want = MvLaurent.monomial(4, (-1, 0, 0, 1)) + MvLaurent.monomial(4, (-1, 1, 1, 0))
         assert expr == want
         assert witness.ok  # y1 is exchangeable, negative power allowed
 
     def test_x1_plus_one(self, ctx22):
-        expr, _ = express_in_cluster(ctx22, MvLaurent.gen(4, 0) + 1, (0, 1, 2, 3))
+        expr, _ = express_in_cluster(ctx22, MvLaurent.gen(4, 0) + 1, (0, 1, 2, 3), ctx22.x_in_y)
         assert expr == MvLaurent.gen(4, 0) + 1
 
     def test_y_elements_frozen_nonneg(self, ctx22):
         for tau in gamma_chain(4).perms:
+            images = cluster_expressions(ctx22, tau)
             for j in range(4):
-                _, witness = express_in_cluster(ctx22, ctx22.seq.y[j], tau)
+                _, witness = express_in_cluster(ctx22, ctx22.seq.y[j], tau, images)
                 assert witness.ok
 
     def test_generators_certify(self, ctx23):
@@ -469,8 +472,9 @@ class TestExpressAndMembership:
         for tau in perms:
             variables.extend(seed_for_tau(ctx22, tau).vars_x)
         for tau in perms:
+            images = cluster_expressions(ctx22, tau)
             for v in variables:
-                _, witness = express_in_cluster(ctx22, v, tau)
+                _, witness = express_in_cluster(ctx22, v, tau, images)
                 assert witness.ok
 
     def test_cluster_expressions_invert(self, ctx23):
@@ -568,9 +572,9 @@ class TestMembershipDedupe:
         calls = []
         inner = cluster.express_in_cluster
 
-        def counting(ctx, f, tau, **kw):
+        def counting(ctx, f, tau, x_imgs, **kw):
             calls.append(tau)
-            return inner(ctx, f, tau, **kw)
+            return inner(ctx, f, tau, x_imgs, **kw)
 
         monkeypatch.setattr(cluster, "express_in_cluster", counting)
         _, witnesses = upper_membership(ctx33, MvLaurent.gen(9, 4))
@@ -623,24 +627,56 @@ def _walk_cases(ctx):
     return [(x, (), "x"), (y, (), "y"), (y, (frozen,), "y")]
 
 
+def _runs(ctx):
+    """(first permutation, seed key) of each run of equal seed keys along Gamma_N."""
+    runs = []
+    for tau in ctx.gamma().perms:
+        key = tau_data(ctx.eta, tau)[1]
+        if not runs or key != runs[-1][1]:
+            runs.append((tau, key))
+    return runs
+
+
+def _walk(ctx):
+    """The runs with the generator images of their clusters, derived as
+    upper_membership derives them: ctx.x_in_y, then one exchange per run."""
+    runs = _runs(ctx)
+    images = [ctx.x_in_y]
+    for (_, key), (_, new_key) in zip(runs, runs[1:]):
+        images.append(cluster._exchanged_images(ctx, key, images[-1], new_key))
+    return [(tau, key, imgs) for (tau, key), imgs in zip(runs, images)]
+
+
+# every fixture the walk was checked on: the walk inputs, plus 1x5, 5x5 and the Weyl blocks
+KEY_INPUTS = dict(WALK_INPUTS, **{
+    "1x5": lambda: build_matrix_poisson(1, 5),
+    "5x5": lambda: build_matrix_poisson(5, 5),
+    "weyl_block2": lambda: weyl_block(2),
+    "weyl_block3": lambda: weyl_block(3),
+})
+
+
+@pytest.mark.parametrize("name", KEY_INPUTS)
+def test_gamma_keys_change_in_one_slot(name):
+    # the walk relies on this: adjacent keys are equal or differ in one slot,
+    # and no key comes back after its run of equal keys ends
+    ctx = ClusterContext.build_normalizing(KEY_INPUTS[name]())[0]
+    keys = [tau_data(ctx.eta, tau)[1] for tau in ctx.gamma().perms]
+    assert {sum(u != v for u, v in zip(a, b)) for a, b in zip(keys, keys[1:])} <= {0, 1}
+    assert len(_runs(ctx)) == len(set(keys))
+
+
 class TestMembershipWalk:
     """Each new cluster's generator images derived from the cluster before it
     by one exchange, against the back-substitution of every cluster."""
 
     @pytest.mark.parametrize("name", WALK_INPUTS)
-    def test_walked_images_equal_back_substitution(self, name, monkeypatch):
+    def test_walked_images_equal_back_substitution(self, name):
         ctx = _walk_ctx(name)
-        back = cluster.cluster_expressions
-        calls = _spy_back_substitution(monkeypatch)
-        seen = set()
-        for tau in ctx.gamma().perms:
-            images = cluster._cluster_images(ctx, tau)
-            key = tau_data(ctx.eta, tau)[1]
-            if key not in seen:
-                seen.add(key)
-                assert images == back(ctx, tau)
-        assert calls == [tuple(range(ctx.p.n))]   # ctx.x_in_y, for the identity key only
-        assert len(seen) > 1
+        runs = _walk(ctx)
+        for tau, _, images in runs:
+            assert images == cluster_expressions(ctx, tau)
+        assert len(runs) > 1
 
     @pytest.mark.parametrize("name", WALK_INPUTS)
     def test_equals_per_tau_oracle(self, name):
@@ -672,56 +708,76 @@ class TestMembershipWalk:
         assert any(outcomes[1][1]) and not all(outcomes[1][1])
         assert outcomes[1][0] is False and outcomes[2][0] is False
 
-    @pytest.mark.parametrize("name", ["4x4", "rescaled_4x5"])
+    @pytest.mark.parametrize("name", WALK_INPUTS)
     def test_one_back_substitution_per_membership(self, name, monkeypatch):
         ctx = _walk_ctx(name)
         calls = _spy_back_substitution(monkeypatch)
         assert upper_membership(ctx, _walk_cases(ctx)[0][0])[0]
         assert calls == [tuple(range(ctx.p.n))]
 
-    def _fallback_equals_walk(self, monkeypatch, name, replacement):
-        """Witnesses with cluster.<name> replaced equal those of a clean walk;
-        returns the number of back-substitutions of the first input."""
-        want = [upper_membership(_walk_ctx("3x4"), f, inv=inv, coords=coords)
-                for f, inv, coords in _walk_cases(_walk_ctx("3x4"))]
+    def test_express_in_reverse_chain_order(self, ctx33):
+        # express_in_cluster reads only its arguments: the walk's images, met
+        # last cluster first, give the per-permutation oracle's witnesses
+        runs = _walk(ctx33)
+        for f, inv, coords in _walk_cases(ctx33):
+            for tau, _, images in reversed(runs):
+                try:
+                    want = _express_per_tau(ctx33, f, tau, inv=inv, coords=coords)
+                except NotInRing:
+                    with pytest.raises(NotInRing):
+                        express_in_cluster(ctx33, f, tau, images, inv=inv, coords=coords)
+                    continue
+                assert express_in_cluster(ctx33, f, tau, images, inv=inv, coords=coords)[1] == want
+
+    def _walk_fails(self, tmp_path, capsys, detail):
+        """upper_membership on 3x4 and `pcgl membership` on the 3x4 preset both
+        end in a ClusterError with this detail, the command with exit 2."""
         ctx = _walk_ctx("3x4")
-        monkeypatch.setattr(cluster, name, replacement)
-        calls = _spy_back_substitution(monkeypatch)
-        counts = []
-        for (f, inv, coords), w in zip(_walk_cases(ctx), want):
-            assert upper_membership(ctx, f, inv=inv, coords=coords) == w
-            counts.append(len(calls))
-        return counts[0]
+        with pytest.raises(ClusterError) as err:
+            upper_membership(ctx, _walk_cases(ctx)[0][0])
+        assert type(err.value) is ClusterError and str(err.value) == detail
+        path = str(tmp_path / "m34.json")
+        assert cli.main(["preset", "matrix", "--m", "3", "--n", "4", "-o", path]) == 0
+        capsys.readouterr()
+        assert cli.main(["membership", path, "--elem", "t11*t22 - t12*t21"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == {"code": "ClusterError", "detail": detail}
 
-    def test_neighbour_two_slots_away_falls_back(self, monkeypatch):
-        # the third held key is corrupted in a second slot, so that step back-substitutes
-        inner = cluster._one_slot
-        seen = []
+    def _corrupt_third_key(self, monkeypatch, corrupt):
+        """Make tau_data give the first permutation of the walk's third cluster
+        the key corrupt(key, kb, j), with kb the slot where the second and
+        third keys differ and j another slot; returns kb and j."""
+        _, (_, prev), (target, key) = _runs(_walk_ctx("3x4"))[:3]
+        kb = next(j for j in range(len(key)) if prev[j] != key[j])
+        j = kb - 1 if kb else 1
+        bad = corrupt(key, kb, j)
+        inner = cluster.tau_data
 
-        def two_slots(a, b):
-            seen.append(a)
-            if len(seen) == 3:
-                j = next(j for j in range(len(a)) if a[j] == b[j])
-                a = a[:j] + ((-1, -1),) + a[j + 1:]
-                assert inner(a, b) is None
-            return inner(a, b)
+        def corrupted(eta, tau):
+            sigma, k, pred = inner(eta, tau)
+            return sigma, bad if tuple(tau) == target else k, pred
 
-        assert self._fallback_equals_walk(monkeypatch, "_one_slot", two_slots) == 2
-        assert len(seen) > 3
+        monkeypatch.setattr(cluster, "tau_data", corrupted)
+        return kb, j
 
-    def test_inexact_division_falls_back(self, monkeypatch):
+    def test_neighbour_two_slots_away_raises(self, monkeypatch, tmp_path, capsys):
+        # slot j, where the keys agree, gets a label of no interval prime
+        kb, j = self._corrupt_third_key(monkeypatch, lambda key, kb, j: key[:j] + ((-1, -1),) + key[j + 1:])
+        slots = sorted([kb + 1, j + 1])
+        self._walk_fails(tmp_path, capsys, f"seed keys differ in slots {slots}, not in exactly one")
+
+    def test_exchange_polynomial_in_the_slot_raises(self, monkeypatch, tmp_path, capsys):
+        # slot kb gets slot j's label: Y = y_j, and Q = y_j y_kb involves slot kb
+        kb, _ = self._corrupt_third_key(monkeypatch, lambda key, kb, j: key[:kb] + (key[j],) + key[kb + 1:])
+        self._walk_fails(tmp_path, capsys, f"exchange polynomial of slot {kb+1} involves y_{kb+1}")
+
+    def test_inexact_division_raises(self, monkeypatch, tmp_path, capsys):
         def inexact(f, k, q):
             raise NonInvertibleImage("forced")
 
-        # every one of the 9 clusters of 3x4 is back-substituted
-        assert self._fallback_equals_walk(monkeypatch, "_exchange_slot", inexact) == 9
-
-    def test_exchange_polynomial_in_the_slot_falls_back(self, monkeypatch):
-        # a slot where the keys agree: y'_j is y_j, and Q = y_j^2 involves slot j
-        def same_slot(a, b):
-            return next((j for j in range(len(a)) if a[j] == b[j]), None)
-
-        assert self._fallback_equals_walk(monkeypatch, "_one_slot", same_slot) == 9
+        monkeypatch.setattr(cluster, "_exchange_slot", inexact)
+        (_, first), (_, second) = _runs(_walk_ctx("3x4"))[:2]
+        kb = next(j for j in range(len(first)) if first[j] != second[j])
+        self._walk_fails(tmp_path, capsys, f"exchange in slot {kb+1} is not exact: forced")
 
 
 class TestMutateSeed:

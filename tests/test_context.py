@@ -48,7 +48,7 @@ def _x_in_y_eager(ctx):
         if pk is None:
             out.append(MvLaurent.gen(n, k))
             continue
-        ck = ctx.seq.c[k]
+        ck = ctx.seq.y[pk] * MvLaurent.gen(n, k) - ctx.seq.y[k]
         ck_y = substitute(ck, out + [MvLaurent.gen(n, i) for i in range(k, n)]) if not ck.is_zero() \
             else MvLaurent.zero(n)
         out.append(MvLaurent.gen(n, pk, -1) * (MvLaurent.gen(n, k) + ck_y))
@@ -112,7 +112,7 @@ def test_context_equals_three_pass_build(name, tmp_path, capsys):
     ctx, gamma = ClusterContext.build_normalizing(p)
     assert ctx.p == want.p
     assert ctx.eta == want.eta
-    assert ctx.seq.y == want.seq.y and ctx.seq.c == want.seq.c
+    assert ctx.seq == want.seq
     assert ctx.d_map == want.d_map
     assert gamma == (want_gamma if want_gamma is not None else [1] * p.n)
     assert ctx.x_in_y == want_x_in_y
