@@ -9,10 +9,9 @@ of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .poly import ExpVec, MvLaurent, Scaled, _mul, _scale, apply_derivation
 from .presentation import (
@@ -55,8 +54,7 @@ class CertFailure(PrimeSequenceError):
         self.rhs = rhs
 
 
-@dataclass
-class EtaData:
+class EtaData(NamedTuple):
     """Level-set labeling and its predecessor/successor combinatorics (0-based)."""
 
     eta: List[int]
@@ -95,15 +93,13 @@ class EtaData:
         }
 
 
-@dataclass
-class PrimeSequenceReport:
+class PrimeSequenceReport(NamedTuple):
     y: List[MvLaurent]
     leading_exponents: List[ExpVec]
     weights: List[Tuple[int, ...]]
 
 
-@dataclass
-class QData:
+class QData(NamedTuple):
     alpha: List[List[Fraction]]
     q: List[List[Fraction]]
 
@@ -260,8 +256,7 @@ def certify_prime_sequence(p: PoissonPresentation, eta: EtaData, seq: PrimeSeque
     return qd
 
 
-@dataclass
-class HmaxEquation:
+class HmaxEquation(NamedTuple):
     """Multiplicative relation psi_k = psi_{j_k}^{-1} prod_i psi_i^{f_ki}."""
 
     k: int

@@ -116,7 +116,7 @@ def _parse_tau(text: str, n: int) -> Tuple[int, ...]:
 
 
 def _parse_inv(text: Optional[str], n: int) -> List[int]:
-    if not text:
+    if text is None:
         return []
     try:
         vals = [int(x) for x in text.split(",")]
@@ -242,7 +242,7 @@ def cmd_preset(args) -> int:
             names = [f"t{r}_{c}" for r in range(1, args.m + 1) for c in range(1, args.n + 1)]
         summary = f"matrix Poisson preset {args.m}x{args.n}: N = {p.n}, torus rank {p.torus_rank}"
     else:
-        q_rows = _parse_q(args.q) if args.q else [[0] * args.n for _ in range(args.n)]
+        q_rows = _parse_q(args.q) if args.q is not None else [[0] * args.n for _ in range(args.n)]
         p = build_affine_space(args.n, q_rows)
         names = None
         summary = f"Poisson affine space preset: N = {p.n}"

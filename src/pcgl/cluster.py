@@ -34,11 +34,10 @@ exact).  A step where this does not hold raises ClusterError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .cgl import EtaData, PrimeSequenceReport, compute_eta_and_primes
@@ -151,8 +150,7 @@ Weight = Tuple[int, ...]
 # -------------------------------------------------------------- exchange matrices
 
 
-@dataclass
-class BMatrix:
+class BMatrix(NamedTuple):
     """Integer N x ex matrix, stored as columns keyed by exchangeable index."""
 
     n: int
@@ -263,7 +261,6 @@ def _first_pi_not_one(p: PoissonPresentation, eta: EtaData) -> Optional[Tuple[in
     return next(((i, pi) for i, pi in pi_values(p, eta) if pi != 1), None)
 
 
-@dataclass
 class ClusterContext:
     """Everything derived from one validated, pi-normalized presentation.
 
@@ -276,12 +273,14 @@ class ClusterContext:
     first use.
     """
 
-    p: PoissonPresentation
-    eta: EtaData
-    seq: PrimeSequenceReport
-    d_map: Dict[int, int]
-    _seeds: Dict[SeedKey, "TauSeedBundle"] = field(default_factory=dict)
-    _primes: Dict[Tuple[int, int], Tuple[MvLaurent, Weight]] = field(default_factory=dict)
+    def __init__(self, p: PoissonPresentation, eta: EtaData, seq: PrimeSequenceReport,
+                 d_map: Dict[int, int]):
+        self.p = p
+        self.eta = eta
+        self.seq = seq
+        self.d_map = d_map
+        self._seeds: Dict[SeedKey, TauSeedBundle] = {}
+        self._primes: Dict[Tuple[int, int], Tuple[MvLaurent, Weight]] = {}
 
     @classmethod
     def build(cls, p: PoissonPresentation) -> "ClusterContext":
@@ -345,8 +344,7 @@ class ClusterContext:
 # -------------------------------------------------------------------- tau seeds
 
 
-@dataclass
-class TauSeedBundle:
+class TauSeedBundle(NamedTuple):
     tau: Perm
     sigma: Perm                           # tau_bullet o tau
     vars_x: List[MvLaurent]               # ytilde entries as polynomials in x
@@ -451,14 +449,13 @@ def seed_for_tau(ctx: ClusterContext, tau: Perm) -> TauSeedBundle:
     bundle = ctx._seeds.get(key)
     if bundle is None:
         bundle = ctx._seeds[key] = _build_bundle(ctx, tau, sigma, key)
-    return replace(bundle, tau=tau, sigma=sigma)
+    return bundle._replace(tau=tau, sigma=sigma)
 
 
 # --------------------------------------------------------------- one-step links
 
 
-@dataclass
-class LinkReport:
+class LinkReport(NamedTuple):
     tau: Perm
     tau_next: Perm
     position: int                 # 0-based k with tau' = tau (k, k+1)
@@ -663,8 +660,7 @@ def _exchanged_images(ctx: ClusterContext, key: SeedKey, images: List[MvLaurent]
         raise ClusterError(f"exchange in slot {kb+1} is not exact: {exc}") from exc
 
 
-@dataclass
-class MembershipWitness:
+class MembershipWitness(NamedTuple):
     tau: Perm
     ok: bool
     expression: Optional[MvLaurent]
@@ -742,15 +738,14 @@ def upper_membership(ctx: ClusterContext, f: MvLaurent, inv: Sequence[int] = (),
                 w = express_in_cluster(ctx, f, tau, images, inv=inv, coords=coords)[1]
             except NotInRing:
                 w = MembershipWitness(tau=tau, ok=False, expression=None, bad_frozen=[])
-        witnesses.append(replace(w, tau=tau, bad_frozen=list(w.bad_frozen)))
+        witnesses.append(w._replace(tau=tau, bad_frozen=list(w.bad_frozen)))
     return all(w.ok for w in witnesses), witnesses
 
 
 # ---------------------------------------------------------------- seed mutation
 
 
-@dataclass
-class Seed:
+class Seed(NamedTuple):
     """A seed with variables written as Laurent polynomials in the initial
     cluster, together with its compatible scalar matrix.
 

@@ -14,12 +14,11 @@ JSON formats are 1-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
 from operator import add
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .poly import ExpVec, MvLaurent, _fractions, _scale, apply_derivation
 
@@ -72,16 +71,14 @@ def _dot(h: Sequence[Fraction], w: Sequence[int]) -> Fraction:
     return sum((a * b for a, b in zip(h, w)), Fraction(0))
 
 
-def _derived():
-    return field(init=False, repr=False, compare=False)
-
-
-@dataclass(frozen=True)
 class PoissonPresentation:
     """Immutable presentation data; derived scalars are precomputed.
 
+    The six constructor arguments n, torus_rank, weights, h, delta (default
+    empty) and h_star (default None) are the presentation; equality and repr
+    read only them, and assigning any attribute raises AttributeError.
     Construction computes, once, the data every bracket and bicharacter
-    reads (none of it takes part in equality or repr):
+    reads:
 
     * ``lam_rows`` -- the skew-symmetric lambda matrix as Fractions;
     * ``lam_num`` / ``lam_den`` -- the same matrix as integer numerators
@@ -96,22 +93,24 @@ class PoissonPresentation:
       ``(j, ((exp, numerator), ...))`` per nonzero delta_k(x_j).
     """
 
-    n: int
-    torus_rank: int
-    weights: Tuple[Tuple[int, ...], ...]
-    h: Tuple[Tuple[Fraction, ...], ...]
-    delta: Dict[Tuple[int, int], MvLaurent] = field(default_factory=dict)
-    h_star: Optional[Tuple[Tuple[Fraction, ...], ...]] = None
-    lam_rows: Tuple[Tuple[Fraction, ...], ...] = _derived()
-    lam_num: Tuple[Tuple[int, ...], ...] = _derived()
-    lam_den: int = _derived()
-    lam_diagonal: Tuple[Fraction, ...] = _derived()
-    lam_star: Optional[Tuple[Fraction, ...]] = _derived()
-    delta_items: Tuple[Tuple[int, int, MvLaurent], ...] = _derived()
-    delta_num: Tuple[Tuple[Tuple[int, Tuple[Tuple[ExpVec, int], ...]], ...], ...] = _derived()
-    delta_den: int = _derived()
+    lam_rows: Tuple[Tuple[Fraction, ...], ...]
+    lam_num: Tuple[Tuple[int, ...], ...]
+    lam_den: int
+    lam_diagonal: Tuple[Fraction, ...]
+    lam_star: Optional[Tuple[Fraction, ...]]
+    delta_items: Tuple[Tuple[int, int, MvLaurent], ...]
+    delta_num: Tuple[Tuple[Tuple[int, Tuple[Tuple[ExpVec, int], ...]], ...], ...]
+    delta_den: int
 
-    def __post_init__(self):
+    _FIELDS = ("n", "torus_rank", "weights", "h", "delta", "h_star")
+
+    def __init__(self, n: int, torus_rank: int, weights: Tuple[Tuple[int, ...], ...],
+                 h: Tuple[Tuple[Fraction, ...], ...],
+                 delta: Optional[Dict[Tuple[int, int], MvLaurent]] = None,
+                 h_star: Optional[Tuple[Tuple[Fraction, ...], ...]] = None):
+        put = partial(object.__setattr__, self)
+        for name, value in zip(self._FIELDS, (n, torus_rank, weights, h, delta or {}, h_star)):
+            put(name, value)
         if self.n < 1:
             raise PresentationError("a presentation needs at least one generator")
         if len(self.weights) != self.n or len(self.h) != self.n:
@@ -148,7 +147,6 @@ class PoissonPresentation:
             for j, v in enumerate(dots[k]):
                 nums[k][j] = v // cut
                 nums[j][k] = -nums[k][j]
-        put = partial(object.__setattr__, self)
         put("lam_rows", tuple(tuple(Fraction(v, den) for v in row) for row in nums))
         put("lam_num", tuple(tuple(row) for row in nums))
         put("lam_den", den)
@@ -166,6 +164,24 @@ class PoissonPresentation:
                                      for e, c in poly.terms.items())))
         put("delta_num", tuple(tuple(row) for row in rows))
         put("delta_den", dden)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={v!r}" for f, v in zip(self._FIELDS, self._values()))
+        return f"{type(self).__qualname__}({args})"
 
     # ------------------------------------------------------------- derived data
 
@@ -219,8 +235,7 @@ class PoissonPresentation:
         return 2 + self.n * maxdeg
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     passed: bool
     checks: Dict[str, bool]
     failures: List[PresentationError]

@@ -19,10 +19,9 @@ to 1 also live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .cgl import EtaData, PrimeSequenceReport, compute_eta_and_primes
@@ -223,8 +222,7 @@ def tau_ij(N: int, i: int, j: int) -> Perm:
     return tuple(v - 1 for v in line)
 
 
-@dataclass
-class GammaChain:
+class GammaChain(NamedTuple):
     """The linearly ordered subset Gamma_N with its adjacent transpositions.
 
     links[idx] = (position k, 0-based) for perms[idx] -> perms[idx+1].

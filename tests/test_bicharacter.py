@@ -3,7 +3,6 @@ against the code they replaced, kept here as the oracles: the per-call
 lambda and the term-by-term bracket, and the Fraction bracket that visited
 only the table entries inside a term pair's support."""
 
-from dataclasses import fields
 from fractions import Fraction
 from math import lcm
 
@@ -220,11 +219,22 @@ DERIVED = ("lam_rows", "lam_num", "lam_den", "lam_diagonal", "lam_star", "delta_
 def test_derived_fields_outside_equality_and_repr(p23):
     twin = build_matrix_poisson(2, 3)
     assert twin == p23
-    by_name = {f.name: f for f in fields(p23)}
+    args = dict(n=p23.n, torus_rank=p23.torus_rank, weights=p23.weights, h=p23.h,
+                delta=p23.delta, h_star=p23.h_star)
     for name in DERIVED:
-        assert not (by_name[name].compare or by_name[name].repr or by_name[name].init), name
         assert f"{name}=" not in repr(p23)
+        with pytest.raises(TypeError):
+            PoissonPresentation(**args, **{name: getattr(p23, name)})
+        # a derived value that differs does not take part in equality
+        odd = build_matrix_poisson(2, 3)
+        object.__setattr__(odd, name, None)
+        assert odd == p23, name
     assert "lam_num" not in repr(p23) and "delta_items" not in repr(p23)
+    assert repr(p23) == repr(PoissonPresentation(**args))
+    assert repr(p23).startswith("PoissonPresentation(n=6, torus_rank=")
+    assert PoissonPresentation(**dict(args, h_star=None)) != p23
+    with pytest.raises(AttributeError):
+        p23.lam_den = 1
 
 
 # ------------------------------------------------------------ generated inputs

@@ -10,7 +10,6 @@ they call only the public `bracket` and `MvLaurent` arithmetic.  Pass or
 fail, exception, `what`, `lhs`, `rhs` and the validation report must agree.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Tuple
@@ -160,7 +159,7 @@ def test_perturbed_y_coefficient_fails_like_the_oracle(primes):
     terms[e] += Fraction(1, 3)
     ys = list(seq.y)
     ys[k] = MvLaurent(p.n, terms)
-    _assert_same_failure(p, eta, replace(seq, y=ys))
+    _assert_same_failure(p, eta, seq._replace(y=ys))
 
 
 def test_truncated_y_fails_like_the_oracle(primes):
@@ -171,7 +170,7 @@ def test_truncated_y_fails_like_the_oracle(primes):
     coeff, lead = seq.y[k].leading_term()
     ys = list(seq.y)
     ys[k] = MvLaurent.monomial(p.n, lead, coeff)
-    _assert_same_failure(p, eta, replace(seq, y=ys))
+    _assert_same_failure(p, eta, seq._replace(y=ys))
 
 
 def _corrupt(monkeypatch, which: str, k: int, j: int):
@@ -182,7 +181,7 @@ def _corrupt(monkeypatch, which: str, k: int, j: int):
         qd = right(p, eta)
         rows = [list(row) for row in getattr(qd, which)]
         rows[k][j] += Fraction(1, 5)
-        return replace(qd, **{which: rows})
+        return qd._replace(**{which: rows})
 
     monkeypatch.setattr(cgl, "alpha_q_matrices", wrong)
 
@@ -226,7 +225,7 @@ def test_derived_verdicts_equal_the_kernel(name):
     skewed = [[x + Fraction(1, 5) * ((l + j) % 2) for j, x in enumerate(row)]
               for l, row in enumerate(qd.q)]
     for q in (qd.q, skewed):
-        got = list(cgl._q_verdicts(p, eta, replace(qd, q=q), ys, yops))
+        got = list(cgl._q_verdicts(p, eta, qd._replace(q=q), ys, yops))
         want = [(l, j, _bracket_is_multiple(p, yops[l], yops[j], q[l][j], _mul(ys[l][0], ys[j][0])))
                 for l in range(p.n) for j in range(l)]
         assert got == want
@@ -265,7 +264,7 @@ def test_pairs_beyond_the_certified_relations_go_through_the_kernel(primes, monk
     n = p.n
     succ = list(eta.succ)
     succ[n - 1] = 1
-    forged = replace(eta, succ=succ)
+    forged = eta._replace(succ=succ)
     _corrupt(monkeypatch, "alpha", 1, n - 1)
     if wrong_q:
         _corrupt(monkeypatch, "q", n - 1, 1)
@@ -327,7 +326,7 @@ def test_log_canonical_failure_equals_the_oracle(name):
     for l, j, bump in ((1, 0, Fraction(1, 3)), (n - 1, n - 2, Fraction(-2))):
         r = [list(row) for row in bundle.r]
         r[l][j] += bump
-        bad = replace(bundle, r=r)
+        bad = bundle._replace(r=r)
         got = _outcome(check_log_canonical, ctx, bad)
         assert got[0] == "LogCanonicalFailure"
         assert got == _outcome(oracle_log_canonical, ctx.p, bad)

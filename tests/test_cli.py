@@ -27,12 +27,21 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
-def run_cli(args, stdin=None):
+def run_python(args, stdin=None):
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "pcgl.cli", *args],
-                          capture_output=True, text=True, input=stdin,
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, input=stdin,
                           env=dict(os.environ, PYTHONPATH=path))
-    return proc
+
+
+def run_cli(args, stdin=None):
+    return run_python(["-m", "pcgl.cli", *args], stdin)
+
+
+def test_startup_imports_neither_dataclasses_nor_inspect():
+    # every command pays for what pcgl.cli imports
+    proc = run_python(["-c", "import sys, pcgl.cli; "
+                             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"])
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 @pytest.fixture(scope="module")
@@ -377,6 +386,15 @@ class TestInputBoundary:
         # an empty --tau is not read as the identity permutation
         argv = [command, m22_file, "--tau", "", *extra]
         assert self._error_code(argv, capsys) == "CliInputError"
+
+    def test_empty_inv(self, m22_file, capsys):
+        # an empty --inv is not read as "no inverted frozen index"
+        argv = ["membership", m22_file, "--coords", "y", "--elem", "y4^-1", "--inv", ""]
+        assert self._error_code(argv, capsys) == "CliInputError"
+
+    def test_empty_affine_q(self, capsys):
+        # an empty --q is not read as the zero bracket
+        assert self._error_code(["preset", "affine", "--n", "2", "--q", ""], capsys) == "CliInputError"
 
     @pytest.mark.parametrize("exc", [MemoryError, RuntimeError])
     @pytest.mark.parametrize("argv,target", [

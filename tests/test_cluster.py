@@ -2,7 +2,6 @@
 
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -509,7 +508,7 @@ class TestExpressAndMembership:
 def _express_per_tau(ctx, f, tau, inv=(), coords="x"):
     """express_in_cluster as it was before the seed-key cache: expressions
     built for this tau alone, and every initial prime y_j rewritten."""
-    x_imgs = cluster_expressions(replace(ctx, _seeds={}), tau)
+    x_imgs = cluster_expressions(ClusterContext(ctx.p, ctx.eta, ctx.seq, ctx.d_map), tau)
     if coords == "x":
         if not f.is_polynomial():
             raise NotInRing("x-coordinate input must be a polynomial in the generators")

@@ -10,7 +10,6 @@ before calling `build`, and the CLI's catch-and-rebuild `_build_context`.
 """
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,6 +18,7 @@ from pcgl import cgl, cli, cluster, symmetric
 from pcgl.cluster import ClusterContext, ClusterError, chain_verify, seed_for_tau, upper_membership
 from pcgl.cgl import compute_eta_and_primes
 from pcgl.poly import MvLaurent, substitute
+from pcgl.presentation import PoissonPresentation
 from pcgl.presets import build_matrix_poisson
 from pcgl.serialize import fraction_to_json, parse_poly_expr, presentation_to_doc
 from pcgl.symmetric import (
@@ -133,7 +133,8 @@ def test_context_equals_three_pass_build(name, tmp_path, capsys):
 def _nonsymmetric():
     """The 2x2 preset with zero h* rows: every lambda*_j is 0."""
     p = build_matrix_poisson(2, 2)
-    return replace(p, h_star=((Fraction(0),) * p.torus_rank,) * p.n)
+    return PoissonPresentation(n=p.n, torus_rank=p.torus_rank, weights=p.weights, h=p.h,
+                               delta=p.delta, h_star=((Fraction(0),) * p.torus_rank,) * p.n)
 
 
 ERROR_INPUTS = {

@@ -1,6 +1,7 @@
 """Every name a pcgl module or test file imports is used in that file, every
-pcgl module imports at module level, no pcgl module imports from the tests,
-and every function and class pcgl defines is read by the program.
+pcgl module imports at module level, no pcgl module imports from the tests
+or imports dataclasses, and every function and class pcgl defines is read by
+the program.
 
 Stdlib-only: each module under src/pcgl and each file under tests is parsed
 with ``ast`` and the names its import statements bind are checked against
@@ -79,17 +80,33 @@ def test_no_function_local_imports(path):
     assert function_local_imports(path.read_text()) == []
 
 
+def imported_modules(source: str) -> set:
+    """Top-level package names a file's import statements name (absolute imports only)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_scanner_finds_imported_modules():
+    src = "import os.path\nfrom dataclasses import field\nfrom . import poly\ndef f():\n    import json\n"
+    assert imported_modules(src) == {"os", "dataclasses", "json"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_src_module_imports_dataclasses(path):
+    # the records are NamedTuples: dataclasses would bring inspect, ast and dis
+    # into the start-up of every command
+    assert "dataclasses" not in imported_modules(path.read_text())
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_src_module_imports_a_test_module(path):
     local = {p.stem for p in TESTS} | {"tests"}
-    tree = ast.parse(path.read_text())
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            found += [a.name for a in node.names if a.name.split(".")[0] in local]
-        elif isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] in local:
-            found.append(node.module)
-    assert found == []
+    assert imported_modules(path.read_text()) & local == set()
 
 
 def read_names(source: str, strings: bool = False) -> set:

@@ -6,7 +6,6 @@ old path: every permutation built on its own, with r_tau from Omega_lambda
 on every pair of the tau-presentation's ebar vectors.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -138,6 +137,6 @@ def test_perturbed_r_tau_fails_its_links(monkeypatch, branch, detail):
     reports = chain_verify(ctx)
     touched = [rep for rep in reports if rep.branch == branch
                and target in (seed_key(ctx.eta, rep.tau)[1], seed_key(ctx.eta, rep.tau_next)[1])]
-    assert link in [replace(rep, verified=True, detail="") for rep in touched]
+    assert link in [rep._replace(verified=True, detail="") for rep in touched]
     assert all((rep.verified, rep.detail) == (False, detail) for rep in touched)
     assert all(rep.verified for rep in reports if rep not in touched)
