@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import cluster as cl
 from . import serialize as ser
-from .cgl import certify_prime_sequence, compute_eta_and_primes, hmax_equations
+from .cgl import EtaData, certify_prime_sequence, compute_eta_and_primes, hmax_equations
 from .presentation import validate_algebra
 from .presets import build_affine_space, build_matrix_poisson
 from .serialize import FormatError
@@ -115,15 +115,22 @@ def _parse_tau(text: str, n: int) -> Tuple[int, ...]:
     return tuple(v - 1 for v in vals)
 
 
-def _parse_inv(text: Optional[str], n: int) -> List[int]:
+def _parse_inv(text: Optional[str], eta: EtaData) -> List[int]:
+    """Distinct frozen indices, 0-based; --inv acts on nothing else."""
     if text is None:
         return []
+    n = len(eta.eta)
     try:
         vals = [int(x) for x in text.split(",")]
     except ValueError as exc:
         raise CliInputError(f"--inv must be comma-separated indices: {text!r}") from exc
     if any(not 1 <= v <= n for v in vals):
         raise CliInputError(f"--inv indices must lie in 1..{n}: {text!r}")
+    for i, v in enumerate(vals):
+        if v in vals[:i]:
+            raise CliInputError(f"--inv index {v} is repeated: {text!r}")
+        if eta.succ[v - 1] is not None:
+            raise CliInputError(f"--inv index {v} is exchangeable, not frozen: {text!r}")
     return [v - 1 for v in vals]
 
 
@@ -417,7 +424,7 @@ def cmd_membership(args) -> int:
     coords = args.coords
     f = _parse_elem(args.elem, p.n, names, coords)
     ctx, _ = cl.ClusterContext.build_normalizing(p)
-    inv = _parse_inv(args.inv, p.n)
+    inv = _parse_inv(args.inv, ctx.eta)
     ok, witnesses = cl.upper_membership(ctx, f, inv=inv, coords=coords)
     doc = {
         "command": "membership",

@@ -22,12 +22,13 @@ PoissonPresentation.omega_lambda_matrix, solves and checks one seed per
 key, and builds and weighs each interval prime once; chain_verify builds one
 bundle per permutation and checks each link on the bundles of its two ends.
 check_log_canonical brackets every pair of a seed's variables against r.
-Every function here that needs sigma = tau_bullet o tau, the seed key or the
-tau-predecessors takes them from one call of symmetric.tau_data.  The
-generators are written in the initial cluster by one back-substitution,
-cluster_expressions; the membership walk along Gamma_N writes them in each
-new cluster from the cluster before it, which differs in one slot kb, by
-substituting y_kb -> Q / y'_kb in the images that involve kb, with
+Every function here that needs sigma = tau_bullet o tau or the seed key
+takes them from one call of symmetric.tau_data.  The generators are written
+in the initial cluster, the prime sequence y_1..y_N itself, by one
+back-substitution along the predecessors, cluster_expressions; the
+membership walk along Gamma_N writes them, and the y_j a y-input uses, in
+each new cluster from the cluster before it, which differs in one slot kb,
+by substituting y_kb -> Q / y'_kb in the images that involve kb, with
 Q = y_kb y'_kb free of y_kb (the Laurent phenomenon makes the one division
 exact).  A step where this does not hold raises ClusterError.
 """
@@ -269,8 +270,8 @@ class ClusterContext:
     and the exchange matrix included, and _primes maps an interval label
     (start, m) to its interval prime and that prime's certified torus
     weight.  The table x_in_y of the generators in initial-cluster
-    coordinates is the identity permutation's cluster_expressions, read on
-    first use.
+    coordinates is cluster_expressions, written from the prime sequence seq.y
+    on first use; it builds no interval prime.
     """
 
     def __init__(self, p: PoissonPresentation, eta: EtaData, seq: PrimeSequenceReport,
@@ -322,7 +323,7 @@ class ClusterContext:
     @cached_property
     def x_in_y(self) -> List[MvLaurent]:
         """x_k as Laurent polynomials in the initial cluster y_1..y_N."""
-        return cluster_expressions(self, tuple(range(self.p.n)))
+        return cluster_expressions(self)
 
     def to_y_coordinates(self, f: MvLaurent) -> MvLaurent:
         """Rewrite a polynomial in the generators as Laurent in y_1..y_N."""
@@ -360,16 +361,12 @@ class TauSeedBundle(NamedTuple):
                     btilde=self.btilde, beta=dict(self.beta))
 
 
-def _key_r(p: PoissonPresentation, eta: EtaData, key: SeedKey) -> RMatrix:
-    """r of a seed key: r[a][b] = Omega_lambda(ebar(key[a]), ebar(key[b])) on the
-    interval exponents of its labels, built once per key by _build_bundle."""
-    vecs = [interval_exponent(eta, i, m) for i, m in key]
-    return p.omega_lambda_matrix(vecs, vecs)
-
-
 def r_matrix_for_tau(p: PoissonPresentation, eta: EtaData, tau: Perm) -> RMatrix:
-    """r_tau = (tau_bullet tau) q_tau (tau_bullet tau)^{-1}, a function of tau's seed key."""
-    return _key_r(p, eta, tau_data(eta, tau)[1])
+    """r_tau = (tau_bullet tau) q_tau (tau_bullet tau)^{-1}, a function of tau's
+    seed key: r[a][b] = Omega_lambda(ebar(key[a]), ebar(key[b])) on the
+    interval exponents of its labels, built once per key by _build_bundle."""
+    vecs = [interval_exponent(eta, i, m) for i, m in tau_data(eta, tau)[1]]
+    return p.omega_lambda_matrix(vecs, vecs)
 
 
 def solve_btilde(ctx: ClusterContext, r: RMatrix, var_weights: List[Tuple[int, ...]]) -> BMatrix:
@@ -428,7 +425,7 @@ def _build_bundle(ctx: ClusterContext, tau: Perm, sigma: Perm, key: SeedKey) -> 
     primes = [ctx.prime(label) for label in key]
     vars_x = [y for y, _ in primes]
     weights = [w for _, w in primes]
-    r = _key_r(ctx.p, ctx.eta, key)
+    r = r_matrix_for_tau(ctx.p, ctx.eta, tau)
     btilde = solve_btilde(ctx, r, weights)
     beta = check_seed_invariants(vars_x, r, btilde, ctx.d_map, ctx.eta)
     return TauSeedBundle(tau=tau, sigma=sigma, vars_x=vars_x, intervals=list(key),
@@ -445,7 +442,7 @@ def seed_for_tau(ctx: ClusterContext, tau: Perm) -> TauSeedBundle:
     and must not be mutated.
     """
     tau = tuple(tau)
-    sigma, key, _pred = tau_data(ctx.eta, tau)
+    sigma, key = tau_data(ctx.eta, tau)
     bundle = ctx._seeds.get(key)
     if bundle is None:
         bundle = ctx._seeds[key] = _build_bundle(ctx, tau, sigma, key)
@@ -599,63 +596,55 @@ def check_log_canonical(ctx: ClusterContext, bundle: TauSeedBundle) -> int:
 # ------------------------------------------------------------------- membership
 
 
-def cluster_expressions(ctx: ClusterContext, tau: Perm) -> List[MvLaurent]:
-    """Images of the generators x_1..x_N as Laurent polynomials in ytilde_tau.
+def cluster_expressions(ctx: ClusterContext) -> List[MvLaurent]:
+    """Images of the generators x_1..x_N as Laurent polynomials in the
+    initial cluster, the prime sequence y_1..y_N.
 
-    Built by back-substitution along the tau-presentation:
-    x_tau(k) = y_{tau, p_tau(k)}^{-1} (y_{tau,k} + c_{tau,k}).  Exponent slots
-    follow the ytilde ordering (variable j of the tau-sequence sits in slot
-    (tau_bullet tau)(j)).  Nothing is kept.  For the identity permutation the
-    result is the context's one cached table, ctx.x_in_y, from which
-    upper_membership derives every other cluster of its walk by exchange
-    (_exchanged_images).  The y_tau are read from the context's
-    interval-prime table.
+    Built by back-substitution along the predecessors p:
+    x_k = y_{p(k)}^{-1} (y_k + c_k), where c_k = y_{p(k)} x_k - y_k involves
+    only x_1..x_{k-1} and is substituted in the images already written; x_k
+    with no predecessor is y_k.  This is the context's one table ctx.x_in_y,
+    from which upper_membership derives every other cluster of its walk by
+    exchange (_exchanged_images).
     """
-    sigma, key, pred = tau_data(ctx.eta, tau)
     n = ctx.p.n
-    y_tau = [ctx.prime(key[sigma[k]])[0] for k in range(n)]
+    y = ctx.seq.y
     gens = [MvLaurent.gen(n, i) for i in range(n)]
-
-    images: List[Optional[MvLaurent]] = [None] * n   # indexed by generator
+    images: List[MvLaurent] = []
     for k in range(n):
-        v = tau[k]
-        pk = pred[k]
-        slot_k = sigma[k]
+        pk = ctx.eta.pred[k]
         if pk is None:
-            images[v] = MvLaurent.gen(n, slot_k)
+            images.append(gens[k])
             continue
-        c_tk = y_tau[pk] * gens[v] - y_tau[k]
-        if c_tk.is_zero():
-            c_expr = MvLaurent.zero(n)
-        else:
-            partial = [images[i] if images[i] is not None else gens[i] for i in range(n)]
-            c_expr = substitute(c_tk, partial)
-        slot_p = sigma[pk]
-        images[v] = MvLaurent.gen(n, slot_p, -1) * (MvLaurent.gen(n, slot_k) + c_expr)
-    return images                     # type: ignore[return-value]
+        c_k = y[pk] * gens[k] - y[k]
+        c_expr = MvLaurent.zero(n) if c_k.is_zero() else substitute(c_k, images + gens[k:])
+        images.append(MvLaurent.gen(n, pk, -1) * (gens[k] + c_expr))
+    return images
 
 
-def _exchanged_images(ctx: ClusterContext, key: SeedKey, images: List[MvLaurent],
-                      new_key: SeedKey) -> List[MvLaurent]:
-    """The generator images in new_key's cluster, derived from those in key's.
+def _exchanged_images(ctx: ClusterContext, key: SeedKey, new_key: SeedKey, x_imgs: List[MvLaurent],
+                      y_imgs: List[MvLaurent]) -> Tuple[List[MvLaurent], List[MvLaurent]]:
+    """The generator images x_imgs and the initial-cluster images y_imgs in
+    new_key's cluster, derived from those in key's by one exchange.
 
     The keys must differ in exactly one slot kb, so that every other variable
     is the same element in the same slot.  The new variable written in the
     old cluster is Y; Q = Y * y_kb must not involve slot kb, so that
-    y_kb -> Q / y'_kb rewrites each image that involves kb, and the Laurent
-    phenomenon makes that one division exact.  Adjacent Gamma_N seeds are
-    equal or one mutation apart, so this holds at every Gamma_N step; a step
-    where it fails raises ClusterError naming the slot.
+    y_kb -> Q / y'_kb rewrites each image of either list that involves kb,
+    and the Laurent phenomenon makes that one division exact.  Adjacent
+    Gamma_N seeds are equal or one mutation apart, so this holds at every
+    Gamma_N step; a step where it fails raises ClusterError naming the slot.
     """
     diff = [j for j, (u, v) in enumerate(zip(key, new_key)) if u != v]
     if len(diff) != 1:
         raise ClusterError(f"seed keys differ in slots {[j + 1 for j in diff]}, not in exactly one")
     kb = diff[0]
-    q = substitute(ctx.prime(new_key[kb])[0], images) * MvLaurent.gen(ctx.p.n, kb)
+    q = substitute(ctx.prime(new_key[kb])[0], x_imgs) * MvLaurent.gen(ctx.p.n, kb)
     if any(e[kb] for e in q.terms):
         raise ClusterError(f"exchange polynomial of slot {kb+1} involves y_{kb+1}")
     try:
-        return [_exchange_slot(f, kb, q) if any(e[kb] for e in f.terms) else f for f in images]
+        return tuple([_exchange_slot(f, kb, q) if any(e[kb] for e in f.terms) else f for f in images]
+                     for images in (x_imgs, y_imgs))
     except NonInvertibleImage as exc:
         raise ClusterError(f"exchange in slot {kb+1} is not exact: {exc}") from exc
 
@@ -679,31 +668,27 @@ def _require_polynomial(f: MvLaurent) -> None:
         raise NotInRing("x-coordinate input must be a polynomial in the generators")
 
 
-def express_in_cluster(ctx: ClusterContext, f: MvLaurent, tau: Perm, x_imgs: Sequence[MvLaurent],
+def express_in_cluster(ctx: ClusterContext, f: MvLaurent, tau: Perm, images: Sequence[MvLaurent],
                        inv: Sequence[int] = (), coords: str = "x") -> Tuple[MvLaurent, MembershipWitness]:
-    """Rewrite f in the tau-cluster, whose generator images x_imgs are those
-    of cluster_expressions(ctx, tau), and test mixed-ring membership.
+    """Rewrite f in the tau-cluster, where images are those of f's own
+    variables, and test mixed-ring membership.
 
     `coords` says how f is given: "x" for a polynomial in the generators,
-    "y" for a Laurent polynomial in the initial cluster.  The membership
-    flag requires nonnegative exponents on every frozen variable outside
-    `inv` after full cancellation; NotInRing is raised when f does not land
-    in the Laurent ring of the cluster at all.
+    whose images are the cluster's generator images, "y" for a Laurent
+    polynomial in the initial cluster, whose images are the cluster's images
+    of y_1..y_N (only those f uses are read).  The membership flag requires
+    nonnegative exponents on every frozen variable outside `inv` after full
+    cancellation; NotInRing is raised when f does not land in the Laurent
+    ring of the cluster at all.
     """
     if coords == "x":
         _require_polynomial(f)
-        expr = substitute(f, x_imgs)
-    elif coords == "y":
-        # substitute reads y_imgs[j] only where f has a nonzero exponent
-        used = f.support()
-        zero = MvLaurent.zero(ctx.p.n)
-        y_imgs = [substitute(ctx.seq.y[j], x_imgs) if j in used else zero for j in range(ctx.p.n)]
-        try:
-            expr = substitute(f, y_imgs)
-        except NonInvertibleImage as exc:
-            raise NotInRing(f"element is not Laurent in the tau-cluster: {exc}") from exc
-    else:
+    elif coords != "y":
         raise ValueError("coords must be 'x' or 'y'")
+    try:
+        expr = substitute(f, images)
+    except NonInvertibleImage as exc:
+        raise NotInRing(f"element is not Laurent in the tau-cluster: {exc}") from exc
     frozen = [l for l in range(ctx.p.n) if ctx.eta.succ[l] is None]
     inv_set = set(inv)
     bad = sorted({l for l in frozen if l not in inv_set
@@ -719,23 +704,32 @@ def upper_membership(ctx: ClusterContext, f: MvLaurent, inv: Sequence[int] = (),
     One walk along Gamma_N holds the current seed key and the generators
     written in its cluster: ctx.x_in_y at the identity, where the chain
     starts, then at each change of key the images _exchanged_images derives
-    from the cluster before.  f is expressed once per run of equal keys, and
-    every permutation gets a witness carrying its run's result.  An
-    x-coordinate input that is not a polynomial raises NotInRing up front; a
-    y-coordinate input that is not Laurent in some cluster gets ok=False
-    witnesses there.
+    from the cluster before.  A y-coordinate input's variables ride along:
+    each y_j that f uses starts as itself in the identity cluster and is
+    rewritten with the same exchanges.  f is expressed once per run of equal
+    keys, and every permutation gets a witness carrying its run's result.
+    An x-coordinate input that is not a polynomial raises NotInRing up
+    front; a y-coordinate input that is not Laurent in some cluster gets
+    ok=False witnesses there.
     """
+    n = ctx.p.n
     if coords == "x":
         _require_polynomial(f)
+    # substitute reads y_imgs[j] only where f has a nonzero exponent
+    used = f.support() if coords == "y" else set()
+    y_imgs = [MvLaurent.gen(n, j) if j in used else MvLaurent.zero(n) for j in range(n)]
+    x_imgs = ctx.x_in_y
     witnesses: List[MembershipWitness] = []
     key: Optional[SeedKey] = None
     for tau in ctx.gamma().perms:
         new_key = tau_data(ctx.eta, tau)[1]
         if new_key != key:
-            images = ctx.x_in_y if key is None else _exchanged_images(ctx, key, images, new_key)
+            if key is not None:
+                x_imgs, y_imgs = _exchanged_images(ctx, key, new_key, x_imgs, y_imgs)
             key = new_key
             try:
-                w = express_in_cluster(ctx, f, tau, images, inv=inv, coords=coords)[1]
+                w = express_in_cluster(ctx, f, tau, x_imgs if coords == "x" else y_imgs,
+                                       inv=inv, coords=coords)[1]
             except NotInRing:
                 w = MembershipWitness(tau=tau, ok=False, expression=None, bad_frozen=[])
         witnesses.append(w._replace(tau=tau, bad_frozen=list(w.bad_frozen)))

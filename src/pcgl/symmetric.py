@@ -8,9 +8,9 @@ are selected from a single stock of interval primes y_[i, s^m(i)]
 (interval_prime builds one, interval_exponent gives its leading exponent
 without building it).  The eigenvalues lambda*_j = <h*_j, chi_j> are the
 presentation's lam_star, computed once with it.  All the
-data that fixes the selection for one tau -- sigma = tau_bullet o tau, the
-seed key of interval labels (start, m), and the tau-predecessors -- is read
-off one walk along tau in tau_data.  Commands walk only the chain Gamma_N
+data that fixes the selection for one tau -- sigma = tau_bullet o tau and
+the seed key of interval labels (start, m) -- is read off one walk along tau
+in tau_data.  Commands walk only the chain Gamma_N
 inside Xi_N (gamma_chain), never all 2^(N-1) elements of Xi_N.  The
 leading term (pi, f) of each u_[i, s(i)], read off the bracket table as
 lambda_s^-1 delta_s(x_i), and the gamma-rescaling that normalizes all pi
@@ -245,14 +245,13 @@ def gamma_chain(N: int) -> GammaChain:
     return GammaChain(perms=perms, links=links)
 
 
-def tau_data(eta: EtaData, tau: Perm) -> Tuple[Perm, SeedKey, Tuple[Optional[int], ...]]:
-    """sigma = tau_bullet o tau, the seed key and the tau-predecessors, in one pass.
+def tau_data(eta: EtaData, tau: Perm) -> Tuple[Perm, SeedKey]:
+    """sigma = tau_bullet o tau and the seed key, in one pass.
 
     Every prefix tau([1, k]) is an interval, and the members of an eta class
     increase along its p/s chain, so the class members placed up to position
     k form one interval of that chain: y_{tau,k} = y_[start, s^m(start)]
     with start the smallest of them and m the number placed before k.  So
-        pred[k]       = the last earlier position of the class of tau(k),
         sigma[k]      = the (m+1)-th smallest member of that class,
         key[sigma[k]] = (start, m).
     The seed key lists the cluster variables in ytilde order; permutations
@@ -267,21 +266,18 @@ def tau_data(eta: EtaData, tau: Perm) -> Tuple[Perm, SeedKey, Tuple[Optional[int
     members: Dict[int, List[int]] = {}
     for v in range(n):
         members.setdefault(eta.eta[v], []).append(v)
-    last: Dict[int, int] = {}
     count: Dict[int, int] = {}
     start: Dict[int, int] = {}
     sigma = [0] * n
     key: List[Tuple[int, int]] = [(0, 0)] * n
-    pred: List[Optional[int]] = [None] * n
     for k, v in enumerate(tau):
         lbl = eta.eta[v]
         m = count.get(lbl, 0)
-        pred[k] = last.get(lbl)
         lo = start[lbl] = min(start.get(lbl, v), v)
-        last[lbl], count[lbl] = k, m + 1
+        count[lbl] = m + 1
         sigma[k] = members[lbl][m]
         key[sigma[k]] = (lo, m)
-    return tuple(sigma), tuple(key), tuple(pred)
+    return tuple(sigma), tuple(key)
 
 
 # ------------------------------------------------------------- interval primes

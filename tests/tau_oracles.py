@@ -2,11 +2,15 @@
 
 Each of the first group derives part of what symmetric.tau_data reads off
 one walk along tau: the interval labels by walking the p/s chains inside the
-prefix, the tau-predecessors from a full EtaData of the labels eta o tau,
-tau_bullet by sorting each level set by position, and the seed key from
-those.  r_matrix_per_tau is r_tau by the chain recurrence of the
-tau-presentation, which cluster.r_matrix_for_tau replaced by Omega_lambda on
-the key's interval exponents.
+prefix, tau_bullet by sorting each level set by position, and the seed key
+from those.  The tau-predecessors, which only these oracles read, come from
+a full EtaData of the labels eta o tau.  r_matrix_per_tau is r_tau by the
+chain recurrence of the tau-presentation, which cluster.r_matrix_for_tau
+replaced by Omega_lambda on the key's interval exponents.
+cluster_expressions_for_tau writes the generators in any tau-cluster by
+back-substitution along the tau-presentation; cluster.cluster_expressions
+does so for the initial cluster alone, and the membership walk derives the
+others by exchange.
 
 The second group works on all of Xi_N, which commands never enumerate (they
 walk only Gamma_N): enumerate_xi lists it, permute_presentation builds the
@@ -19,7 +23,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from pcgl.cgl import EtaData
-from pcgl.poly import MvLaurent
+from pcgl.poly import MvLaurent, substitute
 from pcgl.presentation import PoissonPresentation, bracket
 from pcgl.symmetric import Perm, SymmetryError, interval_prime, is_xi_element, tau_data
 
@@ -133,12 +137,13 @@ def r_matrix_per_tau(p, eta: EtaData, tau) -> List[List[Fraction]]:
     """r_tau as it was assembled for every permutation.
 
     Generator k of the tau-presentation is x_tau(k), with the predecessors
-    pred of tau_data.  Its alpha and q, as numerators over p.lam_den, follow
+    pred of eta_tau_data.  Its alpha and q, as numerators over p.lam_den, follow
     the nested chains ebar_j = ebar_{p(j)} + e_j:
         alpha[k][j] = alpha[k][p(j)] + lam_num[tau(k)][tau(j)],  q[k] = q[p(k)] + alpha[k],
     and r_tau is q conjugated by sigma = tau_bullet o tau.
     """
-    sigma, _key, pred = tau_data(eta, tau)
+    sigma, _key = tau_data(eta, tau)
+    pred = eta_tau_data(eta, tau).pred
     n = p.n
     num = p.lam_num
     alpha: List[List[int]] = []
@@ -155,6 +160,40 @@ def r_matrix_per_tau(p, eta: EtaData, tau) -> List[List[Fraction]]:
         q.append(list(alpha[k]) if pk is None else [a + b for a, b in zip(q[pk], alpha[k])])
     sig_inv = perm_inverse(sigma)
     return [[Fraction(q[i][j], p.lam_den) for j in sig_inv] for i in sig_inv]
+
+
+def cluster_expressions_for_tau(ctx, tau) -> List[MvLaurent]:
+    """Images of the generators x_1..x_N as Laurent polynomials in ytilde_tau.
+
+    Built by back-substitution along the tau-presentation:
+    x_tau(k) = y_{tau, p_tau(k)}^{-1} (y_{tau,k} + c_{tau,k}).  Exponent slots
+    follow the ytilde ordering (variable j of the tau-sequence sits in slot
+    (tau_bullet tau)(j)).  The y_tau are read from the context's
+    interval-prime table.  At the identity this is cluster.cluster_expressions.
+    """
+    sigma, key = tau_data(ctx.eta, tau)
+    pred = eta_tau_data(ctx.eta, tau).pred
+    n = ctx.p.n
+    y_tau = [ctx.prime(key[sigma[k]])[0] for k in range(n)]
+    gens = [MvLaurent.gen(n, i) for i in range(n)]
+
+    images: List[Optional[MvLaurent]] = [None] * n   # indexed by generator
+    for k in range(n):
+        v = tau[k]
+        pk = pred[k]
+        slot_k = sigma[k]
+        if pk is None:
+            images[v] = MvLaurent.gen(n, slot_k)
+            continue
+        c_tk = y_tau[pk] * gens[v] - y_tau[k]
+        if c_tk.is_zero():
+            c_expr = MvLaurent.zero(n)
+        else:
+            partial = [images[i] if images[i] is not None else gens[i] for i in range(n)]
+            c_expr = substitute(c_tk, partial)
+        slot_p = sigma[pk]
+        images[v] = MvLaurent.gen(n, slot_p, -1) * (MvLaurent.gen(n, slot_k) + c_expr)
+    return images                     # type: ignore[return-value]
 
 
 # ------------------------------------------------------------------ all of Xi_N
@@ -181,7 +220,7 @@ def tau_bullet_read(tau: Perm, eta: EtaData) -> Perm:
 
 def y_sequence_for_tau(p: PoissonPresentation, eta: EtaData, tau: Perm) -> List[MvLaurent]:
     """Prime sequence of the tau-reordered presentation via interval selection."""
-    sigma, key, _pred = tau_data(eta, tau)
+    sigma, key = tau_data(eta, tau)
     return [interval_prime(p, eta, *key[s]) for s in sigma]
 
 

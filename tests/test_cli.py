@@ -268,6 +268,18 @@ class TestInputBoundary:
         argv = ["membership", m22_file, "--elem", "t11", "--inv", inv]
         assert self._error_code(argv, capsys) == "CliInputError"
 
+    @pytest.mark.parametrize("inv, detail", [
+        ("1,1", "--inv index 1 is exchangeable, not frozen: '1,1'"),
+        ("1", "--inv index 1 is exchangeable, not frozen: '1'"),
+        ("4,4", "--inv index 4 is repeated: '4,4'"),
+        ("2,4,2", "--inv index 2 is repeated: '2,4,2'"),
+    ])
+    def test_membership_inv_not_distinct_frozen(self, m22_file, inv, detail, capsys):
+        # --inv acts only on frozen indices; on 2x2 index 1 is the one exchangeable
+        argv = ["membership", m22_file, "--coords", "y", "--elem", "y1", "--inv", inv]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == {"code": "CliInputError", "detail": detail}
+
     def test_unwritable_output_reports_on_stdout(self, m22_file, tmp_path, capsys):
         out = str(tmp_path / "missing" / "report.json")
         assert main(["analyze", m22_file, "-o", out]) == 2

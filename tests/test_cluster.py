@@ -41,8 +41,15 @@ from pcgl.presets import build_affine_space, build_matrix_poisson
 from pcgl.symmetric import SymmetryError, gamma_chain, tau_data
 
 from algebra_oracles import solid_minor
-from conftest import rescaled_3x3, rescaled_4x5, two_block, weyl_block
-from tau_oracles import eta_tau_data, perm_compose, perm_inverse, r_matrix_per_tau, tau_bullet
+from conftest import rescaled_2x3, rescaled_3x3, rescaled_4x5, two_block, weyl_block
+from tau_oracles import (
+    cluster_expressions_for_tau,
+    eta_tau_data,
+    perm_compose,
+    perm_inverse,
+    r_matrix_per_tau,
+    tau_bullet,
+)
 
 
 def random_skew_symmetrizable(rng, n, ex):
@@ -445,7 +452,7 @@ class TestExpressAndMembership:
 
     def test_y_elements_frozen_nonneg(self, ctx22):
         for tau in gamma_chain(4).perms:
-            images = cluster_expressions(ctx22, tau)
+            images = cluster_expressions_for_tau(ctx22, tau)
             for j in range(4):
                 _, witness = express_in_cluster(ctx22, ctx22.seq.y[j], tau, images)
                 assert witness.ok
@@ -471,25 +478,22 @@ class TestExpressAndMembership:
         for tau in perms:
             variables.extend(seed_for_tau(ctx22, tau).vars_x)
         for tau in perms:
-            images = cluster_expressions(ctx22, tau)
+            images = cluster_expressions_for_tau(ctx22, tau)
             for v in variables:
                 _, witness = express_in_cluster(ctx22, v, tau, images)
                 assert witness.ok
 
     def test_cluster_expressions_invert(self, ctx23):
-        # substituting the tau-cluster expressions back with the variable
-        # polynomials recovers each generator, also where the expressions
-        # come from the cache of another permutation with the same seed key
+        # substituting the oracle's tau-cluster expressions back with the
+        # variable polynomials recovers each generator
         for tau in gamma_chain(6).perms:
             bundle = seed_for_tau(ctx23, tau)
-            imgs = cluster_expressions(ctx23, tau)
+            imgs = cluster_expressions_for_tau(ctx23, tau)
             for j in range(6):
                 assert substitute(imgs[j], bundle.vars_x) == MvLaurent.gen(6, j)
 
     def test_non_xi_tau_rejected(self, ctx22):
         # prefix {2, 4} is not an interval
-        with pytest.raises(SymmetryError):
-            cluster_expressions(ctx22, (1, 3, 0, 2))
         with pytest.raises(SymmetryError):
             seed_for_tau(ctx22, (1, 3, 0, 2))
 
@@ -497,7 +501,7 @@ class TestExpressAndMembership:
         with pytest.raises(SymmetryError):
             seed_for_tau(ctx22, (0, 1, 2))
         with pytest.raises(SymmetryError):
-            cluster_expressions(ctx22, (0, 1, 2, 3, 4))
+            seed_for_tau(ctx22, (0, 1, 2, 3, 4))
 
     def test_non_polynomial_x_input_rejected(self, ctx22):
         # one structured error, not an ok=False witness per cluster
@@ -508,7 +512,7 @@ class TestExpressAndMembership:
 def _express_per_tau(ctx, f, tau, inv=(), coords="x"):
     """express_in_cluster as it was before the seed-key cache: expressions
     built for this tau alone, and every initial prime y_j rewritten."""
-    x_imgs = cluster_expressions(ClusterContext(ctx.p, ctx.eta, ctx.seq, ctx.d_map), tau)
+    x_imgs = cluster_expressions_for_tau(ClusterContext(ctx.p, ctx.eta, ctx.seq, ctx.d_map), tau)
     if coords == "x":
         if not f.is_polynomial():
             raise NotInRing("x-coordinate input must be a polynomial in the generators")
@@ -602,13 +606,13 @@ def _walk_ctx(name):
 
 
 def _spy_back_substitution(monkeypatch):
-    """Count the calls of cluster_expressions; returns the list of their taus."""
+    """Count the calls of cluster_expressions; returns the list of their contexts."""
     calls = []
     inner = cluster.cluster_expressions
 
-    def counting(ctx, tau):
-        calls.append(tau)
-        return inner(ctx, tau)
+    def counting(ctx):
+        calls.append(ctx)
+        return inner(ctx)
 
     monkeypatch.setattr(cluster, "cluster_expressions", counting)
     return calls
@@ -636,14 +640,17 @@ def _runs(ctx):
     return runs
 
 
-def _walk(ctx):
-    """The runs with the generator images of their clusters, derived as
-    upper_membership derives them: ctx.x_in_y, then one exchange per run."""
+def _walk(ctx, used=()):
+    """The runs with the generator images of their clusters and the images
+    of the y_j with j in used (zero for the others), derived as
+    upper_membership derives them: ctx.x_in_y and each y_j as itself, then
+    one exchange per run."""
+    n = ctx.p.n
     runs = _runs(ctx)
-    images = [ctx.x_in_y]
+    images = [(ctx.x_in_y, [MvLaurent.gen(n, j) if j in used else MvLaurent.zero(n) for j in range(n)])]
     for (_, key), (_, new_key) in zip(runs, runs[1:]):
-        images.append(cluster._exchanged_images(ctx, key, images[-1], new_key))
-    return [(tau, key, imgs) for (tau, key), imgs in zip(runs, images)]
+        images.append(cluster._exchanged_images(ctx, key, new_key, *images[-1]))
+    return [(tau, key, x_imgs, y_imgs) for (tau, key), (x_imgs, y_imgs) in zip(runs, images)]
 
 
 # every fixture the walk was checked on: the walk inputs, plus 1x5, 5x5 and the Weyl blocks
@@ -673,8 +680,8 @@ class TestMembershipWalk:
     def test_walked_images_equal_back_substitution(self, name):
         ctx = _walk_ctx(name)
         runs = _walk(ctx)
-        for tau, _, images in runs:
-            assert images == cluster_expressions(ctx, tau)
+        for tau, _, images, _ in runs:
+            assert images == cluster_expressions_for_tau(ctx, tau)
         assert len(runs) > 1
 
     @pytest.mark.parametrize("name", WALK_INPUTS)
@@ -712,14 +719,15 @@ class TestMembershipWalk:
         ctx = _walk_ctx(name)
         calls = _spy_back_substitution(monkeypatch)
         assert upper_membership(ctx, _walk_cases(ctx)[0][0])[0]
-        assert calls == [tuple(range(ctx.p.n))]
+        assert calls == [ctx]
 
     def test_express_in_reverse_chain_order(self, ctx33):
         # express_in_cluster reads only its arguments: the walk's images, met
         # last cluster first, give the per-permutation oracle's witnesses
-        runs = _walk(ctx33)
+        runs = _walk(ctx33, used=range(ctx33.p.n))
         for f, inv, coords in _walk_cases(ctx33):
-            for tau, _, images in reversed(runs):
+            for tau, _, x_imgs, y_imgs in reversed(runs):
+                images = x_imgs if coords == "x" else y_imgs
                 try:
                     want = _express_per_tau(ctx33, f, tau, inv=inv, coords=coords)
                 except NotInRing:
@@ -752,8 +760,8 @@ class TestMembershipWalk:
         inner = cluster.tau_data
 
         def corrupted(eta, tau):
-            sigma, k, pred = inner(eta, tau)
-            return sigma, bad if tuple(tau) == target else k, pred
+            sigma, k = inner(eta, tau)
+            return sigma, bad if tuple(tau) == target else k
 
         monkeypatch.setattr(cluster, "tau_data", corrupted)
         return kb, j
@@ -777,6 +785,69 @@ class TestMembershipWalk:
         (_, first), (_, second) = _runs(_walk_ctx("3x4"))[:2]
         kb = next(j for j in range(len(first)) if first[j] != second[j])
         self._walk_fails(tmp_path, capsys, f"exchange in slot {kb+1} is not exact: forced")
+
+
+    @pytest.mark.parametrize("name", ["3x3", "4x4", "rescaled_4x5", "two_block"])
+    def test_carried_y_images_equal_substitution(self, name):
+        # every y_j carried along the walk is y_j written in that cluster
+        ctx = _walk_ctx(name)
+        for _, _, x_imgs, y_imgs in _walk(ctx, used=range(ctx.p.n)):
+            assert y_imgs == [substitute(y, x_imgs) for y in ctx.seq.y]
+
+    def test_one_substitution_of_a_y_input_per_cluster(self, ctx33, monkeypatch):
+        # the y-input is substituted once per cluster, into its carried
+        # images; no y_j is rewritten from the generator images
+        f = _walk_cases(ctx33)[1][0]
+        calls = []
+        inner = cluster.substitute
+
+        def counting(g, images):
+            calls.append(g)
+            return inner(g, images)
+
+        monkeypatch.setattr(cluster, "substitute", counting)
+        upper_membership(ctx33, f, coords="y")
+        assert sum(g is f for g in calls) == len(_runs(ctx33)) == 6
+        assert not any(g is y for g in calls for y in ctx33.seq.y)
+
+
+# every fixture the initial cluster's back-substitution was checked on
+INITIAL_INPUTS = dict({name: KEY_INPUTS[name] for name in
+                       ("1x5", "2x3", "3x3", "3x4", "4x4", "5x5", "rescaled_3x3", "rescaled_4x5",
+                        "weyl_block2", "weyl_block3", "two_block")}, **{
+    "rescaled_2x3": rescaled_2x3,
+    "affine3": lambda: build_affine_space(3, [[0, 1, -2], [-1, 0, 3], [2, -3, 0]]),
+})
+
+
+class TestInitialCluster:
+    """x_in_y is written from the prime sequence, with no interval prime."""
+
+    @pytest.mark.parametrize("name", INITIAL_INPUTS)
+    def test_x_in_y_is_the_oracle_at_the_identity(self, name):
+        ctx = ClusterContext.build_normalizing(INITIAL_INPUTS[name]())[0]
+        got = cluster_expressions(ctx)
+        assert ctx._primes == {}
+        want = cluster_expressions_for_tau(ctx, tuple(range(ctx.p.n)))
+        # term order included: reports render terms in dict order
+        assert [list(f.terms.items()) for f in got] == [list(f.terms.items()) for f in want]
+
+    def test_membership_builds_only_the_walks_interval_primes(self, tmp_path, monkeypatch, capsys):
+        # 4x4: the 16 variables of the initial cluster are the prime
+        # sequence; the walk builds the 14 new variables it exchanges in
+        calls = []
+        inner = cluster.interval_prime
+
+        def counting(*args):
+            calls.append(args[2:])
+            return inner(*args)
+
+        path = str(tmp_path / "m44.json")
+        assert cli.main(["preset", "matrix", "--m", "4", "--n", "4", "-o", path]) == 0
+        monkeypatch.setattr(cluster, "interval_prime", counting)
+        assert cli.main(["membership", path, "--elem", "t11*t22 - t12*t21"]) == 0
+        capsys.readouterr()
+        assert len(calls) == len(set(calls)) == 14
 
 
 class TestMutateSeed:

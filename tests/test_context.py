@@ -3,7 +3,7 @@
 ClusterContext.build and build_normalizing share one pass: validate once,
 compute eta, the primes and the d-integers once, and rescale (then certify
 pi == 1 again) only when some pi_[i, s(i)] is not 1.  The x-to-y table is
-the identity permutation's cluster_expressions, read on first use.  The
+cluster_expressions, written from the prime sequence on first use.  The
 oracle below is the old path: `build` with its
 eager x-to-y table, `build_normalizing` validating and computing eta again
 before calling `build`, and the CLI's catch-and-rebuild `_build_context`.

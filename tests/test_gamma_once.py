@@ -52,13 +52,13 @@ def test_chain_verify_computes_each_quantity_once(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    for name in ("seed_for_tau", "_key_r", "weight_of"):
+    for name in ("seed_for_tau", "r_matrix_for_tau", "weight_of"):
         count(cluster, name)
     count(linalg, "rank")
     reports = chain_verify(ctx)
     assert len(reports) == 66 and all(rep.verified for rep in reports)
     # 67 permutations, 9 seed keys, 20 interval labels
-    assert calls == {"seed_for_tau": 67, "_key_r": 9, "rank": 9, "weight_of": 20}
+    assert calls == {"seed_for_tau": 67, "r_matrix_for_tau": 9, "rank": 9, "weight_of": 20}
     assert len(ctx._seeds) == 9
     assert len(ctx._primes) == 20
 

@@ -125,15 +125,15 @@ def test_perturbed_r_tau_fails_its_links(monkeypatch, branch, detail):
     link = next(rep for rep in chain_verify(_fresh_context("3x3")) if rep.branch == branch)
     target = seed_key(ctx.eta, link.tau_next)[1]
     e = _stealth_perturbation(_seed_for_tau_per_tau(ctx, link.tau_next))
-    key_r = cluster._key_r
+    r_for_tau = cluster.r_matrix_for_tau
 
-    def perturbed(p, eta, key):
-        r = key_r(p, eta, key)
-        if key != target:
+    def perturbed(p, eta, tau):
+        r = r_for_tau(p, eta, tau)
+        if seed_key(eta, tau)[1] != target:
             return r
         return [[x + Fraction(d, p.lam_den) for x, d in zip(row, drow)] for row, drow in zip(r, e)]
 
-    monkeypatch.setattr(cluster, "_key_r", perturbed)
+    monkeypatch.setattr(cluster, "r_matrix_for_tau", perturbed)
     reports = chain_verify(ctx)
     touched = [rep for rep in reports if rep.branch == branch
                and target in (seed_key(ctx.eta, rep.tau)[1], seed_key(ctx.eta, rep.tau_next)[1])]

@@ -1,11 +1,11 @@
 """tau_data, the one pass per permutation, against the derivations it replaced.
 
-At each position of tau in Xi_N, tau_data reads sigma = tau_bullet o tau,
-the seed key and the tau-predecessor off the class members placed so far.
-The oracles in tau_oracles walk the p/s chains inside each prefix, sort each
-level set by position, and build a full EtaData of the labels eta o tau.
-The tau-predecessors are also checked against the prime sequence of the
-permuted presentation itself.
+At each position of tau in Xi_N, tau_data reads sigma = tau_bullet o tau
+and the seed key off the class members placed so far.  The oracles in
+tau_oracles walk the p/s chains inside each prefix and sort each level set
+by position.  The tau-predecessors, which only the oracles read, come from
+a full EtaData of the labels eta o tau (eta_tau_data); they are checked
+against the prime sequence of the permuted presentation itself.
 """
 
 import pytest
@@ -47,9 +47,8 @@ def test_one_pass_equals_the_oracles_on_all_of_xi(ctx):
     taus = enumerate_xi(ctx.p.n)
     assert len(taus) == 2 ** (ctx.p.n - 1)
     for tau in taus:
-        sigma, key, pred = tau_data(eta, tau)
+        sigma, key = tau_data(eta, tau)
         assert (sigma, key) == seed_key(eta, tau)
-        assert list(pred) == eta_tau_data(eta, tau).pred
         assert tau_bullet_read(tau, eta) == tau_bullet(tau, eta)
         assert [key[s] for s in sigma] == interval_data_for_tau(eta, tau)
 
@@ -60,7 +59,7 @@ def test_pred_is_that_of_the_permuted_presentation(ctx):
     taus = enumerate_xi(n) if n <= 9 else gamma_chain(n).perms
     for tau in taus:
         eta_t, _ = compute_eta_and_primes(permute_presentation(ctx.p, tau))
-        assert list(tau_data(ctx.eta, tau)[2]) == eta_t.pred
+        assert eta_tau_data(ctx.eta, tau).pred == eta_t.pred
 
 
 @pytest.mark.parametrize("tau", [
