@@ -47,7 +47,6 @@ from .cgl import (
     hmax_equations,
 )
 from .symmetric import (
-    GammaChain,
     Incompatible,
     NoHStarSolution,
     ZeroLambdaStar,
@@ -68,6 +67,7 @@ from .cluster import (
     check_compatible,
     check_log_canonical,
     express_in_cluster,
+    gamma_bundles,
     mutate_matrix,
     mutate_seed,
     seed_for_tau,

@@ -356,13 +356,12 @@ def cmd_seeds(args) -> int:
         _check_gamma_size(p.n)
     ctx, gamma = cl.ClusterContext.build_normalizing(p)
     if args.gamma:
-        taus = ctx.gamma().perms
-    elif args.tau is not None:
-        taus = [_parse_tau(args.tau, p.n)]
+        chosen = cl.gamma_bundles(ctx)
     else:
-        taus = [tuple(range(p.n))]
+        tau = _parse_tau(args.tau, p.n) if args.tau is not None else tuple(range(p.n))
+        chosen = [cl.seed_for_tau(ctx, tau)]
     y_reports: Dict[Tuple[int, int], dict] = {}
-    bundles = [_bundle_dict(ctx, cl.seed_for_tau(ctx, tau), names, y_reports) for tau in taus]
+    bundles = [_bundle_dict(ctx, bundle, names, y_reports) for bundle in chosen]
     doc = {"command": "seeds", "bundles": bundles}
     _note_gamma(doc, gamma)
     _emit(doc, args.output, f"{len(bundles)} seed bundle(s) computed")
@@ -428,7 +427,7 @@ def cmd_membership(args) -> int:
     ok, witnesses = cl.upper_membership(ctx, f, inv=inv, coords=coords)
     doc = {
         "command": "membership",
-        "element": ser.poly_report(f, names if coords == "x" else None),
+        "element": ser.poly_report(f, names if coords == "x" else _y_names(p.n)),
         "coords": coords,
         "inv": [i + 1 for i in inv],
         "certified": ok,

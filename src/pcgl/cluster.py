@@ -17,20 +17,22 @@ function of the key too: r_tau[a][b] = Omega_lambda(ebar(key[a]),
 ebar(key[b])) with ebar(i, m) the interval exponent of label (i, m), because
 by bilinearity the q-entry of the tau-presentation is Omega_lambda on the
 predecessor chains, and the chain of position k covers exactly the interval
-of its label.  So a context builds r, from the one bicharacter
-PoissonPresentation.omega_lambda_matrix, solves and checks one seed per
-key, and builds and weighs each interval prime once; chain_verify builds one
-bundle per permutation and checks each link on the bundles of its two ends.
-check_log_canonical brackets every pair of a seed's variables against r.
-Every function here that needs sigma = tau_bullet o tau or the seed key
-takes them from one call of symmetric.tau_data.  The generators are written
-in the initial cluster, the prime sequence y_1..y_N itself, by one
-back-substitution along the predecessors, cluster_expressions; the
-membership walk along Gamma_N writes them, and the y_j a y-input uses, in
-each new cluster from the cluster before it, which differs in one slot kb,
-by substituting y_kb -> Q / y'_kb in the images that involve kb, with
-Q = y_kb y'_kb free of y_kb (the Laurent phenomenon makes the one division
-exact).  A step where this does not hold raises ClusterError.
+of its label; r is built from the key by the one bicharacter
+PoissonPresentation.omega_lambda_matrix.  Gamma_N is walked in one place,
+_gamma_walk: adjacent Gamma_N seeds are equal or one mutation apart, so from
+the identity, whose cluster is the prime sequence, it carries each cluster
+to the next by building only the slots whose label changed.  gamma_bundles
+reads it to solve and check one bundle per run of equal keys, for
+chain_verify and the seeds report; upper_membership reads it to carry the
+generators, written in the initial cluster by one back-substitution along
+the predecessors (cluster_expressions), and the y_j a y-input uses, into
+each new cluster, which differs in one slot kb, by substituting
+y_kb -> Q / y'_kb in the images that involve kb, with Q = y_kb y'_kb free of
+y_kb (the Laurent phenomenon makes the one division exact).  A step where
+this does not hold raises ClusterError.  check_log_canonical brackets every
+pair of a seed's variables against r.  Every function here that needs
+sigma = tau_bullet o tau or the seed key takes them from one call of
+symmetric.tau_data.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .cgl import EtaData, PrimeSequenceReport, compute_eta_and_primes
@@ -53,7 +55,6 @@ from .presentation import (
     weight_of,
 )
 from .symmetric import (
-    GammaChain,
     Perm,
     SeedKey,
     compute_d_integers,
@@ -265,13 +266,9 @@ def _first_pi_not_one(p: PoissonPresentation, eta: EtaData) -> Optional[Tuple[in
 class ClusterContext:
     """Everything derived from one validated, pi-normalized presentation.
 
-    Besides the presentation data it holds two tables, each filled on first
-    use: _seeds maps a seed key to the bundle seed_for_tau built for it, r
-    and the exchange matrix included, and _primes maps an interval label
-    (start, m) to its interval prime and that prime's certified torus
-    weight.  The table x_in_y of the generators in initial-cluster
-    coordinates is cluster_expressions, written from the prime sequence seq.y
-    on first use; it builds no interval prime.
+    It keeps no seeds or interval primes; its one table, x_in_y of the
+    generators in initial-cluster coordinates, is cluster_expressions,
+    written from the prime sequence seq.y on first use.
     """
 
     def __init__(self, p: PoissonPresentation, eta: EtaData, seq: PrimeSequenceReport,
@@ -280,8 +277,6 @@ class ClusterContext:
         self.eta = eta
         self.seq = seq
         self.d_map = d_map
-        self._seeds: Dict[SeedKey, TauSeedBundle] = {}
-        self._primes: Dict[Tuple[int, int], Tuple[MvLaurent, Weight]] = {}
 
     @classmethod
     def build(cls, p: PoissonPresentation) -> "ClusterContext":
@@ -330,16 +325,9 @@ class ClusterContext:
         return substitute(f, self.x_in_y)
 
     def prime(self, label: Tuple[int, int]) -> Tuple[MvLaurent, Weight]:
-        """The interval prime y_[start, s^m(start)] of label (start, m) and its
-        torus weight, each computed once; weight_of certifies homogeneity."""
-        entry = self._primes.get(label)
-        if entry is None:
-            y = interval_prime(self.p, self.eta, *label)
-            entry = self._primes[label] = (y, weight_of(self.p, y))
-        return entry
-
-    def gamma(self) -> GammaChain:
-        return gamma_chain(self.p.n)
+        """y_[start, s^m(start)] of label (start, m) and its weight, certified by weight_of."""
+        y = interval_prime(self.p, self.eta, *label)
+        return y, weight_of(self.p, y)
 
 
 # -------------------------------------------------------------------- tau seeds
@@ -361,11 +349,11 @@ class TauSeedBundle(NamedTuple):
                     btilde=self.btilde, beta=dict(self.beta))
 
 
-def r_matrix_for_tau(p: PoissonPresentation, eta: EtaData, tau: Perm) -> RMatrix:
+def r_matrix_for_tau(p: PoissonPresentation, eta: EtaData, key: SeedKey) -> RMatrix:
     """r_tau = (tau_bullet tau) q_tau (tau_bullet tau)^{-1}, a function of tau's
     seed key: r[a][b] = Omega_lambda(ebar(key[a]), ebar(key[b])) on the
-    interval exponents of its labels, built once per key by _build_bundle."""
-    vecs = [interval_exponent(eta, i, m) for i, m in tau_data(eta, tau)[1]]
+    interval exponents of its labels."""
+    vecs = [interval_exponent(eta, i, m) for i, m in key]
     return p.omega_lambda_matrix(vecs, vecs)
 
 
@@ -421,11 +409,15 @@ def check_seed_invariants(variables: Sequence[MvLaurent], r: RMatrix, btilde: BM
     return beta
 
 
-def _build_bundle(ctx: ClusterContext, tau: Perm, sigma: Perm, key: SeedKey) -> TauSeedBundle:
-    primes = [ctx.prime(label) for label in key]
-    vars_x = [y for y, _ in primes]
-    weights = [w for _, w in primes]
-    r = r_matrix_for_tau(ctx.p, ctx.eta, tau)
+Cluster = List[Tuple[MvLaurent, Weight]]   # (variable, weight) per slot
+
+
+def _build_bundle(ctx: ClusterContext, tau: Perm, sigma: Perm, key: SeedKey,
+                  cluster: Cluster) -> TauSeedBundle:
+    """The bundle of key, whose variables and weights are cluster's."""
+    vars_x = [y for y, _ in cluster]
+    weights = [w for _, w in cluster]
+    r = r_matrix_for_tau(ctx.p, ctx.eta, key)
     btilde = solve_btilde(ctx, r, weights)
     beta = check_seed_invariants(vars_x, r, btilde, ctx.d_map, ctx.eta)
     return TauSeedBundle(tau=tau, sigma=sigma, vars_x=vars_x, intervals=list(key),
@@ -433,20 +425,43 @@ def _build_bundle(ctx: ClusterContext, tau: Perm, sigma: Perm, key: SeedKey) -> 
 
 
 def seed_for_tau(ctx: ClusterContext, tau: Perm) -> TauSeedBundle:
-    """Assemble and sanity-check the full seed bundle for one permutation.
-
-    Every field of a bundle but tau and sigma is a function of the seed key,
-    r_tau included (see the module docstring), so the variables, r, the
-    solve and the seed checks run once per key, and the key's bundle is
-    returned with this tau and sigma.  Bundles of one key share their lists
-    and must not be mutated.
-    """
+    """Assemble and sanity-check the full seed bundle for one permutation,
+    building every interval prime of its seed key (gamma_bundles builds each
+    Gamma_N cluster from the one before it instead)."""
     tau = tuple(tau)
     sigma, key = tau_data(ctx.eta, tau)
-    bundle = ctx._seeds.get(key)
-    if bundle is None:
-        bundle = ctx._seeds[key] = _build_bundle(ctx, tau, sigma, key)
-    return bundle._replace(tau=tau, sigma=sigma)
+    return _build_bundle(ctx, tau, sigma, key, [ctx.prime(label) for label in key])
+
+
+def _gamma_walk(ctx: ClusterContext) -> Iterator[Tuple[Perm, Perm, SeedKey, List[int], Cluster]]:
+    """(tau, sigma, key, changed, cluster) for each Gamma_N permutation in
+    chain order: changed lists the slots whose label differs from the
+    previous key's (all of them at the identity), and cluster the key's
+    (variable, weight) pairs, a new list whenever changed is not empty.  At
+    the identity they are the prime sequence's; after it only the changed
+    slots (one at a mutation) are built, and the others keep their pair.
+    """
+    cluster: Cluster = list(zip(ctx.seq.y, ctx.seq.weights))
+    key: Optional[SeedKey] = None
+    for tau in gamma_chain(ctx.p.n):
+        sigma, new_key = tau_data(ctx.eta, tau)
+        changed = [j for j, label in enumerate(new_key) if key is None or key[j] != label]
+        if key is not None and changed:
+            cluster = [ctx.prime(new_key[j]) if j in changed else pair for j, pair in enumerate(cluster)]
+        key = new_key
+        yield tau, sigma, key, changed, cluster
+
+
+def gamma_bundles(ctx: ClusterContext) -> List[TauSeedBundle]:
+    """The bundle of every Gamma_N permutation in chain order, read off the
+    walk: r, the solve and the seed checks run once per run of equal keys,
+    whose permutations share one bundle's lists (not to be mutated)."""
+    bundles: List[TauSeedBundle] = []
+    for tau, sigma, key, changed, cluster in _gamma_walk(ctx):
+        if changed:
+            bundle = _build_bundle(ctx, tau, sigma, key, cluster)
+        bundles.append(bundle._replace(tau=tau, sigma=sigma))
+    return bundles
 
 
 # --------------------------------------------------------------- one-step links
@@ -487,8 +502,9 @@ def _exchange_binomial(variables: Sequence[MvLaurent], col: Sequence[int]) -> Mv
     return plus + minus
 
 
-def verify_one_step(ctx: ClusterContext, tau: Perm, tau_next: Perm) -> LinkReport:
-    """Exactly verify the link between seeds of adjacent permutations.
+def verify_one_step(ctx: ClusterContext, a: TauSeedBundle, b: TauSeedBundle) -> LinkReport:
+    """Exactly verify the link between the bundles of adjacent permutations
+    tau and tau' = tau (k, k+1); LinkFailure when they are not adjacent.
 
     Distinct eta-classes at the swapped positions force equal bundles; equal
     classes force a single mutation at k_bullet, including the exchange
@@ -496,17 +512,12 @@ def verify_one_step(ctx: ClusterContext, tau: Perm, tau_next: Perm) -> LinkRepor
     nonnegative complement vector g.
     """
     n = ctx.p.n
+    tau, tau_next = a.tau, b.tau
     diffs = [k for k in range(n) if tau[k] != tau_next[k]]
     if len(diffs) != 2 or diffs[1] != diffs[0] + 1 or tau[diffs[0]] != tau_next[diffs[1]] \
             or tau[diffs[1]] != tau_next[diffs[0]]:
         raise LinkFailure("permutations are not adjacent by one transposition")
-    return _verify_link(ctx, seed_for_tau(ctx, tau), seed_for_tau(ctx, tau_next), diffs[0])
-
-
-def _verify_link(ctx: ClusterContext, a: TauSeedBundle, b: TauSeedBundle, k: int) -> LinkReport:
-    """The checks of verify_one_step on the bundles of tau and tau' = tau (k, k+1)."""
-    n = ctx.p.n
-    tau, tau_next = a.tau, b.tau
+    k = diffs[0]
     eta = ctx.eta
 
     if eta.eta[tau[k]] != eta.eta[tau[k + 1]]:
@@ -558,11 +569,9 @@ def _verify_link(ctx: ClusterContext, a: TauSeedBundle, b: TauSeedBundle, k: int
 
 
 def chain_verify(ctx: ClusterContext) -> List[LinkReport]:
-    """Walk the whole Gamma_N chain, verifying every adjacent link; each
-    permutation's bundle is built once and serves both of its links."""
-    chain = ctx.gamma()
-    bundles = [seed_for_tau(ctx, tau) for tau in chain.perms]
-    return [_verify_link(ctx, a, b, k) for a, b, k in zip(bundles, bundles[1:], chain.links)]
+    """Verify every adjacent Gamma_N link on the two bundles gamma_bundles gives it."""
+    bundles = gamma_bundles(ctx)
+    return [verify_one_step(ctx, a, b) for a, b in zip(bundles, bundles[1:])]
 
 
 # ----------------------------------------------------------------- log-canonical
@@ -622,24 +631,24 @@ def cluster_expressions(ctx: ClusterContext) -> List[MvLaurent]:
     return images
 
 
-def _exchanged_images(ctx: ClusterContext, key: SeedKey, new_key: SeedKey, x_imgs: List[MvLaurent],
+def _exchanged_images(ctx: ClusterContext, changed: Sequence[int], cluster: Cluster, x_imgs: List[MvLaurent],
                       y_imgs: List[MvLaurent]) -> Tuple[List[MvLaurent], List[MvLaurent]]:
     """The generator images x_imgs and the initial-cluster images y_imgs in
-    new_key's cluster, derived from those in key's by one exchange.
+    the walk's new cluster, derived from those in the cluster before it by
+    one exchange; changed lists the slots whose label changed.
 
-    The keys must differ in exactly one slot kb, so that every other variable
-    is the same element in the same slot.  The new variable written in the
+    It must be exactly one slot kb, so that every other variable is the same
+    element in the same slot.  The new variable cluster[kb] written in the
     old cluster is Y; Q = Y * y_kb must not involve slot kb, so that
     y_kb -> Q / y'_kb rewrites each image of either list that involves kb,
     and the Laurent phenomenon makes that one division exact.  Adjacent
     Gamma_N seeds are equal or one mutation apart, so this holds at every
     Gamma_N step; a step where it fails raises ClusterError naming the slot.
     """
-    diff = [j for j, (u, v) in enumerate(zip(key, new_key)) if u != v]
-    if len(diff) != 1:
-        raise ClusterError(f"seed keys differ in slots {[j + 1 for j in diff]}, not in exactly one")
-    kb = diff[0]
-    q = substitute(ctx.prime(new_key[kb])[0], x_imgs) * MvLaurent.gen(ctx.p.n, kb)
+    if len(changed) != 1:
+        raise ClusterError(f"seed keys differ in slots {[j + 1 for j in changed]}, not in exactly one")
+    kb = changed[0]
+    q = substitute(cluster[kb][0], x_imgs) * MvLaurent.gen(ctx.p.n, kb)
     if any(e[kb] for e in q.terms):
         raise ClusterError(f"exchange polynomial of slot {kb+1} involves y_{kb+1}")
     try:
@@ -701,16 +710,15 @@ def upper_membership(ctx: ClusterContext, f: MvLaurent, inv: Sequence[int] = (),
                      coords: str = "x") -> Tuple[bool, List[MembershipWitness]]:
     """Certificate for membership in the Gamma_N intersection of mixed rings.
 
-    One walk along Gamma_N holds the current seed key and the generators
-    written in its cluster: ctx.x_in_y at the identity, where the chain
-    starts, then at each change of key the images _exchanged_images derives
-    from the cluster before.  A y-coordinate input's variables ride along:
-    each y_j that f uses starts as itself in the identity cluster and is
-    rewritten with the same exchanges.  f is expressed once per run of equal
-    keys, and every permutation gets a witness carrying its run's result.
-    An x-coordinate input that is not a polynomial raises NotInRing up
-    front; a y-coordinate input that is not Laurent in some cluster gets
-    ok=False witnesses there.
+    Along _gamma_walk it holds the generators written in the current
+    cluster: ctx.x_in_y at the identity, where the walk starts, then at each
+    change of key the images _exchanged_images derives from the cluster
+    before.  A y-coordinate input's variables ride along: each y_j that f
+    uses starts as itself in the identity cluster and is rewritten with the
+    same exchanges.  f is expressed once per run of equal keys, and every
+    permutation gets a witness carrying its run's result.  An x-coordinate
+    input that is not a polynomial raises NotInRing up front; a y-coordinate
+    input that is not Laurent in some cluster gets ok=False witnesses there.
     """
     n = ctx.p.n
     if coords == "x":
@@ -720,13 +728,10 @@ def upper_membership(ctx: ClusterContext, f: MvLaurent, inv: Sequence[int] = (),
     y_imgs = [MvLaurent.gen(n, j) if j in used else MvLaurent.zero(n) for j in range(n)]
     x_imgs = ctx.x_in_y
     witnesses: List[MembershipWitness] = []
-    key: Optional[SeedKey] = None
-    for tau in ctx.gamma().perms:
-        new_key = tau_data(ctx.eta, tau)[1]
-        if new_key != key:
-            if key is not None:
-                x_imgs, y_imgs = _exchanged_images(ctx, key, new_key, x_imgs, y_imgs)
-            key = new_key
+    for tau, _, _, changed, cluster in _gamma_walk(ctx):
+        if changed:
+            if witnesses:
+                x_imgs, y_imgs = _exchanged_images(ctx, changed, cluster, x_imgs, y_imgs)
             try:
                 w = express_in_cluster(ctx, f, tau, x_imgs if coords == "x" else y_imgs,
                                        inv=inv, coords=coords)[1]

@@ -7,11 +7,12 @@ Presentation files look like
      "h": [["-1", "0", "1", "0"], ...],        # rationals as "p/q" strings
      "h_star": [...],                          # optional
      "delta": [{"k": 4, "j": 1, "poly": [[-2, 1, [0,1,1,0]]]}, ...],
-     "names": ["t11", ...]}                    # optional, rendering only
+     "names": ["t11", ...]}                    # optional: reports and --elem
 
 Indices are 1-based on the wire, polynomials are lists of
 [numerator, denominator, exponent-vector] triples ordered revlex-descending,
-and missing delta entries mean zero.  Reports render polynomials both as the
+and missing delta entries mean zero; names are distinct, each a letter
+followed by letters, digits or _.  Reports render polynomials both as the
 authoritative triple list and in human notation.
 """
 
@@ -139,11 +140,15 @@ def presentation_from_doc(doc: dict) -> Tuple[PoissonPresentation, Optional[List
         poly = poly_from_triples(n, entry.get("poly", []))
         if not poly.is_zero():
             delta[(k, j)] = poly
-    names = None
-    if _list_field(doc, "names") is not None:
-        names = [str(x) for x in doc["names"]]
+    names = _list_field(doc, "names")
+    if names is not None:
         if len(names) != n:
             raise FormatError("names must list one label per generator")
+        for x in names:
+            if not (isinstance(x, str) and _NAME_RE.fullmatch(x)):
+                raise FormatError(f"name {x!r} is not a letter followed by letters, digits or _")
+        if len(set(names)) != n:
+            raise FormatError("names must be distinct")
     p = PoissonPresentation(n=n, torus_rank=d, weights=weights, h=h, delta=delta, h_star=h_star)
     return p, names
 
@@ -158,7 +163,8 @@ def dump_json(doc: dict) -> str:
 
 
 _TERM_RE = re.compile(r"\s*(?P<sign>[+-])?\s*(?P<body>(?:[^+\-]|(?<=\^)[+-])+)")
-_FACTOR_RE = re.compile(r"(?P<name>[A-Za-z][A-Za-z0-9]*)(\^(?P<pow>-?\d+))?$")
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_FACTOR_RE = re.compile(rf"(?P<name>{_NAME_RE.pattern})(\^(?P<pow>-?\d+))?$")
 
 
 def parse_poly_expr(expr: str, nvars: int, names: Optional[Sequence[str]] = None,

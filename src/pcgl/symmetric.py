@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .cgl import EtaData, PrimeSequenceReport, compute_eta_and_primes
@@ -222,27 +222,16 @@ def tau_ij(N: int, i: int, j: int) -> Perm:
     return tuple(v - 1 for v in line)
 
 
-class GammaChain(NamedTuple):
-    """The linearly ordered subset Gamma_N with its adjacent transpositions.
-
-    links[idx] = (position k, 0-based) for perms[idx] -> perms[idx+1].
-    """
-
-    perms: List[Perm]                      # tau_{1,1} = id, ..., tau_{N,N} = w_circ
-    links: List[int]                       # transposed position per adjacent pair
-
-
-def gamma_chain(N: int) -> GammaChain:
-    """Gamma_N in the canonical order; adjacent elements differ by (k, k+1)."""
+def gamma_chain(N: int) -> List[Perm]:
+    """Gamma_N in the canonical order, tau_{1,1} = id, ..., tau_{N,N} = w_circ;
+    adjacent elements differ by (k, k+1)."""
     perms: List[Perm] = [tau_ij(N, 1, 1)]
-    links: List[int] = []
     for i in range(1, N):
         for j in range(i, N):
             # tau_ij(N, i, j) -> tau_ij(N, i, j+1) swaps i and j+1 at positions
             # j-i and j-i+1 (0-based); tau_ij(N, i, N) is tau_ij(N, i+1, i+1).
             perms.append(tau_ij(N, i, j + 1))
-            links.append(j - i)
-    return GammaChain(perms=perms, links=links)
+    return perms
 
 
 def tau_data(eta: EtaData, tau: Perm) -> Tuple[Perm, SeedKey]:

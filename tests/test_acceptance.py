@@ -18,6 +18,7 @@ from pcgl.cluster import (
     chain_verify,
     check_compatible,
     check_log_canonical,
+    gamma_bundles,
     mutate_matrix,
     mutate_r,
     seed_for_tau,
@@ -29,7 +30,6 @@ from pcgl.presentation import PoissonPresentation, bracket, validate_algebra
 from pcgl.presets import build_matrix_poisson
 from pcgl.symmetric import (
     apply_rescaling,
-    gamma_chain,
     rescale_generators,
     validate_symmetric,
 )
@@ -82,11 +82,10 @@ def test_criterion_3_exchange_matrices(ctx23, ctx33):
                 ri, ci = i // n + 1, i % n + 1
                 entry = bid.btilde.entry(i, l)
                 assert (entry != 0) == ((ri - rl, ci - cl) in GRID_OFFSETS), (m, n, i, l)
-        for tau in gamma_chain(N).perms:
-            bundle = seed_for_tau(ctx, tau)
-            # beta_l = (B^T r)_ll checked diagonal-on-ex inside seed_for_tau;
+        for bundle in gamma_bundles(ctx):
+            # beta_l = (B^T r)_ll checked diagonal-on-ex inside gamma_bundles;
             # the acceptance value is lambda* = 2 everywhere
-            assert all(v == 2 for v in bundle.beta.values()), tau
+            assert all(v == 2 for v in bundle.beta.values()), bundle.tau
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0, f"exchange-matrix verification took {elapsed:.1f}s"
     mark(3, f"B support matches the adjacency pattern; B^T r diagonal with entries 2 [{elapsed:.2f}s]")
@@ -106,8 +105,8 @@ def test_criterion_4_one_step_chain(ctx23):
 
 def test_criterion_5_log_canonical(ctx23):
     total = 0
-    for tau in gamma_chain(6).perms:
-        total += check_log_canonical(ctx23, seed_for_tau(ctx23, tau))
+    for bundle in gamma_bundles(ctx23):
+        total += check_log_canonical(ctx23, bundle)
     assert total == 16 * 15
     mark(5, "all pairwise brackets match Omega_r for every Gamma_6 seed")
 

@@ -19,6 +19,7 @@ from pcgl.poly import MvLaurent
 from pcgl.presentation import PoissonPresentation
 from pcgl.presets import build_affine_space, build_matrix_poisson
 from pcgl.serialize import poly_report, presentation_from_doc, presentation_to_doc
+from pcgl.symmetric import gamma_chain
 
 from conftest import rescaled_3x3
 
@@ -227,12 +228,17 @@ class TestSubcommands:
                 assert error["code"] == "CliInputError"
                 assert f"N = {n} exceeds {cli.MAX_GAMMA_GENERATORS}" in error["detail"]
 
-    def test_chain_verify_5x5_by_default(self, tmp_path, capsys):
+    def test_chain_verify_5x5_by_default(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "m55.json"
         assert main(["preset", "matrix", "--m", "5", "--n", "5", "-o", str(path)]) == 0
+        primes = []
+        inner = cli.cl.interval_prime
+        monkeypatch.setattr(cli.cl, "interval_prime", lambda *args: primes.append(args) or inner(*args))
         assert main(["chain-verify", str(path)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["summary"] == {"all_verified": True, "equal": 270, "links": 300, "mutations": 30}
+        # the walk builds one interval prime per change of seed key
+        assert len(primes) == 30
 
 
 class TestInputBoundary:
@@ -501,6 +507,15 @@ MALFORMED = {
     "names_not_a_list": (_corrupt(names=5), "FormatError"),
     "names_a_string": (_corrupt(names="abcd"), "FormatError"),
     "names_too_short": (_corrupt(names=["a"]), "FormatError"),
+    # --elem would read a repeated name as its last generator
+    "names_repeated": (_corrupt(names=["a", "a", "b", "c"]), "FormatError"),
+    # str() would turn these into the names "1" and "None"
+    "names_not_strings": (_corrupt(names=[1, None, "c", "d"]), "FormatError"),
+    "names_a_list": (_corrupt(names=[["a"], "b", "c", "d"]), "FormatError"),
+    # not a factor of a polynomial expression, so --elem could not name it
+    "names_with_a_space": (_corrupt(names=["a b", "b", "c", "d"]), "FormatError"),
+    "names_with_a_leading_digit": (_corrupt(names=["1a", "b", "c", "d"]), "FormatError"),
+    "names_empty_string": (_corrupt(names=["", "b", "c", "d"]), "FormatError"),
     # int() reads each of these back as the value the field had, 1 or 4
     "n_gens_float": (_corrupt(n_gens=4.7), "FormatError"),
     "n_gens_string": (_corrupt(n_gens="4"), "FormatError"),
@@ -528,6 +543,39 @@ def test_malformed_presentation_exit_2(name, command, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["command"] == command
     assert report["error"]["code"] == code
+
+
+def test_preset_names_with_underscores_round_trip(tmp_path, capsys):
+    # the 2x10 preset names its generators t1_1 ... t2_10; --elem reads them
+    # and the report renders the element with them
+    path = str(tmp_path / "m2_10.json")
+    assert main(["preset", "matrix", "--m", "2", "--n", "10", "-o", path]) == 0
+    capsys.readouterr()
+    assert main(["membership", path, "--elem", "t1_1*t2_2 - t1_2*t2_1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["certified"] is True
+    assert doc["element"]["text"] == "t1_1*t2_2 - t1_2*t2_1"
+
+
+def test_y_membership_report_names_its_element_in_y(tmp_path, capsys):
+    path = str(tmp_path / "m22.json")
+    assert main(["preset", "matrix", "--m", "2", "--n", "2", "-o", path]) == 0
+    capsys.readouterr()
+    assert main(["membership", path, "--coords", "y", "--elem", "y4^-1"]) == 1
+    assert json.loads(capsys.readouterr().out)["element"]["text"] == "y4^-1"
+
+
+@pytest.mark.parametrize("names, detail", [
+    (["a", "a", "b", "c"], "names must be distinct"),
+    ([1, None, "c", "d"], "name 1 is not a letter followed by letters, digits or _"),
+    (["a", None, "c", "d"], "name None is not a letter followed by letters, digits or _"),
+    (["a b", "b", "c", "d"], "name 'a b' is not a letter followed by letters, digits or _"),
+])
+def test_names_must_be_distinct_factors(names, detail, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_corrupt(names=names)))
+    assert main(["membership", str(path), "--elem", "a"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {"code": "FormatError", "detail": detail}
 
 
 def test_integer_limit_detail_names_the_limit(tmp_path, capsys):
@@ -579,9 +627,8 @@ def test_cluster_commands_check_the_algebra_axioms(code, argv, tmp_path, capsys)
     assert report["error"]["code"] == code
 
 
-def _variables_y_per_bundle(ctx, tau):
+def _variables_y_per_bundle(ctx, bundle):
     """The y-coordinate reports of one bundle, each variable rewritten anew."""
-    bundle = cli.cl.seed_for_tau(ctx, tau)
     names = [f"y{i+1}" for i in range(len(bundle.vars_x))]
     return [poly_report(ctx.to_y_coordinates(v), names) for v in bundle.vars_x]
 
@@ -595,10 +642,10 @@ def test_seeds_variables_y_equal_per_bundle_conversion(build, tmp_path, capsys):
     assert main(["seeds", str(path), "--gamma"]) == 0
     bundles = json.loads(capsys.readouterr().out)["bundles"]
     ctx, _ = cli.cl.ClusterContext.build_normalizing(presentation_from_doc(json.loads(path.read_text()))[0])
-    perms = ctx.gamma().perms
+    perms = gamma_chain(ctx.p.n)
     assert [tuple(v - 1 for v in b["tau"]) for b in bundles] == list(perms)
-    for doc, tau in zip(bundles, perms):
-        assert doc["variables_y"] == _variables_y_per_bundle(ctx, tau)
+    for doc, bundle in zip(bundles, cli.cl.gamma_bundles(ctx)):
+        assert doc["variables_y"] == _variables_y_per_bundle(ctx, bundle)
 
 
 def _usage_variants(line):

@@ -25,6 +25,7 @@ from pcgl.cluster import (
     check_seed_invariants,
     cluster_expressions,
     express_in_cluster,
+    gamma_bundles,
     mutate_matrix,
     mutate_r,
     mutate_seed,
@@ -252,13 +253,15 @@ class TestAgainstDenseOracles:
     def test_r_tau_on_all_gamma(self, r_contexts):
         for ctx in r_contexts:
             omega = _omega_dense(_lambda_dense(ctx.p))
-            for tau in gamma_chain(ctx.p.n).perms:
-                assert r_matrix_for_tau(ctx.p, ctx.eta, tau) == _r_matrix_for_tau_dense(omega, ctx.eta, tau)
+            for tau in gamma_chain(ctx.p.n):
+                key = tau_data(ctx.eta, tau)[1]
+                assert r_matrix_for_tau(ctx.p, ctx.eta, key) == _r_matrix_for_tau_dense(omega, ctx.eta, tau)
 
     def test_r_tau_equals_the_per_tau_recurrence(self, r_contexts):
         for ctx in r_contexts:
-            for tau in gamma_chain(ctx.p.n).perms:
-                assert r_matrix_for_tau(ctx.p, ctx.eta, tau) == r_matrix_per_tau(ctx.p, ctx.eta, tau)
+            for tau in gamma_chain(ctx.p.n):
+                key = tau_data(ctx.eta, tau)[1]
+                assert r_matrix_for_tau(ctx.p, ctx.eta, key) == r_matrix_per_tau(ctx.p, ctx.eta, tau)
 
     def test_random_r_and_b(self):
         rng = random.Random(21)
@@ -331,8 +334,7 @@ class TestSeeds:
         assert a.r == b.r
 
     def test_beta_equals_lambda_star_all_gamma(self, ctx23):
-        for tau in gamma_chain(6).perms:
-            bundle = seed_for_tau(ctx23, tau)
+        for bundle in gamma_bundles(ctx23):
             for l, val in bundle.beta.items():
                 assert val == ctx23.p.lam_star[l] == 2
 
@@ -341,7 +343,7 @@ class TestSeeds:
         assert gamma == [1, -2]
         bundle = seed_for_tau(ctx, (0, 1))
         assert bundle.btilde.column(0) == (0, 1)
-        report = verify_one_step(ctx, (0, 1), (1, 0))
+        report = verify_one_step(ctx, bundle, seed_for_tau(ctx, (1, 0)))
         assert report.verified and report.branch == "mutation"
         # the mutated variable is the rescaled x2
         other = seed_for_tau(ctx, (1, 0))
@@ -377,7 +379,7 @@ class TestSeeds:
 
 class TestOneStep:
     def test_mutation_link_2x2(self, ctx22):
-        report = verify_one_step(ctx22, (1, 2, 0, 3), (1, 2, 3, 0))
+        report = verify_one_step(ctx22, seed_for_tau(ctx22, (1, 2, 0, 3)), seed_for_tau(ctx22, (1, 2, 3, 0)))
         assert report.verified
         assert report.branch == "mutation"
         assert report.k_bullet == 0
@@ -386,7 +388,7 @@ class TestOneStep:
         assert high.vars_x[0] == MvLaurent.gen(4, 3)
 
     def test_equal_link(self, ctx22):
-        report = verify_one_step(ctx22, (0, 1, 2, 3), (1, 0, 2, 3))
+        report = verify_one_step(ctx22, seed_for_tau(ctx22, (0, 1, 2, 3)), seed_for_tau(ctx22, (1, 0, 2, 3)))
         assert report.verified and report.branch == "equal"
 
     def test_full_chain_2x3(self, ctx23):
@@ -435,8 +437,8 @@ class TestLogCanonical:
         assert bundle.r == [[Fraction(x) for x in row] for row in q]
 
     def test_all_gamma_2x3(self, ctx23):
-        for tau in gamma_chain(6).perms:
-            check_log_canonical(ctx23, seed_for_tau(ctx23, tau))
+        for bundle in gamma_bundles(ctx23):
+            check_log_canonical(ctx23, bundle)
 
 
 class TestExpressAndMembership:
@@ -451,7 +453,7 @@ class TestExpressAndMembership:
         assert expr == MvLaurent.gen(4, 0) + 1
 
     def test_y_elements_frozen_nonneg(self, ctx22):
-        for tau in gamma_chain(4).perms:
+        for tau in gamma_chain(4):
             images = cluster_expressions_for_tau(ctx22, tau)
             for j in range(4):
                 _, witness = express_in_cluster(ctx22, ctx22.seq.y[j], tau, images)
@@ -473,10 +475,10 @@ class TestExpressAndMembership:
     def test_laurent_phenomenon_desk_scale(self, ctx22):
         # every Gamma variable, re-expressed in any Gamma cluster, is Laurent
         # with frozen-nonnegative exponents
-        perms = gamma_chain(4).perms
+        perms = gamma_chain(4)
         variables = []
-        for tau in perms:
-            variables.extend(seed_for_tau(ctx22, tau).vars_x)
+        for bundle in gamma_bundles(ctx22):
+            variables.extend(bundle.vars_x)
         for tau in perms:
             images = cluster_expressions_for_tau(ctx22, tau)
             for v in variables:
@@ -486,9 +488,8 @@ class TestExpressAndMembership:
     def test_cluster_expressions_invert(self, ctx23):
         # substituting the oracle's tau-cluster expressions back with the
         # variable polynomials recovers each generator
-        for tau in gamma_chain(6).perms:
-            bundle = seed_for_tau(ctx23, tau)
-            imgs = cluster_expressions_for_tau(ctx23, tau)
+        for bundle in gamma_bundles(ctx23):
+            imgs = cluster_expressions_for_tau(ctx23, bundle.tau)
             for j in range(6):
                 assert substitute(imgs[j], bundle.vars_x) == MvLaurent.gen(6, j)
 
@@ -532,7 +533,7 @@ def _upper_membership_per_tau(ctx, f, inv=(), coords="x"):
     """Oracle: the per-permutation loop that upper_membership replaced."""
     witnesses = []
     ok = True
-    for tau in ctx.gamma().perms:
+    for tau in gamma_chain(ctx.p.n):
         try:
             w = _express_per_tau(ctx, f, tau, inv=inv, coords=coords)
         except NotInRing:
@@ -581,9 +582,9 @@ class TestMembershipDedupe:
 
         monkeypatch.setattr(cluster, "express_in_cluster", counting)
         _, witnesses = upper_membership(ctx33, MvLaurent.gen(9, 4))
-        chain = ctx33.gamma()
-        assert [w.tau for w in witnesses] == chain.perms
-        assert len(chain.perms) == 37
+        perms = gamma_chain(ctx33.p.n)
+        assert [w.tau for w in witnesses] == perms
+        assert len(perms) == 37
         mutations = sum(rep.branch == "mutation" for rep in chain_verify(ctx33))
         assert len(calls) == 6 == 1 + mutations
 
@@ -633,7 +634,7 @@ def _walk_cases(ctx):
 def _runs(ctx):
     """(first permutation, seed key) of each run of equal seed keys along Gamma_N."""
     runs = []
-    for tau in ctx.gamma().perms:
+    for tau in gamma_chain(ctx.p.n):
         key = tau_data(ctx.eta, tau)[1]
         if not runs or key != runs[-1][1]:
             runs.append((tau, key))
@@ -648,8 +649,9 @@ def _walk(ctx, used=()):
     n = ctx.p.n
     runs = _runs(ctx)
     images = [(ctx.x_in_y, [MvLaurent.gen(n, j) if j in used else MvLaurent.zero(n) for j in range(n)])]
-    for (_, key), (_, new_key) in zip(runs, runs[1:]):
-        images.append(cluster._exchanged_images(ctx, key, new_key, *images[-1]))
+    for _, _, _, changed, new_cluster in list(cluster._gamma_walk(ctx))[1:]:
+        if changed:
+            images.append(cluster._exchanged_images(ctx, changed, new_cluster, *images[-1]))
     return [(tau, key, x_imgs, y_imgs) for (tau, key), (x_imgs, y_imgs) in zip(runs, images)]
 
 
@@ -667,7 +669,7 @@ def test_gamma_keys_change_in_one_slot(name):
     # the walk relies on this: adjacent keys are equal or differ in one slot,
     # and no key comes back after its run of equal keys ends
     ctx = ClusterContext.build_normalizing(KEY_INPUTS[name]())[0]
-    keys = [tau_data(ctx.eta, tau)[1] for tau in ctx.gamma().perms]
+    keys = [tau_data(ctx.eta, tau)[1] for tau in gamma_chain(ctx.p.n)]
     assert {sum(u != v for u, v in zip(a, b)) for a, b in zip(keys, keys[1:])} <= {0, 1}
     assert len(_runs(ctx)) == len(set(keys))
 
@@ -688,7 +690,7 @@ class TestMembershipWalk:
     def test_equals_per_tau_oracle(self, name):
         ctx = _walk_ctx(name)
         first_of_key = {}
-        for tau in ctx.gamma().perms:
+        for tau in gamma_chain(ctx.p.n):
             first_of_key.setdefault(tau_data(ctx.eta, tau)[1], tau)
         outcomes = []
         for i, (f, inv, coords) in enumerate(_walk_cases(ctx)):
@@ -767,8 +769,9 @@ class TestMembershipWalk:
         return kb, j
 
     def test_neighbour_two_slots_away_raises(self, monkeypatch, tmp_path, capsys):
-        # slot j, where the keys agree, gets a label of no interval prime
-        kb, j = self._corrupt_third_key(monkeypatch, lambda key, kb, j: key[:j] + ((-1, -1),) + key[j + 1:])
+        # slot j, where the keys agree, gets slot kb's new label, so two slots
+        # change; the walk builds both, and the exchange refuses the step
+        kb, j = self._corrupt_third_key(monkeypatch, lambda key, kb, j: key[:j] + (key[kb],) + key[j + 1:])
         slots = sorted([kb + 1, j + 1])
         self._walk_fails(tmp_path, capsys, f"seed keys differ in slots {slots}, not in exactly one")
 
@@ -824,10 +827,13 @@ class TestInitialCluster:
     """x_in_y is written from the prime sequence, with no interval prime."""
 
     @pytest.mark.parametrize("name", INITIAL_INPUTS)
-    def test_x_in_y_is_the_oracle_at_the_identity(self, name):
+    def test_x_in_y_is_the_oracle_at_the_identity(self, name, monkeypatch):
         ctx = ClusterContext.build_normalizing(INITIAL_INPUTS[name]())[0]
+        calls = []
+        inner = cluster.interval_prime
+        monkeypatch.setattr(cluster, "interval_prime", lambda *args: calls.append(args) or inner(*args))
         got = cluster_expressions(ctx)
-        assert ctx._primes == {}
+        assert calls == []
         want = cluster_expressions_for_tau(ctx, tuple(range(ctx.p.n)))
         # term order included: reports render terms in dict order
         assert [list(f.terms.items()) for f in got] == [list(f.terms.items()) for f in want]

@@ -16,7 +16,10 @@ preset, rescaled_4x5 and two_block were taken while every cluster's
 generator images were still written by their own back-substitution.  The
 rescale, symmetric and chain-verify digests on rescaled_3x3, rescaled_4x5
 and the benchmark's chain input of seed 1 were taken while each
-pi_[i, s(i)] was still read off a product of interval primes.
+pi_[i, s(i)] was still read off a product of interval primes.  The digests
+of the y-coordinate membership reports were re-taken when their element
+text moved from x names to y names; a JSON diff against the reports before
+showed element.text as the only change.
 """
 
 import hashlib
@@ -36,7 +39,7 @@ GOLDEN = [
     (["membership", "--elem", "t11*t22 - t12*t21"], 0,
      "c06bfa925d2a61ea8167432f268d1253be0b4d80a357c0fba5ee0b6e01bfa1c9"),
     (["membership", "--coords", "y", "--elem", "y4^-1*y1*y9"], 1,
-     "bae8a4d41da7cf9c22c78864cbeae751e7600b6ce646f130674bc1bb04fc34af"),
+     "63cab3c533f85f11f7ceff5bcb2d05e4a6de075e581c946ddbefe53366624b5f"),
     (["seeds", "--gamma"], 0,
      "4bc90031a95d3345e78c580bdf4bba23a1d228f4b43809fc3f7334ef755e2e61"),
     (["mutate", "--at", "1"], 0,
@@ -130,27 +133,27 @@ MEMBERSHIP_GOLDEN = [
               " - 5*t12*t21 + 5*t34*t43 + 5*t13*t31 + 3*t24*t42"], 0,
      "44b5e3b24ac033bf37830e79db268e465521dec65beedb675b6e80b95451fa60"),
     ("m44", ["--coords", "y", "--elem", "y6^-1*y5"], 1,
-     "b229ea895a4431652ec434947ea0e27ea49c0aa28ed16a3caed120a1ccd126f8"),
+     "ad8dd6e736f9b12f12701becf5369efdc28a130a29915860a673cd6d1cf15ce5"),
     ("m44", ["--elem", "1*t11*t22*t33*t44 - 5*t14*t23*t32*t41"
               " - 5*t12*t21 + 4*t34*t43 - 3*t13*t31 - 5*t24*t42"], 0,
      "464d82770d00acfcb699768f1b2d836c6d76c739e6ac84ecf0bd3bb1224b6b88"),
     ("m44", ["--coords", "y", "--elem", "y7^-1*y8"], 1,
-     "425f937ec39eefd14f4433bbc3dec295189d66d58cb82663c2b3cf9191292878"),
+     "343a24f519eb6b6dc4c5ef0d52eb56acc6aeff4ecaf96d8a6637c73830d138f2"),
     ("m44", ["--elem", "5*t11*t22*t33*t44 - 4*t14*t23*t32*t41"
               " + 4*t12*t21 + 1*t34*t43 - 1*t13*t31 - 4*t24*t42"], 0,
      "db224bc27d20fa0d2cfdb559d62356c5f4e03968dd793e9d1cb8f29595c41c83"),
     ("m44", ["--coords", "y", "--elem", "y10^-1*y4"], 1,
-     "8f6dd3d02f9637810ac33952b5a60cafd4a3fb9a6301fdd6a50172e75eaac214"),
+     "c6161feab63333b1df560f9a720372c7ac7eff7cbd361a1d9e23ed125a8bef9e"),
     ("r45", ["--elem", "x1*x7 - x2*x6 + 2*x3*x20"], 0,
      "bbffa50d54f4dab6048061aa3fd6802f6ff29d40276b9084fa6389cda40d0c2c"),
     ("r45", ["--coords", "y", "--elem", "y6^-1*y1*y20"], 1,
-     "c78fd8aecfb75d3f4ab2a090b42c075f05826ef0d23f0111754d25aaba5da1f8"),
+     "84ad455275fb0af8cdd01454b14f86bdf22b66af96aaa709ffeff346184d646e"),
     ("r45", ["--coords", "y", "--elem", "y20^-1*y3", "--inv", "20"], 0,
-     "020d68f4541894550f140e79160496191d1a121f13ec76cb319ecc1159d7c9ad"),
+     "6583267efac6278aeb42e4d178406ecda7eb07c41c2dc6f18fb6e321f7eb6e49"),
     ("two_block", ["--elem", "x1*x2 + x3*x4"], 0,
      "1bda1ed918876e10af4d7643b204a23830a10ad70fed5ce01ad1861da37f64d9"),
     ("two_block", ["--coords", "y", "--elem", "y2^-1*y1"], 1,
-     "849a88e88d7793e4c7cc5f315096acc12db2269ba78a7e55ae33e7775f5ea65e"),
+     "02fab498fd08daae73afe1f97761720e1466b33adfc21a6084df4af333b7871e"),
 ]
 
 

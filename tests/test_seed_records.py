@@ -1,6 +1,6 @@
 """One seed per seed key, against the per-permutation construction it replaced.
 
-seed_for_tau builds r, solves and checks one bundle per seed key and hands
+gamma_bundles builds r, solves and checks one bundle per seed key and hands
 it out with each permutation's own tau and sigma.  The oracle below is the
 old path: every permutation built on its own, with r_tau from Omega_lambda
 on every pair of the tau-presentation's ebar vectors.
@@ -16,13 +16,14 @@ from pcgl.cluster import (
     TauSeedBundle,
     chain_verify,
     check_seed_invariants,
+    gamma_bundles,
     mutate_seed,
-    seed_for_tau,
     solve_btilde,
+    verify_one_step,
 )
 from pcgl.presentation import weight_of
 from pcgl.presets import build_matrix_poisson
-from pcgl.symmetric import interval_prime
+from pcgl.symmetric import gamma_chain, interval_prime
 
 from conftest import rescaled_3x3
 from tau_oracles import eta_tau_data, perm_compose, perm_inverse, seed_key, tau_bullet
@@ -66,36 +67,40 @@ def _fresh_context(name):
 DISTINCT = {"2x3": 3, "3x3": 6, "rescaled_3x3": 6, "3x4": 9}
 
 
-def _oracle_reports(ctx, monkeypatch):
-    with monkeypatch.context() as m:
-        m.setattr(cluster, "seed_for_tau", _seed_for_tau_per_tau)
-        return chain_verify(ctx)
+def _links(ctx, bundles):
+    return [verify_one_step(ctx, a, b) for a, b in zip(bundles, bundles[1:])]
 
 
-def _assert_matches_oracle(ctx, want_reports):
-    for tau in ctx.gamma().perms:
-        assert seed_for_tau(ctx, tau) == _seed_for_tau_per_tau(ctx, tau)
-    assert chain_verify(ctx) == want_reports
+def _oracle_reports(ctx):
+    return _links(ctx, [_seed_for_tau_per_tau(ctx, tau) for tau in gamma_chain(ctx.p.n)])
+
+
+def _assert_matches_oracle(ctx, bundles, want_reports):
+    for bundle in bundles:
+        assert bundle == _seed_for_tau_per_tau(ctx, bundle.tau)
+    assert _links(ctx, bundles) == want_reports
 
 
 @pytest.mark.parametrize("name", sorted(DISTINCT))
-def test_bundles_and_links_equal_the_per_tau_oracle(name, monkeypatch):
+def test_bundles_and_links_equal_the_per_tau_oracle(name):
     ctx = _fresh_context(name)
-    want = _oracle_reports(_fresh_context(name), monkeypatch)
+    want = _oracle_reports(_fresh_context(name))
     assert all(rep.verified for rep in want)
-    _assert_matches_oracle(ctx, want)
-    assert len(ctx._seeds) == DISTINCT[name]
+    assert chain_verify(ctx) == want
+    bundles = gamma_bundles(ctx)
+    assert [bundle.tau for bundle in bundles] == gamma_chain(ctx.p.n)
+    _assert_matches_oracle(ctx, bundles, want)
     first_of_key = {}
-    for tau in ctx.gamma().perms:
-        first = seed_for_tau(ctx, first_of_key.setdefault(seed_key(ctx.eta, tau)[1], tau))
-        assert seed_for_tau(ctx, tau).vars_x is first.vars_x
+    for bundle in bundles:
+        first = first_of_key.setdefault(seed_key(ctx.eta, bundle.tau)[1], bundle)
+        assert bundle.vars_x is first.vars_x
+    assert len(first_of_key) == DISTINCT[name]
     # bundles of one key share their lists; mutating every seed in every
     # exchangeable direction must leave every bundle and link unchanged
-    for tau in first_of_key.values():
-        bundle = seed_for_tau(ctx, tau)
+    for bundle in first_of_key.values():
         for k in bundle.btilde.ex:
             mutate_seed(ctx, bundle, k)
-    _assert_matches_oracle(ctx, want)
+    _assert_matches_oracle(ctx, bundles, want)
 
 
 # ------------------------------------------------- a key's r is checked on its links
@@ -127,9 +132,9 @@ def test_perturbed_r_tau_fails_its_links(monkeypatch, branch, detail):
     e = _stealth_perturbation(_seed_for_tau_per_tau(ctx, link.tau_next))
     r_for_tau = cluster.r_matrix_for_tau
 
-    def perturbed(p, eta, tau):
-        r = r_for_tau(p, eta, tau)
-        if seed_key(eta, tau)[1] != target:
+    def perturbed(p, eta, key):
+        r = r_for_tau(p, eta, key)
+        if key != target:
             return r
         return [[x + Fraction(d, p.lam_den) for x, d in zip(row, drow)] for row, drow in zip(r, e)]
 

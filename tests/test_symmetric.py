@@ -120,17 +120,18 @@ class TestXiEnumeration:
 
     def test_gamma_chain_n4(self):
         chain = gamma_chain(4)
-        got = [tuple(v + 1 for v in t) for t in chain.perms]
+        got = [tuple(v + 1 for v in t) for t in chain]
         assert got == [(1, 2, 3, 4), (2, 1, 3, 4), (2, 3, 1, 4), (2, 3, 4, 1),
                        (3, 2, 4, 1), (3, 4, 2, 1), (4, 3, 2, 1)]
 
     def test_gamma_chain_lengths(self):
         for n in range(2, 13):
             chain = gamma_chain(n)
-            assert len(chain.perms) == n * (n - 1) // 2 + 1
-            assert all(is_xi_element(t) for t in chain.perms)
+            assert len(chain) == n * (n - 1) // 2 + 1
+            assert all(is_xi_element(t) for t in chain)
             # adjacency by one transposition of neighboring positions
-            for tau, tau_next, k in zip(chain.perms, chain.perms[1:], chain.links):
+            for tau, tau_next in zip(chain, chain[1:]):
+                k = next(i for i in range(n) if tau[i] != tau_next[i])
                 assert tau_next == tau[:k] + (tau[k + 1], tau[k]) + tau[k + 2:]
 
     def test_gamma_chain_annotation(self, ctx22):
@@ -156,7 +157,7 @@ class TestTauBullet:
 
     def test_level_set_preserving_and_increasing(self, ctx33):
         eta = ctx33.eta
-        for tau in gamma_chain(9).perms:
+        for tau in gamma_chain(9):
             tb = tau_bullet_read(tau, eta)
             comp = perm_compose(tb, tau)
             for v in range(9):
