@@ -36,9 +36,11 @@ EXIT_INPUT = 2
 MAX_GAMMA_GENERATORS = 36
 
 # Largest total degree (sum of absolute exponents) of one term of a
-# membership --elem.  The cost of expressing a term grows steeply with its
-# degree: on the 4x4 preset under Python 3.11 on 2 vCPUs, x1^6 takes 10.5
-# to 12.4 s (four CLI runs), and x1^8 took 314 s in-process.
+# membership --elem.  The cost of substituting a term grows steeply with its
+# degree.  An x-input whose generator images certify each cluster is not
+# substituted: under Python 3.11 on 2 vCPUs, x1^6 takes about 0.2 s on the
+# 4x4 preset and 0.7 s on 5x5 (CLI runs).  A y-input is substituted in every
+# cluster: y6^-3*y1^3 takes 11.4 s on 5x5 (one CLI run).
 MAX_ELEM_DEGREE = 6
 
 # Most decimal digits in the numerator or denominator of one --elem

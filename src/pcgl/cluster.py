@@ -24,15 +24,11 @@ the identity, whose cluster is the prime sequence, it carries each cluster
 to the next by building only the slots whose label changed.  gamma_bundles
 reads it to solve and check one bundle per run of equal keys, for
 chain_verify and the seeds report; upper_membership reads it to carry the
-generators, written in the initial cluster by one back-substitution along
-the predecessors (cluster_expressions), and the y_j a y-input uses, into
-each new cluster, which differs in one slot kb, by substituting
-y_kb -> Q / y'_kb in the images that involve kb, with Q = y_kb y'_kb free of
-y_kb (the Laurent phenomenon makes the one division exact).  A step where
-this does not hold raises ClusterError.  check_log_canonical brackets every
-pair of a seed's variables against r.  Every function here that needs
-sigma = tau_bullet o tau or the seed key takes them from one call of
-symmetric.tau_data.
+images of its input's variables from each cluster to the next by one
+exchange (_carried_images), with Q read off the exchange matrix.
+check_log_canonical brackets every pair of a seed's variables against r.
+Every function here that needs sigma = tau_bullet o tau or the seed key
+takes them from one call of symmetric.tau_data.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ from __future__ import annotations
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import linalg
 from .cgl import EtaData, PrimeSequenceReport, compute_eta_and_primes
@@ -502,6 +498,13 @@ def _exchange_binomial(variables: Sequence[MvLaurent], col: Sequence[int]) -> Mv
     return plus + minus
 
 
+def _exchange_identity_holds(variables: Sequence[MvLaurent], new: MvLaurent, k: int,
+                             col: Sequence[int]) -> bool:
+    """new * variables[k] == prod_+ + prod_- of the exchange-matrix column
+    col, all in one coordinate system."""
+    return new * variables[k] == _exchange_binomial(variables, col)
+
+
 def verify_one_step(ctx: ClusterContext, a: TauSeedBundle, b: TauSeedBundle) -> LinkReport:
     """Exactly verify the link between the bundles of adjacent permutations
     tau and tau' = tau (k, k+1); LinkFailure when they are not adjacent.
@@ -540,7 +543,7 @@ def verify_one_step(ctx: ClusterContext, a: TauSeedBundle, b: TauSeedBundle) -> 
 
     # exchange identity x'_k x_k = prod_+ + prod_-  (checked in x coordinates)
     col = low.btilde.column(k_bullet)
-    if high.vars_x[k_bullet] * low.vars_x[k_bullet] != _exchange_binomial(low.vars_x, col):
+    if not _exchange_identity_holds(low.vars_x, high.vars_x[k_bullet], k_bullet, col):
         problems.append("exchange identity fails")
 
     # column identity b_tau^k = -b_tau'^k = e_p(k) + e_s(k) - g with g >= 0
@@ -613,8 +616,8 @@ def cluster_expressions(ctx: ClusterContext) -> List[MvLaurent]:
     x_k = y_{p(k)}^{-1} (y_k + c_k), where c_k = y_{p(k)} x_k - y_k involves
     only x_1..x_{k-1} and is substituted in the images already written; x_k
     with no predecessor is y_k.  This is the context's one table ctx.x_in_y,
-    from which upper_membership derives every other cluster of its walk by
-    exchange (_exchanged_images).
+    from which upper_membership carries an x-input's generators into every
+    other cluster of its walk by exchange (_carried_images).
     """
     n = ctx.p.n
     y = ctx.seq.y
@@ -631,37 +634,9 @@ def cluster_expressions(ctx: ClusterContext) -> List[MvLaurent]:
     return images
 
 
-def _exchanged_images(ctx: ClusterContext, changed: Sequence[int], cluster: Cluster, x_imgs: List[MvLaurent],
-                      y_imgs: List[MvLaurent]) -> Tuple[List[MvLaurent], List[MvLaurent]]:
-    """The generator images x_imgs and the initial-cluster images y_imgs in
-    the walk's new cluster, derived from those in the cluster before it by
-    one exchange; changed lists the slots whose label changed.
-
-    It must be exactly one slot kb, so that every other variable is the same
-    element in the same slot.  The new variable cluster[kb] written in the
-    old cluster is Y; Q = Y * y_kb must not involve slot kb, so that
-    y_kb -> Q / y'_kb rewrites each image of either list that involves kb,
-    and the Laurent phenomenon makes that one division exact.  Adjacent
-    Gamma_N seeds are equal or one mutation apart, so this holds at every
-    Gamma_N step; a step where it fails raises ClusterError naming the slot.
-    """
-    if len(changed) != 1:
-        raise ClusterError(f"seed keys differ in slots {[j + 1 for j in changed]}, not in exactly one")
-    kb = changed[0]
-    q = substitute(cluster[kb][0], x_imgs) * MvLaurent.gen(ctx.p.n, kb)
-    if any(e[kb] for e in q.terms):
-        raise ClusterError(f"exchange polynomial of slot {kb+1} involves y_{kb+1}")
-    try:
-        return tuple([_exchange_slot(f, kb, q) if any(e[kb] for e in f.terms) else f for f in images]
-                     for images in (x_imgs, y_imgs))
-    except NonInvertibleImage as exc:
-        raise ClusterError(f"exchange in slot {kb+1} is not exact: {exc}") from exc
-
-
 class MembershipWitness(NamedTuple):
     tau: Perm
     ok: bool
-    expression: Optional[MvLaurent]
     bad_frozen: List[int]
 
     def as_dict(self) -> dict:
@@ -672,9 +647,19 @@ class MembershipWitness(NamedTuple):
         }
 
 
-def _require_polynomial(f: MvLaurent) -> None:
-    if not f.is_polynomial():
-        raise NotInRing("x-coordinate input must be a polynomial in the generators")
+def _check_coords(f: MvLaurent, coords: str) -> None:
+    if coords == "x":
+        if not f.is_polynomial():
+            raise NotInRing("x-coordinate input must be a polynomial in the generators")
+    elif coords != "y":
+        raise ValueError("coords must be 'x' or 'y'")
+
+
+def _bad_frozen(ctx: ClusterContext, polys: Sequence[MvLaurent], inv: Sequence[int]) -> List[int]:
+    """The frozen indices outside inv at which some of polys has a negative exponent."""
+    inv_set = set(inv)
+    return sorted(l for l in range(ctx.p.n) if ctx.eta.succ[l] is None and l not in inv_set
+                  and any(e[l] < 0 for f in polys for e in f.terms))
 
 
 def express_in_cluster(ctx: ClusterContext, f: MvLaurent, tau: Perm, images: Sequence[MvLaurent],
@@ -690,53 +675,85 @@ def express_in_cluster(ctx: ClusterContext, f: MvLaurent, tau: Perm, images: Seq
     cancellation; NotInRing is raised when f does not land in the Laurent
     ring of the cluster at all.
     """
-    if coords == "x":
-        _require_polynomial(f)
-    elif coords != "y":
-        raise ValueError("coords must be 'x' or 'y'")
+    _check_coords(f, coords)
     try:
         expr = substitute(f, images)
     except NonInvertibleImage as exc:
         raise NotInRing(f"element is not Laurent in the tau-cluster: {exc}") from exc
-    frozen = [l for l in range(ctx.p.n) if ctx.eta.succ[l] is None]
-    inv_set = set(inv)
-    bad = sorted({l for l in frozen if l not in inv_set
-                  for e in expr.terms if e[l] < 0})
-    witness = MembershipWitness(tau=tuple(tau), ok=not bad, expression=expr, bad_frozen=bad)
-    return expr, witness
+    bad = _bad_frozen(ctx, [expr], inv)
+    return expr, MembershipWitness(tau=tuple(tau), ok=not bad, bad_frozen=bad)
+
+
+def _certified_by_images(ctx: ClusterContext, images: Sequence[MvLaurent], inv: Sequence[int]) -> bool:
+    """No image has a negative exponent at a frozen index outside inv, so no
+    polynomial in the images has one either."""
+    return not _bad_frozen(ctx, images, inv)
+
+
+def _carried_images(ctx: ClusterContext, start: Sequence[MvLaurent],
+                    used: Set[int]) -> Iterator[Tuple[Perm, bool, List[MvLaurent]]]:
+    """(tau, changed, images) for each Gamma_N permutation in chain order:
+    images[j] is start[j] (in the initial cluster) written in tau's cluster
+    for j in used, else zero; changed says the cluster is new.
+
+    B is solved once, at the identity.  A later change of key must be in one
+    slot kb whose new variable y'_kb passes the exchange identity
+    y'_kb y_kb = prod_+ + prod_- of column kb of B, checked in generator
+    coordinates.  Then y_kb -> Q / y'_kb, Q that binomial in the cluster's
+    own variables, rewrites the images that involve kb with one exact
+    division (the Laurent phenomenon), and B is mutated at kb.  A step where
+    this fails raises ClusterError naming the slot.
+    """
+    n = ctx.p.n
+    images = [start[j] if j in used else MvLaurent.zero(n) for j in range(n)]
+    b: Optional[BMatrix] = None
+    old: Cluster = []
+    for tau, sigma, key, changed, cluster in _gamma_walk(ctx):
+        if b is None:
+            b = _build_bundle(ctx, tau, sigma, key, cluster).btilde
+        elif changed:
+            if len(changed) != 1:
+                raise ClusterError(f"seed keys differ in slots {[j + 1 for j in changed]}, not in exactly one")
+            kb = changed[0]
+            col = b.column(kb)
+            if not _exchange_identity_holds([y for y, _ in old], cluster[kb][0], kb, col):
+                raise ClusterError(f"exchange identity of slot {kb+1} fails")
+            q = MvLaurent.monomial(n, [max(c, 0) for c in col]) + MvLaurent.monomial(n, [max(-c, 0) for c in col])
+            try:
+                images = [_exchange_slot(g, kb, q) if any(e[kb] for e in g.terms) else g for g in images]
+            except NonInvertibleImage as exc:
+                raise ClusterError(f"exchange in slot {kb+1} is not exact: {exc}") from exc
+            b = mutate_matrix(b, kb)
+        old = cluster
+        yield tau, bool(changed), images
 
 
 def upper_membership(ctx: ClusterContext, f: MvLaurent, inv: Sequence[int] = (),
                      coords: str = "x") -> Tuple[bool, List[MembershipWitness]]:
     """Certificate for membership in the Gamma_N intersection of mixed rings.
 
-    Along _gamma_walk it holds the generators written in the current
-    cluster: ctx.x_in_y at the identity, where the walk starts, then at each
-    change of key the images _exchanged_images derives from the cluster
-    before.  A y-coordinate input's variables ride along: each y_j that f
-    uses starts as itself in the identity cluster and is rewritten with the
-    same exchanges.  f is expressed once per run of equal keys, and every
-    permutation gets a witness carrying its run's result.  An x-coordinate
-    input that is not a polynomial raises NotInRing up front; a y-coordinate
-    input that is not Laurent in some cluster gets ok=False witnesses there.
+    _carried_images carries f's own variables along the walk: the generators
+    f uses from ctx.x_in_y, or the y_j a y-input uses from themselves, so a
+    y-input never builds ctx.x_in_y.  In each new cluster an x-input whose
+    images certify (_certified_by_images) is not substituted; any other
+    input is expressed there.  Every permutation gets its cluster's witness.
+    A non-polynomial x-input raises NotInRing up front; a y-input that is
+    not Laurent in a cluster gets ok=False witnesses with no bad_frozen.
     """
+    _check_coords(f, coords)
     n = ctx.p.n
-    if coords == "x":
-        _require_polynomial(f)
-    # substitute reads y_imgs[j] only where f has a nonzero exponent
-    used = f.support() if coords == "y" else set()
-    y_imgs = [MvLaurent.gen(n, j) if j in used else MvLaurent.zero(n) for j in range(n)]
-    x_imgs = ctx.x_in_y
+    start = ctx.x_in_y if coords == "x" else [MvLaurent.gen(n, j) for j in range(n)]
     witnesses: List[MembershipWitness] = []
-    for tau, _, _, changed, cluster in _gamma_walk(ctx):
+    # substitute reads images[j] only where f has a nonzero exponent
+    for tau, changed, images in _carried_images(ctx, start, f.support()):
         if changed:
-            if witnesses:
-                x_imgs, y_imgs = _exchanged_images(ctx, changed, cluster, x_imgs, y_imgs)
-            try:
-                w = express_in_cluster(ctx, f, tau, x_imgs if coords == "x" else y_imgs,
-                                       inv=inv, coords=coords)[1]
-            except NotInRing:
-                w = MembershipWitness(tau=tau, ok=False, expression=None, bad_frozen=[])
+            if coords == "x" and _certified_by_images(ctx, images, inv):
+                w = MembershipWitness(tau=tau, ok=True, bad_frozen=[])
+            else:
+                try:
+                    w = express_in_cluster(ctx, f, tau, images, inv=inv, coords=coords)[1]
+                except NotInRing:
+                    w = MembershipWitness(tau=tau, ok=False, bad_frozen=[])
         witnesses.append(w._replace(tau=tau, bad_frozen=list(w.bad_frozen)))
     return all(w.ok for w in witnesses), witnesses
 

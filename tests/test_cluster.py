@@ -35,7 +35,7 @@ from pcgl.cluster import (
     upper_membership,
     verify_one_step,
 )
-from pcgl import cli, cluster
+from pcgl import cli, cluster, linalg
 from pcgl.poly import NonInvertibleImage, MvLaurent, substitute
 from pcgl.presentation import _dot
 from pcgl.presets import build_affine_space, build_matrix_poisson
@@ -526,7 +526,7 @@ def _express_per_tau(ctx, f, tau, inv=(), coords="x"):
             raise NotInRing(str(exc)) from exc
     frozen = [l for l in range(ctx.p.n) if ctx.eta.succ[l] is None]
     bad = sorted({l for l in frozen if l not in set(inv) for e in expr.terms if e[l] < 0})
-    return MembershipWitness(tau=tuple(tau), ok=not bad, expression=expr, bad_frozen=bad)
+    return MembershipWitness(tau=tuple(tau), ok=not bad, bad_frozen=bad)
 
 
 def _upper_membership_per_tau(ctx, f, inv=(), coords="x"):
@@ -537,7 +537,7 @@ def _upper_membership_per_tau(ctx, f, inv=(), coords="x"):
         try:
             w = _express_per_tau(ctx, f, tau, inv=inv, coords=coords)
         except NotInRing:
-            w = MembershipWitness(tau=tuple(tau), ok=False, expression=None, bad_frozen=[])
+            w = MembershipWitness(tau=tuple(tau), ok=False, bad_frozen=[])
         witnesses.append(w)
         ok = ok and w.ok
     return ok, witnesses
@@ -569,10 +569,12 @@ class TestMembershipDedupe:
         assert oks == [True, False, True, False]
         f, inv, coords = self._cases(ctx33)[3]
         _, witnesses = upper_membership(ctx33, f, inv=inv, coords=coords)
-        missing = [w.expression is None for w in witnesses]
+        missing = [not w.ok and not w.bad_frozen for w in witnesses]
         assert any(missing) and not all(missing)   # NotInRing in some clusters only
 
     def test_one_expression_per_seed_key(self, ctx33, monkeypatch):
+        # the y-input is expressed once per cluster; the x-input not at all,
+        # as its carried generator images certify every cluster
         calls = []
         inner = cluster.express_in_cluster
 
@@ -585,6 +587,10 @@ class TestMembershipDedupe:
         perms = gamma_chain(ctx33.p.n)
         assert [w.tau for w in witnesses] == perms
         assert len(perms) == 37
+        assert calls == []
+        f, inv, coords = self._cases(ctx33)[3]
+        _, witnesses = upper_membership(ctx33, f, inv=inv, coords=coords)
+        assert [w.tau for w in witnesses] == perms
         mutations = sum(rep.branch == "mutation" for rep in chain_verify(ctx33))
         assert len(calls) == 6 == 1 + mutations
 
@@ -621,14 +627,15 @@ def _spy_back_substitution(monkeypatch):
 
 def _walk_cases(ctx):
     """An x-input, and a y-input that is not Laurent in some clusters and has
-    a negative power of the last frozen variable, without and with --inv."""
+    a negative power of the last frozen variable, without and with --inv;
+    then the x-input with --inv."""
     n = ctx.p.n
     frozen = [l for l in range(n) if ctx.eta.succ[l] is None][-1]
     b = 1 if ctx.eta.succ[1] is not None else ctx.eta.exchangeable[-1]
     x = MvLaurent.gen(n, 0) * MvLaurent.gen(n, n - 1) - MvLaurent.gen(n, 1) * MvLaurent.gen(n, n - 2) \
         + 3 * MvLaurent.gen(n, n // 2)
     y = MvLaurent.gen(n, b, -1) * MvLaurent.gen(n, 0) * MvLaurent.gen(n, frozen, -1)
-    return [(x, (), "x"), (y, (), "y"), (y, (frozen,), "y")]
+    return [(x, (), "x"), (y, (), "y"), (y, (frozen,), "y"), (x, (frozen,), "x")]
 
 
 def _runs(ctx):
@@ -643,16 +650,14 @@ def _runs(ctx):
 
 def _walk(ctx, used=()):
     """The runs with the generator images of their clusters and the images
-    of the y_j with j in used (zero for the others), derived as
-    upper_membership derives them: ctx.x_in_y and each y_j as itself, then
-    one exchange per run."""
+    of the y_j with j in used (zero for the others), carried as
+    upper_membership carries them: from ctx.x_in_y and from each y_j as
+    itself, by one exchange per run."""
     n = ctx.p.n
-    runs = _runs(ctx)
-    images = [(ctx.x_in_y, [MvLaurent.gen(n, j) if j in used else MvLaurent.zero(n) for j in range(n)])]
-    for _, _, _, changed, new_cluster in list(cluster._gamma_walk(ctx))[1:]:
-        if changed:
-            images.append(cluster._exchanged_images(ctx, changed, new_cluster, *images[-1]))
-    return [(tau, key, x_imgs, y_imgs) for (tau, key), (x_imgs, y_imgs) in zip(runs, images)]
+    walks = (cluster._carried_images(ctx, ctx.x_in_y, set(range(n))),
+             cluster._carried_images(ctx, [MvLaurent.gen(n, j) for j in range(n)], set(used)))
+    x_runs, y_runs = ([images for _, changed, images in walk if changed] for walk in walks)
+    return [(tau, key, x_imgs, y_imgs) for (tau, key), x_imgs, y_imgs in zip(_runs(ctx), x_runs, y_runs)]
 
 
 # every fixture the walk was checked on: the walk inputs, plus 1x5, 5x5 and the Weyl blocks
@@ -695,11 +700,12 @@ class TestMembershipWalk:
         outcomes = []
         for i, (f, inv, coords) in enumerate(_walk_cases(ctx)):
             got = upper_membership(ctx, f, inv=inv, coords=coords)
-            if coords == "x" or name in SMALL_WALK_INPUTS:
+            if i == 0 or name in SMALL_WALK_INPUTS:
                 assert got == _upper_membership_per_tau(ctx, f, inv=inv, coords=coords)
             else:
-                # the oracle rewrites every y_j in every cluster, about 5 s per
-                # input on rescaled_4x5, so it runs on the first permutation of
+                # the oracle writes the generators in every cluster, and a
+                # y-input's y_j too, about 5 s per input on rescaled_4x5, so
+                # past the first input it runs on the first permutation of
                 # each cluster; the other witnesses copy their cluster's
                 # (TestMembershipDedupe)
                 for w in got[1]:
@@ -707,14 +713,15 @@ class TestMembershipWalk:
                         try:
                             want = _express_per_tau(ctx, f, w.tau, inv=inv, coords=coords)
                         except NotInRing:
-                            want = MembershipWitness(tau=w.tau, ok=False, expression=None, bad_frozen=[])
+                            want = MembershipWitness(tau=w.tau, ok=False, bad_frozen=[])
                         assert w == want
-            outcomes.append((got[0], [w.expression is None for w in got[1]]))
+            outcomes.append((got[0], [not w.ok and not w.bad_frozen for w in got[1]]))
         assert outcomes[0][0] and not any(outcomes[0][1])
         # the y-input is not Laurent in some clusters, and the walk resumes after them
         assert outcomes[1][1] == outcomes[2][1]
         assert any(outcomes[1][1]) and not all(outcomes[1][1])
         assert outcomes[1][0] is False and outcomes[2][0] is False
+        assert outcomes[3] == outcomes[0]
 
     @pytest.mark.parametrize("name", WALK_INPUTS)
     def test_one_back_substitution_per_membership(self, name, monkeypatch):
@@ -775,10 +782,24 @@ class TestMembershipWalk:
         slots = sorted([kb + 1, j + 1])
         self._walk_fails(tmp_path, capsys, f"seed keys differ in slots {slots}, not in exactly one")
 
-    def test_exchange_polynomial_in_the_slot_raises(self, monkeypatch, tmp_path, capsys):
-        # slot kb gets slot j's label: Y = y_j, and Q = y_j y_kb involves slot kb
-        kb, _ = self._corrupt_third_key(monkeypatch, lambda key, kb, j: key[:kb] + (key[j],) + key[kb + 1:])
-        self._walk_fails(tmp_path, capsys, f"exchange polynomial of slot {kb+1} involves y_{kb+1}")
+    def test_corrupted_exchange_column_raises(self, monkeypatch, tmp_path, capsys):
+        # the identity's exchange matrix with column kb, the slot of the
+        # first exchange, changed in one entry: y'_kb * y_kb is no longer
+        # its binomial, and the walk refuses the step before rewriting
+        (_, first), (_, second) = _runs(_walk_ctx("3x4"))[:2]
+        kb = next(j for j in range(len(first)) if first[j] != second[j])
+        inner = cluster._build_bundle
+
+        def corrupted(*args):
+            bundle = inner(*args)
+            col = list(bundle.btilde.column(kb))
+            col[0 if kb else 1] += 1
+            cols = {**bundle.btilde.cols, kb: tuple(col)}
+            return bundle._replace(btilde=bundle.btilde._replace(cols=cols))
+
+        monkeypatch.setattr(cluster, "_build_bundle", corrupted)
+        monkeypatch.setattr(cluster, "_exchange_slot", None)   # never reached
+        self._walk_fails(tmp_path, capsys, f"exchange identity of slot {kb+1} fails")
 
     def test_inexact_division_raises(self, monkeypatch, tmp_path, capsys):
         def inexact(f, k, q):
@@ -812,6 +833,49 @@ class TestMembershipWalk:
         upper_membership(ctx33, f, coords="y")
         assert sum(g is f for g in calls) == len(_runs(ctx33)) == 6
         assert not any(g is y for g in calls for y in ctx33.seq.y)
+
+    @pytest.mark.parametrize("name", WALK_INPUTS)
+    def test_forced_fallback_gives_the_same_witnesses(self, name, monkeypatch):
+        # an x-input whose images do not certify is expressed in the
+        # cluster; on inputs that certify, that fallback agrees with the
+        # certificate, without and with --inv
+        ctx = _walk_ctx(name)
+        x = _walk_cases(ctx)[0][0]
+        frozen = [l for l in range(ctx.p.n) if ctx.eta.succ[l] is None]
+        cases = [(x, ()), (x * x, ()), (x, frozen[-1:])]
+        fast = [upper_membership(ctx, f, inv=inv) for f, inv in cases]
+        assert all(ok for ok, _ in fast)
+        monkeypatch.setattr(cluster, "_certified_by_images", lambda ctx, images, inv: False)
+        assert [upper_membership(ctx, f, inv=inv) for f, inv in cases] == fast
+
+    def test_images_with_a_negative_frozen_exponent_do_not_certify(self, ctx33):
+        # the certificate reads the frozen exponents of every carried image
+        frozen = [l for l in range(9) if ctx33.eta.succ[l] is None]
+        images = [MvLaurent.gen(9, 0), MvLaurent.gen(9, 0) + MvLaurent.gen(9, frozen[0], -1)]
+        assert not cluster._certified_by_images(ctx33, images, ())
+        assert cluster._certified_by_images(ctx33, images, frozen[:1])
+        assert cluster._certified_by_images(ctx33, images[:1], ())
+
+    @pytest.mark.parametrize("coords, elem", [("x", "t11*t22 - t12*t21"), ("y", "y6^-1*y1*y16")])
+    def test_one_solve_and_no_substitution_of_an_interval_prime(self, coords, elem, tmp_path,
+                                                                monkeypatch, capsys):
+        # 4x4: B is solved at the identity and mutated after it; no new
+        # variable is written in the old cluster, and only an x-input writes
+        # the generators in the initial cluster
+        path = str(tmp_path / "m44.json")
+        assert cli.main(["preset", "matrix", "--m", "4", "--n", "4", "-o", path]) == 0
+        solves, primes, substituted = [], [], []
+        back = _spy_back_substitution(monkeypatch)
+        solve, prime, subst = linalg.solve, cluster.interval_prime, cluster.substitute
+        monkeypatch.setattr(linalg, "solve", lambda *a: solves.append(a) or solve(*a))
+        monkeypatch.setattr(cluster, "interval_prime", lambda *a: primes.append(prime(*a)) or primes[-1])
+        monkeypatch.setattr(cluster, "substitute", lambda f, images: substituted.append(f) or subst(f, images))
+        code = cli.main(["membership", path, "--coords", coords, "--elem", elem])
+        capsys.readouterr()
+        assert code == (0 if coords == "x" else 1)
+        assert len(solves) == 1 and len(primes) == 14
+        assert not any(f is y for f in substituted for y in primes)
+        assert len(back) == (1 if coords == "x" else 0)
 
 
 # every fixture the initial cluster's back-substitution was checked on
