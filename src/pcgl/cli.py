@@ -263,7 +263,7 @@ def cmd_validate(args) -> int:
     bound = _max_nilpotence_iters(args)
     p, names = _load_presentation(args.file)
     report = validate_algebra(p, max_nilpotence_iters=bound)
-    doc = {"command": "validate", "validation": report.as_dict()}
+    doc = {"command": "validate", "validation": ser.validation_report(report)}
     ok = report.passed
     _emit(doc, args.output, f"validation {'passed' if ok else 'FAILED'}: "
           + ", ".join(f"{k}={v}" for k, v in sorted(report.checks.items())))
@@ -275,7 +275,7 @@ def cmd_analyze(args) -> int:
     p, names = _load_presentation(args.file)
     vrep = validate_algebra(p, max_nilpotence_iters=bound)
     if not vrep.passed:
-        _emit({"command": "analyze", "validation": vrep.as_dict()}, args.output,
+        _emit({"command": "analyze", "validation": ser.validation_report(vrep)}, args.output,
               "validation FAILED; aborting analysis")
         return EXIT_INPUT
     eta, seq = compute_eta_and_primes(p)
@@ -283,7 +283,7 @@ def cmd_analyze(args) -> int:
     eqs, dim = hmax_equations(p, eta)
     doc = {
         "command": "analyze",
-        "validation": vrep.as_dict(),
+        "validation": ser.validation_report(vrep),
         "eta": eta.as_dict(),
         "y": [ser.poly_report(f, names) for f in seq.y],
         "leading_exponents": [list(e) for e in seq.leading_exponents],
@@ -302,15 +302,16 @@ def cmd_symmetric(args) -> int:
     p, names = _load_presentation(args.file)
     vrep = validate_algebra(p)
     if not vrep.passed:
-        _emit({"command": "symmetric", "validation": vrep.as_dict()}, args.output,
+        _emit({"command": "symmetric", "validation": ser.validation_report(vrep)}, args.output,
               "P-CGL validation FAILED")
         return EXIT_INPUT
     srep, ps, primes = validate_symmetric(p)
-    doc = {"command": "symmetric", "validation": vrep.as_dict(), "symmetric": srep.as_dict()}
+    doc = {"command": "symmetric", "validation": ser.validation_report(vrep),
+           "symmetric": ser.validation_report(srep)}
     if not srep.passed:
         _emit(doc, args.output, "symmetric validation FAILED")
         return EXIT_INPUT
-    eta, _seq = primes or compute_eta_and_primes(ps)
+    eta, _ = primes
     doc["lambda_star"] = [ser.fraction_to_json(v) for v in ps.lam_star]
     try:
         d_map, qscale = compute_d_integers(ps, eta)
@@ -328,15 +329,16 @@ def cmd_rescale(args) -> int:
     p, names = _load_presentation(args.file)
     vrep = validate_algebra(p)
     if not vrep.passed:
-        _emit({"command": "rescale", "validation": vrep.as_dict()}, args.output,
+        _emit({"command": "rescale", "validation": ser.validation_report(vrep)}, args.output,
               "P-CGL validation FAILED")
         return EXIT_INPUT
     srep, ps, primes = validate_symmetric(p)
     if not srep.passed:
-        _emit({"command": "rescale", "validation": vrep.as_dict(), "symmetric": srep.as_dict()},
+        _emit({"command": "rescale", "validation": ser.validation_report(vrep),
+               "symmetric": ser.validation_report(srep)},
               args.output, "input not a valid symmetric presentation")
         return EXIT_INPUT
-    eta, _ = primes or compute_eta_and_primes(ps)
+    eta, _ = primes
     gamma, p2 = rescale_generators(ps, eta)
     pis = dict(pi_values(p2, compute_eta_and_primes(p2)[0]))
     doc = {

@@ -298,7 +298,7 @@ class ClusterContext:
         report, ps, primes = validate_symmetric(p)
         if not report.passed:
             raise ClusterError("presentation is not symmetric: " + "; ".join(str(f) for f in report.failures))
-        eta, seq = primes or compute_eta_and_primes(ps)
+        eta, seq = primes
         d_map, _ = compute_d_integers(ps, eta)
         gamma = [Fraction(1)] * ps.n
         bad = _first_pi_not_one(ps, eta)

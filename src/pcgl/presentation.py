@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .poly import ExpVec, MvLaurent, _fractions, _scale, apply_derivation
@@ -67,8 +67,17 @@ class Inhomogeneous(PresentationError):
         self.witnesses = (exp_a, exp_b)
 
 
-def _dot(h: Sequence[Fraction], w: Sequence[int]) -> Fraction:
-    return sum((a * b for a, b in zip(h, w)), Fraction(0))
+def _pairing(family: Sequence[Sequence[Fraction]],
+             weights: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int]:
+    """<v, chi> for every torus vector v in family and every weight chi.
+
+    The family is scaled once to int numerators over the lcm of its
+    entries' denominators; row a of the result holds the numerators of
+    <family[a], chi> over that lcm, one per weight.
+    """
+    den = lcm(*(x.denominator for v in family for x in v))
+    rows = [[x.numerator * (den // x.denominator) for x in v] for v in family]
+    return [[sum(map(mul, row, w)) for w in weights] for row in rows], den
 
 
 class PoissonPresentation:
@@ -80,25 +89,26 @@ class PoissonPresentation:
     Construction computes, once, the data every bracket and bicharacter
     reads:
 
-    * ``lam_rows`` -- the skew-symmetric lambda matrix as Fractions;
-    * ``lam_num`` / ``lam_den`` -- the same matrix as integer numerators
-      over one common denominator (the lcm of the entries' denominators);
+    * ``lam_num`` / ``lam_den`` -- the skew-symmetric lambda matrix as
+      integer numerators over one common denominator (the lcm of the
+      entries' denominators); ``lam(k, j)`` reads one entry as a Fraction;
     * ``lam_diagonal`` -- the eigenvalues lambda_k = <h_k, chi_k>;
     * ``lam_star`` -- the eigenvalues lambda*_j = <h*_j, chi_j>, or None
       without h_star;
-    * ``delta_items`` -- the nonzero table entries as sorted (k, j, poly);
-    * ``delta_num`` / ``delta_den`` -- the same entries by k, as integer
-      numerators over one common denominator (the lcm of every table
-      coefficient's denominator): ``delta_num[k]`` holds, in table order, one
-      ``(j, ((exp, numerator), ...))`` per nonzero delta_k(x_j).
+    * ``delta_num`` / ``delta_den`` -- the nonzero table entries by k, as
+      integer numerators over one common denominator (the lcm of every
+      table coefficient's denominator): ``delta_num[k]`` holds, in table
+      order (sorted by (k, j)), one ``(j, ((exp, numerator), ...))`` per
+      nonzero delta_k(x_j).
+
+    lambda_kj, lambda_k and lambda*_j are read off one pairing of h (or h*)
+    with the weights, in ints (``_pairing``).
     """
 
-    lam_rows: Tuple[Tuple[Fraction, ...], ...]
     lam_num: Tuple[Tuple[int, ...], ...]
     lam_den: int
     lam_diagonal: Tuple[Fraction, ...]
     lam_star: Optional[Tuple[Fraction, ...]]
-    delta_items: Tuple[Tuple[int, int, MvLaurent], ...]
     delta_num: Tuple[Tuple[Tuple[int, Tuple[Tuple[ExpVec, int], ...]], ...], ...]
     delta_den: int
 
@@ -133,33 +143,28 @@ class PoissonPresentation:
             if any(i >= k for i in poly.support()):
                 raise SupportViolation(k, j, f"delta_{k+1}(x_{j+1}) involves generators >= x_{k+1}")
         n = self.n
-        # h as ints over hden; lambda_kj = <h_k, chi_j> is then an int dot
-        # product over hden, and lam_den is hden with the gcd of hden and
-        # every such numerator divided out.
-        hden = lcm(*(x.denominator for hk in self.h for x in hk))
-        hnum = [[x.numerator * (hden // x.denominator) for x in hk] for hk in self.h]
-        dots = [[sum(a * b for a, b in zip(hnum[k], self.weights[j])) for j in range(k)]
-                for k in range(n)]
-        den = hden // gcd(hden, *(v for row in dots for v in row))
+        # lambda_kj = <h_k, chi_j> over hden for j <= k; lam_den is hden with
+        # the gcd of hden and every entry below the diagonal divided out.
+        dots, hden = _pairing(self.h, self.weights)
+        den = hden // gcd(hden, *(dots[k][j] for k in range(n) for j in range(k)))
         cut = hden // den
         nums = [[0] * n for _ in range(n)]
         for k in range(n):
-            for j, v in enumerate(dots[k]):
-                nums[k][j] = v // cut
+            for j in range(k):
+                nums[k][j] = dots[k][j] // cut
                 nums[j][k] = -nums[k][j]
-        put("lam_rows", tuple(tuple(Fraction(v, den) for v in row) for row in nums))
         put("lam_num", tuple(tuple(row) for row in nums))
         put("lam_den", den)
-        put("lam_diagonal", tuple(Fraction(sum(a * b for a, b in zip(hnum[k], self.weights[k])), hden)
-                                  for k in range(n)))
-        put("lam_star", None if self.h_star is None else
-            tuple(_dot(self.h_star[j], self.weights[j]) for j in range(n)))
-        items = tuple((k, j, poly) for (k, j), poly in sorted(self.delta.items())
-                      if not poly.is_zero())
-        put("delta_items", items)
-        dden = lcm(*(c.denominator for _, _, poly in items for c in poly.terms.values()))
+        put("lam_diagonal", tuple(Fraction(dots[k][k], hden) for k in range(n)))
+        if self.h_star is None:
+            put("lam_star", None)
+        else:
+            stars, sden = _pairing(self.h_star, self.weights)
+            put("lam_star", tuple(Fraction(stars[j][j], sden) for j in range(n)))
+        items = [(key, poly) for key, poly in sorted(self.delta.items()) if not poly.is_zero()]
+        dden = lcm(*(c.denominator for _, poly in items for c in poly.terms.values()))
         rows = [[] for _ in range(n)]
-        for k, j, poly in items:
+        for (k, j), poly in items:
             rows[k].append((j, tuple((e, c.numerator * (dden // c.denominator))
                                      for e, c in poly.terms.items())))
         put("delta_num", tuple(tuple(row) for row in rows))
@@ -187,7 +192,7 @@ class PoissonPresentation:
 
     def lam(self, k: int, j: int) -> Fraction:
         """Entry lambda_kj of the skew-symmetric scalar matrix."""
-        return self.lam_rows[k][j]
+        return Fraction(self.lam_num[k][j], self.lam_den)
 
     def lam_diag(self, k: int) -> Fraction:
         """The h_k-eigenvalue lambda_k of x_k (nonzero for valid input)."""
@@ -239,17 +244,6 @@ class ValidationReport(NamedTuple):
     passed: bool
     checks: Dict[str, bool]
     failures: List[PresentationError]
-
-    def as_dict(self) -> dict:
-        out = []
-        for f in self.failures:
-            entry = {"code": type(f).__name__, "detail": str(f)}
-            witness = getattr(f, "witness", None)
-            if isinstance(witness, MvLaurent):
-                entry["witness"] = [[c.numerator, c.denominator, list(e)]
-                                    for e, c in witness.sorted_terms()]
-            out.append(entry)
-        return {"passed": self.passed, "checks": dict(self.checks), "failures": out}
 
 
 # ----------------------------------------------------------------- bracket engine
@@ -411,7 +405,9 @@ def validate_algebra(p: PoissonPresentation, max_nilpotence_iters: int | None = 
             checks["nonzero_eigenvalues"] = False
             failures.append(ZeroEigenvalue(k))
 
-    for k, j, poly in p.delta_items:
+    for (k, j), poly in sorted(p.delta.items()):
+        if poly.is_zero():
+            continue
         target = tuple(a + b for a, b in zip(p.weights[k], p.weights[j]))
         if {p.monomial_weight(e) for e in poly.terms} != {target}:
             checks["delta_homogeneous"] = False

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import MvLaurent
-from .presentation import PoissonPresentation, PresentationError
+from .presentation import PoissonPresentation, PresentationError, ValidationReport
 
 
 class FormatError(PresentationError):
@@ -156,6 +156,19 @@ def presentation_from_doc(doc: dict) -> Tuple[PoissonPresentation, Optional[List
 def poly_report(f: MvLaurent, names: Optional[Sequence[str]] = None) -> dict:
     """Both renderings of a polynomial: authoritative triples plus human text."""
     return {"terms": poly_to_triples(f), "text": f.render(names)}
+
+
+def validation_report(report: ValidationReport) -> dict:
+    """A validation report: its verdict, its checks, and one entry per
+    failure, with the failure's witness polynomial as triples when it has one."""
+    failures = []
+    for f in report.failures:
+        entry = {"code": type(f).__name__, "detail": str(f)}
+        witness = getattr(f, "witness", None)
+        if isinstance(witness, MvLaurent):
+            entry["witness"] = poly_to_triples(witness)
+        failures.append(entry)
+    return {"passed": report.passed, "checks": dict(report.checks), "failures": failures}
 
 
 def dump_json(doc: dict) -> str:

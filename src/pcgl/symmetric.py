@@ -31,6 +31,7 @@ from .presentation import (
     PresentationError,
     SupportViolation,
     ValidationReport,
+    _pairing,
 )
 
 Perm = Tuple[int, ...]  # one-line notation, 0-based entries
@@ -72,13 +73,18 @@ def validate_symmetric(p: PoissonPresentation) -> Tuple[
 
     Returns the report, a presentation that definitely carries h_star
     vectors (the input itself when they were supplied, otherwise a copy with
-    a solved family), and the prime sequence compute_eta_and_primes gave
-    when it was needed here, else None.  Supplied h* rows are verified;
-    missing ones are found by exact linear solving, preferring the
-    eigenvalue -lambda_{s(j)} on exchangeable indices, which any valid
-    symmetric structure must produce; that needs the successors s(j), so the
-    prime sequence is computed.  It reads no h*, so it is the returned
-    presentation's too, and callers reuse it instead of computing it again.
+    a solved family), and, when the report passes, that presentation's prime
+    sequence from compute_eta_and_primes (else None); callers read it
+    instead of computing it again.  A presentation that passes but has no
+    prime sequence raises that computation's PrimeSequenceError.
+
+    Supplied h* rows are verified: <h*_j, chi_k> = -lambda_kj for k > j, on
+    int numerators (Fractions are built only for a failure's text), and
+    lambda*_j != 0.  Missing ones are found by exact linear solving,
+    preferring the eigenvalue -lambda_{s(j)} on exchangeable indices, which
+    any valid symmetric structure must produce; that needs the successors
+    s(j), so there the prime sequence is computed first.  It reads no h*, so
+    it is the returned presentation's too.
     """
     failures: List[PresentationError] = []
     checks = {"delta_support": True, "h_star": True}
@@ -93,16 +99,17 @@ def validate_symmetric(p: PoissonPresentation) -> Tuple[
             failures.append(SupportViolation(k, j, f"delta_{k+1}(x_{j+1}) involves x_{bad[0]+1} outside [{j+2},{k}]"))
 
     if p.h_star is not None:
+        # <h*_j, chi_k> = stars[j][k] / sden against -lambda_kj = -lam_num[k][j] / lam_den
+        stars, sden = _pairing(p.h_star, p.weights)
+        lam_num, lam_den = p.lam_num, p.lam_den
         for j in range(n):
+            row = stars[j]
             for k in range(j + 1, n):
-                want = -p.lam(k, j)
-                # Read from h*_j itself: lambda holds only the h-pairings, and
-                # whether <h*_j, chi_k> equals -lambda_kj is what this checks.
-                got = sum((a * b for a, b in zip(p.h_star[j], p.weights[k])), Fraction(0))
-                if got != want:
+                if row[k] * lam_den != -lam_num[k][j] * sden:
                     checks["h_star"] = False
-                    failures.append(NoHStarSolution(j, f"<h*_{j+1}, chi_{k+1}> = {got}, expected {want}"))
-            if p.lam_star[j] == 0:
+                    failures.append(NoHStarSolution(
+                        j, f"<h*_{j+1}, chi_{k+1}> = {Fraction(row[k], sden)}, expected {-p.lam(k, j)}"))
+            if not row[j]:
                 checks["h_star"] = False
                 failures.append(ZeroLambdaStar(j))
         result, primes = p, None
@@ -120,9 +127,8 @@ def validate_symmetric(p: PoissonPresentation) -> Tuple[
                 failures.append(NoHStarSolution(j))
                 solved.append(tuple(Fraction(0) for _ in range(d)))
                 continue
-            wj = p.weights[j]
-            base_val = sum((a * b for a, b in zip(particular, wj)), Fraction(0))
-            dir_vals = [sum((a * b for a, b in zip(v, wj)), Fraction(0)) for v in null_basis]
+            vals, vden = _pairing([particular, *null_basis], [p.weights[j]])
+            base_val, *dir_vals = (Fraction(row[0], vden) for row in vals)
             target = -p.lam_diag(succ_of[j]) if succ_of[j] is not None else None
             vec = _adjust_eigenvalue(particular, null_basis, base_val, dir_vals, target)
             if vec is None:
@@ -136,6 +142,10 @@ def validate_symmetric(p: PoissonPresentation) -> Tuple[
         )
 
     passed = all(checks.values())
+    if not passed:
+        primes = None
+    elif primes is None:
+        primes = compute_eta_and_primes(result)
     return ValidationReport(passed=passed, checks=checks, failures=failures), result, primes
 
 

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from pcgl.cgl import EtaData, PrimeSequenceError, QData
 from pcgl.poly import ExpVec, MvLaurent, apply_derivation
-from pcgl.presentation import PoissonPresentation, SupportViolation, _dot
+from pcgl.presentation import PoissonPresentation, SupportViolation
 from pcgl.presets import ShapeMismatch
 from pcgl.symmetric import LeadingFormViolation, interval_prime
 
@@ -33,9 +33,14 @@ def delta(p: PoissonPresentation, k: int, f: MvLaurent) -> MvLaurent:
     return apply_derivation(p.delta_gen_images(k), f)
 
 
+def dot(h: Sequence[Fraction], w: Sequence[int]) -> Fraction:
+    """The pairing <h, w> of a torus vector with a weight, summed as Fractions."""
+    return sum((a * b for a, b in zip(h, w)), Fraction(0))
+
+
 def sigma_scalar(p: PoissonPresentation, k: int, exp: Sequence[int]) -> Fraction:
     """Eigenvalue of sigma_k = (h_k . ) on the monomial x^exp."""
-    return sum((m * _dot(p.h[k], p.weights[j]) for j, m in enumerate(exp) if m), Fraction(0))
+    return sum((m * dot(p.h[k], p.weights[j]) for j, m in enumerate(exp) if m), Fraction(0))
 
 
 def sigma(p: PoissonPresentation, k: int, f: MvLaurent) -> MvLaurent:

@@ -1,7 +1,8 @@
-"""The precomputed lambda and delta data and the integer bracket kernel
-against the code they replaced, kept here as the oracles: the per-call
-lambda and the term-by-term bracket, and the Fraction bracket that visited
-only the table entries inside a term pair's support."""
+"""The precomputed lambda and delta data, the integer h*-check of
+validate_symmetric and the integer bracket kernel against the code they
+replaced, kept here as the oracles: the per-call lambda and lambda* and the
+h*-check as Fraction pairings, the term-by-term bracket, and the Fraction
+bracket that visited only the table entries inside a term pair's support."""
 
 from fractions import Fraction
 from math import lcm
@@ -10,12 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pcgl import symmetric
+from pcgl.cgl import PrimeSequenceError
 from pcgl.poly import MvLaurent
-from pcgl.presentation import PoissonPresentation, _dot, bracket
+from pcgl.presentation import PoissonPresentation, bracket
 from pcgl.presets import build_matrix_poisson
 from pcgl.symmetric import validate_symmetric
 
-from algebra_oracles import sigma_scalar
+from algebra_oracles import dot, sigma_scalar
 from conftest import rescaled_2x3, rescaled_3x3, two_block
 
 
@@ -26,16 +29,31 @@ def _oracle_lam(p, k, j):
     if k == j:
         return Fraction(0)
     if k > j:
-        return _dot(p.h[k], p.weights[j])
-    return -_dot(p.h[j], p.weights[k])
+        return dot(p.h[k], p.weights[j])
+    return -dot(p.h[j], p.weights[k])
 
 
 def _oracle_lam_diag(p, k):
-    return _dot(p.h[k], p.weights[k])
+    return dot(p.h[k], p.weights[k])
 
 
 def _oracle_lambda_star(p, j):
-    return sum((a * b for a, b in zip(p.h_star[j], p.weights[j])), Fraction(0))
+    return dot(p.h_star[j], p.weights[j])
+
+
+def _oracle_h_star_failures(p):
+    """validate_symmetric's check of supplied h* rows as the Fraction loop it
+    was: (class, index, message) of each failure, in order."""
+    out = []
+    for j in range(p.n):
+        for k in range(j + 1, p.n):
+            want = -_oracle_lam(p, k, j)
+            got = dot(p.h_star[j], p.weights[k])
+            if got != want:
+                out.append(("NoHStarSolution", j, f"<h*_{j+1}, chi_{k+1}> = {got}, expected {want}"))
+        if _oracle_lambda_star(p, j) == 0:
+            out.append(("ZeroLambdaStar", j, f"every admissible h*_{j+1} has zero eigenvalue on x_{j+1}"))
+    return out
 
 
 def _oracle_omega_lambda(p, f, g):
@@ -81,7 +99,8 @@ def _fraction_bracket(p, f, g):
     if f.is_zero() or g.is_zero():
         return MvLaurent.zero(n)
     num, den = p.lam_num, p.lam_den
-    delta_rows = [{j: poly for kk, j, poly in p.delta_items if kk == k} for k in range(n)]
+    delta_rows = [{j: poly for (kk, j), poly in p.delta.items() if kk == k and not poly.is_zero()}
+                  for k in range(n)]
     g_terms = []
     for eb, cb in g.terms.items():
         b_nz = [(j, m) for j, m in enumerate(eb) if m]
@@ -151,21 +170,20 @@ def test_lambda_data_equals_oracle(name):
     n = p.n
     want = [[_oracle_lam(p, k, j) for j in range(n)] for k in range(n)]
     assert [[p.lam(k, j) for j in range(n)] for k in range(n)] == want
-    assert [list(row) for row in p.lam_rows] == want
     assert [[Fraction(x, p.lam_den) for x in row] for row in p.lam_num] == want
     assert [p.lam_diag(k) for k in range(n)] == [_oracle_lam_diag(p, k) for k in range(n)]
     assert list(p.lam_star) == [_oracle_lambda_star(p, j) for j in range(n)]
 
 
 def _oracle_lambda_matrix(p):
-    """lam_rows, lam_num and lam_den as __post_init__ built them from Fraction
+    """The lambda matrix, lam_num and lam_den as they were built from Fraction
     dot products: the lower triangle, negated above, over the lcm of the
     entries' denominators."""
     n = p.n
     rows = [[Fraction(0)] * n for _ in range(n)]
     for k in range(n):
         for j in range(k):
-            v = _dot(p.h[k], p.weights[j])
+            v = dot(p.h[k], p.weights[j])
             rows[k][j] = v
             rows[j][k] = -v
     den = lcm(*(v.denominator for row in rows for v in row))
@@ -175,24 +193,74 @@ def _oracle_lambda_matrix(p):
 
 @st.composite
 def weighted_h(draw):
-    """(n, torus rank, weights, h) with rational h; h is all zero, and so is
-    lambda, about one time in four."""
+    """(n, torus rank, weights, h, h*) with rational h and h*; h is all zero,
+    and so is lambda, about one time in four.  Each h*_j is drawn, zero, or
+    -h_j; a drawn or zero row meets some of the h*-pairings and misses
+    others."""
     n, d = draw(st.integers(1, 5)), draw(st.integers(1, 3))
     weights = tuple(tuple(draw(st.integers(-3, 3)) for _ in range(d)) for _ in range(n))
-    entry = st.just(Fraction(0)) if draw(st.integers(0, 3)) == 0 else \
-        st.fractions(min_value=-6, max_value=6, max_denominator=12)
+    fractions = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+    entry = st.just(Fraction(0)) if draw(st.integers(0, 3)) == 0 else fractions
     h = tuple(tuple(draw(entry) for _ in range(d)) for _ in range(n))
-    return n, d, weights, h
+    h_star = []
+    for hj in h:
+        kind = draw(st.integers(0, 2))
+        h_star.append(tuple(-x for x in hj) if kind == 0 else (Fraction(0),) * d if kind == 1
+                      else tuple(draw(fractions) for _ in range(d)))
+    return n, d, weights, h, tuple(h_star)
 
 
 @settings(max_examples=100, deadline=None)
 @given(weighted_h())
-@example((3, 2, ((1, 0), (0, 1), (1, 1)), ((Fraction(0),) * 2,) * 3))
+@example((3, 2, ((1, 0), (0, 1), (1, 1)), ((Fraction(0),) * 2,) * 3, ((Fraction(0),) * 2,) * 3))
 def test_lambda_matrix_equals_the_fraction_loop(data):
-    n, d, weights, h = data
-    p = PoissonPresentation(n=n, torus_rank=d, weights=weights, h=h)
-    assert (p.lam_rows, p.lam_num, p.lam_den) == _oracle_lambda_matrix(p)
+    n, d, weights, h, h_star = data
+    p = PoissonPresentation(n=n, torus_rank=d, weights=weights, h=h, h_star=h_star)
+    lam = tuple(tuple(p.lam(k, j) for j in range(n)) for k in range(n))
+    assert (lam, p.lam_num, p.lam_den) == _oracle_lambda_matrix(p)
     assert p.lam_diagonal == tuple(_oracle_lam_diag(p, k) for k in range(n))
+    assert p.lam_star == tuple(_oracle_lambda_star(p, j) for j in range(n))
+
+
+def _h_star_failures(p):
+    """(class, index, message) of each failure validate_symmetric reports on
+    a presentation whose delta table is empty or symmetric."""
+    try:
+        report = validate_symmetric(p)[0]
+    except PrimeSequenceError:   # passed, and then had no prime sequence
+        return []
+    return [(type(f).__name__, f.index, str(f)) for f in report.failures]
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_h())
+@example((2, 1, ((1,), (-1,)), ((Fraction(1),), (Fraction(2),)), ((Fraction(2),), (Fraction(-1),))))
+@example((3, 2, ((1, 0), (0, 1), (1, 1)), ((Fraction(0),) * 2,) * 3, ((Fraction(0),) * 2,) * 3))
+def test_h_star_check_equals_the_fraction_loop(data):
+    n, d, weights, h, h_star = data
+    p = PoissonPresentation(n=n, torus_rank=d, weights=weights, h=h, h_star=h_star)
+    assert _h_star_failures(p) == _oracle_h_star_failures(p)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_passing_h_star_check_builds_no_fraction(name, monkeypatch):
+    monkeypatch.setattr(symmetric, "Fraction", None)
+    assert validate_symmetric(PRESENTATIONS[name])[0].passed
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_h_star_check_of_a_preset_equals_the_fraction_loop(name):
+    """Each preset passes; with 1/7 added to one entry of h*_1, or h*_N set
+    to zero, it fails as the Fraction loop does."""
+    p = PRESENTATIONS[name]
+    assert _h_star_failures(p) == _oracle_h_star_failures(p) == []
+    rows = [list(row) for row in p.h_star]
+    rows[0][-1] += Fraction(1, 7)
+    rows[-1] = [Fraction(0)] * p.torus_rank
+    bad = PoissonPresentation(n=p.n, torus_rank=p.torus_rank, weights=p.weights, h=p.h,
+                              delta=p.delta, h_star=tuple(map(tuple, rows)))
+    assert _h_star_failures(bad) == _oracle_h_star_failures(bad)
+    assert _h_star_failures(bad)[-1][0] == "ZeroLambdaStar"
 
 
 def test_coprime_denominators_preset():
@@ -208,12 +276,12 @@ def test_delta_table_equals_entries(name):
     assert len(p.delta_num) == p.n
     for k, row in enumerate(p.delta_num):
         got = [(j, [(e, Fraction(c, p.delta_den)) for e, c in terms]) for j, terms in row]
-        want = [(j, list(poly.terms.items())) for kk, j, poly in p.delta_items if kk == k]
+        want = [(j, list(poly.terms.items())) for (kk, j), poly in sorted(p.delta.items())
+                if kk == k and not poly.is_zero()]
         assert got == want
 
 
-DERIVED = ("lam_rows", "lam_num", "lam_den", "lam_diagonal", "lam_star", "delta_items",
-           "delta_num", "delta_den")
+DERIVED = ("lam_num", "lam_den", "lam_diagonal", "lam_star", "delta_num", "delta_den")
 
 
 def test_derived_fields_outside_equality_and_repr(p23):
@@ -229,7 +297,7 @@ def test_derived_fields_outside_equality_and_repr(p23):
         odd = build_matrix_poisson(2, 3)
         object.__setattr__(odd, name, None)
         assert odd == p23, name
-    assert "lam_num" not in repr(p23) and "delta_items" not in repr(p23)
+    assert "lam_num" not in repr(p23) and "delta_num" not in repr(p23)
     assert repr(p23) == repr(PoissonPresentation(**args))
     assert repr(p23).startswith("PoissonPresentation(n=6, torus_rank=")
     assert PoissonPresentation(**dict(args, h_star=None)) != p23
@@ -304,7 +372,7 @@ def test_sigma_scalar_pairs_h_k_with_every_weight(name):
                 exp[j] = m
                 if j > 0:
                     exp[0] = 1
-                want = _dot(p.h[k], p.monomial_weight(exp))
+                want = dot(p.h[k], p.monomial_weight(exp))
                 assert sigma_scalar(p, k, exp) == want
                 differs += want != sum(e * p.lam(k, i) for i, e in enumerate(exp))
     assert differs

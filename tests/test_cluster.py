@@ -37,11 +37,10 @@ from pcgl.cluster import (
 )
 from pcgl import cli, cluster, linalg
 from pcgl.poly import NonInvertibleImage, MvLaurent, substitute
-from pcgl.presentation import _dot
 from pcgl.presets import build_affine_space, build_matrix_poisson
 from pcgl.symmetric import SymmetryError, gamma_chain, tau_data
 
-from algebra_oracles import solid_minor
+from algebra_oracles import dot, solid_minor
 from conftest import rescaled_2x3, rescaled_3x3, rescaled_4x5, two_block, weyl_block
 from tau_oracles import (
     cluster_expressions_for_tau,
@@ -184,7 +183,7 @@ def _mutate_r_dense(r, b, k):
 def _lambda_dense(p):
     """The lambda matrix as Fractions, from h and the weights alone."""
     def lam(k, j):
-        return _dot(p.h[k], p.weights[j]) if k > j else -_dot(p.h[j], p.weights[k]) if k < j else 0
+        return dot(p.h[k], p.weights[j]) if k > j else -dot(p.h[j], p.weights[k]) if k < j else 0
 
     return [[lam(k, j) for j in range(p.n)] for k in range(p.n)]
 

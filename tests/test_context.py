@@ -16,7 +16,7 @@ import pytest
 
 from pcgl import cgl, cli, cluster, symmetric
 from pcgl.cluster import ClusterContext, ClusterError, chain_verify, seed_for_tau, upper_membership
-from pcgl.cgl import compute_eta_and_primes
+from pcgl.cgl import PrimeSequenceError, compute_eta_and_primes
 from pcgl.poly import MvLaurent, substitute
 from pcgl.presentation import PoissonPresentation
 from pcgl.presets import build_matrix_poisson
@@ -30,7 +30,7 @@ from pcgl.symmetric import (
 )
 
 from algebra_oracles import u_element_and_pi
-from conftest import rescaled_3x3, two_block, weyl_block
+from conftest import benchmark_input, rescaled_3x3, rescaled_4x5, two_block, weyl_block
 
 GAMMA_3X4 = [Fraction(3), Fraction(-1, 2), Fraction(2, 5), Fraction(1), Fraction(-4), Fraction(5, 3),
              Fraction(1, 7), Fraction(2), Fraction(-3, 4), Fraction(6), Fraction(1, 2), Fraction(-1)]
@@ -183,8 +183,8 @@ class _Counter:
 @pytest.fixture
 def counter(monkeypatch):
     c = _Counter(monkeypatch)
-    c.wrap([symmetric, cluster], "validate_symmetric", "validate")
-    c.wrap([cgl, symmetric, cluster], "compute_eta_and_primes", "eta")
+    c.wrap([symmetric, cluster, cli], "validate_symmetric", "validate")
+    c.wrap([cgl, symmetric, cluster, cli], "compute_eta_and_primes", "eta")
     c.wrap([ClusterContext], "to_y_coordinates", "to_y")
     return c
 
@@ -231,3 +231,64 @@ def test_cli_builds_context_once(argv, reads_y, counter, tmp_path, capsys):
     assert counter["validate"] == 1
     assert counter["eta"] <= 2
     assert min(counter["to_y"], 1) == reads_y
+
+
+def _without_h_star(p):
+    return PoissonPresentation(n=p.n, torus_rank=p.torus_rank, weights=p.weights, h=p.h,
+                               delta=p.delta)
+
+
+HAND_OFF = {"3x3": lambda: build_matrix_poisson(3, 3), "rescaled_4x5": rescaled_4x5,
+            "two_block": two_block}
+
+
+@pytest.mark.parametrize("supplied", [True, False], ids=["h_star", "solved"])
+@pytest.mark.parametrize("name", sorted(HAND_OFF))
+def test_validate_symmetric_hands_off_the_prime_sequence(name, supplied):
+    p = HAND_OFF[name]()
+    if not supplied:
+        p = _without_h_star(p)
+    report, ps, primes = validate_symmetric(p)
+    assert report.passed
+    assert (ps is p) == supplied
+    assert primes == compute_eta_and_primes(ps)
+
+
+def test_a_failed_report_hands_off_no_prime_sequence():
+    p = build_matrix_poisson(3, 3)
+    bad = PoissonPresentation(n=p.n, torus_rank=p.torus_rank, weights=p.weights, h=p.h,
+                              delta=p.delta, h_star=p.h_star[:-1] + ((Fraction(0),) * p.torus_rank,))
+    report, ps, primes = validate_symmetric(bad)
+    assert not report.passed and ps is bad and primes is None
+
+
+def test_a_passing_presentation_without_a_prime_sequence_raises():
+    """delta_2(x_1) = 1 with lambda_2 = <h_2, chi_2> = 0: the symmetric checks
+    pass on the supplied h*, and the prime sequence has no y_2."""
+    p = PoissonPresentation(n=2, torus_rank=2, weights=((1, 0), (0, 1)),
+                            h=((Fraction(0),) * 2, (Fraction(1), Fraction(0))),
+                            delta={(1, 0): MvLaurent.const(2, 1)},
+                            h_star=((Fraction(1), Fraction(-1)), (Fraction(0), Fraction(1))))
+    with pytest.raises(PrimeSequenceError, match="lambda_2 = 0"):
+        validate_symmetric(p)
+
+
+@pytest.mark.parametrize("command, name, primes", [
+    ("symmetric", "3x3", 1),
+    ("chain-verify", "3x3", 1),
+    ("rescale", "chain1", 2),
+    ("chain-verify", "chain1", 2),
+])
+def test_one_prime_sequence_per_presentation_checked(command, name, primes, counter, tmp_path, capsys):
+    """A command computes one prime sequence for its input, and one more for
+    the rescaled presentation when it rescales: the benchmark's chain input
+    has pi != 1, and the 3x3 preset has every pi = 1."""
+    if name == "chain1":
+        path = benchmark_input("chain", 1, tmp_path)
+    else:
+        path = tmp_path / "m33.json"
+        path.write_text(json.dumps(presentation_to_doc(build_matrix_poisson(3, 3))))
+    assert cli.main([command, str(path)]) == 0
+    capsys.readouterr()
+    assert counter["validate"] == 1
+    assert counter["eta"] == primes

@@ -19,7 +19,9 @@ and the benchmark's chain input of seed 1 were taken while each
 pi_[i, s(i)] was still read off a product of interval primes.  The digests
 of the y-coordinate membership reports were re-taken when their element
 text moved from x names to y names; a JSON diff against the reports before
-showed element.text as the only change.
+showed element.text as the only change.  The symmetric and rescale digests
+on presentations without h* rows, or with h* rows that fail, were taken
+while validate_symmetric still paired h* with the weights as Fractions.
 """
 
 import hashlib
@@ -196,4 +198,73 @@ def test_pi_report_digest(bracket_files, chain1_file, capsys, command, name, dig
     path = chain1_file if name == "chain1" else bracket_files[name]
     assert main([command, path]) == 0
     out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _with_h_star(p: PoissonPresentation, h_star) -> PoissonPresentation:
+    return PoissonPresentation(n=p.n, torus_rank=p.torus_rank, weights=p.weights, h=p.h,
+                               delta=p.delta, h_star=h_star)
+
+
+def h_star_off_3x3() -> PoissonPresentation:
+    """rescaled_3x3 with 1/7 added to the second entry of h*_1: three
+    pairings <h*_1, chi_k> miss -lambda_k1 by a fraction."""
+    p = rescaled_3x3()
+    rows = [list(row) for row in p.h_star]
+    rows[0][1] += Fraction(1, 7)
+    return _with_h_star(p, tuple(map(tuple, rows)))
+
+
+def zero_lambda_star_3x3() -> PoissonPresentation:
+    """The 3x3 preset with h*_9 = 0: lambda*_9 vanishes, and no other check fails."""
+    p = build_matrix_poisson(3, 3)
+    return _with_h_star(p, p.h_star[:-1] + ((Fraction(0),) * p.torus_rank,))
+
+
+H_STAR_INPUTS = {
+    "m33_bare": lambda: _with_h_star(build_matrix_poisson(3, 3), None),
+    "r45_bare": lambda: _with_h_star(rescaled_4x5(), None),
+    "r33_off": h_star_off_3x3,
+    "m33_zero_star": zero_lambda_star_3x3,
+}
+
+# symmetric and rescale where h* is solved, and symmetric where supplied h*
+# rows fail; pinned while validate_symmetric still paired h* with the
+# weights as Fractions.
+H_STAR_GOLDEN = [
+    ("symmetric", "m33_bare", 0,
+     "c71a9ab3b5b316e9f69cece19c4834f4f11c6919cacb0197c034f596e451a9c0"),
+    ("rescale", "m33_bare", 0,
+     "8f2e068db83b82b1178832aeb01f0663fa303454dc370daf65299a1c33622ee4"),
+    ("symmetric", "r45_bare", 0,
+     "acae628e4512da589bfb348249612022d8f2eb771ed46b26567b5113c47fc7e4"),
+    ("rescale", "r45_bare", 0,
+     "852c5eb0cafa6c8f3dd53f0ac612a33064fccbd0b4cbefa962f8c533c359d984"),
+    ("symmetric", "r33_off", 2,
+     "ffea888c6b1170de83c7ded3e52d956f6369d41a71c02cbf68453f8290c52cd1"),
+    ("symmetric", "m33_zero_star", 2,
+     "a5ec2ebd7aa5098bfd3ecf3a181a7c580396d7b8b2957a176141d31c49e99f07"),
+]
+
+
+@pytest.fixture(scope="module")
+def h_star_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("h_star_golden")
+    files = {}
+    for name, build in H_STAR_INPUTS.items():
+        path = root / f"{name}.json"
+        path.write_text(ser.dump_json(ser.presentation_to_doc(build())))
+        files[name] = str(path)
+    return files
+
+
+@pytest.mark.parametrize("command,name,code,digest", H_STAR_GOLDEN,
+                         ids=[f"{g[0]} {g[1]}" for g in H_STAR_GOLDEN])
+def test_h_star_report_digest(h_star_files, capsys, command, name, code, digest):
+    assert main([command, h_star_files[name]]) == code
+    out = capsys.readouterr().out
+    if name == "r33_off":
+        assert out.count('"code": "NoHStarSolution"') == 3 and "expected" in out
+    if name == "m33_zero_star":
+        assert out.count('"code": "ZeroLambdaStar"') == 1 and out.count('"code"') == 1
     assert hashlib.sha256(out.encode()).hexdigest() == digest

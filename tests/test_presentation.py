@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from pcgl import serialize as ser
 from pcgl.poly import MvLaurent
 from pcgl.presentation import (
     Inhomogeneous,
@@ -139,7 +140,7 @@ class TestValidate:
         report = validate_algebra(bad)
         hits = [f for f in report.failures if isinstance(f, InhomogeneousDelta)]
         assert [(f.pair, f.witness) for f in hits] == [((3, 0), delta[(3, 0)])]
-        entry = next(e for e in report.as_dict()["failures"] if e["code"] == "InhomogeneousDelta")
+        entry = next(e for e in ser.validation_report(report)["failures"] if e["code"] == "InhomogeneousDelta")
         assert entry == {
             "code": "InhomogeneousDelta",
             "detail": "delta_4(x_1) is not homogeneous of weight chi_4+chi_1",
