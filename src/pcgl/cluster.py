@@ -20,12 +20,14 @@ predecessor chains, and the chain of position k covers exactly the interval
 of its label; r is built from the key by the one bicharacter
 PoissonPresentation.omega_lambda_matrix.  Gamma_N is walked in one place,
 _gamma_walk: adjacent Gamma_N seeds are equal or one mutation apart, so from
-the identity, whose cluster is the prime sequence, it carries each cluster
-to the next by building only the slots whose label changed.  gamma_bundles
-reads it to solve and check one bundle per run of equal keys, for
-chain_verify and the seeds report; upper_membership reads it to carry the
-images of its input's variables from each cluster to the next by one
-exchange (_carried_images), with Q read off the exchange matrix.
+the identity, whose cluster is the prime sequence and whose exchange matrix
+is the one solve of the chain, it carries each cluster and B to the next by
+one certified exchange and one matrix mutation.  gamma_bundles reads it to
+check the walk's B against each key's own system, one bundle per run of
+equal keys, for chain_verify and the seeds report; upper_membership reads it
+to carry the images of its input's variables from each cluster to the next
+(_carried_images), with Q read off the walk's B.  seed_for_tau solves each
+key on its own, for the off-chain --tau commands.
 check_log_canonical brackets every pair of a seed's variables against r.
 Every function here that needs sigma = tau_bullet o tau or the seed key
 takes them from one call of symmetric.tau_data.
@@ -408,56 +410,90 @@ def check_seed_invariants(variables: Sequence[MvLaurent], r: RMatrix, btilde: BM
 Cluster = List[Tuple[MvLaurent, Weight]]   # (variable, weight) per slot
 
 
-def _build_bundle(ctx: ClusterContext, tau: Perm, sigma: Perm, key: SeedKey,
-                  cluster: Cluster) -> TauSeedBundle:
-    """The bundle of key, whose variables and weights are cluster's."""
+def _build_bundle(ctx: ClusterContext, tau: Perm, sigma: Perm, key: SeedKey, cluster: Cluster,
+                  b: Optional[BMatrix] = None) -> TauSeedBundle:
+    """The bundle of key, whose variables and weights are cluster's and whose
+    r is built from the bicharacter.  B is b, or solved from key's system
+    when b is None; either way check_seed_invariants certifies it against r,
+    and its beta_l must be lambda*_l, the right-hand side of the solve."""
     vars_x = [y for y, _ in cluster]
     weights = [w for _, w in cluster]
     r = r_matrix_for_tau(ctx.p, ctx.eta, key)
-    btilde = solve_btilde(ctx, r, weights)
+    btilde = solve_btilde(ctx, r, weights) if b is None else b
     beta = check_seed_invariants(vars_x, r, btilde, ctx.d_map, ctx.eta)
+    if any(beta[l] != ctx.p.lam_star[l] for l in btilde.ex):
+        raise SeedInvariantFailure("beta differs from lambda*")
     return TauSeedBundle(tau=tau, sigma=sigma, vars_x=vars_x, intervals=list(key),
                          weights=weights, r=r, btilde=btilde, beta=beta)
 
 
 def seed_for_tau(ctx: ClusterContext, tau: Perm) -> TauSeedBundle:
     """Assemble and sanity-check the full seed bundle for one permutation,
-    building every interval prime of its seed key (gamma_bundles builds each
-    Gamma_N cluster from the one before it instead)."""
+    building every interval prime of its seed key and solving its exchange
+    matrix.  The off-chain --tau commands need the solve; the Gamma_N walk
+    solves only at the identity and mutates from there, so on the chain this
+    is the per-key oracle of gamma_bundles."""
     tau = tuple(tau)
     sigma, key = tau_data(ctx.eta, tau)
     return _build_bundle(ctx, tau, sigma, key, [ctx.prime(label) for label in key])
 
 
-def _gamma_walk(ctx: ClusterContext) -> Iterator[Tuple[Perm, Perm, SeedKey, List[int], Cluster]]:
-    """(tau, sigma, key, changed, cluster) for each Gamma_N permutation in
-    chain order: changed lists the slots whose label differs from the
-    previous key's (all of them at the identity), and cluster the key's
-    (variable, weight) pairs, a new list whenever changed is not empty.  At
-    the identity they are the prime sequence's; after it only the changed
-    slots (one at a mutation) are built, and the others keep their pair.
+def _gamma_walk(ctx: ClusterContext, every_key: bool = False) -> Iterator[
+        Tuple[Perm, Perm, Optional[int], BMatrix, TauSeedBundle]]:
+    """(tau, sigma, kb, b, bundle) for each Gamma_N permutation in chain order.
+
+    At the identity the cluster is the prime sequence, B is solved once, and
+    bundle is the identity's, checked by _build_bundle.  Adjacent Gamma_N
+    seeds are equal or one mutation apart, so at each change of key the walk
+    requires exactly one changed slot kb, builds its interval prime y'_kb,
+    checks y'_kb * y_kb == prod_+ + prod_- of column kb of B in generator
+    coordinates, and mutates B at kb; with every_key, bundle is then the new
+    key's, its B checked against the key's own system by _build_bundle.  A
+    failed step raises ClusterError naming the slots.  kb is None at the
+    identity and where the key does not change; b is the key's exchange
+    matrix and bundle the last one built.
     """
     cluster: Cluster = list(zip(ctx.seq.y, ctx.seq.weights))
     key: Optional[SeedKey] = None
     for tau in gamma_chain(ctx.p.n):
         sigma, new_key = tau_data(ctx.eta, tau)
-        changed = [j for j, label in enumerate(new_key) if key is None or key[j] != label]
-        if key is not None and changed:
-            cluster = [ctx.prime(new_key[j]) if j in changed else pair for j, pair in enumerate(cluster)]
+        kb = None
+        if key is None:
+            bundle = _build_bundle(ctx, tau, sigma, new_key, cluster)
+            b = bundle.btilde
+        elif new_key != key:
+            changed = [j for j, label in enumerate(new_key) if key[j] != label]
+            if len(changed) != 1:
+                raise ClusterError(f"seed keys differ in slots {[j + 1 for j in changed]}, not in exactly one")
+            kb = changed[0]
+            new = ctx.prime(new_key[kb])
+            if not _exchange_identity_holds([y for y, _ in cluster], new[0], kb, b.column(kb)):
+                raise ClusterError(f"exchange identity of slot {kb+1} fails")
+            cluster = cluster[:kb] + [new] + cluster[kb + 1:]
+            b = mutate_matrix(b, kb)
+            if every_key:
+                bundle = _build_bundle(ctx, tau, sigma, new_key, cluster, b)
         key = new_key
-        yield tau, sigma, key, changed, cluster
+        yield tau, sigma, kb, b, bundle
 
 
 def gamma_bundles(ctx: ClusterContext) -> List[TauSeedBundle]:
-    """The bundle of every Gamma_N permutation in chain order, read off the
-    walk: r, the solve and the seed checks run once per run of equal keys,
-    whose permutations share one bundle's lists (not to be mutated)."""
-    bundles: List[TauSeedBundle] = []
-    for tau, sigma, key, changed, cluster in _gamma_walk(ctx):
-        if changed:
-            bundle = _build_bundle(ctx, tau, sigma, key, cluster)
-        bundles.append(bundle._replace(tau=tau, sigma=sigma))
-    return bundles
+    """The bundle of every Gamma_N permutation in chain order, one per run of
+    equal keys (its permutations share the bundle's lists, not to be
+    mutated), each on the walk's B.
+
+    Only the identity's B is solved.  Every later B is the walk's mutation
+    of the one before, and _build_bundle checks it against its own key's
+    system: compatibility with r built from the bicharacter, the seed
+    invariants, and beta_l == lambda*_l.  Zero torus weight needs no check:
+    the exchange identity the walk certifies forces wt(prod_+) == wt(prod_-),
+    which carries zero column weight through each mutation.  Uniqueness
+    carries from the identity's solve, as the system matrix M of a key and
+    M' of the next satisfy M' = diag(E^T, I) M E with E unimodular.  So each
+    B is the one solve_btilde would return.
+    """
+    return [bundle._replace(tau=tau, sigma=sigma)
+            for tau, sigma, _, _, bundle in _gamma_walk(ctx, every_key=True)]
 
 
 # --------------------------------------------------------------- one-step links
@@ -511,8 +547,11 @@ def verify_one_step(ctx: ClusterContext, a: TauSeedBundle, b: TauSeedBundle) -> 
 
     Distinct eta-classes at the swapped positions force equal bundles; equal
     classes force a single mutation at k_bullet, including the exchange
-    identity on variables, r' = mu(r), and the +-column identity with the
-    nonnegative complement vector g.
+    identity on variables, r' = mu(r), B' = mu(B), and the +-column identity
+    with the nonnegative complement vector g.  On gamma_bundles' bundles
+    B' == mu_k(B) holds by construction, as the walk mutates B; r' == mu_k(r)
+    (r is built from each key's bicharacter), the column identity and g stay
+    independent checks.
     """
     n = ctx.p.n
     tau, tau_next = a.tau, b.tau
@@ -696,36 +735,24 @@ def _carried_images(ctx: ClusterContext, start: Sequence[MvLaurent],
     images[j] is start[j] (in the initial cluster) written in tau's cluster
     for j in used, else zero; changed says the cluster is new.
 
-    B is solved once, at the identity.  A later change of key must be in one
-    slot kb whose new variable y'_kb passes the exchange identity
-    y'_kb y_kb = prod_+ + prod_- of column kb of B, checked in generator
-    coordinates.  Then y_kb -> Q / y'_kb, Q that binomial in the cluster's
-    own variables, rewrites the images that involve kb with one exact
-    division (the Laurent phenomenon), and B is mutated at kb.  A step where
-    this fails raises ClusterError naming the slot.
+    At each exchange of _gamma_walk in slot kb, y_kb -> Q / y'_kb rewrites
+    the images that involve kb with one exact division (the Laurent
+    phenomenon).  Q is prod_+ + prod_- of column kb of the walk's B in the
+    cluster's own variables; the walk has mutated B, which negates that
+    column and so keeps Q.  A division that is not exact raises ClusterError
+    naming the slot.
     """
     n = ctx.p.n
     images = [start[j] if j in used else MvLaurent.zero(n) for j in range(n)]
-    b: Optional[BMatrix] = None
-    old: Cluster = []
-    for tau, sigma, key, changed, cluster in _gamma_walk(ctx):
-        if b is None:
-            b = _build_bundle(ctx, tau, sigma, key, cluster).btilde
-        elif changed:
-            if len(changed) != 1:
-                raise ClusterError(f"seed keys differ in slots {[j + 1 for j in changed]}, not in exactly one")
-            kb = changed[0]
+    for step, (tau, _, kb, b, _) in enumerate(_gamma_walk(ctx)):
+        if kb is not None:
             col = b.column(kb)
-            if not _exchange_identity_holds([y for y, _ in old], cluster[kb][0], kb, col):
-                raise ClusterError(f"exchange identity of slot {kb+1} fails")
             q = MvLaurent.monomial(n, [max(c, 0) for c in col]) + MvLaurent.monomial(n, [max(-c, 0) for c in col])
             try:
                 images = [_exchange_slot(g, kb, q) if any(e[kb] for e in g.terms) else g for g in images]
             except NonInvertibleImage as exc:
                 raise ClusterError(f"exchange in slot {kb+1} is not exact: {exc}") from exc
-            b = mutate_matrix(b, kb)
-        old = cluster
-        yield tau, bool(changed), images
+        yield tau, not step or kb is not None, images
 
 
 def upper_membership(ctx: ClusterContext, f: MvLaurent, inv: Sequence[int] = (),

@@ -744,9 +744,10 @@ class TestMembershipWalk:
                     continue
                 assert express_in_cluster(ctx33, f, tau, images, inv=inv, coords=coords)[1] == want
 
-    def _walk_fails(self, tmp_path, capsys, detail):
-        """upper_membership on 3x4 and `pcgl membership` on the 3x4 preset both
-        end in a ClusterError with this detail, the command with exit 2."""
+    def _walk_fails(self, tmp_path, capsys, detail, commands=(["membership", "--elem", "t11*t22 - t12*t21"],)):
+        """upper_membership on 3x4 and each command on the 3x4 preset (by
+        default `pcgl membership`) end in a ClusterError with this detail,
+        the commands with exit 2."""
         ctx = _walk_ctx("3x4")
         with pytest.raises(ClusterError) as err:
             upper_membership(ctx, _walk_cases(ctx)[0][0])
@@ -754,8 +755,9 @@ class TestMembershipWalk:
         path = str(tmp_path / "m34.json")
         assert cli.main(["preset", "matrix", "--m", "3", "--n", "4", "-o", path]) == 0
         capsys.readouterr()
-        assert cli.main(["membership", path, "--elem", "t11*t22 - t12*t21"]) == 2
-        assert json.loads(capsys.readouterr().out)["error"] == {"code": "ClusterError", "detail": detail}
+        for argv in commands:
+            assert cli.main([argv[0], path, *argv[1:]]) == 2
+            assert json.loads(capsys.readouterr().out)["error"] == {"code": "ClusterError", "detail": detail}
 
     def _corrupt_third_key(self, monkeypatch, corrupt):
         """Make tau_data give the first permutation of the walk's third cluster
@@ -782,23 +784,28 @@ class TestMembershipWalk:
         self._walk_fails(tmp_path, capsys, f"seed keys differ in slots {slots}, not in exactly one")
 
     def test_corrupted_exchange_column_raises(self, monkeypatch, tmp_path, capsys):
-        # the identity's exchange matrix with column kb, the slot of the
-        # first exchange, changed in one entry: y'_kb * y_kb is no longer
-        # its binomial, and the walk refuses the step before rewriting
+        # the walk's identity exchange matrix, once the identity seed's checks
+        # have passed, with column kb, the slot of the first exchange, changed
+        # in one entry: y'_kb * y_kb is no longer its binomial, and the walk
+        # refuses the step before rewriting, mutating or building a bundle,
+        # for membership, chain-verify and seeds --gamma alike
         (_, first), (_, second) = _runs(_walk_ctx("3x4"))[:2]
         kb = next(j for j in range(len(first)) if first[j] != second[j])
-        inner = cluster._build_bundle
+        inner = cluster.check_seed_invariants
 
-        def corrupted(*args):
-            bundle = inner(*args)
-            col = list(bundle.btilde.column(kb))
+        def corrupting(variables, r, btilde, *rest):
+            # the identity's are the only seed checks a walk runs before its first exchange
+            beta = inner(variables, r, btilde, *rest)
+            col = list(btilde.column(kb))
             col[0 if kb else 1] += 1
-            cols = {**bundle.btilde.cols, kb: tuple(col)}
-            return bundle._replace(btilde=bundle.btilde._replace(cols=cols))
+            btilde.cols[kb] = tuple(col)
+            return beta
 
-        monkeypatch.setattr(cluster, "_build_bundle", corrupted)
-        monkeypatch.setattr(cluster, "_exchange_slot", None)   # never reached
-        self._walk_fails(tmp_path, capsys, f"exchange identity of slot {kb+1} fails")
+        monkeypatch.setattr(cluster, "check_seed_invariants", corrupting)
+        for never_reached in ("_exchange_slot", "mutate_matrix"):
+            monkeypatch.setattr(cluster, never_reached, None)
+        self._walk_fails(tmp_path, capsys, f"exchange identity of slot {kb+1} fails",
+                         [["membership", "--elem", "t11*t22 - t12*t21"], ["chain-verify"], ["seeds", "--gamma"]])
 
     def test_inexact_division_raises(self, monkeypatch, tmp_path, capsys):
         def inexact(f, k, q):
