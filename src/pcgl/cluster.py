@@ -20,14 +20,14 @@ predecessor chains, and the chain of position k covers exactly the interval
 of its label; r is built from the key by the one bicharacter
 PoissonPresentation.omega_lambda_matrix.  Gamma_N is walked in one place,
 _gamma_walk: adjacent Gamma_N seeds are equal or one mutation apart, so from
-the identity, whose cluster is the prime sequence and whose exchange matrix
-is the one solve of the chain, it carries each cluster and B to the next by
-one certified exchange and one matrix mutation.  gamma_bundles reads it to
-check the walk's B against each key's own system, one bundle per run of
-equal keys, for chain_verify and the seeds report; upper_membership reads it
-to carry the images of its input's variables from each cluster to the next
-(_carried_images), with Q read off the walk's B.  seed_for_tau solves each
-key on its own, for the off-chain --tau commands.
+the identity, whose cluster is the prime sequence and whose B is the one
+solve and the one full seed check of the chain, it carries each cluster and
+B to the next by one exchange, whose identity it certifies (the only place
+that is done), and one matrix mutation.  gamma_bundles reads it for
+chain_verify, whose links read keys, r and B, and for the seeds report;
+upper_membership reads it to carry its input's images from each cluster to
+the next (_carried_images).  seed_for_tau solves each key on its own, for
+the off-chain --tau commands.
 check_log_canonical brackets every pair of a seed's variables against r.
 Every function here that needs sigma = tau_bullet o tau or the seed key
 takes them from one call of symmetric.tau_data.
@@ -413,18 +413,27 @@ Cluster = List[Tuple[MvLaurent, Weight]]   # (variable, weight) per slot
 def _build_bundle(ctx: ClusterContext, tau: Perm, sigma: Perm, key: SeedKey, cluster: Cluster,
                   b: Optional[BMatrix] = None) -> TauSeedBundle:
     """The bundle of key, whose variables and weights are cluster's and whose
-    r is built from the bicharacter.  B is b, or solved from key's system
-    when b is None; either way check_seed_invariants certifies it against r,
-    and its beta_l must be lambda*_l, the right-hand side of the solve."""
+    r is built from the bicharacter; its beta_l must be lambda*_l.  With b
+    None, B is solved and check_seed_invariants certifies the seed.  A given
+    b is the walk's B of a derived key and is checked by check_compatible
+    alone: every cluster variable has leading coefficient 1 (interval_prime
+    certifies it; the prime sequence has it by construction), so the
+    certified exchange identity gives lt(y'_kb) = lt(prod_+-) - lt(y_kb), a
+    unimodular change of the leading exponents that carries the identity's
+    rank; and lambda*_l = d_eta(l) q (compute_d_integers) makes the
+    beta-skew check with beta == lambda* the d-skew check."""
     vars_x = [y for y, _ in cluster]
     weights = [w for _, w in cluster]
     r = r_matrix_for_tau(ctx.p, ctx.eta, key)
-    btilde = solve_btilde(ctx, r, weights) if b is None else b
-    beta = check_seed_invariants(vars_x, r, btilde, ctx.d_map, ctx.eta)
-    if any(beta[l] != ctx.p.lam_star[l] for l in btilde.ex):
+    if b is None:
+        b = solve_btilde(ctx, r, weights)
+        beta = check_seed_invariants(vars_x, r, b, ctx.d_map, ctx.eta)
+    else:
+        beta = check_compatible(r, b)
+    if any(beta[l] != ctx.p.lam_star[l] for l in b.ex):
         raise SeedInvariantFailure("beta differs from lambda*")
     return TauSeedBundle(tau=tau, sigma=sigma, vars_x=vars_x, intervals=list(key),
-                         weights=weights, r=r, btilde=btilde, beta=beta)
+                         weights=weights, r=r, btilde=b, beta=beta)
 
 
 def seed_for_tau(ctx: ClusterContext, tau: Perm) -> TauSeedBundle:
@@ -438,6 +447,20 @@ def seed_for_tau(ctx: ClusterContext, tau: Perm) -> TauSeedBundle:
     return _build_bundle(ctx, tau, sigma, key, [ctx.prime(label) for label in key])
 
 
+def _exchange_binomial(variables: Sequence[MvLaurent], col: Sequence[int]) -> MvLaurent:
+    """prod_+ + prod_-: the products of the variables raised to the positive
+    and to the negated negative entries of an exchange-matrix column."""
+    n = len(variables)
+    plus = MvLaurent.const(n, 1)
+    minus = MvLaurent.const(n, 1)
+    for i in range(n):
+        if col[i] > 0:
+            plus = plus * variables[i] ** col[i]
+        elif col[i] < 0:
+            minus = minus * variables[i] ** (-col[i])
+    return plus + minus
+
+
 def _gamma_walk(ctx: ClusterContext, every_key: bool = False) -> Iterator[
         Tuple[Perm, Perm, Optional[int], BMatrix, TauSeedBundle]]:
     """(tau, sigma, kb, b, bundle) for each Gamma_N permutation in chain order.
@@ -447,11 +470,12 @@ def _gamma_walk(ctx: ClusterContext, every_key: bool = False) -> Iterator[
     seeds are equal or one mutation apart, so at each change of key the walk
     requires exactly one changed slot kb, builds its interval prime y'_kb,
     checks y'_kb * y_kb == prod_+ + prod_- of column kb of B in generator
-    coordinates, and mutates B at kb; with every_key, bundle is then the new
-    key's, its B checked against the key's own system by _build_bundle.  A
-    failed step raises ClusterError naming the slots.  kb is None at the
-    identity and where the key does not change; b is the key's exchange
-    matrix and bundle the last one built.
+    coordinates (the one check of a Gamma_N exchange identity), and mutates
+    B at kb; with every_key, bundle is then the new key's, its B checked
+    against the key's own r by _build_bundle.  A failed step raises
+    ClusterError naming the slots.  kb is None at the identity and where the
+    key does not change; b is the key's exchange matrix and bundle the last
+    one built.
     """
     cluster: Cluster = list(zip(ctx.seq.y, ctx.seq.weights))
     key: Optional[SeedKey] = None
@@ -467,7 +491,7 @@ def _gamma_walk(ctx: ClusterContext, every_key: bool = False) -> Iterator[
                 raise ClusterError(f"seed keys differ in slots {[j + 1 for j in changed]}, not in exactly one")
             kb = changed[0]
             new = ctx.prime(new_key[kb])
-            if not _exchange_identity_holds([y for y, _ in cluster], new[0], kb, b.column(kb)):
+            if new[0] * cluster[kb][0] != _exchange_binomial([y for y, _ in cluster], b.column(kb)):
                 raise ClusterError(f"exchange identity of slot {kb+1} fails")
             cluster = cluster[:kb] + [new] + cluster[kb + 1:]
             b = mutate_matrix(b, kb)
@@ -482,15 +506,15 @@ def gamma_bundles(ctx: ClusterContext) -> List[TauSeedBundle]:
     equal keys (its permutations share the bundle's lists, not to be
     mutated), each on the walk's B.
 
-    Only the identity's B is solved.  Every later B is the walk's mutation
-    of the one before, and _build_bundle checks it against its own key's
-    system: compatibility with r built from the bicharacter, the seed
-    invariants, and beta_l == lambda*_l.  Zero torus weight needs no check:
-    the exchange identity the walk certifies forces wt(prod_+) == wt(prod_-),
-    which carries zero column weight through each mutation.  Uniqueness
-    carries from the identity's solve, as the system matrix M of a key and
-    M' of the next satisfy M' = diag(E^T, I) M E with E unimodular.  So each
-    B is the one solve_btilde would return.
+    Only the identity's B is solved and fully seed-checked.  Every later B
+    is the walk's mutation of the one before, and _build_bundle checks it
+    against its own key's r: compatibility and beta_l == lambda*_l.  Zero
+    torus weight needs no check: the exchange identity the walk certifies
+    forces wt(prod_+) == wt(prod_-), which carries zero column weight
+    through each mutation.  Uniqueness carries from the identity's solve,
+    as the system matrices of a key and the next satisfy
+    M' = diag(E^T, I) M E with E unimodular.  So each B is the one
+    solve_btilde would return.
     """
     return [bundle._replace(tau=tau, sigma=sigma)
             for tau, sigma, _, _, bundle in _gamma_walk(ctx, every_key=True)]
@@ -520,38 +544,18 @@ class LinkReport(NamedTuple):
         }
 
 
-def _exchange_binomial(variables: Sequence[MvLaurent], col: Sequence[int]) -> MvLaurent:
-    """prod_+ + prod_-: the products of the variables raised to the positive
-    and to the negated negative entries of an exchange-matrix column."""
-    n = len(variables)
-    plus = MvLaurent.const(n, 1)
-    minus = MvLaurent.const(n, 1)
-    for i in range(n):
-        if col[i] > 0:
-            plus = plus * variables[i] ** col[i]
-        elif col[i] < 0:
-            minus = minus * variables[i] ** (-col[i])
-    return plus + minus
-
-
-def _exchange_identity_holds(variables: Sequence[MvLaurent], new: MvLaurent, k: int,
-                             col: Sequence[int]) -> bool:
-    """new * variables[k] == prod_+ + prod_- of the exchange-matrix column
-    col, all in one coordinate system."""
-    return new * variables[k] == _exchange_binomial(variables, col)
-
-
 def verify_one_step(ctx: ClusterContext, a: TauSeedBundle, b: TauSeedBundle) -> LinkReport:
-    """Exactly verify the link between the bundles of adjacent permutations
-    tau and tau' = tau (k, k+1); LinkFailure when they are not adjacent.
+    """Exactly verify the link between bundles a and b of adjacent
+    permutations tau and tau' = tau (k, k+1): consecutive gamma_bundles
+    bundles, or seed_for_tau bundles of the same keys.  LinkFailure when
+    they are not adjacent.
 
-    Distinct eta-classes at the swapped positions force equal bundles; equal
-    classes force a single mutation at k_bullet, including the exchange
-    identity on variables, r' = mu(r), B' = mu(B), and the +-column identity
-    with the nonnegative complement vector g.  On gamma_bundles' bundles
-    B' == mu_k(B) holds by construction, as the walk mutates B; r' == mu_k(r)
-    (r is built from each key's bicharacter), the column identity and g stay
-    independent checks.
+    Distinct eta-classes at the swapped positions force equal keys, r and B;
+    equal classes force one mutation at k_bullet: only slot k_bullet's label
+    changes, r' = mu(r), B' = mu(B), and the +-column identity holds with
+    the nonnegative complement vector g.  No polynomial arithmetic is done:
+    the walk certified the exchange identity on the same variables and
+    column, and on its bundles B' == mu_k(B) holds by construction.
     """
     n = ctx.p.n
     tau, tau_next = a.tau, b.tau
@@ -563,29 +567,25 @@ def verify_one_step(ctx: ClusterContext, a: TauSeedBundle, b: TauSeedBundle) -> 
     eta = ctx.eta
 
     if eta.eta[tau[k]] != eta.eta[tau[k + 1]]:
-        ok = a.vars_x == b.vars_x and a.r == b.r and a.btilde == b.btilde
+        ok = a.intervals == b.intervals and a.r == b.r and a.btilde == b.btilde
         return LinkReport(tau=tau, tau_next=tau_next, position=k, branch="equal",
                           k_bullet=None, verified=ok,
                           detail="" if ok else "bundles differ despite distinct eta classes")
 
     low, high = (a, b) if tau[k] < tau[k + 1] else (b, a)
     k_bullet = low.sigma[k]
+    changed = [j for j in range(n) if low.intervals[j] != high.intervals[j]]
 
-    problems: List[str] = []
-    for j in range(n):
-        if j != k_bullet and low.vars_x[j] != high.vars_x[j]:
-            problems.append(f"variable {j+1} changed")
+    problems = [f"variable {j+1} changed" for j in changed if j != k_bullet]
     if mutate_r(low.r, low.btilde, k_bullet) != high.r:
         problems.append("r' != mu_k(r)")
     if mutate_matrix(low.btilde, k_bullet) != high.btilde:
         problems.append("B' != mu_k(B)")
-
-    # exchange identity x'_k x_k = prod_+ + prod_-  (checked in x coordinates)
-    col = low.btilde.column(k_bullet)
-    if not _exchange_identity_holds(low.vars_x, high.vars_x[k_bullet], k_bullet, col):
+    if k_bullet not in changed:
         problems.append("exchange identity fails")
 
     # column identity b_tau^k = -b_tau'^k = e_p(k) + e_s(k) - g with g >= 0
+    col = low.btilde.column(k_bullet)
     if any(x + y for x, y in zip(col, high.btilde.column(k_bullet))):
         problems.append("mutated column is not the negative")
     g = [0] * n
@@ -737,17 +737,17 @@ def _carried_images(ctx: ClusterContext, start: Sequence[MvLaurent],
 
     At each exchange of _gamma_walk in slot kb, y_kb -> Q / y'_kb rewrites
     the images that involve kb with one exact division (the Laurent
-    phenomenon).  Q is prod_+ + prod_- of column kb of the walk's B in the
-    cluster's own variables; the walk has mutated B, which negates that
+    phenomenon).  Q is _exchange_binomial of column kb of the walk's B over
+    the cluster's own variables; the walk has mutated B, which negates that
     column and so keeps Q.  A division that is not exact raises ClusterError
     naming the slot.
     """
     n = ctx.p.n
+    gens = [MvLaurent.gen(n, j) for j in range(n)]
     images = [start[j] if j in used else MvLaurent.zero(n) for j in range(n)]
     for step, (tau, _, kb, b, _) in enumerate(_gamma_walk(ctx)):
         if kb is not None:
-            col = b.column(kb)
-            q = MvLaurent.monomial(n, [max(c, 0) for c in col]) + MvLaurent.monomial(n, [max(-c, 0) for c in col])
+            q = _exchange_binomial(gens, b.column(kb))
             try:
                 images = [_exchange_slot(g, kb, q) if any(e[kb] for e in g.terms) else g for g in images]
             except NonInvertibleImage as exc:

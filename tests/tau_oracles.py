@@ -11,6 +11,9 @@ cluster_expressions_for_tau writes the generators in any tau-cluster by
 back-substitution along the tau-presentation; cluster.cluster_expressions
 does so for the initial cluster alone, and the membership walk derives the
 others by exchange.
+verify_one_step_polynomial is the link check on the bundles' variables,
+with the exchange identity multiplied out; cluster.verify_one_step reads
+the seed keys, as the Gamma_N walk certifies each exchange identity once.
 
 The second group works on all of Xi_N, which commands never enumerate (they
 walk only Gamma_N): enumerate_xi lists it, permute_presentation builds the
@@ -23,6 +26,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from pcgl.cgl import EtaData
+from pcgl.cluster import LinkFailure, LinkReport, _exchange_binomial, mutate_matrix, mutate_r
 from pcgl.poly import MvLaurent, substitute
 from pcgl.presentation import PoissonPresentation, bracket
 from pcgl.symmetric import Perm, SymmetryError, interval_prime, is_xi_element, tau_data
@@ -194,6 +198,67 @@ def cluster_expressions_for_tau(ctx, tau) -> List[MvLaurent]:
         slot_p = sigma[pk]
         images[v] = MvLaurent.gen(n, slot_p, -1) * (MvLaurent.gen(n, slot_k) + c_expr)
     return images                     # type: ignore[return-value]
+
+
+def verify_one_step_polynomial(ctx, a, b):
+    """cluster.verify_one_step as it was: the link checked on the bundles'
+    variables, its exchange identity x'_k x_k = prod_+ + prod_- multiplied
+    out in x coordinates.  The walk certifies that identity once, so
+    verify_one_step now reads the seed keys instead."""
+    n = ctx.p.n
+    tau, tau_next = a.tau, b.tau
+    diffs = [k for k in range(n) if tau[k] != tau_next[k]]
+    if len(diffs) != 2 or diffs[1] != diffs[0] + 1 or tau[diffs[0]] != tau_next[diffs[1]] \
+            or tau[diffs[1]] != tau_next[diffs[0]]:
+        raise LinkFailure("permutations are not adjacent by one transposition")
+    k = diffs[0]
+    eta = ctx.eta
+
+    if eta.eta[tau[k]] != eta.eta[tau[k + 1]]:
+        ok = a.vars_x == b.vars_x and a.r == b.r and a.btilde == b.btilde
+        return LinkReport(tau=tau, tau_next=tau_next, position=k, branch="equal",
+                          k_bullet=None, verified=ok,
+                          detail="" if ok else "bundles differ despite distinct eta classes")
+
+    low, high = (a, b) if tau[k] < tau[k + 1] else (b, a)
+    k_bullet = low.sigma[k]
+
+    problems: List[str] = []
+    for j in range(n):
+        if j != k_bullet and low.vars_x[j] != high.vars_x[j]:
+            problems.append(f"variable {j+1} changed")
+    if mutate_r(low.r, low.btilde, k_bullet) != high.r:
+        problems.append("r' != mu_k(r)")
+    if mutate_matrix(low.btilde, k_bullet) != high.btilde:
+        problems.append("B' != mu_k(B)")
+
+    col = low.btilde.column(k_bullet)
+    if high.vars_x[k_bullet] * low.vars_x[k_bullet] != _exchange_binomial(low.vars_x, col):
+        problems.append("exchange identity fails")
+
+    # column identity b_tau^k = -b_tau'^k = e_p(k) + e_s(k) - g with g >= 0
+    if any(x + y for x, y in zip(col, high.btilde.column(k_bullet))):
+        problems.append("mutated column is not the negative")
+    g = [0] * n
+    pk, sk = eta.pred[k_bullet], eta.succ[k_bullet]
+    for i in range(n):
+        base = (1 if i == pk else 0) + (1 if i == sk else 0)
+        g[i] = base - col[i]
+    if any(x < 0 for x in g):
+        problems.append("complement vector g has negative entries")
+    cls = set(eta.level_set(k_bullet))
+    if any(g[i] for i in cls):
+        problems.append("g touches the mutating eta class")
+    per_class: Dict[int, int] = {}
+    for i in range(n):
+        if g[i]:
+            per_class[eta.eta[i]] = per_class.get(eta.eta[i], 0) + 1
+    if any(v > 1 for v in per_class.values()):
+        problems.append("g meets some eta class twice")
+
+    ok = not problems
+    return LinkReport(tau=tau, tau_next=tau_next, position=k, branch="mutation",
+                      k_bullet=k_bullet, verified=ok, detail="; ".join(problems))
 
 
 # ------------------------------------------------------------------ all of Xi_N

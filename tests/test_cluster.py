@@ -402,7 +402,7 @@ class TestOneStep:
             assert all(r.verified for r in chain_verify(ctx))
 
     def test_chain_makes_no_y_conversion(self, p23, monkeypatch):
-        # links are checked in x coordinates; no seed is rewritten in y
+        # links are checked on seed keys, r and B; no seed is rewritten in y
         calls = []
         inner = ClusterContext.to_y_coordinates
 

@@ -3,7 +3,8 @@
 gamma_bundles builds r, solves and checks one bundle per seed key and hands
 it out with each permutation's own tau and sigma.  The oracle below is the
 old path: every permutation built on its own, with r_tau from Omega_lambda
-on every pair of the tau-presentation's ebar vectors.
+on every pair of the tau-presentation's ebar vectors, and every link checked
+on its variables with the exchange identity multiplied out.
 """
 
 from fractions import Fraction
@@ -19,14 +20,20 @@ from pcgl.cluster import (
     gamma_bundles,
     mutate_seed,
     solve_btilde,
-    verify_one_step,
 )
 from pcgl.presentation import weight_of
 from pcgl.presets import build_matrix_poisson
 from pcgl.symmetric import gamma_chain, interval_prime
 
 from conftest import rescaled_3x3
-from tau_oracles import eta_tau_data, perm_compose, perm_inverse, seed_key, tau_bullet
+from tau_oracles import (
+    eta_tau_data,
+    perm_compose,
+    perm_inverse,
+    seed_key,
+    tau_bullet,
+    verify_one_step_polynomial,
+)
 
 
 def _r_matrix_for_tau_omega(p, eta, tau):
@@ -68,7 +75,7 @@ DISTINCT = {"2x3": 3, "3x3": 6, "rescaled_3x3": 6, "3x4": 9}
 
 
 def _links(ctx, bundles):
-    return [verify_one_step(ctx, a, b) for a, b in zip(bundles, bundles[1:])]
+    return [verify_one_step_polynomial(ctx, a, b) for a, b in zip(bundles, bundles[1:])]
 
 
 def _oracle_reports(ctx):
