@@ -10,7 +10,6 @@ of it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .poly import ExpVec, MvLaurent, Scaled, _mul, _scale, apply_derivation
@@ -18,6 +17,7 @@ from .presentation import (
     Operand,
     PoissonPresentation,
     PresentationError,
+    ScaledMatrix,
     _bracket_is_multiple,
     _prepare,
     _prepared_gens,
@@ -100,8 +100,10 @@ class PrimeSequenceReport(NamedTuple):
 
 
 class QData(NamedTuple):
-    alpha: List[List[Fraction]]
-    q: List[List[Fraction]]
+    """alpha and q as read off Omega_lambda: int numerators over lam_den."""
+
+    alpha: ScaledMatrix
+    q: ScaledMatrix
 
 
 def compute_eta_and_primes(p: PoissonPresentation) -> Tuple[EtaData, PrimeSequenceReport]:
@@ -182,12 +184,10 @@ def _q_verdicts(p: PoissonPresentation, eta: EtaData, qd: QData, ys: Sequence[Sc
     Valid only once {y_l, x_i} = -alpha_il y_l x_i is certified for every
     i < s(l).  A pair whose y_j has every exponent below s(l) is decided, as
     certify_prime_sequence derives, by sum_i alpha_il e_i == -q_lj on every
-    exponent e of y_j, in ints over the lcm of the denominators of alpha and
-    q; any other pair goes through the bracket kernel.
+    exponent e of y_j, in the numerators of alpha and q over lam_den; any
+    other pair goes through the bracket kernel.
     """
-    den = lcm(*(x.denominator for m in (qd.alpha, qd.q) for row in m for x in row))
-    alpha, q = ([[x.numerator * (den // x.denominator) for x in row] for row in m]
-                for m in (qd.alpha, qd.q))
+    (alpha, den), (q, _) = qd
     exps = [[nz for _, _, nz, _, _ in op] for op in yops]
     top = [max(i for _, _, _, supp, _ in op for i in supp) for op in yops]
     for l in range(p.n):
@@ -198,7 +198,7 @@ def _q_verdicts(p: PoissonPresentation, eta: EtaData, qd: QData, ys: Sequence[Sc
                 target = -q[l][j]
                 holds = all(sum(m * col[i] for i, m in nz) == target for nz in exps[j])
             else:
-                holds = _bracket_is_multiple(p, yops[l], yops[j], qd.q[l][j], _mul(ys[l][0], ys[j][0]))
+                holds = _bracket_is_multiple(p, yops[l], yops[j], q[l][j], den, _mul(ys[l][0], ys[j][0]))
             yield l, j, holds
 
 
@@ -226,11 +226,12 @@ def certify_prime_sequence(p: PoissonPresentation, eta: EtaData, seq: PrimeSeque
     above s(l) is not covered by the certified relations and goes through
     the kernel, against the int product y_l y_j.  Fractions are built only
     for a failure's lhs and rhs.
-    Returns the alpha/q matrices on success, raises CertFailure otherwise.
+    Returns the alpha/q matrices (QData) on success, raises CertFailure otherwise.
     """
     n = p.n
     qd = alpha_q_matrices(p, eta)
     gens = [MvLaurent.gen(n, i) for i in range(n)]
+    (alpha, den), (q, _) = qd
     for k in range(n):
         coeff, exp = seq.y[k].leading_term()
         if coeff != 1 or exp != eta.ebar(k):
@@ -246,13 +247,13 @@ def certify_prime_sequence(p: PoissonPresentation, eta: EtaData, seq: PrimeSeque
             if sj is not None and sj <= k:
                 continue
             shifted = {e[:k] + (e[k] + 1,) + e[k + 1:]: c for e, c in ynums.items()}
-            if not _bracket_is_multiple(p, yops[j], xops[k], -qd.alpha[k][j], shifted):
+            if not _bracket_is_multiple(p, yops[j], xops[k], -alpha[k][j], den, shifted):
                 raise CertFailure(f"{{y_{j+1}, x_{k+1}}} = -alpha y x", bracket(p, seq.y[j], gens[k]),
-                                  seq.y[j] * gens[k] * (-qd.alpha[k][j]))
+                                  seq.y[j] * gens[k] * Fraction(-alpha[k][j], den))
     for l, j, holds in _q_verdicts(p, eta, qd, ys, yops):
         if not holds:
             raise CertFailure(f"{{y_{l+1}, y_{j+1}}} = q y y", bracket(p, seq.y[l], seq.y[j]),
-                              seq.y[l] * seq.y[j] * qd.q[l][j])
+                              seq.y[l] * seq.y[j] * Fraction(q[l][j], den))
     return qd
 
 

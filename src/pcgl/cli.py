@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import cluster as cl
@@ -197,8 +198,10 @@ def _bmatrix_dict(b: cl.BMatrix) -> dict:
     }
 
 
-def _rmatrix_dict(r) -> List[List[str]]:
-    return [[ser.fraction_to_json(x) for x in row] for row in r]
+def _rmatrix_dict(m) -> List[List[str]]:
+    """The report of r, alpha or q: its int numerators over lam_den, as rationals."""
+    nums, den = m
+    return [[ser.fraction_to_json(Fraction(x, den)) for x in row] for row in nums]
 
 
 def _beta_dict(beta) -> Dict[str, str]:

@@ -18,13 +18,14 @@ ebar(key[b])) with ebar(i, m) the interval exponent of label (i, m), because
 by bilinearity the q-entry of the tau-presentation is Omega_lambda on the
 predecessor chains, and the chain of position k covers exactly the interval
 of its label; r is built from the key by the one bicharacter
-PoissonPresentation.omega_lambda_matrix.  Gamma_N is walked in one place,
-_gamma_walk: adjacent Gamma_N seeds are equal or one mutation apart, so from
-the identity, whose cluster is the prime sequence and whose B is the one
-solve and the one full seed check of the chain, it carries each cluster and
-B to the next by one exchange, whose identity it certifies (the only place
-that is done), and one matrix mutation.  gamma_bundles reads it for
-chain_verify, whose links read keys, r and B, and for the seeds report;
+PoissonPresentation.omega_lambda_matrix, as int numerators over lam_den
+(RMatrix).  Gamma_N is walked in one place, _gamma_walk: adjacent Gamma_N
+seeds are equal or one mutation apart, so from the identity, whose cluster
+is the prime sequence and whose B is the one solve and the one full seed
+check of the chain, it carries each cluster and B to the next by one
+exchange, whose identity it certifies (the only place that is done), and
+one matrix mutation.  gamma_bundles reads it for chain_verify, whose links
+read keys, r and B, and for the seeds report;
 upper_membership reads it to carry its input's images from each cluster to
 the next (_carried_images).  seed_for_tau solves each key on its own, for
 the off-chain --tau commands.
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import linalg
@@ -46,6 +46,7 @@ from .poly import MvLaurent, NonInvertibleImage, _exchange_slot, _mul, _scale, e
 from .presentation import (
     PoissonPresentation,
     PresentationError,
+    ScaledMatrix,
     _bracket_is_multiple,
     _prepare,
     bracket,
@@ -143,7 +144,9 @@ class SeedInvariantFailure(ClusterError):
     pass
 
 
-RMatrix = List[List[Fraction]]
+# r as int numerators over lam_den: mutation takes integer combinations, so
+# every r of a context is over ctx.p.lam_den.
+RMatrix = ScaledMatrix
 Weight = Tuple[int, ...]
 
 
@@ -198,8 +201,10 @@ def mutate_matrix(b: BMatrix, k: int) -> BMatrix:
 
 
 def check_compatible(r: RMatrix, b: BMatrix) -> Dict[int, Fraction]:
-    """Beta scalars of a compatible pair; raises CompatibilityFailure otherwise."""
-    btr, den = _btr(b, r)
+    """Beta scalars of a compatible pair, B^T r read on r's numerators;
+    raises CompatibilityFailure otherwise."""
+    rn, den = r
+    btr = _btr(b, rn)
     beta: Dict[int, int] = {}
     for l in b.ex:
         for j in range(b.n):
@@ -222,36 +227,36 @@ def mutate_r(r: RMatrix, b: BMatrix, k: int) -> RMatrix:
 
     E_eps is the identity except in column k, where it holds v with v_k = -1
     and v_i = max(0, -eps b_ik); so only row k and column k of r change.
+    Sums are ints over r's denominator.
     """
     _check_direction(b, k)
     n = b.n
     col = b.cols[k]
+    rn, den = r
     results = []
     for eps in (1, -1):
         v = [-1 if i == k else max(0, -eps * col[i]) for i in range(n)]
         nz = [(t, vt) for t, vt in enumerate(v) if vt]
-        out = [list(row) for row in r]
-        rv = [sum((r[i][t] * vt for t, vt in nz), Fraction(0)) for i in range(n)]
+        out = [list(row) for row in rn]
+        rv = [sum(rn[i][t] * vt for t, vt in nz) for i in range(n)]
         for i in range(n):
             out[i][k] = rv[i]
-            out[k][i] = sum((vt * r[t][i] for t, vt in nz), Fraction(0))
-        out[k][k] = sum((vt * rv[t] for t, vt in nz), Fraction(0))
+            out[k][i] = sum(vt * rn[t][i] for t, vt in nz)
+        out[k][k] = sum(vt * rv[t] for t, vt in nz)
         results.append(out)
     if results[0] != results[1]:
         raise EpsilonMismatch("mutated r depends on the sign choice")
-    return results[0]
+    return results[0], den
 
 
-def _btr(b: BMatrix, r: RMatrix) -> Tuple[Dict[Tuple[int, int], int], int]:
-    """B^T r as int numerators over one common denominator of r's entries."""
-    den = lcm(*[x.denominator for row in r for x in row])
-    rn = [[x.numerator * (den // x.denominator) for x in row] for row in r]
+def _btr(b: BMatrix, rn: List[List[int]]) -> Dict[Tuple[int, int], int]:
+    """B^T r on the numerators rn of r, over r's denominator."""
     out = {}
     for l in b.ex:
         nz = [(i, c) for i, c in enumerate(b.cols[l]) if c]
         for j in range(b.n):
             out[(l, j)] = sum(c * rn[i][j] for i, c in nz)
-    return out, den
+    return out
 
 
 # ------------------------------------------------------------------ seed context
@@ -365,11 +370,12 @@ def solve_btilde(ctx: ClusterContext, r: RMatrix, var_weights: List[Tuple[int, .
     """
     n = ctx.p.n
     d = ctx.p.torus_rank
-    rows = [[r[i][j] for i in range(n)] for j in range(n)]
+    rn, den = r
+    rows = [[rn[i][j] for i in range(n)] for j in range(n)]
     rows += [[var_weights[k][a] for k in range(n)] for a in range(d)]
     cols: Dict[int, Tuple[int, ...]] = {}
     ex = ctx.eta.exchangeable
-    rhs_columns = [[ctx.p.lam_star[l] if j == l else 0 for j in range(n)] + [0] * d for l in ex]
+    rhs_columns = [[ctx.p.lam_star[l] * den if j == l else 0 for j in range(n)] + [0] * d for l in ex]
     particulars, null_basis = linalg.solve(rows, rhs_columns) if ex else ([], [])
     for l, particular in zip(ex, particulars):
         if particular is None:
@@ -395,8 +401,7 @@ def check_seed_invariants(variables: Sequence[MvLaurent], r: RMatrix, btilde: BM
     implies full rank, which is therefore not checked on its own.  The
     returned beta is the one check_compatible certifies.
     """
-    lt_rows = [[Fraction(x) for x in v.leading_term()[1]] for v in variables]
-    if linalg.rank(lt_rows) != len(variables):
+    if linalg.rank([v.leading_term()[1] for v in variables]) != len(variables):
         raise SeedInvariantFailure("variable leading exponents are linearly dependent")
     beta = check_compatible(r, btilde)
     for k in btilde.ex:
@@ -634,13 +639,15 @@ def check_log_canonical(ctx: ClusterContext, bundle: TauSeedBundle) -> int:
     """
     p = ctx.p
     v = bundle.vars_x
+    rn, den = bundle.r
     scaled = [_scale(f.terms) for f in v]
     ops = [_prepare(p, nums) for nums, _ in scaled]
     for l in range(p.n):
         for j in range(l):
-            if not _bracket_is_multiple(p, ops[l], ops[j], bundle.r[l][j],
+            if not _bracket_is_multiple(p, ops[l], ops[j], rn[l][j], den,
                                         _mul(scaled[l][0], scaled[j][0])):
-                raise LogCanonicalFailure(l, j, bracket(p, v[l], v[j]), v[l] * v[j] * bundle.r[l][j])
+                raise LogCanonicalFailure(l, j, bracket(p, v[l], v[j]),
+                                          v[l] * v[j] * Fraction(rn[l][j], den))
     return p.n * (p.n - 1) // 2
 
 

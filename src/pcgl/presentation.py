@@ -80,6 +80,10 @@ def _pairing(family: Sequence[Sequence[Fraction]],
     return [[sum(map(mul, row, w)) for w in weights] for row in rows], den
 
 
+# A matrix of Omega_lambda values: int numerators over the presentation's lam_den.
+ScaledMatrix = Tuple[List[List[int]], int]
+
+
 class PoissonPresentation:
     """Immutable presentation data; derived scalars are precomputed.
 
@@ -199,11 +203,14 @@ class PoissonPresentation:
         return self.lam_diagonal[k]
 
     def omega_lambda_matrix(self, rows: Sequence[Sequence[int]],
-                            cols: Sequence[Sequence[int]]) -> List[List[Fraction]]:
-        """Omega_lambda(f, g) for every f in rows and g in cols.
+                            cols: Sequence[Sequence[int]]) -> ScaledMatrix:
+        """Omega_lambda(f, g) for every f in rows and g in cols, as int
+        numerators over lam_den.
 
         Each row L.f = sum_k f_k lam_num[k] is summed once and read on the
         nonzero entries of every g: Omega_lambda(f, g) = (L.f . g) / lam_den.
+        alpha, q and every seed's r are these numerators; a Fraction is
+        built only where a report prints a value or a failure quotes one.
         """
         num = self.lam_num
         col_nzs = [[(j, x) for j, x in enumerate(g) if x] for g in cols]
@@ -213,8 +220,8 @@ class PoissonPresentation:
             for k, fk in enumerate(f):
                 if fk:
                     row = [x + fk * v for x, v in zip(row, num[k])]
-            out.append([Fraction(sum(gj * row[j] for j, gj in g_nz), self.lam_den) for g_nz in col_nzs])
-        return out
+            out.append([sum(gj * row[j] for j, gj in g_nz) for g_nz in col_nzs])
+        return out, self.lam_den
 
     def delta_entry(self, k: int, j: int) -> MvLaurent:
         return self.delta.get((k, j), MvLaurent.zero(self.n))
@@ -343,14 +350,14 @@ def bracket(p: PoissonPresentation, f: MvLaurent, g: MvLaurent) -> MvLaurent:
     return MvLaurent._of(n, _fractions(acc, fden * gden * lcm(p.lam_den, p.delta_den)))
 
 
-def _bracket_is_multiple(p: PoissonPresentation, fa: Operand, gb: Operand, c: Fraction,
+def _bracket_is_multiple(p: PoissonPresentation, fa: Operand, gb: Operand, c: int, cden: int,
                          prod: Dict[ExpVec, int]) -> bool:
-    """Whether {f, g} == c * f * g, decided on int numerators.
+    """Whether {f, g} == (c / cden) * f * g, decided on int numerators.
 
     fa and gb are f and g prepared over fden and gden, and prod holds the
     numerators of f * g over fden * gden.  The bracket's numerators are over
     fden * gden * den with den = lcm(lam_den, delta_den), so the identity
-    holds term by term as numerator * c.denominator == c.numerator * den * prod.
+    holds term by term as numerator * cden == c * den * prod.
     """
     acc: Dict[ExpVec, int] = {}
     _bracket_into(p, fa, gb, acc)
@@ -358,9 +365,9 @@ def _bracket_is_multiple(p: PoissonPresentation, fa: Operand, gb: Operand, c: Fr
         return not acc
     if len(acc) != len(prod):
         return False
-    a, b = c.numerator * lcm(p.lam_den, p.delta_den), c.denominator
+    a = c * lcm(p.lam_den, p.delta_den)
     get = acc.get
-    return all(get(e, 0) * b == a * v for e, v in prod.items())
+    return all(get(e, 0) * cden == a * v for e, v in prod.items())
 
 
 def weight_of(p: PoissonPresentation, f: MvLaurent) -> Tuple[int, ...]:

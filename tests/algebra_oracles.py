@@ -99,9 +99,7 @@ def alpha_q_recurrence(p: PoissonPresentation, eta: EtaData) -> QData:
     for k in range(n):
         pk = pred[k]
         q.append(list(alpha[k]) if pk is None else [a + b for a, b in zip(q[pk], alpha[k])])
-    den = p.lam_den
-    return QData(alpha=[[Fraction(x, den) for x in row] for row in alpha],
-                 q=[[Fraction(x, den) for x in row] for row in q])
+    return QData(alpha=(alpha, p.lam_den), q=(q, p.lam_den))
 
 
 # ------------------------------------------------------------------ u-elements

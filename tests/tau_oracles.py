@@ -14,6 +14,10 @@ others by exchange.
 verify_one_step_polynomial is the link check on the bundles' variables,
 with the exchange identity multiplied out; cluster.verify_one_step reads
 the seed keys, as the Gamma_N walk certifies each exchange identity once.
+check_compatible_lcm and btr_lcm are the compatibility check on an r of
+Fractions, scaled to one denominator by an lcm; cluster.check_compatible
+reads r's int numerators over lam_den.  as_fractions and from_fractions
+convert between that form and a matrix of Fractions.
 
 The second group works on all of Xi_N, which commands never enumerate (they
 walk only Gamma_N): enumerate_xi lists it, permute_presentation builds the
@@ -23,13 +27,68 @@ and against the permuted presentation's own prime sequence.
 """
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from pcgl.cgl import EtaData
-from pcgl.cluster import LinkFailure, LinkReport, _exchange_binomial, mutate_matrix, mutate_r
+from pcgl.cluster import (
+    CompatibilityFailure,
+    LinkFailure,
+    LinkReport,
+    _exchange_binomial,
+    mutate_matrix,
+    mutate_r,
+)
 from pcgl.poly import MvLaurent, substitute
 from pcgl.presentation import PoissonPresentation, bracket
 from pcgl.symmetric import Perm, SymmetryError, interval_prime, is_xi_element, tau_data
+
+
+def as_fractions(m) -> List[List[Fraction]]:
+    """A matrix of int numerators over one denominator, as Fractions."""
+    nums, den = m
+    return [[Fraction(x, den) for x in row] for row in nums]
+
+
+def from_fractions(rows, den: int) -> Tuple[List[List[int]], int]:
+    """A matrix of rationals as int numerators over den, which every entry's
+    denominator must divide."""
+    nums = [[x * den for x in row] for row in rows]
+    assert all(Fraction(x).denominator == 1 for row in nums for x in row)
+    return [[int(x) for x in row] for row in nums], den
+
+
+def btr_lcm(b, r) -> Tuple[Dict[Tuple[int, int], int], int]:
+    """cluster._btr as it was: B^T r as int numerators over the lcm of the
+    denominators of r's Fraction entries."""
+    den = lcm(*[x.denominator for row in r for x in row])
+    rn = [[x.numerator * (den // x.denominator) for x in row] for row in r]
+    out = {}
+    for l in b.ex:
+        nz = [(i, c) for i, c in enumerate(b.cols[l]) if c]
+        for j in range(b.n):
+            out[(l, j)] = sum(c * rn[i][j] for i, c in nz)
+    return out, den
+
+
+def check_compatible_lcm(r, b) -> Dict[int, Fraction]:
+    """cluster.check_compatible as it was, on an r of Fractions (btr_lcm)."""
+    btr, den = btr_lcm(b, r)
+    beta: Dict[int, int] = {}
+    for l in b.ex:
+        for j in range(b.n):
+            val = btr[(l, j)]
+            if j == l:
+                if val == 0:
+                    raise CompatibilityFailure(l, l, Fraction(0))
+                beta[l] = val
+            elif val != 0:
+                raise CompatibilityFailure(l, j, Fraction(val, den))
+    for k in b.ex:
+        for j in b.ex:
+            if beta[k] * b.entry(k, j) != -beta[j] * b.entry(j, k):
+                raise CompatibilityFailure(k, j, Fraction(beta[k] * b.entry(k, j), den))
+    return {l: Fraction(v, den) for l, v in beta.items()}
 
 
 def perm_inverse(tau: Perm) -> Perm:
@@ -137,7 +196,7 @@ def seed_key(eta: EtaData, tau):
     return sigma, tuple(data[sig_inv[s]] for s in range(len(tau)))
 
 
-def r_matrix_per_tau(p, eta: EtaData, tau) -> List[List[Fraction]]:
+def r_matrix_per_tau(p, eta: EtaData, tau) -> Tuple[List[List[int]], int]:
     """r_tau as it was assembled for every permutation.
 
     Generator k of the tau-presentation is x_tau(k), with the predecessors
@@ -163,7 +222,7 @@ def r_matrix_per_tau(p, eta: EtaData, tau) -> List[List[Fraction]]:
         pk = pred[k]
         q.append(list(alpha[k]) if pk is None else [a + b for a, b in zip(q[pk], alpha[k])])
     sig_inv = perm_inverse(sigma)
-    return [[Fraction(q[i][j], p.lam_den) for j in sig_inv] for i in sig_inv]
+    return [[q[i][j] for j in sig_inv] for i in sig_inv], p.lam_den
 
 
 def cluster_expressions_for_tau(ctx, tau) -> List[MvLaurent]:

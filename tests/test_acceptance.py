@@ -35,6 +35,7 @@ from pcgl.symmetric import (
 )
 
 from algebra_oracles import cauchon_theta, expected_minor_for_generator, sigma, u_element_and_pi
+from tau_oracles import as_fractions
 
 
 def mark(num, text):
@@ -186,13 +187,15 @@ class TestCriterion8Properties:
             bundle = seed_for_tau(ctx, tuple(range(ctx.p.n)))
             r, b = bundle.r, bundle.btilde
             check_compatible(r, b)
-            base_btr = {(l, j): sum(b.column(l)[i] * r[i][j] for i in range(ctx.p.n))
+            rf = as_fractions(r)
+            base_btr = {(l, j): sum(b.column(l)[i] * rf[i][j] for i in range(ctx.p.n))
                         for l in b.ex for j in range(ctx.p.n)}
             for _ in range(55):
                 k = rng.choice(b.ex)
                 r, b = mutate_r(r, b, k), mutate_matrix(b, k)
                 check_compatible(r, b)
-                got_btr = {(l, j): sum(b.column(l)[i] * r[i][j] for i in range(ctx.p.n))
+                rf = as_fractions(r)
+                got_btr = {(l, j): sum(b.column(l)[i] * rf[i][j] for i in range(ctx.p.n))
                            for l in b.ex for j in range(ctx.p.n)}
                 assert got_btr == base_btr
                 count += 1

@@ -20,6 +20,7 @@ from pcgl.symmetric import validate_symmetric
 
 from algebra_oracles import dot, sigma_scalar
 from conftest import rescaled_2x3, rescaled_3x3, two_block
+from tau_oracles import as_fractions
 
 
 # ------------------------------------------------------------------ the oracle
@@ -351,8 +352,8 @@ def test_omega_lambda_equals_oracle(case):
     p, f, g = case
     fg = _oracle_omega_lambda(p, f, g)
     # rows f and g against the one column g: a 2x1 matrix, row by row
-    assert p.omega_lambda_matrix([f, g], [g]) == [[fg], [_oracle_omega_lambda(p, g, g)]]
-    assert p.omega_lambda_matrix([g], [f]) == [[-fg]]
+    assert as_fractions(p.omega_lambda_matrix([f, g], [g])) == [[fg], [_oracle_omega_lambda(p, g, g)]]
+    assert as_fractions(p.omega_lambda_matrix([g], [f])) == [[-fg]]
 
 
 # ----------------------------------------------- h_k-pairing is not lambda_kj

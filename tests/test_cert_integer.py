@@ -35,6 +35,7 @@ from pcgl.presets import build_matrix_poisson
 from pcgl.symmetric import validate_symmetric
 
 from conftest import rescaled_3x3, rescaled_4x5, two_block
+from tau_oracles import as_fractions, from_fractions
 
 PRESENTATIONS = {
     "2x3": build_matrix_poisson(2, 3),
@@ -51,6 +52,7 @@ def oracle_certify(p, eta, seq) -> QData:
     """certify_prime_sequence with Fraction brackets and right-hand sides."""
     n = p.n
     qd = cgl.alpha_q_matrices(p, eta)
+    alpha, q = as_fractions(qd.alpha), as_fractions(qd.q)
     gens = [MvLaurent.gen(n, i) for i in range(n)]
     for k in range(n):
         coeff, exp = seq.y[k].leading_term()
@@ -63,13 +65,13 @@ def oracle_certify(p, eta, seq) -> QData:
             if sj is not None and sj <= k:
                 continue
             lhs = bracket(p, seq.y[j], gens[k])
-            rhs = seq.y[j] * gens[k] * (-qd.alpha[k][j])
+            rhs = seq.y[j] * gens[k] * (-alpha[k][j])
             if lhs != rhs:
                 raise CertFailure(f"{{y_{j+1}, x_{k+1}}} = -alpha y x", lhs, rhs)
     for k in range(n):
         for j in range(k):
             lhs = bracket(p, seq.y[k], seq.y[j])
-            rhs = seq.y[k] * seq.y[j] * qd.q[k][j]
+            rhs = seq.y[k] * seq.y[j] * q[k][j]
             if lhs != rhs:
                 raise CertFailure(f"{{y_{k+1}, y_{j+1}}} = q y y", lhs, rhs)
     return qd
@@ -100,10 +102,11 @@ def oracle_jacobi(p) -> List[JacobiFailure]:
 
 def oracle_log_canonical(p, bundle) -> int:
     n = p.n
+    r = as_fractions(bundle.r)
     for l in range(n):
         for j in range(l):
             lhs = bracket(p, bundle.vars_x[l], bundle.vars_x[j])
-            rhs = bundle.vars_x[l] * bundle.vars_x[j] * bundle.r[l][j]
+            rhs = bundle.vars_x[l] * bundle.vars_x[j] * r[l][j]
             if lhs != rhs:
                 raise LogCanonicalFailure(l, j, lhs, rhs)
     return n * (n - 1) // 2
@@ -174,15 +177,22 @@ def test_truncated_y_fails_like_the_oracle(primes):
     _assert_same_failure(p, eta, seq._replace(y=ys))
 
 
+def _off_by_a_fifth(qd: QData, which: str, entries) -> QData:
+    """qd with 1/5 added to the given entries of one matrix; alpha and q
+    both become numerators over 5 times their denominator."""
+    mats = {name: as_fractions(m) for name, m in qd._asdict().items()}
+    for k, j in entries:
+        mats[which][k][j] += Fraction(1, 5)
+    den = 5 * qd.alpha[1]
+    return QData(**{name: from_fractions(m, den) for name, m in mats.items()})
+
+
 def _corrupt(monkeypatch, which: str, k: int, j: int):
     """Make alpha_q_matrices return a QData with one entry off by 1/5."""
     right = cgl.alpha_q_matrices
 
     def wrong(p, eta):
-        qd = right(p, eta)
-        rows = [list(row) for row in getattr(qd, which)]
-        rows[k][j] += Fraction(1, 5)
-        return qd._replace(**{which: rows})
+        return _off_by_a_fifth(right(p, eta), which, [(k, j)])
 
     monkeypatch.setattr(cgl, "alpha_q_matrices", wrong)
 
@@ -223,11 +233,11 @@ def test_derived_verdicts_equal_the_kernel(name):
     qd = certify_prime_sequence(p, eta, seq)
     ys = [_scale(y.terms) for y in seq.y]
     yops = [_prepare(p, nums) for nums, _ in ys]
-    skewed = [[x + Fraction(1, 5) * ((l + j) % 2) for j, x in enumerate(row)]
-              for l, row in enumerate(qd.q)]
-    for q in (qd.q, skewed):
-        got = list(cgl._q_verdicts(p, eta, qd._replace(q=q), ys, yops))
-        want = [(l, j, _bracket_is_multiple(p, yops[l], yops[j], q[l][j], _mul(ys[l][0], ys[j][0])))
+    skewed = _off_by_a_fifth(qd, "q", [(l, j) for l in range(p.n) for j in range(p.n) if (l + j) % 2])
+    for case in (qd, skewed):
+        got = list(cgl._q_verdicts(p, eta, case, ys, yops))
+        q, den = case.q
+        want = [(l, j, _bracket_is_multiple(p, yops[l], yops[j], q[l][j], den, _mul(ys[l][0], ys[j][0])))
                 for l in range(p.n) for j in range(l)]
         assert got == want
     assert {v for *_, v in got} == {True, False}
@@ -326,9 +336,9 @@ def test_log_canonical_failure_equals_the_oracle(name):
     bundle = seed_for_tau(ctx, tau)
     assert check_log_canonical(ctx, bundle) == oracle_log_canonical(ctx.p, bundle)
     for l, j, bump in ((1, 0, Fraction(1, 3)), (n - 1, n - 2, Fraction(-2))):
-        r = [list(row) for row in bundle.r]
+        r = as_fractions(bundle.r)
         r[l][j] += bump
-        bad = bundle._replace(r=r)
+        bad = bundle._replace(r=from_fractions(r, 3 * ctx.p.lam_den))
         got = _outcome(check_log_canonical, ctx, bad)
         assert got[0] == "LogCanonicalFailure"
         assert got == _outcome(oracle_log_canonical, ctx.p, bad)

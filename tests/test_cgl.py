@@ -22,7 +22,7 @@ from pcgl.presets import build_affine_space, build_matrix_poisson
 
 from algebra_oracles import alpha_q_recurrence, cauchon_theta, delta, expected_minor_for_generator, sigma
 from conftest import rescaled_3x3, rescaled_4x5, two_block, weyl_block
-from tau_oracles import eta_of_labels
+from tau_oracles import as_fractions, eta_of_labels
 
 
 class TestDelta:
@@ -140,37 +140,37 @@ class TestCertification:
         eta, seq = compute_eta_and_primes(p)
         qd = certify_prime_sequence(p, eta, seq)
         # singleton level sets: q-matrix equals the input lambda-matrix
-        assert qd.q == [[Fraction(x) for x in row] for row in q]
+        assert as_fractions(qd.q) == [[Fraction(x) for x in row] for row in q]
 
 
 class TestAlphaQ:
     def test_2x2_q_values(self, p22):
         eta, seq = compute_eta_and_primes(p22)
         qd = alpha_q_matrices(p22, eta)
-        q = qd.q
+        q = as_fractions(qd.q)
         assert (q[3][0], q[3][1], q[3][2]) == (0, 0, 0)
         assert (q[1][0], q[2][0], q[2][1]) == (-1, -1, 0)
 
     def test_q_skew(self, p23):
         eta, _ = compute_eta_and_primes(p23)
-        qd = alpha_q_matrices(p23, eta)
+        q = as_fractions(alpha_q_matrices(p23, eta).q)
         for k in range(6):
             for j in range(6):
-                assert qd.q[k][j] == -qd.q[j][k]
+                assert q[k][j] == -q[j][k]
 
     def test_q_matches_brackets(self, p23):
         eta, seq = compute_eta_and_primes(p23)
-        qd = alpha_q_matrices(p23, eta)
+        q = as_fractions(alpha_q_matrices(p23, eta).q)
         for k in range(6):
             for j in range(6):
-                assert bracket(p23, seq.y[k], seq.y[j]) == seq.y[j] * seq.y[k] * qd.q[k][j]
+                assert bracket(p23, seq.y[k], seq.y[j]) == seq.y[j] * seq.y[k] * q[k][j]
 
     def test_alpha_closed_form(self, p22):
         # {y_j, x_k} = -alpha_kj y_j x_k for s(j) > k; alpha_24 controls {y_4, t12}
         eta, seq = compute_eta_and_primes(p22)
-        qd = alpha_q_matrices(p22, eta)
+        alpha = as_fractions(alpha_q_matrices(p22, eta).alpha)
         t12 = MvLaurent.gen(4, 1)
-        assert qd.alpha[1][3] == 0
+        assert alpha[1][3] == 0
         assert bracket(p22, seq.y[3], t12).is_zero()
 
     @pytest.mark.parametrize("build", [

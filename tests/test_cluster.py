@@ -43,9 +43,11 @@ from pcgl.symmetric import SymmetryError, gamma_chain, tau_data
 from algebra_oracles import dot, solid_minor
 from conftest import rescaled_2x3, rescaled_3x3, rescaled_4x5, two_block, weyl_block
 from tau_oracles import (
+    as_fractions,
     cluster_expressions_for_tau,
     eta_tau_data,
     perm_compose,
+    from_fractions,
     perm_inverse,
     r_matrix_per_tau,
     tau_bullet,
@@ -115,7 +117,7 @@ class TestCompatiblePairs:
         assert beta == {0: 2}
 
     def test_empty_btilde_vacuous(self):
-        q = [[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]]
+        q = ([[0, 1], [-1, 0]], 1)
         b = BMatrix(n=2, ex=(), cols={})
         assert check_compatible(q, b) == {}
 
@@ -224,7 +226,8 @@ def _mutate_r_outcome(fn, r, b, k):
 class TestAgainstDenseOracles:
     @pytest.fixture(scope="class")
     def contexts(self, ctx23, ctx33):
-        return [ctx23, ctx33, ClusterContext.build_normalizing(rescaled_3x3())[0]]
+        return [ctx23, ctx33] + [ClusterContext.build_normalizing(build())[0]
+                                 for build in (rescaled_3x3, rescaled_2x3)]
 
     @pytest.fixture(scope="class")
     def r_contexts(self, contexts):
@@ -239,7 +242,8 @@ class TestAgainstDenseOracles:
 
         def checked(r, b, k):
             got = mutate_r(r, b, k)
-            assert got == _mutate_r_dense(r, b, k)
+            assert got[1] == r[1]
+            assert as_fractions(got) == _mutate_r_dense(as_fractions(r), b, k)
             seen.append(k)
             return got
 
@@ -254,7 +258,8 @@ class TestAgainstDenseOracles:
             omega = _omega_dense(_lambda_dense(ctx.p))
             for tau in gamma_chain(ctx.p.n):
                 key = tau_data(ctx.eta, tau)[1]
-                assert r_matrix_for_tau(ctx.p, ctx.eta, key) == _r_matrix_for_tau_dense(omega, ctx.eta, tau)
+                got = as_fractions(r_matrix_for_tau(ctx.p, ctx.eta, key))
+                assert got == _r_matrix_for_tau_dense(omega, ctx.eta, tau)
 
     def test_r_tau_equals_the_per_tau_recurrence(self, r_contexts):
         for ctx in r_contexts:
@@ -273,7 +278,8 @@ class TestAgainstDenseOracles:
             if rng.random() < 0.5:  # skew r: the mismatch then needs a one-signed column
                 r = [[r[i][j] - r[j][i] for j in range(n)] for i in range(n)]
             k = rng.choice(ex)
-            got = _mutate_r_outcome(mutate_r, r, b, k)
+            got = _mutate_r_outcome(lambda *args: as_fractions(mutate_r(*args)),
+                                    from_fractions(r, 6), b, k)
             assert got == _mutate_r_outcome(_mutate_r_dense, r, b, k)
             outcomes.add(got[0])
         assert outcomes == {"ok", "EpsilonMismatch"}
@@ -420,20 +426,20 @@ class TestLogCanonical:
     def test_identity_matches_q(self, ctx22):
         bundle = seed_for_tau(ctx22, (0, 1, 2, 3))
         check_log_canonical(ctx22, bundle)
-        assert bundle.r[1][0] == -1
+        assert as_fractions(bundle.r)[1][0] == -1
 
     def test_rotated_bracket(self, ctx22):
         bundle = seed_for_tau(ctx22, (1, 2, 3, 0))
         check_log_canonical(ctx22, bundle)
         # {t22, t12} = -t12 t22: entry (1,2) of r_tau
-        assert bundle.r[0][1] == -1
+        assert as_fractions(bundle.r)[0][1] == -1
 
     def test_affine_is_input_matrix(self):
         q = [[0, 1, -2], [-1, 0, 3], [2, -3, 0]]
         ctx = ClusterContext.build(build_affine_space(3, q))
         bundle = seed_for_tau(ctx, (0, 1, 2))
         check_log_canonical(ctx, bundle)
-        assert bundle.r == [[Fraction(x) for x in row] for row in q]
+        assert as_fractions(bundle.r) == [[Fraction(x) for x in row] for row in q]
 
     def test_all_gamma_2x3(self, ctx23):
         for bundle in gamma_bundles(ctx23):
@@ -967,7 +973,8 @@ class TestMutateSeed:
         # 2 mu(r) is compatible with mu(B) with every beta doubled
         bundle = seed_for_tau(ctx23, tuple(range(6)))
         k = bundle.btilde.ex[0]
-        doubled = [[2 * x for x in row] for row in mutate_r(bundle.r, bundle.btilde, k)]
+        nums, den = mutate_r(bundle.r, bundle.btilde, k)
+        doubled = [[2 * x for x in row] for row in nums], den
         assert check_compatible(doubled, mutate_matrix(bundle.btilde, k)) == {
             l: 2 * v for l, v in bundle.beta.items()}
         monkeypatch.setattr(cluster, "mutate_r", lambda r, b, l: doubled)
@@ -978,10 +985,11 @@ class TestMutateSeed:
         bundle = seed_for_tau(ctx23, tuple(range(6)))
         k = bundle.btilde.ex[0]
         b2 = mutate_matrix(bundle.btilde, k)
-        broken = [list(row) for row in mutate_r(bundle.r, bundle.btilde, k)]
+        nums, den = mutate_r(bundle.r, bundle.btilde, k)
+        broken = [list(row) for row in nums], den
         i = next(i for i, c in enumerate(b2.column(k)) if c)
         j = next(j for j in range(6) if j != k)
-        broken[i][j] += 1
+        broken[0][i][j] += den
         with pytest.raises(CompatibilityFailure) as direct:
             check_compatible(broken, b2)
         monkeypatch.setattr(cluster, "mutate_r", lambda r, b, l: broken)

@@ -13,7 +13,9 @@ link check it replaced (tau_oracles.verify_one_step_polynomial).  The
 full-rank check that check_seed_invariants no longer makes, and the full
 seed checks the derived keys no longer get, are kept here as tests of every
 bundle along the chain.  One seed mutation certifies the mutated pair's
-compatibility once.
+compatibility once, on r's int numerators over lam_den; the check on r's
+Fractions with an lcm rescale it replaced (tau_oracles.check_compatible_lcm)
+is the oracle of every key's.
 """
 
 import pytest
@@ -28,6 +30,7 @@ from pcgl.cluster import (
     LinkReport,
     SeedInvariantFailure,
     chain_verify,
+    check_compatible,
     check_seed_invariants,
     gamma_bundles,
     mutate_seed,
@@ -40,7 +43,7 @@ from pcgl.presets import build_affine_space, build_matrix_poisson
 from pcgl.symmetric import gamma_chain, interval_exponent
 
 from conftest import rescaled_2x3, rescaled_3x3, rescaled_4x5, two_block, weyl_block
-from tau_oracles import verify_one_step_polynomial
+from tau_oracles import as_fractions, check_compatible_lcm, verify_one_step_polynomial
 
 BUILDS = {
     "2x3": lambda: build_matrix_poisson(2, 3),
@@ -313,3 +316,43 @@ def test_walk_bundles_pass_the_full_seed_checks(name):
     for bundle in gamma_bundles(ctx):
         assert check_seed_invariants(bundle.vars_x, bundle.r, bundle.btilde, ctx.d_map,
                                      ctx.eta) == bundle.beta
+
+
+# ------------------------- compatibility on numerators against the lcm oracle
+
+
+def _compatibility(check, r, b):
+    try:
+        return check(r, b)
+    except CompatibilityFailure as exc:
+        return exc.pair, exc.value, str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(WALK_BUILDS))
+def test_compatibility_on_numerators_equals_the_lcm_oracle(name):
+    """check_compatible on r's numerators over lam_den against the lcm form on
+    r's Fractions, on the first bundle of every seed key: the same beta, and,
+    with one numerator added to an off-diagonal entry r_ij that meets a
+    nonzero b_il (j != l), the same CompatibilityFailure."""
+    ctx = _context(name)
+    first = {}
+    for bundle in gamma_bundles(ctx):
+        first.setdefault(tuple(bundle.intervals), bundle)
+    failed = 0
+    for bundle in first.values():
+        r, b = bundle.r, bundle.btilde
+        assert r[1] == ctx.p.lam_den
+        assert check_compatible(r, b) == check_compatible_lcm(as_fractions(r), b) == bundle.beta
+        if not b.ex or b.n < 3:
+            continue
+        l = b.ex[0]
+        i = next(i for i, c in enumerate(b.column(l)) if c)
+        j = next(j for j in range(b.n) if j not in (i, l))
+        nums = [list(row) for row in r[0]]
+        nums[i][j] += 1
+        bad = (nums, r[1])
+        got = _compatibility(check_compatible, bad, b)
+        assert isinstance(got, tuple)
+        assert got == _compatibility(check_compatible_lcm, as_fractions(bad), b)
+        failed += 1
+    assert failed == (len(first) if ctx.eta.exchangeable and ctx.p.n >= 3 else 0)

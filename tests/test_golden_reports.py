@@ -21,7 +21,11 @@ of the y-coordinate membership reports were re-taken when their element
 text moved from x names to y names; a JSON diff against the reports before
 showed element.text as the only change.  The symmetric and rescale digests
 on presentations without h* rows, or with h* rows that fail, were taken
-while validate_symmetric still paired h* with the weights as Fractions.
+while validate_symmetric still paired h* with the weights as Fractions.  The
+seeds --gamma digest on rescaled_2x3 (lam_den 7, delta_den 36) was taken
+while every seed's r was still a matrix of Fractions, mutated and scaled to
+integers by an lcm in each consumer; it pins the r and beta of every chain
+bundle at a denominator above 1.
 """
 
 import hashlib
@@ -125,6 +129,14 @@ def test_mutate_report_digest(bracket_files, capsys, args, digest):
     assert main(["mutate", bracket_files["r33"], *args]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_seeds_gamma_digest_over_lam_den_7(bracket_files, capsys):
+    assert main(["seeds", bracket_files["r23"], "--gamma"]) == 0
+    out = capsys.readouterr().out
+    assert '"4/7"' in out and '"2/7"' in out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "cb915269f7344bdf6a864f5781719dbdd333ea36ab5fe619ac1b9760f63e9fbf"
 
 
 

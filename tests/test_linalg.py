@@ -22,6 +22,8 @@ from pcgl.cluster import (
 from pcgl.presets import build_matrix_poisson
 from pcgl.symmetric import gamma_chain
 
+from tau_oracles import as_fractions, from_fractions
+
 
 # ------------------------------------------------------------------ the oracle
 
@@ -224,8 +226,8 @@ class TestSolveBtildeFailures:
             for tau in gamma_chain(ctx.p.n)[::3]:
                 bundle = seed_for_tau(ctx, tau)
                 for _ in range(12):
-                    r, w = _corrupt(rng, bundle.r, bundle.weights)
-                    got = _outcome(solve_btilde, ctx, r, w)
+                    r, w = _corrupt(rng, as_fractions(bundle.r), bundle.weights)
+                    got = _outcome(solve_btilde, ctx, from_fractions(r, 6 * ctx.p.lam_den), w)
                     assert got == _outcome(_solve_btilde_per_column, ctx, r, w)
                     seen.add(got[0] if got[0] == "ok" else (got[0], got[1] == ctx.eta.exchangeable[0]))
         # every failure class, at the first and at a later direction, and success

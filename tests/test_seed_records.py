@@ -7,8 +7,6 @@ on every pair of the tau-presentation's ebar vectors, and every link checked
 on its variables with the exchange identity multiplied out.
 """
 
-from fractions import Fraction
-
 import pytest
 
 from pcgl import cluster
@@ -42,9 +40,9 @@ def _r_matrix_for_tau_omega(p, eta, tau):
     etau = eta_tau_data(eta, tau)
     tau_inv = perm_inverse(tau)
     vecs = [[e[l] for l in tau_inv] for e in map(etau.ebar, range(n))]
-    q_tau = p.omega_lambda_matrix(vecs, vecs)
+    q_tau, den = p.omega_lambda_matrix(vecs, vecs)
     sig_inv = perm_inverse(perm_compose(tau_bullet(tau, eta), tau))
-    return [[q_tau[sig_inv[a]][sig_inv[b]] for b in range(n)] for a in range(n)]
+    return [[q_tau[sig_inv[a]][sig_inv[b]] for b in range(n)] for a in range(n)], den
 
 
 def _seed_for_tau_per_tau(ctx, tau):
@@ -143,7 +141,8 @@ def test_perturbed_r_tau_fails_its_links(monkeypatch, branch, detail):
         r = r_for_tau(p, eta, key)
         if key != target:
             return r
-        return [[x + Fraction(d, p.lam_den) for x, d in zip(row, drow)] for row, drow in zip(r, e)]
+        nums, den = r   # e is added as numerators over lam_den
+        return [[x + d for x, d in zip(row, drow)] for row, drow in zip(nums, e)], den
 
     monkeypatch.setattr(cluster, "r_matrix_for_tau", perturbed)
     reports = chain_verify(ctx)

@@ -34,6 +34,7 @@ from pcgl.symmetric import (
 from algebra_oracles import solid_minor, u_element_and_pi
 from conftest import benchmark_input, rescaled_3x3, rescaled_4x5, two_block, weyl_block
 from tau_oracles import (
+    as_fractions,
     enumerate_xi,
     perm_compose,
     perm_inverse,
@@ -449,7 +450,8 @@ class TestIntervalBrackets:
         for (i, m), (j, nn) in pairs:
             yi = interval_prime(p33, eta, i, m)
             yj = interval_prime(p33, eta, j, nn)
-            om = p33.omega_lambda_matrix([interval_exponent(eta, i, m)], [interval_exponent(eta, j, nn)])[0][0]
+            om = as_fractions(p33.omega_lambda_matrix([interval_exponent(eta, i, m)],
+                                                      [interval_exponent(eta, j, nn)]))[0][0]
             assert bracket(p33, yi, yj) == yj * yi * om
 
     def test_interval_normality_in_window(self, p33, ctx33):
@@ -466,7 +468,8 @@ class TestIntervalBrackets:
             hi = hi_idx if hi_idx is not None else 9
             for k in range(low + 1, hi):
                 xk = MvLaurent.gen(9, k)
-                om = p33.omega_lambda_matrix([e_int], [tuple(1 if t == k else 0 for t in range(9))])[0][0]
+                unit = tuple(1 if t == k else 0 for t in range(9))
+                om = as_fractions(p33.omega_lambda_matrix([e_int], [unit]))[0][0]
                 assert bracket(p33, y, xk) == xk * y * om
 
     def test_lambda_chain_consistency(self, p33):
