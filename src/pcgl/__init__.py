@@ -3,10 +3,10 @@
 Given a declarative presentation (generator weights, h-vectors, bracket
 table), the package validates the iterated Poisson-Ore axioms, computes the
 canonical sequence of homogeneous Poisson-prime elements with its level-set
-combinatorics, builds the seeds and exchange matrices attached to every
-interval-prefix permutation, verifies the one-step mutation links and
-log-canonicality exactly, and decides Laurent/upper-cluster membership.
-All arithmetic is exact rational.
+combinatorics and certifies its brackets {y_k, y_j} = q_kj y_k y_j, builds
+the seeds and exchange matrices attached to every interval-prefix
+permutation, verifies the one-step mutation links exactly, and decides
+Laurent/upper-cluster membership.  All arithmetic is exact rational.
 """
 
 from .poly import (
@@ -65,7 +65,6 @@ from .cluster import (
     TauSeedBundle,
     chain_verify,
     check_compatible,
-    check_log_canonical,
     express_in_cluster,
     gamma_bundles,
     mutate_matrix,

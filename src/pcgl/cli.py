@@ -224,7 +224,7 @@ def _bundle_dict(ctx: cl.ClusterContext, bundle: cl.TauSeedBundle, names,
     to its variable's report in initial-y coordinates and gains the new ones."""
     for label, v in zip(bundle.intervals, bundle.vars_x):
         if label not in y_reports:
-            y_reports[label] = ser.poly_report(ctx.to_y_coordinates(v), _y_names(ctx.p.n))
+            y_reports[label] = ser.poly_report(ctx.variable_in_y(label, v), _y_names(ctx.p.n))
     return {
         "tau": [v + 1 for v in bundle.tau],
         "tau_bullet_tau": [v + 1 for v in bundle.sigma],

@@ -29,7 +29,6 @@ read keys, r and B, and for the seeds report;
 upper_membership reads it to carry its input's images from each cluster to
 the next (_carried_images).  seed_for_tau solves each key on its own, for
 the off-chain --tau commands.
-check_log_canonical brackets every pair of a seed's variables against r.
 Every function here that needs sigma = tau_bullet o tau or the seed key
 takes them from one call of symmetric.tau_data.
 """
@@ -42,14 +41,11 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tu
 
 from . import linalg
 from .cgl import EtaData, PrimeSequenceReport, compute_eta_and_primes
-from .poly import MvLaurent, NonInvertibleImage, _exchange_slot, _mul, _scale, exact_divide, substitute
+from .poly import MvLaurent, NonInvertibleImage, _exchange_slot, exact_divide, substitute
 from .presentation import (
     PoissonPresentation,
     PresentationError,
     ScaledMatrix,
-    _bracket_is_multiple,
-    _prepare,
-    bracket,
     validate_algebra,
     weight_of,
 )
@@ -130,14 +126,6 @@ class LinkFailure(ClusterError):
 class NotInRing(ClusterError):
     def __init__(self, what):
         super().__init__(what)
-
-
-class LogCanonicalFailure(ClusterError):
-    def __init__(self, l, j, lhs, rhs):
-        super().__init__(f"bracket of variables {l+1},{j+1} is not the r-scalar multiple")
-        self.pair = (l, j)
-        self.lhs = lhs
-        self.rhs = rhs
 
 
 class SeedInvariantFailure(ClusterError):
@@ -327,6 +315,16 @@ class ClusterContext:
         """Rewrite a polynomial in the generators as Laurent in y_1..y_N."""
         return substitute(f, self.x_in_y)
 
+    def variable_in_y(self, label: Tuple[int, int], v: MvLaurent) -> MvLaurent:
+        """The cluster variable v of interval label `label` in y_1..y_N: the
+        monomial y_j when label is slot j's in the identity's seed key, whose
+        cluster is the prime sequence, so x_in_y is not built for it; any
+        other label's v goes through to_y_coordinates."""
+        initial = tau_data(self.eta, tuple(range(self.p.n)))[1]
+        if label in initial:
+            return MvLaurent.gen(self.p.n, initial.index(label))
+        return self.to_y_coordinates(v)
+
     def prime(self, label: Tuple[int, int]) -> Tuple[MvLaurent, Weight]:
         """y_[start, s^m(start)] of label (start, m) and its weight, certified by weight_of."""
         y = interval_prime(self.p, self.eta, *label)
@@ -348,8 +346,8 @@ class TauSeedBundle(NamedTuple):
 
     def as_seed(self, ctx: ClusterContext) -> "Seed":
         """The same seed with its variables rewritten in initial-y coordinates."""
-        return Seed(vars_y=[ctx.to_y_coordinates(v) for v in self.vars_x], r=self.r,
-                    btilde=self.btilde, beta=dict(self.beta))
+        return Seed(vars_y=[ctx.variable_in_y(label, v) for label, v in zip(self.intervals, self.vars_x)],
+                    r=self.r, btilde=self.btilde, beta=dict(self.beta))
 
 
 def r_matrix_for_tau(p: PoissonPresentation, eta: EtaData, key: SeedKey) -> RMatrix:
@@ -621,36 +619,6 @@ def chain_verify(ctx: ClusterContext) -> List[LinkReport]:
     return [verify_one_step(ctx, a, b) for a, b in zip(bundles, bundles[1:])]
 
 
-# ----------------------------------------------------------------- log-canonical
-
-
-def check_log_canonical(ctx: ClusterContext, bundle: TauSeedBundle) -> int:
-    """Verify every pairwise bracket of the seed variables against r_tau.
-
-    Brackets are computed in the polynomial ring on the generators, so no
-    denominators arise.  Each variable is scaled to int numerators and
-    prepared for the bracket kernel once, and each identity
-    {v_l, v_j} = r_lj v_l v_j, j < l in row order, is decided on integers by
-    the bracket kernel against the int product v_l v_j.  Seed variables carry
-    no certified relations with the generators, so, unlike the prime
-    sequence's certificate, every pair goes through the kernel.  Fractions
-    are built only for the first failing pair's lhs and rhs.  Returns the
-    number of pairs checked.
-    """
-    p = ctx.p
-    v = bundle.vars_x
-    rn, den = bundle.r
-    scaled = [_scale(f.terms) for f in v]
-    ops = [_prepare(p, nums) for nums, _ in scaled]
-    for l in range(p.n):
-        for j in range(l):
-            if not _bracket_is_multiple(p, ops[l], ops[j], rn[l][j], den,
-                                        _mul(scaled[l][0], scaled[j][0])):
-                raise LogCanonicalFailure(l, j, bracket(p, v[l], v[j]),
-                                          v[l] * v[j] * Fraction(rn[l][j], den))
-    return p.n * (p.n - 1) // 2
-
-
 # ------------------------------------------------------------------- membership
 
 
@@ -693,14 +661,6 @@ class MembershipWitness(NamedTuple):
         }
 
 
-def _check_coords(f: MvLaurent, coords: str) -> None:
-    if coords == "x":
-        if not f.is_polynomial():
-            raise NotInRing("x-coordinate input must be a polynomial in the generators")
-    elif coords != "y":
-        raise ValueError("coords must be 'x' or 'y'")
-
-
 def _bad_frozen(ctx: ClusterContext, polys: Sequence[MvLaurent], inv: Sequence[int]) -> List[int]:
     """The frozen indices outside inv at which some of polys has a negative exponent."""
     inv_set = set(inv)
@@ -709,31 +669,23 @@ def _bad_frozen(ctx: ClusterContext, polys: Sequence[MvLaurent], inv: Sequence[i
 
 
 def express_in_cluster(ctx: ClusterContext, f: MvLaurent, tau: Perm, images: Sequence[MvLaurent],
-                       inv: Sequence[int] = (), coords: str = "x") -> Tuple[MvLaurent, MembershipWitness]:
-    """Rewrite f in the tau-cluster, where images are those of f's own
-    variables, and test mixed-ring membership.
+                       inv: Sequence[int] = ()) -> Tuple[MvLaurent, MembershipWitness]:
+    """Rewrite f in the tau-cluster by substituting images, the cluster's
+    images of f's own variables (only those f uses are read), and test
+    mixed-ring membership.
 
-    `coords` says how f is given: "x" for a polynomial in the generators,
-    whose images are the cluster's generator images, "y" for a Laurent
-    polynomial in the initial cluster, whose images are the cluster's images
-    of y_1..y_N (only those f uses are read).  The membership flag requires
-    nonnegative exponents on every frozen variable outside `inv` after full
-    cancellation; NotInRing is raised when f does not land in the Laurent
-    ring of the cluster at all.
+    The membership flag requires nonnegative exponents on every frozen
+    variable outside `inv` after full cancellation; NotInRing is raised when
+    f does not land in the Laurent ring of the cluster at all.
+    upper_membership calls it on a y-input, with the cluster's images of
+    y_1..y_N.
     """
-    _check_coords(f, coords)
     try:
         expr = substitute(f, images)
     except NonInvertibleImage as exc:
         raise NotInRing(f"element is not Laurent in the tau-cluster: {exc}") from exc
     bad = _bad_frozen(ctx, [expr], inv)
     return expr, MembershipWitness(tau=tuple(tau), ok=not bad, bad_frozen=bad)
-
-
-def _certified_by_images(ctx: ClusterContext, images: Sequence[MvLaurent], inv: Sequence[int]) -> bool:
-    """No image has a negative exponent at a frozen index outside inv, so no
-    polynomial in the images has one either."""
-    return not _bad_frozen(ctx, images, inv)
 
 
 def _carried_images(ctx: ClusterContext, start: Sequence[MvLaurent],
@@ -768,26 +720,41 @@ def upper_membership(ctx: ClusterContext, f: MvLaurent, inv: Sequence[int] = (),
 
     _carried_images carries f's own variables along the walk: the generators
     f uses from ctx.x_in_y, or the y_j a y-input uses from themselves, so a
-    y-input never builds ctx.x_in_y.  In each new cluster an x-input whose
-    images certify (_certified_by_images) is not substituted; any other
-    input is expressed there.  Every permutation gets its cluster's witness.
-    A non-polynomial x-input raises NotInRing up front; a y-input that is
-    not Laurent in a cluster gets ok=False witnesses with no bad_frozen.
+    y-input never builds ctx.x_in_y.  An x-input, a polynomial in the
+    generators, is certified in each new cluster by its generator images
+    alone: R lies in the upper cluster algebra, which inverts no frozen
+    variable, so no image has a negative frozen exponent, and an image that
+    has one raises ClusterError naming the generator, tau and the index.
+    `inv` does not excuse such an image; it acts on y-inputs only, which are
+    expressed in each new cluster (express_in_cluster).  Every permutation
+    gets its cluster's witness.  A non-polynomial x-input raises NotInRing up
+    front; a y-input that is not Laurent in a cluster gets ok=False witnesses
+    with no bad_frozen.
     """
-    _check_coords(f, coords)
     n = ctx.p.n
-    start = ctx.x_in_y if coords == "x" else [MvLaurent.gen(n, j) for j in range(n)]
+    if coords == "x":
+        if not f.is_polynomial():
+            raise NotInRing("x-coordinate input must be a polynomial in the generators")
+        start = ctx.x_in_y
+    elif coords == "y":
+        start = [MvLaurent.gen(n, j) for j in range(n)]
+    else:
+        raise ValueError("coords must be 'x' or 'y'")
     witnesses: List[MembershipWitness] = []
     # substitute reads images[j] only where f has a nonzero exponent
     for tau, changed, images in _carried_images(ctx, start, f.support()):
-        if changed:
-            if coords == "x" and _certified_by_images(ctx, images, inv):
-                w = MembershipWitness(tau=tau, ok=True, bad_frozen=[])
-            else:
-                try:
-                    w = express_in_cluster(ctx, f, tau, images, inv=inv, coords=coords)[1]
-                except NotInRing:
-                    w = MembershipWitness(tau=tau, ok=False, bad_frozen=[])
+        if changed and coords == "x":
+            bad = next(((j, l) for j, g in enumerate(images) for l in _bad_frozen(ctx, [g], ())), None)
+            if bad is not None:
+                raise ClusterError(f"the image of x{bad[0]+1} in the cluster of tau = "
+                                   f"{[v + 1 for v in tau]} has a negative exponent at frozen index "
+                                   f"{bad[1]+1}, so R does not lie in the upper cluster algebra")
+            w = MembershipWitness(tau=tau, ok=True, bad_frozen=[])
+        elif changed:
+            try:
+                w = express_in_cluster(ctx, f, tau, images, inv=inv)[1]
+            except NotInRing:
+                w = MembershipWitness(tau=tau, ok=False, bad_frozen=[])
         witnesses.append(w._replace(tau=tau, bad_frozen=list(w.bad_frozen)))
     return all(w.ok for w in witnesses), witnesses
 

@@ -18,6 +18,12 @@ check_compatible_lcm and btr_lcm are the compatibility check on an r of
 Fractions, scaled to one denominator by an lcm; cluster.check_compatible
 reads r's int numerators over lam_den.  as_fractions and from_fractions
 convert between that form and a matrix of Fractions.
+check_log_canonical brackets every pair of a seed's variables against its
+r; no command runs it, as the paper's theorem makes every seed
+log-canonical, and only the prime sequence's brackets are certified
+(cgl.certify_prime_sequence).  membership_by_substitution is the x-input
+path upper_membership had before it certified from the generator images
+alone: the input substituted into each new cluster's images.
 
 The second group works on all of Xi_N, which commands never enumerate (they
 walk only Gamma_N): enumerate_xi lists it, permute_presentation builds the
@@ -32,15 +38,19 @@ from typing import Dict, List, Optional, Tuple
 
 from pcgl.cgl import EtaData
 from pcgl.cluster import (
+    ClusterError,
     CompatibilityFailure,
     LinkFailure,
     LinkReport,
+    MembershipWitness,
+    _bad_frozen,
+    _carried_images,
     _exchange_binomial,
     mutate_matrix,
     mutate_r,
 )
-from pcgl.poly import MvLaurent, substitute
-from pcgl.presentation import PoissonPresentation, bracket
+from pcgl.poly import MvLaurent, _mul, _scale, substitute
+from pcgl.presentation import PoissonPresentation, _bracket_is_multiple, _prepare, bracket
 from pcgl.symmetric import Perm, SymmetryError, interval_prime, is_xi_element, tau_data
 
 
@@ -318,6 +328,51 @@ def verify_one_step_polynomial(ctx, a, b):
     ok = not problems
     return LinkReport(tau=tau, tau_next=tau_next, position=k, branch="mutation",
                       k_bullet=k_bullet, verified=ok, detail="; ".join(problems))
+
+
+class LogCanonicalFailure(ClusterError):
+    def __init__(self, l, j, lhs, rhs):
+        super().__init__(f"bracket of variables {l+1},{j+1} is not the r-scalar multiple")
+        self.pair = (l, j)
+        self.lhs = lhs
+        self.rhs = rhs
+
+
+def check_log_canonical(ctx, bundle) -> int:
+    """Verify every pairwise bracket of the seed variables against r_tau.
+
+    Brackets are computed in the polynomial ring on the generators, so no
+    denominators arise.  Each variable is scaled to int numerators and
+    prepared for the bracket kernel once, and each identity
+    {v_l, v_j} = r_lj v_l v_j, j < l in row order, is decided on integers by
+    the bracket kernel against the int product v_l v_j.  Fractions are built
+    only for the first failing pair's lhs and rhs.  Returns the number of
+    pairs checked.
+    """
+    p = ctx.p
+    v = bundle.vars_x
+    rn, den = bundle.r
+    scaled = [_scale(f.terms) for f in v]
+    ops = [_prepare(p, nums) for nums, _ in scaled]
+    for l in range(p.n):
+        for j in range(l):
+            if not _bracket_is_multiple(p, ops[l], ops[j], rn[l][j], den,
+                                        _mul(scaled[l][0], scaled[j][0])):
+                raise LogCanonicalFailure(l, j, bracket(p, v[l], v[j]),
+                                          v[l] * v[j] * Fraction(rn[l][j], den))
+    return p.n * (p.n - 1) // 2
+
+
+def membership_by_substitution(ctx, f, inv=()) -> Tuple[bool, List[MembershipWitness]]:
+    """upper_membership of a polynomial f in the generators, with f
+    substituted into each new cluster's generator images and the frozen
+    exponents of the result read outside inv."""
+    witnesses = []
+    for tau, changed, images in _carried_images(ctx, ctx.x_in_y, f.support()):
+        if changed:
+            bad = _bad_frozen(ctx, [substitute(f, images)], inv)
+        witnesses.append(MembershipWitness(tau=tau, ok=not bad, bad_frozen=bad))
+    return all(w.ok for w in witnesses), witnesses
 
 
 # ------------------------------------------------------------------ all of Xi_N

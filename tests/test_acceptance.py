@@ -17,7 +17,6 @@ from pcgl.cluster import (
     NonIntegral,
     chain_verify,
     check_compatible,
-    check_log_canonical,
     gamma_bundles,
     mutate_matrix,
     mutate_r,
@@ -35,7 +34,7 @@ from pcgl.symmetric import (
 )
 
 from algebra_oracles import cauchon_theta, expected_minor_for_generator, sigma, u_element_and_pi
-from tau_oracles import as_fractions
+from tau_oracles import as_fractions, check_log_canonical
 
 
 def mark(num, text):

@@ -1,8 +1,8 @@
 """The integer bracket identities against the Fraction checks they replaced.
 
 `certify_prime_sequence`, the Jacobi loop of `validate_algebra` and
-`check_log_canonical` decide their identities on int numerators through the
-bracket kernel; `certify_prime_sequence` decides its {y_k, y_j} identities
+`check_log_canonical` (an oracle in tau_oracles, which no command runs)
+decide their identities on int numerators through the bracket kernel; `certify_prime_sequence` decides its {y_k, y_j} identities
 from the certified {y_k, x_i} relations instead, and brackets only a pair
 those relations do not cover.  The oracles below are those checks as they
 were before, with every bracket and right-hand side a `Fraction` polynomial;
@@ -19,7 +19,7 @@ import pytest
 from pcgl import cgl
 from pcgl import serialize as ser
 from pcgl.cgl import CertFailure, QData, certify_prime_sequence, compute_eta_and_primes
-from pcgl.cluster import ClusterContext, LogCanonicalFailure, check_log_canonical, seed_for_tau
+from pcgl.cluster import ClusterContext, seed_for_tau
 from pcgl.poly import MvLaurent, _mul, _scale
 from pcgl.presentation import (
     JacobiFailure,
@@ -35,7 +35,7 @@ from pcgl.presets import build_matrix_poisson
 from pcgl.symmetric import validate_symmetric
 
 from conftest import rescaled_3x3, rescaled_4x5, two_block
-from tau_oracles import as_fractions, from_fractions
+from tau_oracles import LogCanonicalFailure, as_fractions, check_log_canonical, from_fractions
 
 PRESENTATIONS = {
     "2x3": build_matrix_poisson(2, 3),

@@ -21,7 +21,6 @@ from pcgl.cluster import (
     SeedInvariantFailure,
     chain_verify,
     check_compatible,
-    check_log_canonical,
     check_seed_invariants,
     cluster_expressions,
     express_in_cluster,
@@ -44,10 +43,12 @@ from algebra_oracles import dot, solid_minor
 from conftest import rescaled_2x3, rescaled_3x3, rescaled_4x5, two_block, weyl_block
 from tau_oracles import (
     as_fractions,
+    check_log_canonical,
     cluster_expressions_for_tau,
     eta_tau_data,
     perm_compose,
     from_fractions,
+    membership_by_substitution,
     perm_inverse,
     r_matrix_per_tau,
     tau_bullet,
@@ -746,9 +747,9 @@ class TestMembershipWalk:
                     want = _express_per_tau(ctx33, f, tau, inv=inv, coords=coords)
                 except NotInRing:
                     with pytest.raises(NotInRing):
-                        express_in_cluster(ctx33, f, tau, images, inv=inv, coords=coords)
+                        express_in_cluster(ctx33, f, tau, images, inv=inv)
                     continue
-                assert express_in_cluster(ctx33, f, tau, images, inv=inv, coords=coords)[1] == want
+                assert express_in_cluster(ctx33, f, tau, images, inv=inv)[1] == want
 
     def _walk_fails(self, tmp_path, capsys, detail, commands=(["membership", "--elem", "t11*t22 - t12*t21"],)):
         """upper_membership on 3x4 and each command on the 3x4 preset (by
@@ -847,26 +848,52 @@ class TestMembershipWalk:
         assert not any(g is y for g in calls for y in ctx33.seq.y)
 
     @pytest.mark.parametrize("name", WALK_INPUTS)
-    def test_forced_fallback_gives_the_same_witnesses(self, name, monkeypatch):
-        # an x-input whose images do not certify is expressed in the
-        # cluster; on inputs that certify, that fallback agrees with the
-        # certificate, without and with --inv
+    def test_forced_fallback_gives_the_same_witnesses(self, name):
+        # the substitution of an x-input into every cluster, the fallback
+        # upper_membership no longer has, gives the witnesses its
+        # certificate from the generator images gives, without and with --inv
         ctx = _walk_ctx(name)
         x = _walk_cases(ctx)[0][0]
         frozen = [l for l in range(ctx.p.n) if ctx.eta.succ[l] is None]
-        cases = [(x, ()), (x * x, ()), (x, frozen[-1:])]
-        fast = [upper_membership(ctx, f, inv=inv) for f, inv in cases]
-        assert all(ok for ok, _ in fast)
-        monkeypatch.setattr(cluster, "_certified_by_images", lambda ctx, images, inv: False)
-        assert [upper_membership(ctx, f, inv=inv) for f, inv in cases] == fast
+        for f, inv in [(x, ()), (x * x, ()), (x, frozen[-1:])]:
+            got = upper_membership(ctx, f, inv=inv)
+            assert got[0] and got == membership_by_substitution(ctx, f, inv=inv)
 
-    def test_images_with_a_negative_frozen_exponent_do_not_certify(self, ctx33):
-        # the certificate reads the frozen exponents of every carried image
-        frozen = [l for l in range(9) if ctx33.eta.succ[l] is None]
-        images = [MvLaurent.gen(9, 0), MvLaurent.gen(9, 0) + MvLaurent.gen(9, frozen[0], -1)]
-        assert not cluster._certified_by_images(ctx33, images, ())
-        assert cluster._certified_by_images(ctx33, images, frozen[:1])
-        assert cluster._certified_by_images(ctx33, images[:1], ())
+    def test_images_with_a_negative_frozen_exponent_do_not_certify(self, monkeypatch, tmp_path, capsys):
+        # R lies in the upper cluster algebra, so an x-input's generator image
+        # with a negative frozen exponent is a fault of the walk: the first
+        # exchange gives the image of x_j a factor y_l^-1 for a frozen l, and
+        # membership refuses the cluster, --inv l included
+        ctx = _walk_ctx("3x4")
+        l = [i for i in range(ctx.p.n) if ctx.eta.succ[i] is None][-1]
+        (_, first), (tau, second) = _runs(ctx)[:2]
+        kb = next(i for i in range(len(first)) if first[i] != second[i])
+        x = _walk_cases(ctx)[0][0]
+        j = next(i for i in sorted(x.support()) if any(e[kb] for e in ctx.x_in_y[i].terms))
+        inner, seen = cluster._exchange_slot, []
+
+        def with_frozen_inverse(g, k, q):
+            out = inner(g, k, q)
+            if not seen:
+                seen.append(g)
+                out = out * MvLaurent.gen(ctx.p.n, l, -1)
+            return out
+
+        monkeypatch.setattr(cluster, "_exchange_slot", with_frozen_inverse)
+        detail = (f"the image of x{j+1} in the cluster of tau = {[v + 1 for v in tau]} has a negative "
+                  f"exponent at frozen index {l+1}, so R does not lie in the upper cluster algebra")
+        for inv in [(), (l,)]:
+            seen.clear()
+            with pytest.raises(ClusterError) as err:
+                upper_membership(ctx, x, inv=inv)
+            assert type(err.value) is ClusterError and str(err.value) == detail
+        path = str(tmp_path / "m34.json")
+        assert cli.main(["preset", "matrix", "--m", "3", "--n", "4", "-o", path]) == 0
+        capsys.readouterr()
+        seen.clear()
+        argv = ["membership", path, "--elem", "t11*t34 - t12*t33 + 3*t23", "--inv", str(l + 1)]
+        assert cli.main(argv) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == {"code": "ClusterError", "detail": detail}
 
     @pytest.mark.parametrize("coords, elem", [("x", "t11*t22 - t12*t21"), ("y", "y6^-1*y1*y16")])
     def test_one_solve_and_no_substitution_of_an_interval_prime(self, coords, elem, tmp_path,

@@ -220,8 +220,9 @@ def test_prime_sequence_of_a_solved_h_star_is_computed_once(counter, tmp_path, c
     (["chain-verify"], 0),
     (["btilde"], 0),
     (["membership", "--elem", "x1*x6 - x2*x5"], 0),
-    (["seeds"], 1),
-    (["mutate", "--at", "1"], 1),
+    (["seeds"], 0),
+    (["mutate", "--at", "1"], 0),
+    (["seeds", "--tau", "2,3,4,5,6,7,8,9,10,11,12,1"], 1),
 ])
 def test_cli_builds_context_once(argv, reads_y, counter, tmp_path, capsys):
     path = tmp_path / "m34.json"

@@ -25,7 +25,11 @@ while validate_symmetric still paired h* with the weights as Fractions.  The
 seeds --gamma digest on rescaled_2x3 (lam_den 7, delta_den 36) was taken
 while every seed's r was still a matrix of Fractions, mutated and scaled to
 integers by an lcm in each consumer; it pins the r and beta of every chain
-bundle at a denominator above 1.
+bundle at a denominator above 1.  The seeds digests of the identity on the
+3x3 preset, rescaled_4x5 and two_block, and of a key with non-initial labels
+on rescaled_3x3, were taken while every variable of a seeds report was
+rewritten in y_1..y_N through the generators' back-substitution, an initial
+cluster variable y_j included.
 """
 
 import hashlib
@@ -138,6 +142,22 @@ def test_seeds_gamma_digest_over_lam_den_7(bracket_files, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "cb915269f7344bdf6a864f5781719dbdd333ea36ab5fe619ac1b9760f63e9fbf"
 
+
+
+SEEDS_GOLDEN = [
+    ("m33", [], "0eed8c8f3744e9c6a2bae24be7c6b06a58c0bba63f8c154f4965d85aa9ede05b"),
+    ("r45", [], "fa4a88171ff661b42a39c250c2be04f0dc1fa407fd9213d6dc01f2d55a1a55a7"),
+    ("two_block", [], "fd03c91882dd575d08cd1ab6820a4438d1605f1cbb0a0fe96f252fe7c60cdd61"),
+    ("r33", ["--tau", "5,4,6,3,7,2,8,1,9"], "df3d171af0902446ee59a9450d0333b46659d10b7b670b282565728133db8075"),
+]
+
+
+@pytest.mark.parametrize("name,args,digest", SEEDS_GOLDEN, ids=[" ".join([g[0], *g[1]]) for g in SEEDS_GOLDEN])
+def test_seeds_report_digest(m33_file, bracket_files, capsys, name, args, digest):
+    path = m33_file if name == "m33" else bracket_files[name]
+    assert main(["seeds", path, *args]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # membership on the 4x4 preset with the x-probe and y-probe argv of the

@@ -24,9 +24,7 @@ TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 # Top-level names no src module or benchmark file reads, each with its reason.
-UNREAD_ALLOWED = {
-    "check_log_canonical": "the log-canonical check that chain-verify is to run on every seed",
-}
+UNREAD_ALLOWED = {}
 
 
 def unused_imports(source: str):
