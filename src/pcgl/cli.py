@@ -39,9 +39,9 @@ MAX_GAMMA_GENERATORS = 36
 # Largest total degree (sum of absolute exponents) of one term of a
 # membership --elem.  The cost of substituting a term grows steeply with its
 # degree.  An x-input whose generator images certify each cluster is not
-# substituted: under Python 3.11 on 2 vCPUs, x1^6 takes about 0.2 s on the
-# 4x4 preset and 0.7 s on 5x5 (CLI runs).  A y-input is substituted in every
-# cluster: y6^-3*y1^3 takes 11.4 s on 5x5 (one CLI run).
+# substituted: under Python 3.11 on 2 vCPUs, x1^6 takes about 0.14 s on the
+# 4x4 preset and 0.4 s on 5x5 (CLI runs).  A y-input is substituted in every
+# cluster: y6^-3*y1^3 takes 10.2 s on 5x5 (one CLI run).
 MAX_ELEM_DEGREE = 6
 
 # Most decimal digits in the numerator or denominator of one --elem
@@ -222,9 +222,9 @@ def _bundle_dict(ctx: cl.ClusterContext, bundle: cl.TauSeedBundle, names,
                  y_reports: Dict[Tuple[int, int], dict]) -> dict:
     """Report of one bundle; y_reports maps each interval label already seen
     to its variable's report in initial-y coordinates and gains the new ones."""
-    for label, v in zip(bundle.intervals, bundle.vars_x):
+    for label in bundle.intervals:
         if label not in y_reports:
-            y_reports[label] = ser.poly_report(ctx.variable_in_y(label, v), _y_names(ctx.p.n))
+            y_reports[label] = ser.poly_report(ctx.variable_in_y(label), _y_names(ctx.p.n))
     return {
         "tau": [v + 1 for v in bundle.tau],
         "tau_bullet_tau": [v + 1 for v in bundle.sigma],

@@ -19,16 +19,16 @@ by bilinearity the q-entry of the tau-presentation is Omega_lambda on the
 predecessor chains, and the chain of position k covers exactly the interval
 of its label; r is built from the key by the one bicharacter
 PoissonPresentation.omega_lambda_matrix, as int numerators over lam_den
-(RMatrix).  Gamma_N is walked in one place, _gamma_walk: adjacent Gamma_N
-seeds are equal or one mutation apart, so from the identity, whose cluster
-is the prime sequence and whose B is the one solve and the one full seed
-check of the chain, it carries each cluster and B to the next by one
+(RMatrix).  Gamma_N is walked once per context, by _gamma_walk: adjacent
+Gamma_N seeds are equal or one mutation apart, so from the identity, whose
+cluster is the prime sequence and whose B is the one solve and the one full
+seed check of the chain, it carries each cluster and B to the next by one
 exchange, whose identity it certifies (the only place that is done), and
-one matrix mutation.  gamma_bundles reads it for chain_verify, whose links
-read keys, r and B, and for the seeds report;
-upper_membership reads it to carry its input's images from each cluster to
-the next (_carried_images).  seed_for_tau solves each key on its own, for
-the off-chain --tau commands.
+one matrix mutation.  Its steps are read by gamma_bundles (chain_verify and
+the seeds report), by ClusterContext.y_table, which writes every cluster
+variable in the initial cluster by its exchange quotient, and by
+upper_membership (_carried_images).  seed_for_tau solves each key on its
+own, for the off-chain --tau commands.
 Every function here that needs sigma = tau_bullet o tau or the seed key
 takes them from one call of symmetric.tau_data.
 """
@@ -257,9 +257,9 @@ def _first_pi_not_one(p: PoissonPresentation, eta: EtaData) -> Optional[Tuple[in
 class ClusterContext:
     """Everything derived from one validated, pi-normalized presentation.
 
-    It keeps no seeds or interval primes; its one table, x_in_y of the
-    generators in initial-cluster coordinates, is cluster_expressions,
-    written from the prime sequence seq.y on first use.
+    On first use it solves the identity's seed (identity_bundle), takes the
+    Gamma_N walk from it once (walk) and folds the walk into y_table, the
+    initial-cluster coordinates of every interval label of Gamma_N.
     """
 
     def __init__(self, p: PoissonPresentation, eta: EtaData, seq: PrimeSequenceReport,
@@ -307,23 +307,39 @@ class ClusterContext:
         return cls(p=ps, eta=eta, seq=seq, d_map=d_map), gamma
 
     @cached_property
-    def x_in_y(self) -> List[MvLaurent]:
-        """x_k as Laurent polynomials in the initial cluster y_1..y_N."""
-        return cluster_expressions(self)
+    def identity_bundle(self) -> "TauSeedBundle":
+        """The identity's bundle, on the prime sequence: its B is the
+        context's one solve and its seed the one full seed check."""
+        identity = tuple(range(self.p.n))
+        return _build_bundle(self, identity, *tau_data(self.eta, identity),
+                             list(zip(self.seq.y, self.seq.weights)))
 
-    def to_y_coordinates(self, f: MvLaurent) -> MvLaurent:
-        """Rewrite a polynomial in the generators as Laurent in y_1..y_N."""
-        return substitute(f, self.x_in_y)
+    @cached_property
+    def walk(self) -> list:
+        """The steps of _gamma_walk."""
+        return list(_gamma_walk(self))
 
-    def variable_in_y(self, label: Tuple[int, int], v: MvLaurent) -> MvLaurent:
-        """The cluster variable v of interval label `label` in y_1..y_N: the
+    @cached_property
+    def y_table(self) -> Dict[Tuple[int, int], MvLaurent]:
+        """Interval label -> its variable in y_1..y_N, for each label of a
+        Gamma_N key: the y_j at the identity, then each change of key's new
+        label as the exchange quotient over the cluster before it."""
+        cluster = [MvLaurent.gen(self.p.n, j) for j in range(self.p.n)]
+        table = dict(zip(self.identity_bundle.intervals, cluster))
+        for _, _, key, kb, b, _ in self.walk:
+            if kb is not None:
+                cluster[kb] = table[key[kb]] = _exchange_quotient(cluster, b.column(kb), kb)
+        return table
+
+    def variable_in_y(self, label: Tuple[int, int]) -> MvLaurent:
+        """The cluster variable of interval label `label` in y_1..y_N: the
         monomial y_j when label is slot j's in the identity's seed key, whose
-        cluster is the prime sequence, so x_in_y is not built for it; any
-        other label's v goes through to_y_coordinates."""
+        cluster is the prime sequence, so the walk is not taken for it; any
+        other label's is read off y_table."""
         initial = tau_data(self.eta, tuple(range(self.p.n)))[1]
         if label in initial:
             return MvLaurent.gen(self.p.n, initial.index(label))
-        return self.to_y_coordinates(v)
+        return self.y_table[label]
 
     def prime(self, label: Tuple[int, int]) -> Tuple[MvLaurent, Weight]:
         """y_[start, s^m(start)] of label (start, m) and its weight, certified by weight_of."""
@@ -346,7 +362,7 @@ class TauSeedBundle(NamedTuple):
 
     def as_seed(self, ctx: ClusterContext) -> "Seed":
         """The same seed with its variables rewritten in initial-y coordinates."""
-        return Seed(vars_y=[ctx.variable_in_y(label, v) for label, v in zip(self.intervals, self.vars_x)],
+        return Seed(vars_y=[ctx.variable_in_y(label) for label in self.intervals],
                     r=self.r, btilde=self.btilde, beta=dict(self.beta))
 
 
@@ -383,7 +399,7 @@ def solve_btilde(ctx: ClusterContext, r: RMatrix, var_weights: List[Tuple[int, .
         if any(x.denominator != 1 for x in particular):
             raise NonIntegral(l, particular)
         cols[l] = tuple(int(x) for x in particular)
-    return BMatrix.from_columns(n, cols) if cols else BMatrix(n=n, ex=(), cols={})
+    return BMatrix.from_columns(n, cols)
 
 
 def check_seed_invariants(variables: Sequence[MvLaurent], r: RMatrix, btilde: BMatrix,
@@ -453,42 +469,41 @@ def seed_for_tau(ctx: ClusterContext, tau: Perm) -> TauSeedBundle:
 def _exchange_binomial(variables: Sequence[MvLaurent], col: Sequence[int]) -> MvLaurent:
     """prod_+ + prod_-: the products of the variables raised to the positive
     and to the negated negative entries of an exchange-matrix column."""
-    n = len(variables)
-    plus = MvLaurent.const(n, 1)
-    minus = MvLaurent.const(n, 1)
-    for i in range(n):
-        if col[i] > 0:
-            plus = plus * variables[i] ** col[i]
-        elif col[i] < 0:
-            minus = minus * variables[i] ** (-col[i])
+    plus = minus = MvLaurent.const(len(variables), 1)
+    for v, c in zip(variables, col):
+        if c > 0:
+            plus = plus * v ** c
+        elif c < 0:
+            minus = minus * v ** -c
     return plus + minus
 
 
-def _gamma_walk(ctx: ClusterContext, every_key: bool = False) -> Iterator[
-        Tuple[Perm, Perm, Optional[int], BMatrix, TauSeedBundle]]:
-    """(tau, sigma, kb, b, bundle) for each Gamma_N permutation in chain order.
+def _exchange_quotient(variables: Sequence[MvLaurent], col: Sequence[int], k: int) -> MvLaurent:
+    """(prod_+ + prod_-) / variables[k], the variable exchanged for variables[k]
+    along column col: exact in the variables' Laurent ring (Laurent phenomenon)."""
+    return exact_divide(_exchange_binomial(variables, col), variables[k])
 
-    At the identity the cluster is the prime sequence, B is solved once, and
-    bundle is the identity's, checked by _build_bundle.  Adjacent Gamma_N
-    seeds are equal or one mutation apart, so at each change of key the walk
+
+def _gamma_walk(ctx: ClusterContext) -> Iterator[
+        Tuple[Perm, Perm, SeedKey, Optional[int], BMatrix, Cluster]]:
+    """(tau, sigma, key, kb, b, cluster) for each Gamma_N permutation in
+    chain order, b and cluster the key's B and (variable, weight) per slot.
+
+    At the identity they are the identity bundle's.  Adjacent Gamma_N seeds
+    are equal or one mutation apart, so at each change of key the walk
     requires exactly one changed slot kb, builds its interval prime y'_kb,
     checks y'_kb * y_kb == prod_+ + prod_- of column kb of B in generator
     coordinates (the one check of a Gamma_N exchange identity), and mutates
-    B at kb; with every_key, bundle is then the new key's, its B checked
-    against the key's own r by _build_bundle.  A failed step raises
-    ClusterError naming the slots.  kb is None at the identity and where the
-    key does not change; b is the key's exchange matrix and bundle the last
-    one built.
+    B at kb.  A failed step raises ClusterError naming the slots.  kb is
+    None at the identity and where the key does not change.
     """
-    cluster: Cluster = list(zip(ctx.seq.y, ctx.seq.weights))
-    key: Optional[SeedKey] = None
-    for tau in gamma_chain(ctx.p.n):
+    start = ctx.identity_bundle
+    key, b, cluster = tuple(start.intervals), start.btilde, list(zip(start.vars_x, start.weights))
+    yield start.tau, start.sigma, key, None, b, cluster
+    for tau in gamma_chain(ctx.p.n)[1:]:
         sigma, new_key = tau_data(ctx.eta, tau)
         kb = None
-        if key is None:
-            bundle = _build_bundle(ctx, tau, sigma, new_key, cluster)
-            b = bundle.btilde
-        elif new_key != key:
+        if new_key != key:
             changed = [j for j, label in enumerate(new_key) if key[j] != label]
             if len(changed) != 1:
                 raise ClusterError(f"seed keys differ in slots {[j + 1 for j in changed]}, not in exactly one")
@@ -498,16 +513,14 @@ def _gamma_walk(ctx: ClusterContext, every_key: bool = False) -> Iterator[
                 raise ClusterError(f"exchange identity of slot {kb+1} fails")
             cluster = cluster[:kb] + [new] + cluster[kb + 1:]
             b = mutate_matrix(b, kb)
-            if every_key:
-                bundle = _build_bundle(ctx, tau, sigma, new_key, cluster, b)
         key = new_key
-        yield tau, sigma, kb, b, bundle
+        yield tau, sigma, key, kb, b, cluster
 
 
 def gamma_bundles(ctx: ClusterContext) -> List[TauSeedBundle]:
     """The bundle of every Gamma_N permutation in chain order, one per run of
     equal keys (its permutations share the bundle's lists, not to be
-    mutated), each on the walk's B.
+    mutated), each built from the walk's step.
 
     Only the identity's B is solved and fully seed-checked.  Every later B
     is the walk's mutation of the one before, and _build_bundle checks it
@@ -519,8 +532,12 @@ def gamma_bundles(ctx: ClusterContext) -> List[TauSeedBundle]:
     M' = diag(E^T, I) M E with E unimodular.  So each B is the one
     solve_btilde would return.
     """
-    return [bundle._replace(tau=tau, sigma=sigma)
-            for tau, sigma, _, _, bundle in _gamma_walk(ctx, every_key=True)]
+    bundle, bundles = ctx.identity_bundle, []
+    for tau, sigma, key, kb, b, cluster in ctx.walk:
+        if kb is not None:
+            bundle = _build_bundle(ctx, tau, sigma, key, cluster, b)
+        bundles.append(bundle._replace(tau=tau, sigma=sigma))
+    return bundles
 
 
 # --------------------------------------------------------------- one-step links
@@ -591,11 +608,8 @@ def verify_one_step(ctx: ClusterContext, a: TauSeedBundle, b: TauSeedBundle) -> 
     col = low.btilde.column(k_bullet)
     if any(x + y for x, y in zip(col, high.btilde.column(k_bullet))):
         problems.append("mutated column is not the negative")
-    g = [0] * n
     pk, sk = eta.pred[k_bullet], eta.succ[k_bullet]
-    for i in range(n):
-        base = (1 if i == pk else 0) + (1 if i == sk else 0)
-        g[i] = base - col[i]
+    g = [(i == pk) + (i == sk) - col[i] for i in range(n)]
     if any(x < 0 for x in g):
         problems.append("complement vector g has negative entries")
     cls = set(eta.level_set(k_bullet))
@@ -623,29 +637,11 @@ def chain_verify(ctx: ClusterContext) -> List[LinkReport]:
 
 
 def cluster_expressions(ctx: ClusterContext) -> List[MvLaurent]:
-    """Images of the generators x_1..x_N as Laurent polynomials in the
-    initial cluster, the prime sequence y_1..y_N.
-
-    Built by back-substitution along the predecessors p:
-    x_k = y_{p(k)}^{-1} (y_k + c_k), where c_k = y_{p(k)} x_k - y_k involves
-    only x_1..x_{k-1} and is substituted in the images already written; x_k
-    with no predecessor is y_k.  This is the context's one table ctx.x_in_y,
-    from which upper_membership carries an x-input's generators into every
-    other cluster of its walk by exchange (_carried_images).
-    """
-    n = ctx.p.n
-    y = ctx.seq.y
-    gens = [MvLaurent.gen(n, i) for i in range(n)]
-    images: List[MvLaurent] = []
-    for k in range(n):
-        pk = ctx.eta.pred[k]
-        if pk is None:
-            images.append(gens[k])
-            continue
-        c_k = y[pk] * gens[k] - y[k]
-        c_expr = MvLaurent.zero(n) if c_k.is_zero() else substitute(c_k, images + gens[k:])
-        images.append(MvLaurent.gen(n, pk, -1) * (gens[k] + c_expr))
-    return images
+    """Images of the generators x_1..x_N in the initial cluster y_1..y_N,
+    read off ctx.y_table: label (k, 0) is y_[k, k] = x_k, in the key of
+    tau_{k,k} in Gamma_N.  upper_membership carries them into every other
+    cluster of the walk by exchange (_carried_images)."""
+    return [ctx.y_table[(k, 0)] for k in range(ctx.p.n)]
 
 
 class MembershipWitness(NamedTuple):
@@ -694,9 +690,9 @@ def _carried_images(ctx: ClusterContext, start: Sequence[MvLaurent],
     images[j] is start[j] (in the initial cluster) written in tau's cluster
     for j in used, else zero; changed says the cluster is new.
 
-    At each exchange of _gamma_walk in slot kb, y_kb -> Q / y'_kb rewrites
-    the images that involve kb with one exact division (the Laurent
-    phenomenon).  Q is _exchange_binomial of column kb of the walk's B over
+    At each exchange of ctx.walk in slot kb, y_kb -> Q / y'_kb rewrites the
+    images that involve kb with one exact division (the Laurent
+    phenomenon), the converse of the step y_table takes.  Q is _exchange_binomial of column kb of the walk's B over
     the cluster's own variables; the walk has mutated B, which negates that
     column and so keeps Q.  A division that is not exact raises ClusterError
     naming the slot.
@@ -704,7 +700,7 @@ def _carried_images(ctx: ClusterContext, start: Sequence[MvLaurent],
     n = ctx.p.n
     gens = [MvLaurent.gen(n, j) for j in range(n)]
     images = [start[j] if j in used else MvLaurent.zero(n) for j in range(n)]
-    for step, (tau, _, kb, b, _) in enumerate(_gamma_walk(ctx)):
+    for step, (tau, _, _, kb, b, _) in enumerate(ctx.walk):
         if kb is not None:
             q = _exchange_binomial(gens, b.column(kb))
             try:
@@ -719,8 +715,8 @@ def upper_membership(ctx: ClusterContext, f: MvLaurent, inv: Sequence[int] = (),
     """Certificate for membership in the Gamma_N intersection of mixed rings.
 
     _carried_images carries f's own variables along the walk: the generators
-    f uses from ctx.x_in_y, or the y_j a y-input uses from themselves, so a
-    y-input never builds ctx.x_in_y.  An x-input, a polynomial in the
+    f uses from cluster_expressions, or the y_j a y-input uses from
+    themselves, so a y-input never builds ctx.y_table.  An x-input, a polynomial in the
     generators, is certified in each new cluster by its generator images
     alone: R lies in the upper cluster algebra, which inverts no frozen
     variable, so no image has a negative frozen exponent, and an image that
@@ -735,7 +731,7 @@ def upper_membership(ctx: ClusterContext, f: MvLaurent, inv: Sequence[int] = (),
     if coords == "x":
         if not f.is_polynomial():
             raise NotInRing("x-coordinate input must be a polynomial in the generators")
-        start = ctx.x_in_y
+        start = cluster_expressions(ctx)
     elif coords == "y":
         start = [MvLaurent.gen(n, j) for j in range(n)]
     else:
@@ -796,7 +792,7 @@ def mutate_seed(ctx: ClusterContext, seed, k: int) -> Seed:
     r = mutate_r(seed.r, seed.btilde, k)
     btilde = mutate_matrix(seed.btilde, k)
     vars_y = list(seed.vars_y)
-    vars_y[k] = exact_divide(_exchange_binomial(seed.vars_y, seed.btilde.column(k)), seed.vars_y[k])
+    vars_y[k] = _exchange_quotient(seed.vars_y, seed.btilde.column(k), k)
     try:
         beta = check_seed_invariants(vars_y, r, btilde, ctx.d_map, ctx.eta)
     except CompatibilityFailure as exc:

@@ -9,8 +9,11 @@ chain recurrence of the tau-presentation, which cluster.r_matrix_for_tau
 replaced by Omega_lambda on the key's interval exponents.
 cluster_expressions_for_tau writes the generators in any tau-cluster by
 back-substitution along the tau-presentation; cluster.cluster_expressions
-does so for the initial cluster alone, and the membership walk derives the
-others by exchange.
+reads the initial cluster's off ClusterContext.y_table, which writes every
+cluster variable by the exact quotient of its exchange relation, and the
+membership walk derives the other clusters' by exchange.  to_y_coordinates
+is the route into the initial cluster that y_table replaced: polynomials in
+the generators substituted into the identity's back-substitution.
 verify_one_step_polynomial is the link check on the bundles' variables,
 with the exchange identity multiplied out; cluster.verify_one_step reads
 the seed keys, as the Gamma_N walk certifies each exchange identity once.
@@ -46,6 +49,7 @@ from pcgl.cluster import (
     _bad_frozen,
     _carried_images,
     _exchange_binomial,
+    cluster_expressions,
     mutate_matrix,
     mutate_r,
 )
@@ -269,6 +273,14 @@ def cluster_expressions_for_tau(ctx, tau) -> List[MvLaurent]:
     return images                     # type: ignore[return-value]
 
 
+def to_y_coordinates(ctx, polys) -> List[MvLaurent]:
+    """ClusterContext.to_y_coordinates as it was: each polynomial in the
+    generators rewritten in y_1..y_N by substituting the identity's
+    back-substitution, built once per call."""
+    x_in_y = cluster_expressions_for_tau(ctx, tuple(range(ctx.p.n)))
+    return [substitute(f, x_in_y) for f in polys]
+
+
 def verify_one_step_polynomial(ctx, a, b):
     """cluster.verify_one_step as it was: the link checked on the bundles'
     variables, its exchange identity x'_k x_k = prod_+ + prod_- multiplied
@@ -368,7 +380,7 @@ def membership_by_substitution(ctx, f, inv=()) -> Tuple[bool, List[MembershipWit
     substituted into each new cluster's generator images and the frozen
     exponents of the result read outside inv."""
     witnesses = []
-    for tau, changed, images in _carried_images(ctx, ctx.x_in_y, f.support()):
+    for tau, changed, images in _carried_images(ctx, cluster_expressions(ctx), f.support()):
         if changed:
             bad = _bad_frozen(ctx, [substitute(f, images)], inv)
         witnesses.append(MembershipWitness(tau=tau, ok=not bad, bad_frozen=bad))

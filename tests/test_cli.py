@@ -22,6 +22,7 @@ from pcgl.serialize import poly_report, presentation_from_doc, presentation_to_d
 from pcgl.symmetric import gamma_chain
 
 from conftest import rescaled_3x3
+from tau_oracles import to_y_coordinates
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 # The child process imports the same pcgl as this one, installed or not.
@@ -628,9 +629,10 @@ def test_cluster_commands_check_the_algebra_axioms(code, argv, tmp_path, capsys)
 
 
 def _variables_y_per_bundle(ctx, bundle):
-    """The y-coordinate reports of one bundle, each variable rewritten anew."""
+    """The y-coordinate reports of one bundle, each variable rewritten anew
+    by substitution (tau_oracles.to_y_coordinates)."""
     names = [f"y{i+1}" for i in range(len(bundle.vars_x))]
-    return [poly_report(ctx.to_y_coordinates(v), names) for v in bundle.vars_x]
+    return [poly_report(v, names) for v in to_y_coordinates(ctx, bundle.vars_x)]
 
 
 @pytest.mark.parametrize("build", [lambda: build_matrix_poisson(2, 3),

@@ -52,6 +52,7 @@ from tau_oracles import (
     perm_inverse,
     r_matrix_per_tau,
     tau_bullet,
+    to_y_coordinates,
 )
 
 
@@ -320,9 +321,9 @@ class TestSolver:
 class TestSeeds:
     def test_identity_seed_is_y_basis(self, ctx22):
         bundle = seed_for_tau(ctx22, (0, 1, 2, 3))
-        for k in range(4):
-            assert ctx22.to_y_coordinates(bundle.vars_x[k]) == MvLaurent.gen(4, k)
-            assert bundle.vars_x[k] == ctx22.seq.y[k]
+        gens = [MvLaurent.gen(4, k) for k in range(4)]
+        assert to_y_coordinates(ctx22, bundle.vars_x) == gens == bundle.as_seed(ctx22).vars_y
+        assert bundle.vars_x == ctx22.seq.y
 
     def test_rotated_seed(self, ctx22):
         bundle = seed_for_tau(ctx22, (1, 2, 3, 0))
@@ -330,7 +331,8 @@ class TestSeeds:
         det = solid_minor(2, 2, (1, 2), (1, 2))
         assert bundle.vars_x == [xs[3], xs[1], xs[2], det]
         want = MvLaurent.monomial(4, (-1, 0, 0, 1)) + MvLaurent.monomial(4, (-1, 1, 1, 0))
-        assert ctx22.to_y_coordinates(bundle.vars_x[0]) == want
+        assert to_y_coordinates(ctx22, bundle.vars_x[:1]) == [want]
+        assert bundle.as_seed(ctx22).vars_y[0] == want
 
     def test_no_mutation_before_link(self, ctx22):
         a = seed_for_tau(ctx22, (0, 1, 2, 3))
@@ -409,18 +411,17 @@ class TestOneStep:
             assert all(r.verified for r in chain_verify(ctx))
 
     def test_chain_makes_no_y_conversion(self, p23, monkeypatch):
-        # links are checked on seed keys, r and B; no seed is rewritten in y
+        # links are checked on seed keys, r and B; no seed is rewritten in y:
+        # no exchange quotient, no substitution and no initial-cluster table
         calls = []
-        inner = ClusterContext.to_y_coordinates
-
-        def counting(self, f):
-            calls.append(f)
-            return inner(self, f)
-
-        monkeypatch.setattr(ClusterContext, "to_y_coordinates", counting)
-        reports = chain_verify(ClusterContext.build(p23))
+        for name in ("_exchange_quotient", "substitute"):
+            inner = getattr(cluster, name)
+            monkeypatch.setattr(cluster, name, lambda *args, inner=inner: calls.append(args) or inner(*args))
+        ctx = ClusterContext.build(p23)
+        reports = chain_verify(ctx)
         assert len(reports) == 15 and all(r.verified for r in reports)
         assert calls == []
+        assert "y_table" not in vars(ctx)
 
 
 class TestLogCanonical:
@@ -449,13 +450,13 @@ class TestLogCanonical:
 
 class TestExpressAndMembership:
     def test_x4_in_initial_cluster(self, ctx22):
-        expr, witness = express_in_cluster(ctx22, MvLaurent.gen(4, 3), (0, 1, 2, 3), ctx22.x_in_y)
+        expr, witness = express_in_cluster(ctx22, MvLaurent.gen(4, 3), (0, 1, 2, 3), cluster_expressions(ctx22))
         want = MvLaurent.monomial(4, (-1, 0, 0, 1)) + MvLaurent.monomial(4, (-1, 1, 1, 0))
         assert expr == want
         assert witness.ok  # y1 is exchangeable, negative power allowed
 
     def test_x1_plus_one(self, ctx22):
-        expr, _ = express_in_cluster(ctx22, MvLaurent.gen(4, 0) + 1, (0, 1, 2, 3), ctx22.x_in_y)
+        expr, _ = express_in_cluster(ctx22, MvLaurent.gen(4, 0) + 1, (0, 1, 2, 3), cluster_expressions(ctx22))
         assert expr == MvLaurent.gen(4, 0) + 1
 
     def test_y_elements_frozen_nonneg(self, ctx22):
@@ -657,10 +658,10 @@ def _runs(ctx):
 def _walk(ctx, used=()):
     """The runs with the generator images of their clusters and the images
     of the y_j with j in used (zero for the others), carried as
-    upper_membership carries them: from ctx.x_in_y and from each y_j as
+    upper_membership carries them: from cluster_expressions and from each y_j as
     itself, by one exchange per run."""
     n = ctx.p.n
-    walks = (cluster._carried_images(ctx, ctx.x_in_y, set(range(n))),
+    walks = (cluster._carried_images(ctx, cluster_expressions(ctx), set(range(n))),
              cluster._carried_images(ctx, [MvLaurent.gen(n, j) for j in range(n)], set(used)))
     x_runs, y_runs = ([images for _, changed, images in walk if changed] for walk in walks)
     return [(tau, key, x_imgs, y_imgs) for (tau, key), x_imgs, y_imgs in zip(_runs(ctx), x_runs, y_runs)]
@@ -869,7 +870,7 @@ class TestMembershipWalk:
         (_, first), (tau, second) = _runs(ctx)[:2]
         kb = next(i for i in range(len(first)) if first[i] != second[i])
         x = _walk_cases(ctx)[0][0]
-        j = next(i for i in sorted(x.support()) if any(e[kb] for e in ctx.x_in_y[i].terms))
+        j = next(i for i in sorted(x.support()) if any(e[kb] for e in cluster_expressions(ctx)[i].terms))
         inner, seen = cluster._exchange_slot, []
 
         def with_frozen_inverse(g, k, q):
@@ -917,7 +918,7 @@ class TestMembershipWalk:
         assert len(back) == (1 if coords == "x" else 0)
 
 
-# every fixture the initial cluster's back-substitution was checked on
+# every fixture the initial cluster's table was checked on
 INITIAL_INPUTS = dict({name: KEY_INPUTS[name] for name in
                        ("1x5", "2x3", "3x3", "3x4", "4x4", "5x5", "rescaled_3x3", "rescaled_4x5",
                         "weyl_block2", "weyl_block3", "two_block")}, **{
@@ -926,20 +927,63 @@ INITIAL_INPUTS = dict({name: KEY_INPUTS[name] for name in
 })
 
 
+def _interval_labels(ctx):
+    """Every interval label (c, m) with s^m(c) defined."""
+    labels = set()
+    for c in range(ctx.p.n):
+        i, m = c, 0
+        while i is not None:
+            labels.add((c, m))
+            i, m = ctx.eta.succ[i], m + 1
+    return labels
+
+
 class TestInitialCluster:
-    """x_in_y is written from the prime sequence, with no interval prime."""
+    """ctx.y_table writes every cluster variable of Gamma_N in the initial
+    cluster by the exchange quotients of the one walk; the back-substitution
+    it replaced, and the substitution of interval primes into it, are the
+    oracles."""
 
     @pytest.mark.parametrize("name", INITIAL_INPUTS)
     def test_x_in_y_is_the_oracle_at_the_identity(self, name, monkeypatch):
+        # one walk, one solve, one interval prime per exchange, no substitution
         ctx = ClusterContext.build_normalizing(INITIAL_INPUTS[name]())[0]
-        calls = []
-        inner = cluster.interval_prime
-        monkeypatch.setattr(cluster, "interval_prime", lambda *args: calls.append(args) or inner(*args))
+        calls = {}
+
+        def spy(owner, attr):
+            inner = getattr(owner, attr)
+            calls[attr] = []
+            monkeypatch.setattr(owner, attr, lambda *args: calls[attr].append(args) or inner(*args))
+
+        for owner, attr in ((cluster, "_gamma_walk"), (linalg, "solve"), (cluster, "interval_prime"),
+                            (cluster, "substitute")):
+            spy(owner, attr)
         got = cluster_expressions(ctx)
-        assert calls == []
+        assert len(calls["_gamma_walk"]) == 1
+        assert len(calls["solve"]) == min(1, len(ctx.eta.exchangeable))
+        assert len(calls["interval_prime"]) == len(_runs(ctx)) - 1
+        assert calls["substitute"] == []
         want = cluster_expressions_for_tau(ctx, tuple(range(ctx.p.n)))
-        # term order included: reports render terms in dict order
-        assert [list(f.terms.items()) for f in got] == [list(f.terms.items()) for f in want]
+        # coefficients and terms in the order reports render them
+        assert [f.sorted_terms() for f in got] == [f.sorted_terms() for f in want]
+
+    @pytest.mark.parametrize("name", INITIAL_INPUTS)
+    def test_table_holds_every_interval_label(self, name):
+        # so variable_in_y reads the variable of any Xi_N key off the table
+        ctx = ClusterContext.build_normalizing(INITIAL_INPUTS[name]())[0]
+        assert set(ctx.y_table) == _interval_labels(ctx)
+        assert [ctx.y_table[(k, 0)] for k in range(ctx.p.n)] == cluster_expressions(ctx)
+
+    @pytest.mark.parametrize("name", INITIAL_INPUTS)
+    def test_table_equals_substituted_interval_primes(self, name):
+        # each label other than (k, 0) against its interval prime substituted
+        # into the back-substitution, the route the table replaced
+        ctx = ClusterContext.build_normalizing(INITIAL_INPUTS[name]())[0]
+        labels = sorted(label for label in ctx.y_table if label[1])
+        assert [ctx.y_table[label] for label in labels] == \
+            to_y_coordinates(ctx, [ctx.prime(label)[0] for label in labels])
+        for label in labels:
+            assert ctx.variable_in_y(label) == ctx.y_table[label]
 
     def test_membership_builds_only_the_walks_interval_primes(self, tmp_path, monkeypatch, capsys):
         # 4x4: the 16 variables of the initial cluster are the prime

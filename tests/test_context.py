@@ -3,9 +3,10 @@
 ClusterContext.build and build_normalizing share one pass: validate once,
 compute eta, the primes and the d-integers once, and rescale (then certify
 pi == 1 again) only when some pi_[i, s(i)] is not 1.  The x-to-y table is
-cluster_expressions, written from the prime sequence on first use.  The
-oracle below is the old path: `build` with its
-eager x-to-y table, `build_normalizing` validating and computing eta again
+cluster_expressions, read on first use off the table that the one Gamma_N
+walk of the context fills by exchange quotients; a command takes that walk
+at most once.  The oracle below is the old path: `build` with its eager
+x-to-y table by back-substitution, `build_normalizing` validating and computing eta again
 before calling `build`, and the CLI's catch-and-rebuild `_build_context`.
 """
 
@@ -15,7 +16,14 @@ from fractions import Fraction
 import pytest
 
 from pcgl import cgl, cli, cluster, symmetric
-from pcgl.cluster import ClusterContext, ClusterError, chain_verify, seed_for_tau, upper_membership
+from pcgl.cluster import (
+    ClusterContext,
+    ClusterError,
+    chain_verify,
+    cluster_expressions,
+    seed_for_tau,
+    upper_membership,
+)
 from pcgl.cgl import PrimeSequenceError, compute_eta_and_primes
 from pcgl.poly import MvLaurent, substitute
 from pcgl.presentation import PoissonPresentation
@@ -115,7 +123,7 @@ def test_context_equals_three_pass_build(name, tmp_path, capsys):
     assert ctx.seq == want.seq
     assert ctx.d_map == want.d_map
     assert gamma == (want_gamma if want_gamma is not None else [1] * p.n)
-    assert ctx.x_in_y == want_x_in_y
+    assert cluster_expressions(ctx) == want_x_in_y
     # the CLI reports gamma_applied exactly when the old path had to rescale
     path = tmp_path / "p.json"
     path.write_text(json.dumps(presentation_to_doc(p)))
@@ -185,7 +193,7 @@ def counter(monkeypatch):
     c = _Counter(monkeypatch)
     c.wrap([symmetric, cluster, cli], "validate_symmetric", "validate")
     c.wrap([cgl, symmetric, cluster, cli], "compute_eta_and_primes", "eta")
-    c.wrap([ClusterContext], "to_y_coordinates", "to_y")
+    c.wrap([cluster], "_gamma_walk", "walk")
     return c
 
 
@@ -199,8 +207,8 @@ def test_rescaled_build_counts(counter):
     seed_for_tau(ctx, identity)
     f = parse_poly_expr("x1*x6 - x2*x5", ctx.p.n, None, prefix="x")
     assert upper_membership(ctx, f)[0]
-    assert counter["to_y"] == 0
-    assert ctx.x_in_y == _x_in_y_eager(ctx)
+    assert counter["walk"] == 1
+    assert cluster_expressions(ctx) == _x_in_y_eager(ctx)
 
 
 def test_prime_sequence_of_a_solved_h_star_is_computed_once(counter, tmp_path, capsys):
@@ -216,22 +224,26 @@ def test_prime_sequence_of_a_solved_h_star_is_computed_once(counter, tmp_path, c
     assert counter["eta"] == 1
 
 
-@pytest.mark.parametrize("argv, reads_y", [
-    (["chain-verify"], 0),
-    (["btilde"], 0),
-    (["membership", "--elem", "x1*x6 - x2*x5"], 0),
-    (["seeds"], 0),
-    (["mutate", "--at", "1"], 0),
-    (["seeds", "--tau", "2,3,4,5,6,7,8,9,10,11,12,1"], 1),
+@pytest.mark.parametrize("argv, code, walks", [
+    pytest.param(["chain-verify"], 0, 1, id="argv0-0"),
+    pytest.param(["btilde"], 0, 0, id="argv1-0"),
+    pytest.param(["membership", "--elem", "x1*x6 - x2*x5"], 0, 1, id="argv2-0"),
+    pytest.param(["seeds"], 0, 0, id="argv3-0"),
+    pytest.param(["mutate", "--at", "1"], 0, 0, id="argv4-0"),
+    pytest.param(["seeds", "--tau", "2,3,4,5,6,7,8,9,10,11,12,1"], 0, 1, id="argv5-1"),
+    pytest.param(["membership", "--coords", "y", "--elem", "y2^-1*y1*y12"], 1, 1, id="membership-y"),
+    pytest.param(["seeds", "--gamma"], 0, 1, id="seeds-gamma"),
+    pytest.param(["mutate", "--tau", "2,3,4,5,6,7,8,9,10,11,12,1", "--at", "1"], 0, 1, id="mutate-tau"),
 ])
-def test_cli_builds_context_once(argv, reads_y, counter, tmp_path, capsys):
+def test_cli_builds_context_once(argv, code, walks, counter, tmp_path, capsys):
     path = tmp_path / "m34.json"
     path.write_text(json.dumps(presentation_to_doc(rescaled_3x4())))
-    assert cli.main([argv[0], str(path), *argv[1:]]) == 0
+    assert cli.main([argv[0], str(path), *argv[1:]]) == code
     capsys.readouterr()
     assert counter["validate"] == 1
     assert counter["eta"] <= 2
-    assert min(counter["to_y"], 1) == reads_y
+    # the Gamma_N walk, taken at most once per command
+    assert counter["walk"] == walks
 
 
 def _without_h_star(p):

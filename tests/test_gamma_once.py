@@ -153,19 +153,26 @@ def test_gamma_bundles_equal_seed_for_tau(name):
 def test_doubled_mutation_fails_the_next_bundle(monkeypatch):
     # a B with every column doubled stays compatible with r, with every beta
     # doubled; the bundle of the first key after the identity refuses it on
-    # beta == lambda*, and only the identity's bundle runs the full checks
+    # beta == lambda*, with no full seed check; a walk that mutates to
+    # doubled matrices fails at its next exchange, and only the identity's
+    # bundle runs the full checks
     ctx = _context("3x4")
-    inner = cluster.mutate_matrix
-
-    def doubled(b, k):
-        mutated = inner(b, k)
-        return mutated._replace(cols={l: tuple(2 * x for x in col) for l, col in mutated.cols.items()})
-
-    monkeypatch.setattr(cluster, "mutate_matrix", doubled)
+    tau, sigma, key, _, b, variables = next(step for step in ctx.walk if step[3] is not None)
+    doubled = b._replace(cols={l: tuple(2 * x for x in col) for l, col in b.cols.items()})
     calls = {}
     _counter(monkeypatch, calls)(cluster, "check_seed_invariants")
     with pytest.raises(SeedInvariantFailure, match=r"^beta differs from lambda\*$"):
-        gamma_bundles(ctx)
+        cluster._build_bundle(ctx, tau, sigma, key, variables, doubled)
+    assert calls == {}
+    inner = cluster.mutate_matrix
+
+    def doubling(b, k):
+        mutated = inner(b, k)
+        return mutated._replace(cols={l: tuple(2 * x for x in col) for l, col in mutated.cols.items()})
+
+    monkeypatch.setattr(cluster, "mutate_matrix", doubling)
+    with pytest.raises(ClusterError, match=r"^exchange identity of slot \d+ fails$"):
+        gamma_bundles(_context("3x4"))
     assert calls == {"check_seed_invariants": 1}
 
 

@@ -29,7 +29,10 @@ bundle at a denominator above 1.  The seeds digests of the identity on the
 3x3 preset, rescaled_4x5 and two_block, and of a key with non-initial labels
 on rescaled_3x3, were taken while every variable of a seeds report was
 rewritten in y_1..y_N through the generators' back-substitution, an initial
-cluster variable y_j included.
+cluster variable y_j included.  The off-chain seeds --tau and mutate --tau
+digests on the 4x4 preset, rescaled_3x3 and two_block were taken while each
+variable of a non-initial label was still written in y_1..y_N by
+substituting the generators' back-substitution into its interval prime.
 """
 
 import hashlib
@@ -203,6 +206,46 @@ def m44_file(tmp_path_factory):
 def test_membership_report_digest(m44_file, bracket_files, capsys, name, args, code, digest):
     path = m44_file if name == "m44" else bracket_files[name]
     assert main(["membership", path, *args]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# seeds --tau and mutate --tau ... --at 1 on keys with non-initial labels:
+# 2,3,...,N,1 and the longest permutation N,...,1, each of whose keys holds
+# some interval label that is not the identity's.
+OFF_CHAIN_GOLDEN = [
+    ("seeds", "m44", ["--tau", "2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,1"], 0,
+     "44f0ce682075c1e4aead1f18c0ca7f4f81921452254ed7e3664170eb70f6096a"),
+    ("seeds", "m44", ["--tau", "16,15,14,13,12,11,10,9,8,7,6,5,4,3,2,1"], 0,
+     "488dfc17e78f2d2dd3152263792300e8b5621a2328bbbfd830d0cbd0a2a03426"),
+    ("mutate", "m44", ["--tau", "2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,1", "--at", "1"], 0,
+     "a1f57b85ccc91c5db3e2fb0ae5adfe8206ad044e317ee72f390f853b47761f81"),
+    ("mutate", "m44", ["--tau", "16,15,14,13,12,11,10,9,8,7,6,5,4,3,2,1", "--at", "1"], 0,
+     "df638336f4bf70bf0c48ba697f844620d0ff76a968767c8f214f680e5468d69b"),
+    ("seeds", "r33", ["--tau", "2,3,4,5,6,7,8,9,1"], 0,
+     "4312dbecb67380e184ddb0a26757fbcce0f3310a30dfadaff2de283f2343b358"),
+    ("seeds", "r33", ["--tau", "9,8,7,6,5,4,3,2,1"], 0,
+     "86a391277d112aecd108ca8333add6bb0008b85969f2ea86bc81b0d27a7f2f9c"),
+    ("mutate", "r33", ["--tau", "2,3,4,5,6,7,8,9,1", "--at", "1"], 0,
+     "76562db655d6f24c29186aedc0f363077c648ed77cfe0004aa1e10596b167943"),
+    ("mutate", "r33", ["--tau", "9,8,7,6,5,4,3,2,1", "--at", "1"], 0,
+     "c074d1d627b3e5f902cec4bc4dfe1f5bb273cd92970da4d5ba2b35e78f160b45"),
+    ("seeds", "two_block", ["--tau", "2,3,4,1"], 0,
+     "bfdb0a654414e83ec58f530c75745d5839157852f9e48b3f5869e18b120c0eeb"),
+    ("seeds", "two_block", ["--tau", "4,3,2,1"], 0,
+     "eb6f8070855dcf936adde49b97240e9037bd64e51bd04cb0d18c47dbfaf83958"),
+    ("mutate", "two_block", ["--tau", "2,3,4,1", "--at", "1"], 0,
+     "c77c535211ed47e94d1ec8e47551ed97e4470f1867708a51a32a37520a19a058"),
+    ("mutate", "two_block", ["--tau", "4,3,2,1", "--at", "1"], 0,
+     "1618a91abd32f02896ebab59ce2bfd1dd4ec3b9c085c27eb3e3de1ebc8d964a4"),
+]
+
+
+@pytest.mark.parametrize("command,name,args,code,digest", OFF_CHAIN_GOLDEN,
+                         ids=[f"{g[0]} {g[1]} {g[2][1]}" for g in OFF_CHAIN_GOLDEN])
+def test_off_chain_report_digest(m44_file, bracket_files, capsys, command, name, args, code, digest):
+    path = m44_file if name == "m44" else bracket_files[name]
+    assert main([command, path, *args]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
