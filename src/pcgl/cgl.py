@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .poly import ExpVec, MvLaurent, Scaled, _mul, _scale, apply_derivation
+from .poly import ExpVec, MvLaurent, _mul, apply_derivation
 from .presentation import (
     Operand,
     PoissonPresentation,
@@ -177,7 +177,7 @@ def alpha_q_matrices(p: PoissonPresentation, eta: EtaData) -> QData:
     return QData(alpha=p.omega_lambda_matrix(units, ebars), q=p.omega_lambda_matrix(ebars, ebars))
 
 
-def _q_verdicts(p: PoissonPresentation, eta: EtaData, qd: QData, ys: Sequence[Scaled],
+def _q_verdicts(p: PoissonPresentation, eta: EtaData, qd: QData, ys: Sequence[MvLaurent],
                 yops: Sequence[Operand]) -> Iterator[Tuple[int, int, bool]]:
     """(l, j, whether {y_l, y_j} = q_lj y_l y_j) for each pair j < l, in row order.
 
@@ -198,7 +198,7 @@ def _q_verdicts(p: PoissonPresentation, eta: EtaData, qd: QData, ys: Sequence[Sc
                 target = -q[l][j]
                 holds = all(sum(m * col[i] for i, m in nz) == target for nz in exps[j])
             else:
-                holds = _bracket_is_multiple(p, yops[l], yops[j], q[l][j], den, _mul(ys[l][0], ys[j][0]))
+                holds = _bracket_is_multiple(p, yops[l], yops[j], q[l][j], den, _mul(ys[l].terms, ys[j].terms))
             yield l, j, holds
 
 
@@ -210,8 +210,8 @@ def certify_prime_sequence(p: PoissonPresentation, eta: EtaData, seq: PrimeSeque
       * lt(y_k) = x^(ebar_k) with unit coefficient,
       * {y_j, x_k} = -alpha_kj y_j x_k whenever s(j) > k,
       * {y_k, y_j} = q_kj y_k y_j for all pairs.
-    Each y_k and x_k is scaled to int numerators and prepared for the
-    bracket kernel once.  A y-x identity is decided by the kernel on those
+    The int numerators of each y_k and x_k are prepared for the bracket
+    kernel once.  A y-x identity is decided by the kernel on those
     integers, against the exponent shift y_j x_k.
 
     The y-y identities then follow from the y-x ones.  {y_l, -} is a
@@ -224,7 +224,7 @@ def certify_prime_sequence(p: PoissonPresentation, eta: EtaData, seq: PrimeSeque
     sum_i alpha_il e_i == -q_lj on every term c_e x^e of y_j; that is
     compared in ints (_q_verdicts).  A pair whose y_j has an exponent at or
     above s(l) is not covered by the certified relations and goes through
-    the kernel, against the int product y_l y_j.  Fractions are built only
+    the kernel, against the int product y_l y_j.  Polynomials are built only
     for a failure's lhs and rhs.
     Returns the alpha/q matrices (QData) on success, raises CertFailure otherwise.
     """
@@ -237,11 +237,10 @@ def certify_prime_sequence(p: PoissonPresentation, eta: EtaData, seq: PrimeSeque
         if coeff != 1 or exp != eta.ebar(k):
             raise CertFailure(f"lt(y_{k+1})", (coeff, exp), (Fraction(1), eta.ebar(k)))
         weight_of(p, seq.y[k])  # raises Inhomogeneous on failure
-    ys = [_scale(y.terms) for y in seq.y]
-    yops = [_prepare(p, nums) for nums, _ in ys]
+    yops = [_prepare(p, y.terms) for y in seq.y]
     xops = _prepared_gens(p)
     for j in range(n):
-        ynums = ys[j][0]
+        ynums = seq.y[j].terms
         for k in range(n):
             sj = eta.succ[j]
             if sj is not None and sj <= k:
@@ -250,7 +249,7 @@ def certify_prime_sequence(p: PoissonPresentation, eta: EtaData, seq: PrimeSeque
             if not _bracket_is_multiple(p, yops[j], xops[k], -alpha[k][j], den, shifted):
                 raise CertFailure(f"{{y_{j+1}, x_{k+1}}} = -alpha y x", bracket(p, seq.y[j], gens[k]),
                                   seq.y[j] * gens[k] * Fraction(-alpha[k][j], den))
-    for l, j, holds in _q_verdicts(p, eta, qd, ys, yops):
+    for l, j, holds in _q_verdicts(p, eta, qd, seq.y, yops):
         if not holds:
             raise CertFailure(f"{{y_{l+1}, y_{j+1}}} = q y y", bracket(p, seq.y[l], seq.y[j]),
                               seq.y[l] * seq.y[j] * Fraction(q[l][j], den))

@@ -25,6 +25,7 @@ from .symmetric import (
     compute_d_integers,
     pi_values,
     rescale_generators,
+    tau_data,
     validate_symmetric,
 )
 
@@ -32,8 +33,9 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 
-# Most generators a Gamma_N command (chain-verify, membership, seeds --gamma)
-# accepts: Gamma_N has N(N-1)/2 + 1 permutations; 36 admits the 6x6 preset.
+# Most generators a Gamma_N command (chain-verify, membership, seeds --gamma,
+# seeds or mutate off the identity's key) accepts: Gamma_N has N(N-1)/2 + 1
+# permutations; 36 admits the 6x6 preset.
 MAX_GAMMA_GENERATORS = 36
 
 # Largest total degree (sum of absolute exponents) of one term of a
@@ -158,6 +160,14 @@ def _check_gamma_size(n: int) -> None:
                             "generators a Gamma_N command accepts")
 
 
+def _seed_in_y(ctx: cl.ClusterContext, tau) -> cl.TauSeedBundle:
+    """seed_for_tau, held to the Gamma_N size when tau's key leaves the
+    identity's: such a label is written in y by the walk."""
+    if not set(tau_data(ctx.eta, tau)[1]) <= set(ctx.identity_key):
+        _check_gamma_size(ctx.p.n)
+    return cl.seed_for_tau(ctx, tau)
+
+
 def _parse_elem(text: str, n: int, names, coords: str):
     """The membership element: JSON triples, else a polynomial expression,
     with every term of total degree at most MAX_ELEM_DEGREE and every
@@ -168,11 +178,12 @@ def _parse_elem(text: str, n: int, names, coords: str):
         prefix = "y" if coords == "y" else "x"
         f = ser.parse_poly_expr(text, n, names if coords == "x" else None, prefix=prefix)
     too_long = 10 ** MAX_ELEM_COEFF_DIGITS
-    for e, c in f.terms.items():
+    for e in f.terms:
         degree = sum(map(abs, e))
         if degree > MAX_ELEM_DEGREE:
             raise CliInputError(f"--elem has a term of total degree {degree}; membership accepts "
                                 f"at most {MAX_ELEM_DEGREE}")
+        c = f.coeff(e)
         if abs(c.numerator) >= too_long or c.denominator >= too_long:
             raise CliInputError(f"--elem has a coefficient of more than {MAX_ELEM_COEFF_DIGITS} "
                                 f"digits; membership accepts at most {MAX_ELEM_COEFF_DIGITS}")
@@ -366,7 +377,7 @@ def cmd_seeds(args) -> int:
         chosen = cl.gamma_bundles(ctx)
     else:
         tau = _parse_tau(args.tau, p.n) if args.tau is not None else tuple(range(p.n))
-        chosen = [cl.seed_for_tau(ctx, tau)]
+        chosen = [_seed_in_y(ctx, tau)]
     y_reports: Dict[Tuple[int, int], dict] = {}
     bundles = [_bundle_dict(ctx, bundle, names, y_reports) for bundle in chosen]
     doc = {"command": "seeds", "bundles": bundles}
@@ -391,7 +402,7 @@ def cmd_mutate(args) -> int:
     p, names = _load_presentation(args.file)
     ctx, _ = cl.ClusterContext.build_normalizing(p)
     tau = _parse_tau(args.tau, p.n) if args.tau is not None else tuple(range(p.n))
-    bundle = cl.seed_for_tau(ctx, tau)
+    bundle = _seed_in_y(ctx, tau)
     k = args.at - 1
     mutated = cl.mutate_seed(ctx, bundle, k)
     ynames = _y_names(p.n)

@@ -6,9 +6,10 @@ primes reordered by the companion permutation, whose scalar matrix r_tau is
 the conjugated q-matrix of the tau-presentation, and whose exchange matrix
 is the unique integral solution of the stacked bicharacter/weight linear
 system.  Adjacent permutations are linked either by equality of seeds or by
-one mutation, and membership in the upper cluster algebra is decided by
-expressing elements in every chain cluster with frozen-nonnegative
-exponents.
+one mutation.  Membership in the upper cluster algebra is decided on every
+new chain cluster: an x-input is certified by its generator images in that
+cluster, which must have no negative frozen exponent, and a y-input is
+expressed in that cluster with frozen-nonnegative exponents.
 
 A seed is determined by its seed key, the slot-ordered interval labels of
 its variables, and many permutations share a key (9 distinct clusters among
@@ -331,14 +332,18 @@ class ClusterContext:
                 cluster[kb] = table[key[kb]] = _exchange_quotient(cluster, b.column(kb), kb)
         return table
 
+    @cached_property
+    def identity_key(self) -> SeedKey:
+        """The identity's seed key: slot j holds the label of y_j."""
+        return tau_data(self.eta, tuple(range(self.p.n)))[1]
+
     def variable_in_y(self, label: Tuple[int, int]) -> MvLaurent:
         """The cluster variable of interval label `label` in y_1..y_N: the
-        monomial y_j when label is slot j's in the identity's seed key, whose
-        cluster is the prime sequence, so the walk is not taken for it; any
-        other label's is read off y_table."""
-        initial = tau_data(self.eta, tuple(range(self.p.n)))[1]
-        if label in initial:
-            return MvLaurent.gen(self.p.n, initial.index(label))
+        monomial y_j when label is slot j's in identity_key, whose cluster
+        is the prime sequence, so the walk is not taken for it; any other
+        label's is read off y_table."""
+        if label in self.identity_key:
+            return MvLaurent.gen(self.p.n, self.identity_key.index(label))
         return self.y_table[label]
 
     def prime(self, label: Tuple[int, int]) -> Tuple[MvLaurent, Weight]:
@@ -692,9 +697,10 @@ def _carried_images(ctx: ClusterContext, start: Sequence[MvLaurent],
 
     At each exchange of ctx.walk in slot kb, y_kb -> Q / y'_kb rewrites the
     images that involve kb with one exact division (the Laurent
-    phenomenon), the converse of the step y_table takes.  Q is _exchange_binomial of column kb of the walk's B over
-    the cluster's own variables; the walk has mutated B, which negates that
-    column and so keeps Q.  A division that is not exact raises ClusterError
+    phenomenon), the converse of the step y_table takes.  Q is
+    _exchange_binomial of column kb of the walk's B over the cluster's own
+    variables; the walk has mutated B, which negates that column and so
+    keeps Q.  A division that is not exact raises ClusterError
     naming the slot.
     """
     n = ctx.p.n
@@ -716,11 +722,12 @@ def upper_membership(ctx: ClusterContext, f: MvLaurent, inv: Sequence[int] = (),
 
     _carried_images carries f's own variables along the walk: the generators
     f uses from cluster_expressions, or the y_j a y-input uses from
-    themselves, so a y-input never builds ctx.y_table.  An x-input, a polynomial in the
-    generators, is certified in each new cluster by its generator images
-    alone: R lies in the upper cluster algebra, which inverts no frozen
-    variable, so no image has a negative frozen exponent, and an image that
-    has one raises ClusterError naming the generator, tau and the index.
+    themselves, so a y-input never builds ctx.y_table.  An x-input, a
+    polynomial in the generators, is certified in each new cluster by its
+    generator images alone: R lies in the upper cluster algebra, which
+    inverts no frozen variable, so no image has a negative frozen exponent,
+    and an image that has one raises ClusterError naming the generator, tau
+    and the index.
     `inv` does not excuse such an image; it acts on y-inputs only, which are
     expressed in each new cluster (express_in_cluster).  Every permutation
     gets its cluster's witness.  A non-polynomial x-input raises NotInRing up

@@ -1,16 +1,14 @@
 """Sparse multivariate Laurent polynomials with exact rational coefficients.
 
-A value is a finite map from exponent vectors (tuples of ints, one entry per
-generator, negative entries allowed) to nonzero ``Fraction`` coefficients.
-The zero polynomial is the empty map.  All arithmetic is exact; there is no
-floating point anywhere in this package.
-
-Coefficients are ``Fraction`` at the interface and ``int`` numerators inside
-the multiply kernel: each operand of a product, power, substitution or exact
-division is scaled once to integer numerators over the lcm of its
-coefficient denominators, the work runs on those integers, and the result's
-``Fraction`` coefficients are built once, at the end (sparse arithmetic after
-Johnson, SIGSAM Bull. 8 (1974), and Monagan & Pearce, CASC 2007).
+A value maps exponent vectors (tuples of ints, one entry per generator,
+negative entries allowed) to nonzero ``int`` numerators, ``terms``, over one
+positive denominator ``den``, in lowest terms: gcd(den, *terms.values()) is
+1, so equal values have equal maps.  The zero polynomial is the empty map
+over 1.  All arithmetic is exact and runs on the numerators (sparse
+arithmetic after Johnson, SIGSAM Bull. 8 (1974), and Monagan & Pearce, CASC
+2007).  The public constructors take ``int`` or ``Fraction`` coefficients,
+and raise TypeError on any other; ``coeff``, ``leading_term`` and
+``sorted_terms`` read coefficients out as ``Fraction``s.
 
 The term order used throughout is reverse lexicographic: exponent vectors are
 compared from the last coordinate down, and the first differing coordinate
@@ -20,13 +18,11 @@ decides.  Equivalently, ``reversed(e)`` compared lexicographically.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, sub
 from typing import Dict, Iterable, Sequence, Tuple
 
 ExpVec = Tuple[int, ...]
-# Int numerators keyed by exponent vector, over one positive common denominator.
-Scaled = Tuple[Dict[ExpVec, int], int]
 
 
 class PolyError(Exception):
@@ -56,18 +52,11 @@ def _revlex_key(e: ExpVec) -> Tuple[int, ...]:
 # -------------------------------------------------------------------- int kernel
 
 
-def _scale(terms: Dict[ExpVec, Fraction]) -> Scaled:
-    """Coefficients as int numerators over the lcm of their denominators."""
-    den = lcm(*[c.denominator for c in terms.values()])
-    if den == 1:
-        return {e: c.numerator for e, c in terms.items()}, 1
-    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
-
-
-def _fractions(nums: Dict[ExpVec, int], den: int) -> Dict[ExpVec, Fraction]:
-    if den == 1:
-        return {e: Fraction(c) for e, c in nums.items()}
-    return {e: Fraction(c, den) for e, c in nums.items()}
+def _rational(c):
+    """c itself when it is an int or a Fraction; TypeError for anything else."""
+    if isinstance(c, (int, Fraction)):
+        return c
+    raise TypeError(f"a polynomial coefficient is an int or a Fraction, not {type(c).__name__}")
 
 
 def _mul(a: Dict[ExpVec, int], b: Dict[ExpVec, int]) -> Dict[ExpVec, int]:
@@ -95,17 +84,11 @@ def _mul(a: Dict[ExpVec, int], b: Dict[ExpVec, int]) -> Dict[ExpVec, int]:
 class MvLaurent:
     """Immutable sparse Laurent polynomial in ``nvars`` generators."""
 
-    __slots__ = ("nvars", "terms", "_lt")
+    __slots__ = ("nvars", "terms", "den", "_lt")
 
     def __init__(self, nvars: int, terms: Dict[ExpVec, Fraction] | None = None):
-        self.nvars = nvars
-        cleaned: Dict[ExpVec, Fraction] = {}
-        if terms:
-            for exp, coeff in terms.items():
-                if coeff:
-                    cleaned[exp] = coeff
-        self.terms = cleaned
-        self._lt: Tuple[Fraction, ExpVec] | None = None
+        f = MvLaurent.from_terms(nvars, terms.items() if terms else ())
+        self.nvars, self.terms, self.den, self._lt = nvars, f.terms, f.den, None
 
     # ---------------------------------------------------------------- constructors
 
@@ -115,10 +98,7 @@ class MvLaurent:
 
     @classmethod
     def const(cls, nvars: int, value) -> "MvLaurent":
-        c = Fraction(value)
-        if not c:
-            return cls(nvars)
-        return cls(nvars, {(0,) * nvars: c})
+        return cls.monomial(nvars, (0,) * nvars, value)
 
     @classmethod
     def gen(cls, nvars: int, i: int, power: int = 1) -> "MvLaurent":
@@ -127,41 +107,44 @@ class MvLaurent:
             raise IndexError(f"generator index {i} out of range for nvars={nvars}")
         exp = [0] * nvars
         exp[i] = power
-        return cls(nvars, {tuple(exp): Fraction(1)})
+        return cls._of(nvars, {tuple(exp): 1})
 
     @classmethod
     def monomial(cls, nvars: int, exp: Sequence[int], coeff=1) -> "MvLaurent":
-        c = Fraction(coeff)
-        if not c:
+        if not _rational(coeff):
             return cls(nvars)
         exp = tuple(int(e) for e in exp)
         if len(exp) != nvars:
             raise ValueError("exponent vector length mismatch")
-        return cls(nvars, {exp: c})
+        return cls(nvars, {exp: coeff})
 
     @classmethod
     def from_terms(cls, nvars: int, terms: Iterable[Tuple[ExpVec, Fraction]]) -> "MvLaurent":
         """The sum of (exponent, coefficient) terms, added in order into one
         map; a sum that cancels drops its term."""
-        out: Dict[ExpVec, Fraction] = {}
+        terms = [(e, _rational(c)) for e, c in terms]
+        den = lcm(*[c.denominator for _, c in terms])
+        out: Dict[ExpVec, int] = {}
         get = out.get
         for e, c in terms:
             if not c:
                 continue
-            s = get(e, 0) + c
+            s = get(e, 0) + c.numerator * (den // c.denominator)
             if s:
                 out[e] = s
             else:
                 del out[e]
-        return cls._of(nvars, out)
+        return cls._of(nvars, out, den)
 
     @classmethod
-    def _of(cls, nvars: int, terms: Dict[ExpVec, Fraction]) -> "MvLaurent":
-        """Wrap a term map that holds no zero coefficient, without copying it."""
+    def _of(cls, nvars: int, nums: Dict[ExpVec, int], den: int = 1) -> "MvLaurent":
+        """Nonzero int numerators over den > 0, brought to lowest terms."""
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                nums, den = {e: c // g for e, c in nums.items()}, den // g
         self = object.__new__(cls)
-        self.nvars = nvars
-        self.terms = terms
-        self._lt = None
+        self.nvars, self.terms, self.den, self._lt = nvars, nums, den, None
         return self
 
     # ---------------------------------------------------------------- predicates
@@ -171,7 +154,7 @@ class MvLaurent:
 
     def is_polynomial(self) -> bool:
         """True when every exponent is componentwise nonnegative."""
-        return all(min(e, default=0) >= 0 for e in self.terms) if self.terms else True
+        return all(min(e, default=0) >= 0 for e in self.terms)
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -193,15 +176,15 @@ class MvLaurent:
             raise ZeroPolynomial("leading term of the zero polynomial")
         if self._lt is None:
             exp = max(self.terms, key=_revlex_key)
-            self._lt = (self.terms[exp], exp)
+            self._lt = (self.coeff(exp), exp)
         return self._lt
 
     def sorted_terms(self):
         """Terms as (exponent, coefficient), revlex-descending.  Deterministic."""
-        return [(e, self.terms[e]) for e in sorted(self.terms, key=_revlex_key, reverse=True)]
+        return [(e, self.coeff(e)) for e in sorted(self.terms, key=_revlex_key, reverse=True)]
 
     def coeff(self, exp: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
+        return Fraction(self.terms.get(tuple(exp), 0), self.den)
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -219,20 +202,22 @@ class MvLaurent:
 
     def __add__(self, other) -> "MvLaurent":
         other = self._coerce(other)
-        out = dict(self.terms)
+        den = lcm(self.den, other.den)
+        ka, kb = den // self.den, den // other.den
+        out = {e: c * ka for e, c in self.terms.items()}
         get = out.get
         for e, c in other.terms.items():
-            s = get(e, 0) + c
+            s = get(e, 0) + c * kb
             if s:
                 out[e] = s
             else:
                 del out[e]
-        return MvLaurent._of(self.nvars, out)
+        return MvLaurent._of(self.nvars, out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MvLaurent":
-        return MvLaurent(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MvLaurent._of(self.nvars, {e: -c for e, c in self.terms.items()}, self.den)
 
     def __sub__(self, other) -> "MvLaurent":
         return self + (-self._coerce(other))
@@ -241,31 +226,21 @@ class MvLaurent:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "MvLaurent":
-        if not isinstance(other, MvLaurent):
-            c = Fraction(other)
-            if not c:
-                return MvLaurent(self.nvars)
-            return MvLaurent(self.nvars, {e: cf * c for e, cf in self.terms.items()})
         other = self._coerce(other)
-        if not self.terms or not other.terms:
-            return MvLaurent(self.nvars)
-        a, da = _scale(self.terms)
-        b, db = _scale(other.terms)
-        return MvLaurent._of(self.nvars, _fractions(_mul(a, b), da * db))
+        return MvLaurent._of(self.nvars, _mul(self.terms, other.terms), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MvLaurent":
         if not isinstance(n, int):
             raise TypeError("polynomial powers must be integers")
-        if n == 0:
-            return MvLaurent.const(self.nvars, 1)
         if n < 0:
             if len(self.terms) != 1:
                 raise NonInvertibleImage("negative power of a non-monomial")
             (e, c), = self.terms.items()
-            return MvLaurent(self.nvars, {tuple(x * n for x in e): c ** n})
-        base, den = _scale(self.terms)
+            num, den = self.den ** -n, c ** -n
+            return MvLaurent._of(self.nvars, {tuple(x * n for x in e): num if den > 0 else -num}, abs(den))
+        base = self.terms
         result = {(0,) * self.nvars: 1}
         k = n
         while k:
@@ -273,17 +248,17 @@ class MvLaurent:
                 result = _mul(result, base)
             base = _mul(base, base) if k > 1 else base
             k >>= 1
-        return MvLaurent._of(self.nvars, _fractions(result, den ** n))
+        return MvLaurent._of(self.nvars, result, self.den ** n)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MvLaurent):
-            return self.nvars == other.nvars and self.terms == other.terms
+            return self.nvars == other.nvars and self.den == other.den and self.terms == other.terms
         if isinstance(other, (int, Fraction)):
             return self == MvLaurent.const(self.nvars, other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.den, frozenset(self.terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -338,20 +313,17 @@ def exact_divide(num: MvLaurent, den: MvLaurent) -> MvLaurent:
     """
     if den.is_zero():
         raise ZeroDivisor("division by the zero polynomial")
-    if num.is_zero():
-        return MvLaurent(num.nvars)
     gnum = _min_exponents(num)
     gden = _min_exponents(den)
-    rnums, rden = _scale(num.terms)
-    dnums, dden = _scale(den.terms)
     rg, dg = gnum[::-1], gden[::-1]
-    rem = {tuple(map(sub, e[::-1], rg)): c for e, c in rnums.items()}
-    d = [(tuple(map(sub, e[::-1], dg)), c) for e, c in dnums.items()]
+    rem = {tuple(map(sub, e[::-1], rg)): c for e, c in num.terms.items()}
+    d = [(tuple(map(sub, e[::-1], dg)), c) for e, c in den.terms.items()]
     ed, ld = max(d)
-    # rem holds the remainder times `scale`; when ld does not divide the
-    # leading numerator, all of rem is scaled up so that every update is in ints.
+    # rem and q hold the remainder and the quotient's numerators times
+    # `scale`; when ld does not divide the leading numerator, both are
+    # scaled up so that every update is in ints.
     scale = 1
-    q: Dict[ExpVec, Fraction] = {}
+    q: Dict[ExpVec, int] = {}
     get = rem.get
     while rem:
         er = max(rem)
@@ -363,10 +335,12 @@ def exact_divide(num: MvLaurent, den: MvLaurent) -> MvLaurent:
             k = abs(ld) // gcd(cr, ld)
             for e in rem:
                 rem[e] *= k
+            for e in q:
+                q[e] *= k
             scale *= k
             cr *= k
         t = cr // ld
-        q[et] = Fraction(t * dden, scale * rden)
+        q[et] = t
         for e, c in d:
             e = tuple(map(add, e, et))
             s = get(e, 0) - t * c
@@ -375,18 +349,17 @@ def exact_divide(num: MvLaurent, den: MvLaurent) -> MvLaurent:
             else:
                 del rem[e]
     shift = tuple(map(sub, gnum, gden))
-    return MvLaurent._of(num.nvars, {tuple(map(add, e[::-1], shift)): c for e, c in q.items()})
+    return MvLaurent._of(num.nvars, {tuple(map(add, e[::-1], shift)): c * den.den for e, c in q.items()},
+                         scale * num.den)
 
 
-def _product(factors: Sequence[Scaled], nvars: int) -> Scaled:
-    """The product of scaled factors, multiplied left to right; 1 for none."""
-    if not factors:
-        return {(0,) * nvars: 1}, 1
-    nums, den = factors[0]
-    for fnums, fden in factors[1:]:
-        nums = _mul(nums, fnums)
-        den *= fden
-    return nums, den
+def _product(factors: Sequence[MvLaurent], nvars: int) -> Dict[ExpVec, int]:
+    """The numerators of a product, multiplied left to right, over the
+    product of the factors' denominators; 1 for no factor."""
+    nums = {(0,) * nvars: 1}
+    for f in factors:
+        nums = _mul(nums, f.terms)
+    return nums
 
 
 def substitute(f: MvLaurent, images: Sequence[MvLaurent]) -> MvLaurent:
@@ -420,11 +393,11 @@ def substitute(f: MvLaurent, images: Sequence[MvLaurent]) -> MvLaurent:
         if neg_max[i] and images[i].is_zero():
             raise NonInvertibleImage(f"generator {i} appears with negative power, image is zero")
 
-    powers: Dict[Tuple[int, int], Scaled] = {}
+    powers: Dict[Tuple[int, int], MvLaurent] = {}
 
-    def power(i: int, m: int) -> Scaled:
+    def power(i: int, m: int) -> MvLaurent:
         if (i, m) not in powers:
-            powers[(i, m)] = _scale((images[i] ** m).terms)
+            powers[(i, m)] = images[i] ** m
         return powers[(i, m)]
 
     # With every inverted image a monomial, x^e maps to prod images[i]^e[i].
@@ -434,26 +407,23 @@ def substitute(f: MvLaurent, images: Sequence[MvLaurent]) -> MvLaurent:
     terms = []
     for e, c in f.terms.items():
         fs = [power(i, m + s) for i, (m, s) in enumerate(zip(e, shift)) if m + s]
-        den = c.denominator
-        for _, fden in fs:
-            den *= fden
-        terms.append((c.numerator, den, fs))
+        terms.append((c, prod(g.den for g in fs), fs))
     common = lcm(*[den for _, den, _ in terms])
     acc: Dict[ExpVec, int] = {}
     get = acc.get
     for num, den, fs in terms:
         k = num * (common // den)
-        for e, c in _product(fs, nv)[0].items():
+        for e, c in _product(fs, nv).items():
             s = get(e, 0) + k * c
             if s:
                 acc[e] = s
             else:
                 del acc[e]
-    numerator = MvLaurent._of(nv, _fractions(acc, common))
+    numerator = MvLaurent._of(nv, acc, f.den * common)
     if not hard:
         return numerator
-    dnums, dden = _product([power(i, m) for i, m in enumerate(neg_max) if m], nv)
-    denominator = MvLaurent._of(nv, _fractions(dnums, dden))
+    fs = [power(i, m) for i, m in enumerate(neg_max) if m]
+    denominator = MvLaurent._of(nv, _product(fs, nv), prod(g.den for g in fs))
     try:
         return exact_divide(numerator, denominator)
     except NotDivisible as exc:
@@ -472,20 +442,19 @@ def _exchange_slot(f: MvLaurent, k: int, q: MvLaurent) -> MvLaurent:
     nv = f.nvars
     if not f.terms:
         return MvLaurent(nv)
-    nums, den = _scale(f.terms)
     groups: Dict[int, Dict[ExpVec, int]] = {}
-    for e, c in nums.items():
+    for e, c in f.terms.items():
         m = e[k]
         groups.setdefault(m, {})[e[:k] + (-m,) + e[k + 1:]] = c
     neg = max(0, -min(groups))
     if neg and q.is_zero():
         raise NonInvertibleImage(f"generator {k} appears with negative power, image is zero")
     top = max(groups) + neg
-    qn, qd = _scale(q.terms)
+    qd = q.den
     qpow = [{(0,) * nv: 1}]
     for _ in range(max(top, neg)):
-        qpow.append(_mul(qpow[-1], qn))
-    # group m over den * qd^(m + neg), raised to the common den * qd^top
+        qpow.append(_mul(qpow[-1], q.terms))
+    # group m over f.den * qd^(m + neg), raised to the common f.den * qd^top
     acc: Dict[ExpVec, int] = {}
     get = acc.get
     for m, g in groups.items():
@@ -496,11 +465,11 @@ def _exchange_slot(f: MvLaurent, k: int, q: MvLaurent) -> MvLaurent:
                 acc[e] = s
             else:
                 del acc[e]
-    numerator = MvLaurent._of(nv, _fractions(acc, den * qd ** top))
+    numerator = MvLaurent._of(nv, acc, f.den * qd ** top)
     if not neg:
         return numerator
     try:
-        return exact_divide(numerator, MvLaurent._of(nv, _fractions(qpow[neg], qd ** neg)))
+        return exact_divide(numerator, MvLaurent._of(nv, qpow[neg], qd ** neg))
     except NotDivisible as exc:
         raise NonInvertibleImage("substitution does not cancel to a Laurent polynomial") from exc
 
@@ -510,19 +479,27 @@ def apply_derivation(gen_images: Sequence[MvLaurent], f: MvLaurent) -> MvLaurent
 
     Extends by linearity and the Leibniz rule; on Laurent monomials the usual
     power rule D(x^m) = m x^(m-1) D(x) covers negative m (inverse rule).
+    Terms add in order, on int numerators over f.den times the lcm of the
+    images' denominators; a sum that cancels drops its term.
     """
     if len(gen_images) != f.nvars:
         raise ValueError("need one image per generator")
-
-    def terms():
-        for e, c in f.terms.items():
-            for i, m in enumerate(e):
-                if not m or gen_images[i].is_zero():
-                    continue
-                shifted = list(e)
-                shifted[i] -= 1
-                cm = c * m
-                for eg, cg in gen_images[i].terms.items():
-                    yield tuple(map(add, shifted, eg)), cm * cg
-
-    return MvLaurent.from_terms(f.nvars, terms())
+    den = lcm(*[g.den for g in gen_images])
+    out: Dict[ExpVec, int] = {}
+    get = out.get
+    for e, c in f.terms.items():
+        for i, m in enumerate(e):
+            g = gen_images[i]
+            if not m or not g.terms:
+                continue
+            shifted = list(e)
+            shifted[i] -= 1
+            cm = c * m * (den // g.den)
+            for eg, cg in g.terms.items():
+                t = tuple(map(add, shifted, eg))
+                s = get(t, 0) + cm * cg
+                if s:
+                    out[t] = s
+                else:
+                    del out[t]
+    return MvLaurent._of(f.nvars, out, f.den * den)

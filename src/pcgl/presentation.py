@@ -20,7 +20,7 @@ from math import gcd, lcm
 from operator import add, mul
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
-from .poly import ExpVec, MvLaurent, _fractions, _scale, apply_derivation
+from .poly import ExpVec, MvLaurent, apply_derivation
 
 
 class PresentationError(Exception):
@@ -166,11 +166,10 @@ class PoissonPresentation:
             stars, sden = _pairing(self.h_star, self.weights)
             put("lam_star", tuple(Fraction(stars[j][j], sden) for j in range(n)))
         items = [(key, poly) for key, poly in sorted(self.delta.items()) if not poly.is_zero()]
-        dden = lcm(*(c.denominator for _, poly in items for c in poly.terms.values()))
+        dden = lcm(*(poly.den for _, poly in items))
         rows = [[] for _ in range(n)]
         for (k, j), poly in items:
-            rows[k].append((j, tuple((e, c.numerator * (dden // c.denominator))
-                                     for e, c in poly.terms.items())))
+            rows[k].append((j, tuple((e, c * (dden // poly.den)) for e, c in poly.terms.items())))
         put("delta_num", tuple(tuple(row) for row in rows))
         put("delta_den", dden)
 
@@ -335,19 +334,16 @@ def _bracket_into(p: PoissonPresentation, fa: Operand, gb: Operand, acc: Dict[Ex
 def bracket(p: PoissonPresentation, f: MvLaurent, g: MvLaurent) -> MvLaurent:
     """Poisson bracket {f, g}, extended as a biderivation from the table.
 
-    The public wrapper of the int kernel ``_bracket_into``: f and g are
-    scaled and prepared once, their bracket accumulates in ints over
-    fden * gden * lcm(lam_den, delta_den), and the result's Fractions are
-    built once.
+    The public wrapper of the int kernel ``_bracket_into``: the numerators
+    of f and g are prepared once, and their bracket accumulates in ints over
+    f.den * g.den * lcm(lam_den, delta_den).
     """
     n = p.n
     if f.is_zero() or g.is_zero():
         return MvLaurent.zero(n)
-    fnums, fden = _scale(f.terms)
-    gnums, gden = _scale(g.terms)
     acc: Dict[ExpVec, int] = {}
-    _bracket_into(p, _prepare(p, fnums), _prepare(p, gnums), acc)
-    return MvLaurent._of(n, _fractions(acc, fden * gden * lcm(p.lam_den, p.delta_den)))
+    _bracket_into(p, _prepare(p, f.terms), _prepare(p, g.terms), acc)
+    return MvLaurent._of(n, acc, f.den * g.den * lcm(p.lam_den, p.delta_den))
 
 
 def _bracket_is_multiple(p: PoissonPresentation, fa: Operand, gb: Operand, c: int, cden: int,
@@ -392,7 +388,7 @@ def validate_algebra(p: PoissonPresentation, max_nilpotence_iters: int | None = 
     (a) Jacobi identity on all generator triples (sufficient, since the
         bracket is extended as a biderivation).  Each generator pair is
         bracketed once; the three brackets of a triple add into one map of
-        int numerators, and a JacobiFailure's witness (the Fraction sum of
+        int numerators, and a JacobiFailure's witness (the polynomial sum of
         the three) is built only when that map is not empty;
     (b) each delta_k(x_j) homogeneous of weight chi_k + chi_j;
     (c) lambda_k != 0 for every k;
@@ -459,12 +455,12 @@ def validate_algebra(p: PoissonPresentation, max_nilpotence_iters: int | None = 
                     _bracket_into(p, gens[a], pb, acc)
                 if not acc:
                     continue
-                # The witness is the sum of the three brackets, added as Fractions.
+                # The witness is the sum of the three brackets, added as polynomials.
                 witness = MvLaurent.zero(n)
                 for a, pb in outer:
                     part: Dict[ExpVec, int] = {}
                     _bracket_into(p, gens[a], pb, part)
-                    witness = witness + MvLaurent._of(n, _fractions(part, den * den))
+                    witness = witness + MvLaurent._of(n, part, den * den)
                 checks["jacobi"] = False
                 failures.append(JacobiFailure(k, j, i, witness))
 

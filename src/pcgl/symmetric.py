@@ -380,7 +380,7 @@ def apply_rescaling(p: PoissonPresentation, gamma: Sequence[Fraction]) -> Poisso
             for idx, mm in enumerate(e):
                 if mm:
                     factor *= gamma[idx] ** (-mm)
-            scaled[e] = c * factor * gamma[k] * gamma[j]
+            scaled[e] = c * factor * gamma[k] * gamma[j] / poly.den
         new_delta[(k, j)] = MvLaurent(p.n, scaled)
     return PoissonPresentation(
         n=p.n, torus_rank=p.torus_rank, weights=p.weights, h=p.h,

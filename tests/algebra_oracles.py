@@ -1,9 +1,10 @@
 """Algebra-level computations that no pcgl command runs, kept as oracles.
 
-The derivation-deleting map theta_k with the derivations delta_k and
-sigma_k it is built from; the integer chain recurrence for alpha and q,
-which cgl.alpha_q_matrices replaced by reading the bicharacter Omega_lambda
-on unit and ebar vectors; the u-elements u_[i, s^m(i)] for every m, built
+The Fraction value of each term of a polynomial, which every oracle reads
+coefficients through; the derivation-deleting map theta_k with the
+derivations delta_k and sigma_k it is built from; the integer chain
+recurrence for alpha and q, which cgl.alpha_q_matrices replaced by reading
+the bicharacter Omega_lambda on unit and ebar vectors; the u-elements u_[i, s^m(i)] for every m, built
 from interval primes, with their leading data (pi, f, g), which
 symmetric.u_leading_term replaced for m = 1 by reading
 lambda_s^-1 delta_s(x_i) off the bracket table; and the solid minors of a
@@ -14,13 +15,19 @@ preset.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from pcgl.cgl import EtaData, PrimeSequenceError, QData
 from pcgl.poly import ExpVec, MvLaurent, apply_derivation
 from pcgl.presentation import PoissonPresentation, SupportViolation
 from pcgl.presets import ShapeMismatch
 from pcgl.symmetric import LeadingFormViolation, interval_prime
+
+
+
+def fraction_terms(f: MvLaurent) -> Dict[ExpVec, Fraction]:
+    """f's coefficients as Fractions, keyed by exponent in f's term order."""
+    return {e: Fraction(c, f.den) for e, c in f.terms.items()}
 
 
 # ------------------------------------------------------- derivation-deleting map
@@ -45,7 +52,7 @@ def sigma_scalar(p: PoissonPresentation, k: int, exp: Sequence[int]) -> Fraction
 
 def sigma(p: PoissonPresentation, k: int, f: MvLaurent) -> MvLaurent:
     """The diagonal derivation sigma_k = (h_k . ) applied termwise."""
-    return MvLaurent.from_terms(p.n, ((e, c * sigma_scalar(p, k, e)) for e, c in f.terms.items()))
+    return MvLaurent.from_terms(p.n, ((e, c * sigma_scalar(p, k, e)) for e, c in fraction_terms(f).items()))
 
 
 def cauchon_theta(p: PoissonPresentation, k: int, f: MvLaurent) -> MvLaurent:

@@ -53,9 +53,11 @@ from pcgl.cluster import (
     mutate_matrix,
     mutate_r,
 )
-from pcgl.poly import MvLaurent, _mul, _scale, substitute
+from pcgl.poly import MvLaurent, _mul, substitute
 from pcgl.presentation import PoissonPresentation, _bracket_is_multiple, _prepare, bracket
 from pcgl.symmetric import Perm, SymmetryError, interval_prime, is_xi_element, tau_data
+
+from algebra_oracles import fraction_terms
 
 
 def as_fractions(m) -> List[List[Fraction]]:
@@ -354,8 +356,8 @@ def check_log_canonical(ctx, bundle) -> int:
     """Verify every pairwise bracket of the seed variables against r_tau.
 
     Brackets are computed in the polynomial ring on the generators, so no
-    denominators arise.  Each variable is scaled to int numerators and
-    prepared for the bracket kernel once, and each identity
+    denominators arise.  Each variable's int numerators are prepared for
+    the bracket kernel once, and each identity
     {v_l, v_j} = r_lj v_l v_j, j < l in row order, is decided on integers by
     the bracket kernel against the int product v_l v_j.  Fractions are built
     only for the first failing pair's lhs and rhs.  Returns the number of
@@ -364,12 +366,11 @@ def check_log_canonical(ctx, bundle) -> int:
     p = ctx.p
     v = bundle.vars_x
     rn, den = bundle.r
-    scaled = [_scale(f.terms) for f in v]
-    ops = [_prepare(p, nums) for nums, _ in scaled]
+    ops = [_prepare(p, f.terms) for f in v]
     for l in range(p.n):
         for j in range(l):
             if not _bracket_is_multiple(p, ops[l], ops[j], rn[l][j], den,
-                                        _mul(scaled[l][0], scaled[j][0])):
+                                        _mul(v[l].terms, v[j].terms)):
                 raise LogCanonicalFailure(l, j, bracket(p, v[l], v[j]),
                                           v[l] * v[j] * Fraction(rn[l][j], den))
     return p.n * (p.n - 1) // 2
@@ -448,7 +449,7 @@ def permute_presentation(p: PoissonPresentation, tau: Perm) -> PoissonPresentati
             if rest.is_zero():
                 continue
             moved = {}
-            for e, c in rest.terms.items():
+            for e, c in fraction_terms(rest).items():
                 moved[tuple(e[tau[idx]] for idx in range(n))] = c
             delta[(k, j)] = MvLaurent(n, moved)
     return PoissonPresentation(

@@ -20,7 +20,7 @@ from pcgl import cgl
 from pcgl import serialize as ser
 from pcgl.cgl import CertFailure, QData, certify_prime_sequence, compute_eta_and_primes
 from pcgl.cluster import ClusterContext, seed_for_tau
-from pcgl.poly import MvLaurent, _mul, _scale
+from pcgl.poly import MvLaurent, _mul
 from pcgl.presentation import (
     JacobiFailure,
     PoissonPresentation,
@@ -34,6 +34,7 @@ from pcgl.presentation import (
 from pcgl.presets import build_matrix_poisson
 from pcgl.symmetric import validate_symmetric
 
+from algebra_oracles import fraction_terms
 from conftest import rescaled_3x3, rescaled_4x5, two_block
 from tau_oracles import LogCanonicalFailure, as_fractions, check_log_canonical, from_fractions
 
@@ -159,7 +160,7 @@ def test_perturbed_y_coefficient_fails_like_the_oracle(primes):
     y = seq.y[k]
     lead = y.leading_term()[1]
     e = next(e for e in y.terms if e != lead)
-    terms = dict(y.terms)
+    terms = fraction_terms(y)
     terms[e] += Fraction(1, 3)
     ys = list(seq.y)
     ys[k] = MvLaurent(p.n, terms)
@@ -231,13 +232,13 @@ def test_derived_verdicts_equal_the_kernel(name):
     p = VERDICT_INPUTS[name]
     eta, seq = compute_eta_and_primes(p)
     qd = certify_prime_sequence(p, eta, seq)
-    ys = [_scale(y.terms) for y in seq.y]
-    yops = [_prepare(p, nums) for nums, _ in ys]
+    ys = seq.y
+    yops = [_prepare(p, y.terms) for y in ys]
     skewed = _off_by_a_fifth(qd, "q", [(l, j) for l in range(p.n) for j in range(p.n) if (l + j) % 2])
     for case in (qd, skewed):
         got = list(cgl._q_verdicts(p, eta, case, ys, yops))
         q, den = case.q
-        want = [(l, j, _bracket_is_multiple(p, yops[l], yops[j], q[l][j], den, _mul(ys[l][0], ys[j][0])))
+        want = [(l, j, _bracket_is_multiple(p, yops[l], yops[j], q[l][j], den, _mul(ys[l].terms, ys[j].terms)))
                 for l in range(p.n) for j in range(l)]
         assert got == want
     assert {v for *_, v in got} == {True, False}
@@ -321,8 +322,8 @@ def test_jacobi_report_equals_the_oracle(name):
         want = ValidationReport(passed=False, checks=checks, failures=rest + oracle)
         assert ser.validation_report(report) == ser.validation_report(want)
         got = [f for f in report.failures if isinstance(f, JacobiFailure)]
-        assert [list(f.witness.terms.items()) for f in got] == \
-            [list(f.witness.terms.items()) for f in oracle]
+        assert [list(fraction_terms(f.witness).items()) for f in got] == \
+            [list(fraction_terms(f.witness).items()) for f in oracle]
 
 
 # ---------------------------------------------------------------- log-canonicality

@@ -229,6 +229,25 @@ class TestSubcommands:
                 assert error["code"] == "CliInputError"
                 assert f"N = {n} exceeds {cli.MAX_GAMMA_GENERATORS}" in error["detail"]
 
+    def test_tau_off_the_identity_key_takes_the_cap(self, tmp_path, monkeypatch, capsys):
+        # a label off the identity's key is read off the Gamma_N walk; the
+        # identity's seed and btilde take no walk, so they are not capped
+        path = tmp_path / "m33.json"
+        assert main(["preset", "matrix", "--m", "3", "--n", "3", "-o", str(path)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "MAX_GAMMA_GENERATORS", 8)
+        shifted = ",".join(map(str, [*range(2, 10), 1]))
+        for argv in (["seeds", str(path), "--tau", shifted],
+                     ["mutate", str(path), "--tau", shifted, "--at", "1"]):
+            assert main(argv) == 2
+            error = json.loads(capsys.readouterr().out)["error"]
+            assert error["code"] == "CliInputError"
+            assert "N = 9 exceeds 8" in error["detail"]
+        for argv in (["seeds", str(path)], ["mutate", str(path), "--at", "1"],
+                     ["btilde", str(path), "--tau", shifted]):
+            assert main(argv) == 0
+            capsys.readouterr()
+
     def test_chain_verify_5x5_by_default(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "m55.json"
         assert main(["preset", "matrix", "--m", "5", "--n", "5", "-o", str(path)]) == 0

@@ -1,17 +1,21 @@
-"""The integer multiply kernel against the rational arithmetic it replaced.
+"""The integer polynomial kernel against the rational arithmetic it replaced.
 
 The oracles below are the `Fraction` implementations of `MvLaurent.__mul__`,
 `__pow__`, `exact_divide`, `substitute` and `apply_derivation`, and the
 `out = out + monomial` accumulation of the serializers, as they were before
-the kernel scaled coefficients to int numerators.  They call only each other,
-never the code under test.  Results must agree in value, in the order of
-their terms (the order a rational product produces them), in the exception
-raised, and in coefficient type: every coefficient is a `Fraction`.  The
-one-slot exchange kernel `_exchange_slot` is checked against `substitute`
-itself, in value, in coefficient type and in the exception raised.
+polynomials held int numerators.  They call only each other, never the code
+under test, and read every coefficient as a `Fraction` through
+`fraction_terms`.  Results must agree in value, in the order of their terms
+(the order a rational product produces them), in the exception raised, and
+be in canonical form: nonzero int numerators over one positive denominator,
+in lowest terms.  The one-slot exchange kernel `_exchange_slot` is checked
+against `substitute` itself, in value, in canonical form and in the
+exception raised.
 """
 
+from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 from typing import Dict
 
 import pytest
@@ -29,14 +33,17 @@ from pcgl.poly import (
     substitute,
 )
 
-from algebra_oracles import sigma, sigma_scalar
+from pcgl.presentation import bracket
+
+from algebra_oracles import fraction_terms, sigma, sigma_scalar
+from conftest import rescaled_2x3
 
 # ---------------------------------------------------------------- oracles
 
 
 def _o_add(f, g):
-    out = dict(f.terms)
-    for e, c in g.terms.items():
+    out = fraction_terms(f)
+    for e, c in fraction_terms(g).items():
         s = out.get(e, Fraction(0)) + c
         if s:
             out[e] = s
@@ -47,13 +54,15 @@ def _o_add(f, g):
 
 def _o_scalar(f, c):
     c = Fraction(c)
-    return MvLaurent(f.nvars, {e: cf * c for e, cf in f.terms.items()} if c else {})
+    return MvLaurent(f.nvars, {e: cf * c for e, cf in fraction_terms(f).items()} if c else {})
 
 
 def oracle_mul(f, g):
     if not f.terms or not g.terms:
         return MvLaurent(f.nvars)
-    a, b = (f.terms, g.terms) if len(f.terms) <= len(g.terms) else (g.terms, f.terms)
+    a, b = fraction_terms(f), fraction_terms(g)
+    if len(a) > len(b):
+        a, b = b, a
     out: Dict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -72,7 +81,7 @@ def oracle_pow(f, n):
     if n < 0:
         if len(f.terms) != 1:
             raise NonInvertibleImage("negative power of a non-monomial")
-        (e, c), = f.terms.items()
+        (e, c), = fraction_terms(f).items()
         return MvLaurent(f.nvars, {tuple(x * n for x in e): c ** n})
     result = MvLaurent.const(f.nvars, 1)
     base = f
@@ -86,7 +95,8 @@ def oracle_pow(f, n):
 
 
 def _o_shift(f, shift):
-    return MvLaurent(f.nvars, {tuple(x + s for x, s in zip(e, shift)): c for e, c in f.terms.items()})
+    return MvLaurent(f.nvars, {tuple(x + s for x, s in zip(e, shift)): c
+                               for e, c in fraction_terms(f).items()})
 
 
 def _o_min_exponents(f):
@@ -131,7 +141,7 @@ def oracle_substitute(f, images):
             raise NonInvertibleImage("image is zero")
     shift = neg_max if hard else [0] * f.nvars
     out = MvLaurent(nv)
-    for e, c in f.terms.items():
+    for e, c in fraction_terms(f).items():
         term = MvLaurent.const(nv, c)
         for i, m in enumerate(e):
             if m + shift[i]:
@@ -151,7 +161,7 @@ def oracle_substitute(f, images):
 
 def oracle_apply_derivation(gen_images, f):
     out = MvLaurent(f.nvars)
-    for e, c in f.terms.items():
+    for e, c in fraction_terms(f).items():
         for i, m in enumerate(e):
             if not m or gen_images[i].is_zero():
                 continue
@@ -171,10 +181,17 @@ def oracle_from_terms(nvars, terms):
 # ---------------------------------------------------------------- helpers
 
 
+def canonical(f):
+    """Nonzero int numerators over one positive denominator, in lowest terms."""
+    assert type(f.den) is int and f.den > 0
+    assert all(type(c) is int and c for c in f.terms.values())
+    assert gcd(f.den, *f.terms.values()) == 1
+    return f
+
+
 def same(got, want):
-    """Equal value, equal term order, and only Fraction coefficients."""
-    assert list(got.terms.items()) == list(want.terms.items())
-    assert all(type(c) is Fraction for c in got.terms.values())
+    """Equal value, equal term order, and canonical form."""
+    assert list(fraction_terms(canonical(got)).items()) == list(fraction_terms(want).items())
 
 
 def outcome(fn, *args):
@@ -207,7 +224,7 @@ def nonzero(strategy):
 
 def flipped(f, signs):
     """f with some coefficients negated, so products with f cancel terms."""
-    return MvLaurent(f.nvars, {e: c * s for (e, c), s in zip(f.terms.items(), signs)})
+    return MvLaurent(f.nvars, {e: c * s for (e, c), s in zip(fraction_terms(f).items(), signs)})
 
 
 SETTINGS = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -309,7 +326,7 @@ def test_substitute_cancels_a_non_monomial_inverse(p, a, b, g, c):
     # f = c x1^-1 x2 - c x1^-1 x3 + g0 with x1 -> p, x2 -> p a + b, x3 -> b
     # and g0 free of x1: no term of f is divisible by p, but the sum is, and
     # the result is c a + g0(images).
-    g0 = MvLaurent(NV, {(0,) + e[1:]: cf for e, cf in g.terms.items()})
+    g0 = MvLaurent(NV, {(0,) + e[1:]: cf for e, cf in fraction_terms(g).items()})
     f = _o_add(MvLaurent(NV, {(-1, 1, 0): c, (-1, 0, 1): -c}), g0)
     images = [p, _o_add(oracle_mul(p, a), b), b]
     got = substitute(f, images)
@@ -373,7 +390,7 @@ def test_substitute_computes_each_power_once(monkeypatch, hard):
 
 def _without(f, k):
     """f with the exponent of x_k set to 0 in every term, terms summed."""
-    return oracle_from_terms(NV, [(e[:k] + (0,) + e[k + 1:], c) for e, c in f.terms.items()])
+    return oracle_from_terms(NV, [(e[:k] + (0,) + e[k + 1:], c) for e, c in fraction_terms(f).items()])
 
 
 @SETTINGS
@@ -391,8 +408,7 @@ def test_exchange_slot_equals_substitute(k, f, q, laurent, h, g, j):
     want, want_err = outcome(substitute, f, images)
     assert err is want_err
     if want_err is None:
-        assert got == want
-        assert all(type(c) is Fraction for c in got.terms.values())
+        assert canonical(got) == want
     if laurent and not q.is_zero():
         assert err is None
 
@@ -440,5 +456,48 @@ def test_sigma_equals_termwise_oracle(p23):
     f = MvLaurent(p23.n, {(1, 0, 0, 0, 1, 0): Fraction(2), (0, 1, 0, 1, 0, 0): Fraction(-1, 3),
                           (0, 0, 0, 0, 0, 0): Fraction(4)})
     for k in range(p23.n):
-        want = oracle_from_terms(p23.n, [(e, c * sigma_scalar(p23, k, e)) for e, c in f.terms.items()])
+        want = oracle_from_terms(p23.n, [(e, c * sigma_scalar(p23, k, e))
+                                         for e, c in fraction_terms(f).items()])
         same(sigma(p23, k, f), want)
+
+
+# ---------------------------------------------------------------- canonical form
+
+BRACKET_P = rescaled_2x3()   # lam_den 7 and delta_den 36: brackets carry a denominator
+
+
+@SETTINGS
+@given(polys(), polys(), nonzero(polys(max_terms=3)), st.integers(0, 3), st.integers(0, NV - 1),
+       terms_lists, coeffs, polys(exps=(-1, 1), max_terms=3, nvars=BRACKET_P.n),
+       polys(exps=(-1, 1), max_terms=3, nvars=BRACKET_P.n))
+def test_every_result_is_canonical(f, g, d, n, k, terms, c, bf, bg):
+    images = [g, d, f]
+    for h in (MvLaurent(NV, dict(terms)), MvLaurent.from_terms(NV, terms), MvLaurent.const(NV, c),
+              MvLaurent.monomial(NV, (1, -1, 0), c), MvLaurent.gen(NV, k, -n),
+              f + g, f - g, g - c, -f, f * g, f * c, 3 * f, f ** n, exact_divide(f * d, d),
+              apply_derivation(images, f), bracket(BRACKET_P, bf, bg)):
+        canonical(h)
+    if d.is_monomial():
+        canonical(d ** -n)
+    for fn, args in ((substitute, (f, images)), (_exchange_slot, (f, k, _without(d, k)))):
+        got, _ = outcome(fn, *args)
+        if got is not None:
+            canonical(got)
+
+
+@SETTINGS
+@given(polys(), nonzero(polys()))
+def test_inverse_operations_give_back_an_equal_value_and_hash(f, g):
+    for back in (exact_divide(f * g, g), (f + g) - g):
+        assert canonical(back) == f
+        assert hash(back) == hash(f)
+
+
+@pytest.mark.parametrize("bad", [0.5, 0.1, Decimal("0.5"), 1j, "1/2", None])
+def test_non_rational_coefficients_raise_type_error(bad):
+    x = MvLaurent.gen(2, 0)
+    for make in (lambda: MvLaurent(2, {(1, 0): bad}), lambda: MvLaurent.const(2, bad),
+                 lambda: MvLaurent.monomial(2, (1, 0), bad), lambda: MvLaurent.from_terms(2, [((1, 0), bad)]),
+                 lambda: x * bad, lambda: x + bad, lambda: x - bad):
+        with pytest.raises(TypeError):
+            make()

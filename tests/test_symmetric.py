@@ -31,7 +31,7 @@ from pcgl.symmetric import (
     validate_symmetric,
 )
 
-from algebra_oracles import solid_minor, u_element_and_pi
+from algebra_oracles import fraction_terms, solid_minor, u_element_and_pi
 from conftest import benchmark_input, rescaled_3x3, rescaled_4x5, two_block, weyl_block
 from tau_oracles import (
     as_fractions,
@@ -223,7 +223,7 @@ class TestYSequenceForTau:
         out = []
         for f in seq_t.y:
             moved = {}
-            for e, c in f.terms.items():
+            for e, c in fraction_terms(f).items():
                 ne = [0] * n
                 for idx, mm in enumerate(e):
                     ne[tau[idx]] = mm
