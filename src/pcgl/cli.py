@@ -354,7 +354,7 @@ def cmd_rescale(args) -> int:
         return EXIT_INPUT
     eta, _ = primes
     gamma, p2 = rescale_generators(ps, eta)
-    pis = dict(pi_values(p2, compute_eta_and_primes(p2)[0]))
+    pis = dict(pi_values(p2, eta))
     doc = {
         "command": "rescale",
         "gamma": [ser.fraction_to_json(g) for g in gamma],
@@ -400,7 +400,7 @@ def cmd_btilde(args) -> int:
 
 def cmd_mutate(args) -> int:
     p, names = _load_presentation(args.file)
-    ctx, _ = cl.ClusterContext.build_normalizing(p)
+    ctx, gamma = cl.ClusterContext.build_normalizing(p)
     tau = _parse_tau(args.tau, p.n) if args.tau is not None else tuple(range(p.n))
     bundle = _seed_in_y(ctx, tau)
     k = args.at - 1
@@ -415,6 +415,7 @@ def cmd_mutate(args) -> int:
         "btilde": _bmatrix_dict(mutated.btilde),
         "beta": _beta_dict(mutated.beta),
     }
+    _note_gamma(doc, gamma)
     _emit(doc, args.output, f"mutated seed at direction {args.at}")
     return EXIT_OK
 

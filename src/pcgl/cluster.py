@@ -42,7 +42,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tu
 
 from . import linalg
 from .cgl import EtaData, PrimeSequenceReport, compute_eta_and_primes
-from .poly import MvLaurent, NonInvertibleImage, _exchange_slot, exact_divide, substitute
+from .poly import MvLaurent, NonInvertibleImage, exact_divide, substitute
 from .presentation import (
     PoissonPresentation,
     PresentationError,
@@ -696,12 +696,12 @@ def _carried_images(ctx: ClusterContext, start: Sequence[MvLaurent],
     for j in used, else zero; changed says the cluster is new.
 
     At each exchange of ctx.walk in slot kb, y_kb -> Q / y'_kb rewrites the
-    images that involve kb with one exact division (the Laurent
-    phenomenon), the converse of the step y_table takes.  Q is
-    _exchange_binomial of column kb of the walk's B over the cluster's own
-    variables; the walk has mutated B, which negates that column and so
-    keeps Q.  A division that is not exact raises ClusterError
-    naming the slot.
+    images that involve kb by substitute, whose images are the generators
+    except y_kb -> Q * y_kb^-1: one exact division (the Laurent phenomenon),
+    the converse of the step y_table takes.  Q is _exchange_binomial of
+    column kb of the walk's B over the cluster's own variables; the walk has
+    mutated B, which negates that column and so keeps Q.  A division that
+    is not exact raises ClusterError naming the slot.
     """
     n = ctx.p.n
     gens = [MvLaurent.gen(n, j) for j in range(n)]
@@ -709,8 +709,9 @@ def _carried_images(ctx: ClusterContext, start: Sequence[MvLaurent],
     for step, (tau, _, _, kb, b, _) in enumerate(ctx.walk):
         if kb is not None:
             q = _exchange_binomial(gens, b.column(kb))
+            slot = gens[:kb] + [q * MvLaurent.gen(n, kb, -1)] + gens[kb + 1:]
             try:
-                images = [_exchange_slot(g, kb, q) if any(e[kb] for e in g.terms) else g for g in images]
+                images = [substitute(g, slot) if any(e[kb] for e in g.terms) else g for g in images]
             except NonInvertibleImage as exc:
                 raise ClusterError(f"exchange in slot {kb+1} is not exact: {exc}") from exc
         yield tau, not step or kb is not None, images

@@ -18,7 +18,8 @@ decides.  Equivalently, ``reversed(e)`` compared lexicographically.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from itertools import compress
+from math import gcd, lcm
 from operator import add, sub
 from typing import Dict, Iterable, Sequence, Tuple
 
@@ -353,26 +354,31 @@ def exact_divide(num: MvLaurent, den: MvLaurent) -> MvLaurent:
                          scale * num.den)
 
 
-def _product(factors: Sequence[MvLaurent], nvars: int) -> Dict[ExpVec, int]:
-    """The numerators of a product, multiplied left to right, over the
-    product of the factors' denominators; 1 for no factor."""
-    nums = {(0,) * nvars: 1}
-    for f in factors:
-        nums = _mul(nums, f.terms)
-    return nums
+def _is_gen(g: MvLaurent, i: int) -> bool:
+    """g is the generator x_i of its ring."""
+    if g.den != 1 or len(g.terms) != 1:
+        return False
+    (e, c), = g.terms.items()
+    return c == 1 and e[i] == 1 and e.count(0) == len(e) - 1
 
 
 def substitute(f: MvLaurent, images: Sequence[MvLaurent]) -> MvLaurent:
     """Evaluate f at x_i -> images[i] (ring homomorphism on the Laurent ring).
 
-    Negative powers of x_i invert images[i].  Monomial images invert directly;
-    otherwise every term is put over the common denominator
-    prod images[i]^(max negative power) and the division must come out exact,
-    else NonInvertibleImage is raised.
+    An image x_i -> x_i, the generator itself in f's own ring, keeps f's
+    exponent at i as it is.  Negative powers at the other images invert
+    them: monomial images invert directly; otherwise every term is put over
+    the common denominator prod images[i]^(max negative power) and the
+    division must come out exact, else NonInvertibleImage is raised.
 
-    Each power images[i] ** m is computed once per call.  Every term's
-    product is formed in ints and added into one accumulator over the lcm of
-    the terms' denominators.
+    f's terms are grouped by their exponents at the other images, and each
+    group's product of those images' powers is formed once, in ints, from
+    powers images[i] ** m computed once per call.  Each term adds its
+    coefficient times its group's product, shifted by its kept exponents,
+    into one accumulator over the lcm of the groups' denominators, so the
+    terms come out in the order term-by-term substitution gives them.  The
+    walk's one-slot exchange (cluster._carried_images) passes the generators
+    as images, except x_k -> Q * x_k^-1.
     """
     if len(images) != f.nvars:
         raise ValueError("need one image per generator")
@@ -383,37 +389,62 @@ def substitute(f: MvLaurent, images: Sequence[MvLaurent]) -> MvLaurent:
         if g.nvars != nv:
             raise ValueError("images live in different rings")
 
-    neg_max = [0] * f.nvars
-    for e in f.terms:
-        for i, m in enumerate(e):
-            if m < 0 and -m > neg_max[i]:
-                neg_max[i] = -m
-    hard = [i for i, m in enumerate(neg_max) if m and not images[i].is_monomial()]
-    for i in range(f.nvars):
-        if neg_max[i] and images[i].is_zero():
-            raise NonInvertibleImage(f"generator {i} appears with negative power, image is zero")
+    cols = list(zip(*f.terms))
+    neg_max, moved, kept, hard = [0] * f.nvars, [], False, False
+    for i in compress(range(f.nvars), map(any, cols)):
+        g = images[i]
+        if nv == f.nvars and _is_gen(g, i):
+            kept = True
+            continue
+        moved.append(i)
+        lo = min(cols[i])
+        if lo < 0:
+            if g.is_zero():
+                raise NonInvertibleImage(f"generator {i} appears with negative power, image is zero")
+            neg_max[i], hard = -lo, hard or not g.is_monomial()
 
     powers: Dict[Tuple[int, int], MvLaurent] = {}
 
-    def power(i: int, m: int) -> MvLaurent:
-        if (i, m) not in powers:
-            powers[(i, m)] = images[i] ** m
-        return powers[(i, m)]
+    def product(exps: Iterable[Tuple[int, int]]) -> Tuple[Dict[ExpVec, int], int]:
+        """The numerators and denominator of prod images[i] ** m, left to
+        right, over the nonzero m."""
+        nums, den = {(0,) * nv: 1}, 1
+        for i, m in exps:
+            if not m:
+                continue
+            if (i, m) not in powers:
+                powers[(i, m)] = images[i] ** m
+            g = powers[(i, m)]
+            nums, den = _mul(nums, g.terms), den * g.den
+        return nums, den
 
     # With every inverted image a monomial, x^e maps to prod images[i]^e[i].
-    # Otherwise f = N / prod images[i]^neg_max[i], and x^e maps to
-    # prod images[i]^(e[i] + neg_max[i]) in the numerator N.
+    # Otherwise f = N / prod images[i]^neg_max[i] over the moved i, and x^e
+    # maps to prod images[i]^(e[i] + neg_max[i]) in the numerator N.  With
+    # some generator kept, a group's product is stored divided by x^e over
+    # the moved i, so that each term's x^e shifts it into place.
     shift = neg_max if hard else [0] * f.nvars
+    groups: Dict[ExpVec, Tuple[Dict[ExpVec, int], int]] = {}
     terms = []
     for e, c in f.terms.items():
-        fs = [power(i, m + s) for i, (m, s) in enumerate(zip(e, shift)) if m + s]
-        terms.append((c, prod(g.den for g in fs), fs))
-    common = lcm(*[den for _, den, _ in terms])
+        key = tuple(map(e.__getitem__, moved))
+        if key not in groups:
+            nums, den = product((i, m + shift[i]) for i, m in zip(moved, key))
+            if kept:
+                off = [0] * nv
+                for i, m in zip(moved, key):
+                    off[i] = m
+                nums = {tuple(map(sub, ep, off)): cp for ep, cp in nums.items()}
+            groups[key] = nums, den
+        terms.append((c, e, groups[key]))
+    common = lcm(*[den for _, den in groups.values()])
     acc: Dict[ExpVec, int] = {}
     get = acc.get
-    for num, den, fs in terms:
+    for num, ef, (nums, den) in terms:
         k = num * (common // den)
-        for e, c in _product(fs, nv).items():
+        for e, c in nums.items():
+            if kept:
+                e = tuple(map(add, ef, e))
             s = get(e, 0) + k * c
             if s:
                 acc[e] = s
@@ -422,54 +453,9 @@ def substitute(f: MvLaurent, images: Sequence[MvLaurent]) -> MvLaurent:
     numerator = MvLaurent._of(nv, acc, f.den * common)
     if not hard:
         return numerator
-    fs = [power(i, m) for i, m in enumerate(neg_max) if m]
-    denominator = MvLaurent._of(nv, _product(fs, nv), prod(g.den for g in fs))
+    denominator = MvLaurent._of(nv, *product((i, neg_max[i]) for i in moved))
     try:
         return exact_divide(numerator, denominator)
-    except NotDivisible as exc:
-        raise NonInvertibleImage("substitution does not cancel to a Laurent polynomial") from exc
-
-
-def _exchange_slot(f: MvLaurent, k: int, q: MvLaurent) -> MvLaurent:
-    """f at x_k -> q * x_k^-1, every other generator fixed; q must not involve x_k.
-
-    The same value and the same NonInvertibleImage as substitute with those
-    images, on one slot: the terms of f are grouped by their exponent m at
-    x_k, whose sign flips; group m is multiplied by q^(m + neg), with neg the
-    largest negative power of x_k in f, on int numerators over one common
-    denominator, and the sum is divided exactly by q^neg once.
-    """
-    nv = f.nvars
-    if not f.terms:
-        return MvLaurent(nv)
-    groups: Dict[int, Dict[ExpVec, int]] = {}
-    for e, c in f.terms.items():
-        m = e[k]
-        groups.setdefault(m, {})[e[:k] + (-m,) + e[k + 1:]] = c
-    neg = max(0, -min(groups))
-    if neg and q.is_zero():
-        raise NonInvertibleImage(f"generator {k} appears with negative power, image is zero")
-    top = max(groups) + neg
-    qd = q.den
-    qpow = [{(0,) * nv: 1}]
-    for _ in range(max(top, neg)):
-        qpow.append(_mul(qpow[-1], q.terms))
-    # group m over f.den * qd^(m + neg), raised to the common f.den * qd^top
-    acc: Dict[ExpVec, int] = {}
-    get = acc.get
-    for m, g in groups.items():
-        lift = qd ** (top - m - neg)
-        for e, c in _mul(g, qpow[m + neg]).items():
-            s = get(e, 0) + c * lift
-            if s:
-                acc[e] = s
-            else:
-                del acc[e]
-    numerator = MvLaurent._of(nv, acc, f.den * qd ** top)
-    if not neg:
-        return numerator
-    try:
-        return exact_divide(numerator, MvLaurent._of(nv, qpow[neg], qd ** neg))
     except NotDivisible as exc:
         raise NonInvertibleImage("substitution does not cancel to a Laurent polynomial") from exc
 

@@ -669,6 +669,19 @@ def test_seeds_variables_y_equal_per_bundle_conversion(build, tmp_path, capsys):
         assert doc["variables_y"] == _variables_y_per_bundle(ctx, bundle)
 
 
+@pytest.mark.parametrize("build, gamma", [
+    (rescaled_3x3, ["1", "1", "1", "1", "-2/9", "-5/8", "1", "-1/90", "-1/14"]),
+    (lambda: build_matrix_poisson(4, 4), None)], ids=["rescaled_3x3", "4x4"])
+def test_mutate_and_seeds_report_one_gamma_applied(build, gamma, tmp_path, capsys):
+    # mutate writes its variables in the prime sequence of the rescaled
+    # presentation, so it reports the rescaling as seeds does
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(presentation_to_doc(build())))
+    for argv in (["seeds"], ["mutate", "--at", "1"]):
+        assert main([argv[0], str(path), *argv[1:]]) == 0
+        assert json.loads(capsys.readouterr().out).get("gamma_applied") == gamma
+
+
 def _usage_variants(line):
     """Every argv a README usage line stands for, with the leading pcgl dropped.
 

@@ -810,16 +810,16 @@ class TestMembershipWalk:
             return beta
 
         monkeypatch.setattr(cluster, "check_seed_invariants", corrupting)
-        for never_reached in ("_exchange_slot", "mutate_matrix"):
+        for never_reached in ("substitute", "mutate_matrix"):
             monkeypatch.setattr(cluster, never_reached, None)
         self._walk_fails(tmp_path, capsys, f"exchange identity of slot {kb+1} fails",
                          [["membership", "--elem", "t11*t22 - t12*t21"], ["chain-verify"], ["seeds", "--gamma"]])
 
     def test_inexact_division_raises(self, monkeypatch, tmp_path, capsys):
-        def inexact(f, k, q):
+        def inexact(f, images):
             raise NonInvertibleImage("forced")
 
-        monkeypatch.setattr(cluster, "_exchange_slot", inexact)
+        monkeypatch.setattr(cluster, "substitute", inexact)
         (_, first), (_, second) = _runs(_walk_ctx("3x4"))[:2]
         kb = next(j for j in range(len(first)) if first[j] != second[j])
         self._walk_fails(tmp_path, capsys, f"exchange in slot {kb+1} is not exact: forced")
@@ -871,16 +871,16 @@ class TestMembershipWalk:
         kb = next(i for i in range(len(first)) if first[i] != second[i])
         x = _walk_cases(ctx)[0][0]
         j = next(i for i in sorted(x.support()) if any(e[kb] for e in cluster_expressions(ctx)[i].terms))
-        inner, seen = cluster._exchange_slot, []
+        inner, seen = cluster.substitute, []
 
-        def with_frozen_inverse(g, k, q):
-            out = inner(g, k, q)
+        def with_frozen_inverse(g, images):
+            out = inner(g, images)
             if not seen:
                 seen.append(g)
                 out = out * MvLaurent.gen(ctx.p.n, l, -1)
             return out
 
-        monkeypatch.setattr(cluster, "_exchange_slot", with_frozen_inverse)
+        monkeypatch.setattr(cluster, "substitute", with_frozen_inverse)
         detail = (f"the image of x{j+1} in the cluster of tau = {[v + 1 for v in tau]} has a negative "
                   f"exponent at frozen index {l+1}, so R does not lie in the upper cluster algebra")
         for inv in [(), (l,)]:

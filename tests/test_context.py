@@ -289,13 +289,15 @@ def test_a_passing_presentation_without_a_prime_sequence_raises():
 @pytest.mark.parametrize("command, name, primes", [
     ("symmetric", "3x3", 1),
     ("chain-verify", "3x3", 1),
-    ("rescale", "chain1", 2),
+    ("rescale", "chain1", 1),
     ("chain-verify", "chain1", 2),
 ])
 def test_one_prime_sequence_per_presentation_checked(command, name, primes, counter, tmp_path, capsys):
-    """A command computes one prime sequence for its input, and one more for
-    the rescaled presentation when it rescales: the benchmark's chain input
-    has pi != 1, and the 3x3 preset has every pi = 1."""
+    """A command computes one prime sequence for its input, and a cluster
+    command one more for the rescaled presentation when it rescales: the
+    benchmark's chain input has pi != 1, and the 3x3 preset has every pi = 1.
+    rescale reads the pi of the rescaled presentation with its input's eta,
+    which rescaling by nonzero scalars keeps."""
     if name == "chain1":
         path = benchmark_input("chain", 1, tmp_path)
     else:

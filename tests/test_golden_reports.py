@@ -33,6 +33,10 @@ cluster variable y_j included.  The off-chain seeds --tau and mutate --tau
 digests on the 4x4 preset, rescaled_3x3 and two_block were taken while each
 variable of a non-initial label was still written in y_1..y_N by
 substituting the generators' back-substitution into its interval prime.
+The mutate digests on rescaled_3x3 and two_block were re-taken when mutate
+began to report the gamma_applied of its pi-normalizing rescaling, as seeds
+and chain-verify do; a JSON diff against the reports before showed the added
+gamma_applied key as the only change.
 """
 
 import hashlib
@@ -122,12 +126,12 @@ def test_bracket_report_digest(bracket_files, capsys, command, name, code, diges
 
 
 MUTATE_GOLDEN = [
-    (["--at", "1"], "201d28d647600272c4e4b4c1e70b7f7a09d102955d5938d1f7546f65d233402d"),
-    (["--at", "2"], "0f8e5de01a131b44f8c1d09da412cc67db3fe7b834a720b599840458048fa827"),
-    (["--at", "4"], "63e5657323aa34c4b55cb67811aa8f164aa87453a4037f602656a5caee868eae"),
-    (["--at", "5"], "0ad8b9ea67c3d2b9d48d36eacecbb49d615b4e10f671d7dea1fcd8125193f49c"),
+    (["--at", "1"], "68f4f2912905de7678ae7e9090824845747a79d859bffd7cbcbbf3d6c03b056e"),
+    (["--at", "2"], "d8a8f3d86bf9f28fdbe6ee8f78354a211106b4d456390d99397906fad4c74589"),
+    (["--at", "4"], "28e87e64323efa0971033a0cd1ddfc894051695c67fd8d4308b2e98e3a5b0af5"),
+    (["--at", "5"], "971a98700d16c2c5e9f53e2033586ed488c412c293c4ffd9047808e835709c8b"),
     (["--tau", "5,4,6,3,7,2,8,1,9", "--at", "4"],
-     "eda58e83dc45d1b37e5a5929f1d4222e6b4cabcb1609aadf4ffd02e506c07430"),
+     "c10b8c8f1dc8308ab710731b4f360cbb6dfe15fbfb2763842019f3a8b394031e"),
 ]
 
 
@@ -227,17 +231,17 @@ OFF_CHAIN_GOLDEN = [
     ("seeds", "r33", ["--tau", "9,8,7,6,5,4,3,2,1"], 0,
      "86a391277d112aecd108ca8333add6bb0008b85969f2ea86bc81b0d27a7f2f9c"),
     ("mutate", "r33", ["--tau", "2,3,4,5,6,7,8,9,1", "--at", "1"], 0,
-     "76562db655d6f24c29186aedc0f363077c648ed77cfe0004aa1e10596b167943"),
+     "55d7ac75f74de9aaccbd4624ade8107c0cff7567316d2e8970a275a88942edda"),
     ("mutate", "r33", ["--tau", "9,8,7,6,5,4,3,2,1", "--at", "1"], 0,
-     "c074d1d627b3e5f902cec4bc4dfe1f5bb273cd92970da4d5ba2b35e78f160b45"),
+     "15c8c3295b96ab9ee4bd211ca5a38aaccf02bea8abefc82531888684578f4e89"),
     ("seeds", "two_block", ["--tau", "2,3,4,1"], 0,
      "bfdb0a654414e83ec58f530c75745d5839157852f9e48b3f5869e18b120c0eeb"),
     ("seeds", "two_block", ["--tau", "4,3,2,1"], 0,
      "eb6f8070855dcf936adde49b97240e9037bd64e51bd04cb0d18c47dbfaf83958"),
     ("mutate", "two_block", ["--tau", "2,3,4,1", "--at", "1"], 0,
-     "c77c535211ed47e94d1ec8e47551ed97e4470f1867708a51a32a37520a19a058"),
+     "c0d09a8a919ca86b15f716e55118927c152756671c29de808db138a68cfd311d"),
     ("mutate", "two_block", ["--tau", "4,3,2,1", "--at", "1"], 0,
-     "1618a91abd32f02896ebab59ce2bfd1dd4ec3b9c085c27eb3e3de1ebc8d964a4"),
+     "a65dd54a65aab01605fb6ae16c9715c0956f062ae22eacfc0e94f4995ed22c6b"),
 ]
 
 

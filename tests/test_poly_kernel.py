@@ -8,9 +8,9 @@ under test, and read every coefficient as a `Fraction` through
 `fraction_terms`.  Results must agree in value, in the order of their terms
 (the order a rational product produces them), in the exception raised, and
 be in canonical form: nonzero int numerators over one positive denominator,
-in lowest terms.  The one-slot exchange kernel `_exchange_slot` is checked
-against `substitute` itself, in value, in canonical form and in the
-exception raised.
+in lowest terms.  `substitute` is also checked on the images of the walk's
+one-slot exchange, the generators except x_k -> q * x_k^-1, against
+`oracle_substitute` in the same way.
 """
 
 from decimal import Decimal
@@ -27,7 +27,6 @@ from pcgl.poly import (
     MvLaurent,
     NonInvertibleImage,
     NotDivisible,
-    _exchange_slot,
     apply_derivation,
     exact_divide,
     substitute,
@@ -393,31 +392,45 @@ def _without(f, k):
     return oracle_from_terms(NV, [(e[:k] + (0,) + e[k + 1:], c) for e, c in fraction_terms(f).items()])
 
 
+def one_slot(k, q, nv=NV):
+    """The images of one exchange: the generators, except x_k -> q * x_k^-1."""
+    return [oracle_mul(q, MvLaurent.gen(nv, k, -1)) if i == k else MvLaurent.gen(nv, i) for i in range(nv)]
+
+
 @SETTINGS
 @given(st.integers(0, NV - 1), polys(), polys(max_terms=3), st.booleans(),
        polys(exps=(0, 2), max_terms=3), nonzero(polys(max_terms=2)), st.integers(1, 2))
-def test_exchange_slot_equals_substitute(k, f, q, laurent, h, g, j):
+def test_substitute_one_slot_either_outcome(k, f, q, laurent, h, g, j):
     # x_k -> q x_k^-1 with q free of x_k; half the cases build an f with
     # negative powers of x_k whose image is Laurent: h + g q^j x_k^-j with
     # h free of negative powers of x_k and g free of x_k maps to h' + g x_k^j
     q = _without(q, k)
     if laurent:
         f = _o_add(h, oracle_mul(oracle_mul(_without(g, k), oracle_pow(q, j)), MvLaurent.gen(NV, k, -j)))
-    images = [q * MvLaurent.gen(NV, k, -1) if i == k else MvLaurent.gen(NV, i) for i in range(NV)]
-    got, err = outcome(_exchange_slot, f, k, q)
-    want, want_err = outcome(substitute, f, images)
-    assert err is want_err
-    if want_err is None:
-        assert canonical(got) == want
+    images = one_slot(k, q)
+    got = outcome(substitute, f, images)
+    same_outcome(got, outcome(oracle_substitute, f, images))
     if laurent and not q.is_zero():
-        assert err is None
+        assert got[1] is None
 
 
-def test_exchange_slot_zero_image():
+def test_substitute_one_slot_zero_image():
     f = MvLaurent(2, {(-1, 1): Fraction(1), (2, 0): Fraction(3)})
-    with pytest.raises(NonInvertibleImage):
-        _exchange_slot(f, 0, MvLaurent.zero(2))
-    assert _exchange_slot(f - MvLaurent(2, {(-1, 1): Fraction(1)}), 0, MvLaurent.zero(2)).is_zero()
+    with pytest.raises(NonInvertibleImage, match="generator 0 appears with negative power, image is zero"):
+        substitute(f, one_slot(0, MvLaurent.zero(2), nv=2))
+    assert substitute(f - MvLaurent(2, {(-1, 1): Fraction(1)}), one_slot(0, MvLaurent.zero(2), nv=2)).is_zero()
+
+
+def test_substitute_of_zero_returns_before_comparing_rings():
+    # a zero f gives the zero of the images' ring, even when the images'
+    # rings differ; a nonzero f raises on the rings
+    images = [MvLaurent.gen(2, 0), MvLaurent.gen(3, 1)]
+    got = substitute(MvLaurent.zero(2), images)
+    assert got.is_zero() and got.nvars == 2
+    with pytest.raises(ValueError, match="images live in different rings"):
+        substitute(MvLaurent.gen(2, 0), images)
+    with pytest.raises(ValueError, match="need one image per generator"):
+        substitute(MvLaurent.zero(2), images[:1])
 
 
 @SETTINGS
@@ -479,8 +492,8 @@ def test_every_result_is_canonical(f, g, d, n, k, terms, c, bf, bg):
         canonical(h)
     if d.is_monomial():
         canonical(d ** -n)
-    for fn, args in ((substitute, (f, images)), (_exchange_slot, (f, k, _without(d, k)))):
-        got, _ = outcome(fn, *args)
+    for args in ((f, images), (f, one_slot(k, _without(d, k)))):
+        got, _ = outcome(substitute, *args)
         if got is not None:
             canonical(got)
 
