@@ -43,7 +43,7 @@ MAX_GAMMA_GENERATORS = 36
 # degree.  An x-input whose generator images certify each cluster is not
 # substituted: under Python 3.11 on 2 vCPUs, x1^6 takes about 0.14 s on the
 # 4x4 preset and 0.4 s on 5x5 (CLI runs).  A y-input is substituted in every
-# cluster: y6^-3*y1^3 takes 10.2 s on 5x5 (one CLI run).
+# cluster: y6^-3*y1^3 takes 7.0 s on 5x5 (one CLI run, Python 3.11.7, 2 vCPUs).
 MAX_ELEM_DEGREE = 6
 
 # Most decimal digits in the numerator or denominator of one --elem
@@ -110,7 +110,10 @@ def _emit(report: dict, out: Optional[str], summary: str) -> None:
         print(summary, file=sys.stderr)
 
 
-def _parse_tau(text: str, n: int) -> Tuple[int, ...]:
+def _parse_tau(text: Optional[str], n: int) -> Tuple[int, ...]:
+    """--tau, 0-based; the identity when it is not given."""
+    if text is None:
+        return tuple(range(n))
     try:
         vals = [int(x) for x in text.split(",")]
     except ValueError as exc:
@@ -219,10 +222,10 @@ def _beta_dict(beta) -> Dict[str, str]:
     return {str(l + 1): ser.fraction_to_json(v) for l, v in sorted(beta.items())}
 
 
-def _note_gamma(doc: dict, gamma) -> None:
-    """Report the pi-normalizing rescaling, when one was applied."""
-    if any(g != 1 for g in gamma):
-        doc["gamma_applied"] = [ser.fraction_to_json(g) for g in gamma]
+def _note_gamma(doc: dict, ctx: cl.ClusterContext) -> None:
+    """Report the pi-normalizing rescaling, when build applied one."""
+    if any(g != 1 for g in ctx.gamma):
+        doc["gamma_applied"] = [ser.fraction_to_json(g) for g in ctx.gamma]
 
 
 def _y_names(n: int) -> List[str]:
@@ -372,24 +375,23 @@ def cmd_seeds(args) -> int:
     p, names = _load_presentation(args.file)
     if args.gamma:
         _check_gamma_size(p.n)
-    ctx, gamma = cl.ClusterContext.build_normalizing(p)
+    ctx = cl.ClusterContext.build(p)
     if args.gamma:
         chosen = cl.gamma_bundles(ctx)
     else:
-        tau = _parse_tau(args.tau, p.n) if args.tau is not None else tuple(range(p.n))
-        chosen = [_seed_in_y(ctx, tau)]
+        chosen = [_seed_in_y(ctx, _parse_tau(args.tau, p.n))]
     y_reports: Dict[Tuple[int, int], dict] = {}
     bundles = [_bundle_dict(ctx, bundle, names, y_reports) for bundle in chosen]
     doc = {"command": "seeds", "bundles": bundles}
-    _note_gamma(doc, gamma)
+    _note_gamma(doc, ctx)
     _emit(doc, args.output, f"{len(bundles)} seed bundle(s) computed")
     return EXIT_OK
 
 
 def cmd_btilde(args) -> int:
     p, names = _load_presentation(args.file)
-    ctx, _ = cl.ClusterContext.build_normalizing(p)
-    tau = _parse_tau(args.tau, p.n) if args.tau is not None else tuple(range(p.n))
+    ctx = cl.ClusterContext.build(p)
+    tau = _parse_tau(args.tau, p.n)
     bundle = cl.seed_for_tau(ctx, tau)
     doc = {"command": "btilde", "tau": [v + 1 for v in tau],
            "btilde": _bmatrix_dict(bundle.btilde),
@@ -400,8 +402,8 @@ def cmd_btilde(args) -> int:
 
 def cmd_mutate(args) -> int:
     p, names = _load_presentation(args.file)
-    ctx, gamma = cl.ClusterContext.build_normalizing(p)
-    tau = _parse_tau(args.tau, p.n) if args.tau is not None else tuple(range(p.n))
+    ctx = cl.ClusterContext.build(p)
+    tau = _parse_tau(args.tau, p.n)
     bundle = _seed_in_y(ctx, tau)
     k = args.at - 1
     mutated = cl.mutate_seed(ctx, bundle, k)
@@ -415,7 +417,7 @@ def cmd_mutate(args) -> int:
         "btilde": _bmatrix_dict(mutated.btilde),
         "beta": _beta_dict(mutated.beta),
     }
-    _note_gamma(doc, gamma)
+    _note_gamma(doc, ctx)
     _emit(doc, args.output, f"mutated seed at direction {args.at}")
     return EXIT_OK
 
@@ -423,14 +425,14 @@ def cmd_mutate(args) -> int:
 def cmd_chain_verify(args) -> int:
     p, names = _load_presentation(args.file)
     _check_gamma_size(p.n)
-    ctx, gamma = cl.ClusterContext.build_normalizing(p)
+    ctx = cl.ClusterContext.build(p)
     link_dicts = [link.as_dict() for link in cl.chain_verify(ctx)]
     ok = all(l["verified"] for l in link_dicts)
     n_mut = sum(1 for l in link_dicts if l["branch"] == "mutation")
     doc = {"command": "chain-verify", "links": link_dicts,
            "summary": {"links": len(link_dicts), "mutations": n_mut,
                        "equal": len(link_dicts) - n_mut, "all_verified": ok}}
-    _note_gamma(doc, gamma)
+    _note_gamma(doc, ctx)
     _emit(doc, args.output,
           f"{len(link_dicts)} links, {n_mut} mutations, all verified: {ok}")
     return EXIT_OK if ok else EXIT_VERIFY
@@ -441,7 +443,7 @@ def cmd_membership(args) -> int:
     _check_gamma_size(p.n)
     coords = args.coords
     f = _parse_elem(args.elem, p.n, names, coords)
-    ctx, _ = cl.ClusterContext.build_normalizing(p)
+    ctx = cl.ClusterContext.build(p)
     inv = _parse_inv(args.inv, ctx.eta)
     ok, witnesses = cl.upper_membership(ctx, f, inv=inv, coords=coords)
     doc = {

@@ -1,15 +1,18 @@
 """Seeds, mutation, the exchange-matrix solver, and membership certificates.
 
-The initial cluster is the prime sequence y_1..y_N; every permutation tau
-with interval prefixes contributes a seed whose variables are interval
-primes reordered by the companion permutation, whose scalar matrix r_tau is
-the conjugated q-matrix of the tau-presentation, and whose exchange matrix
-is the unique integral solution of the stacked bicharacter/weight linear
-system.  Adjacent permutations are linked either by equality of seeds or by
-one mutation.  Membership in the upper cluster algebra is decided on every
-new chain cluster: an x-input is certified by its generator images in that
-cluster, which must have no negative frozen exponent, and a y-input is
-expressed in that cluster with frozen-nonnegative exponents.
+A ClusterContext (ClusterContext.build) holds a symmetric presentation
+rescaled until every pi_[i, s(i)] = 1, the paper's condition on the scalars,
+and the scalars applied as gamma.  The initial cluster is the prime sequence
+y_1..y_N; every permutation tau with interval prefixes contributes a seed
+whose variables are interval primes reordered by the companion permutation,
+whose scalar matrix r_tau is the conjugated q-matrix of the tau-presentation,
+and whose exchange matrix is the unique integral solution of the stacked
+bicharacter/weight linear system.  Adjacent permutations are linked either
+by equality of seeds or by one mutation.  Membership in the upper cluster
+algebra is decided on every new chain cluster: an x-input is certified by
+its generator images in that cluster, which must have no negative frozen
+exponent, and a y-input is expressed in that cluster with
+frozen-nonnegative exponents.
 
 A seed is determined by its seed key, the slot-ordered interval labels of
 its variables, and many permutations share a key (9 distinct clusters among
@@ -256,7 +259,9 @@ def _first_pi_not_one(p: PoissonPresentation, eta: EtaData) -> Optional[Tuple[in
 
 
 class ClusterContext:
-    """Everything derived from one validated, pi-normalized presentation.
+    """Everything derived from one validated presentation, pi-normalized by
+    build: p is the rescaled presentation and gamma the scalars applied to
+    its generators (all ones when every pi was already 1).
 
     On first use it solves the identity's seed (identity_bundle), takes the
     Gamma_N walk from it once (walk) and folds the walk into y_table, the
@@ -264,30 +269,21 @@ class ClusterContext:
     """
 
     def __init__(self, p: PoissonPresentation, eta: EtaData, seq: PrimeSequenceReport,
-                 d_map: Dict[int, int]):
+                 d_map: Dict[int, int], gamma: List[Fraction]):
         self.p = p
         self.eta = eta
         self.seq = seq
         self.d_map = d_map
+        self.gamma = gamma
 
     @classmethod
     def build(cls, p: PoissonPresentation) -> "ClusterContext":
-        """Context of a symmetric presentation with every pi_[i, s(i)] = 1, else ClusterError."""
-        return cls._build(p, rescale=False)[0]
-
-    @classmethod
-    def build_normalizing(cls, p: PoissonPresentation) -> Tuple["ClusterContext", List[Fraction]]:
-        """Build after the pi-normalizing rescaling; returns gamma too (all ones if none was needed)."""
-        return cls._build(p, rescale=True)
-
-    @classmethod
-    def _build(cls, p: PoissonPresentation, rescale: bool) -> Tuple["ClusterContext", List[Fraction]]:
         """One pass: check the algebra axioms (raising the first failure) and
         the symmetry, compute eta, the primes and the d-integers once; only
-        when some pi != 1 (and rescale is set) rescale, recompute the primes
-        and certify pi == 1 on the rescaled presentation.  Rescaling keeps the
-        weights, h and h*, so the axioms, the symmetry check and the
-        d-integers carry over to it."""
+        when some pi_[i, s(i)] != 1 rescale, recompute the primes and certify
+        pi == 1 on the rescaled presentation, else ClusterError.  Rescaling
+        keeps the weights, h and h*, so the axioms, the symmetry check and
+        the d-integers carry over to it."""
         axioms = validate_algebra(p)
         if not axioms.passed:
             raise axioms.failures[0]
@@ -298,14 +294,14 @@ class ClusterContext:
         d_map, _ = compute_d_integers(ps, eta)
         gamma = [Fraction(1)] * ps.n
         bad = _first_pi_not_one(ps, eta)
-        if bad is not None and rescale:
+        if bad is not None:
             gamma, ps = rescale_generators(ps, eta)
             eta, seq = compute_eta_and_primes(ps)
             bad = _first_pi_not_one(ps, eta)
         if bad is not None:
             i, pi = bad
-            raise ClusterError(f"pi_[{i+1}, s({i+1})] = {pi} != 1; rescale the generators first")
-        return cls(p=ps, eta=eta, seq=seq, d_map=d_map), gamma
+            raise ClusterError(f"pi_[{i+1}, s({i+1})] = {pi} != 1 after the pi-normalizing rescaling")
+        return cls(p=ps, eta=eta, seq=seq, d_map=d_map, gamma=gamma)
 
     @cached_property
     def identity_bundle(self) -> "TauSeedBundle":

@@ -331,7 +331,7 @@ def test_jacobi_report_equals_the_oracle(name):
 
 @pytest.mark.parametrize("name", ["2x3", "rescaled_3x3"])
 def test_log_canonical_failure_equals_the_oracle(name):
-    ctx = ClusterContext.build_normalizing(PRESENTATIONS[name])[0]
+    ctx = ClusterContext.build(PRESENTATIONS[name])
     n = ctx.p.n
     tau = tuple(range(1, n)) + (0,)
     bundle = seed_for_tau(ctx, tau)

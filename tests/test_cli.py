@@ -338,7 +338,7 @@ class TestInputBoundary:
         def no_context(p):
             raise AssertionError("context built for an element over the degree bound")
 
-        monkeypatch.setattr(cli.cl.ClusterContext, "build_normalizing", staticmethod(no_context))
+        monkeypatch.setattr(cli.cl.ClusterContext, "build", staticmethod(no_context))
         argv = ["membership", m23_file, "--elem", elem]
         assert self._error_code(argv, capsys) == "CliInputError"
 
@@ -352,7 +352,7 @@ class TestInputBoundary:
         def no_context(p):
             raise AssertionError("context built for an element over the coefficient bound")
 
-        monkeypatch.setattr(cli.cl.ClusterContext, "build_normalizing", staticmethod(no_context))
+        monkeypatch.setattr(cli.cl.ClusterContext, "build", staticmethod(no_context))
         argv = ["membership", m23_file, "--elem", elem]
         assert self._error_code(argv, capsys) == "CliInputError"
 
@@ -662,7 +662,7 @@ def test_seeds_variables_y_equal_per_bundle_conversion(build, tmp_path, capsys):
     path.write_text(json.dumps(presentation_to_doc(build())))
     assert main(["seeds", str(path), "--gamma"]) == 0
     bundles = json.loads(capsys.readouterr().out)["bundles"]
-    ctx, _ = cli.cl.ClusterContext.build_normalizing(presentation_from_doc(json.loads(path.read_text()))[0])
+    ctx = cli.cl.ClusterContext.build(presentation_from_doc(json.loads(path.read_text()))[0])
     perms = gamma_chain(ctx.p.n)
     assert [tuple(v - 1 for v in b["tau"]) for b in bundles] == list(perms)
     for doc, bundle in zip(bundles, cli.cl.gamma_bundles(ctx)):

@@ -228,7 +228,7 @@ def _mutate_r_outcome(fn, r, b, k):
 class TestAgainstDenseOracles:
     @pytest.fixture(scope="class")
     def contexts(self, ctx23, ctx33):
-        return [ctx23, ctx33] + [ClusterContext.build_normalizing(build())[0]
+        return [ctx23, ctx33] + [ClusterContext.build(build())
                                  for build in (rescaled_3x3, rescaled_2x3)]
 
     @pytest.fixture(scope="class")
@@ -237,7 +237,7 @@ class TestAgainstDenseOracles:
         affine_q = [[0, 1, 2, -1], [-1, 0, 3, 1], [-2, -3, 0, 2], [1, -1, -2, 0]]
         extra = [build_matrix_poisson(3, 4), build_matrix_poisson(4, 4), two_block(),
                  rescaled_4x5(), build_affine_space(4, affine_q)]
-        return contexts + [ClusterContext.build_normalizing(p)[0] for p in extra]
+        return contexts + [ClusterContext.build(p) for p in extra]
 
     def test_every_chain_mutation(self, contexts, monkeypatch):
         seen = []
@@ -347,8 +347,8 @@ class TestSeeds:
                 assert val == ctx23.p.lam_star[l] == 2
 
     def test_weyl_seed(self):
-        ctx, gamma = ClusterContext.build_normalizing(weyl_block(2))
-        assert gamma == [1, -2]
+        ctx = ClusterContext.build(weyl_block(2))
+        assert ctx.gamma == [1, -2]
         bundle = seed_for_tau(ctx, (0, 1))
         assert bundle.btilde.column(0) == (0, 1)
         report = verify_one_step(ctx, bundle, seed_for_tau(ctx, (1, 0)))
@@ -375,7 +375,7 @@ class TestSeeds:
             check_seed_invariants(bundle.vars_x, bundle.r, bundle.btilde, d_map, ctx23.eta)
 
     def test_two_block_d_integers_in_seed(self):
-        ctx, _ = ClusterContext.build_normalizing(two_block(2, 3))
+        ctx = ClusterContext.build(two_block(2, 3))
         bundle = seed_for_tau(ctx, (0, 1, 2, 3))
         assert bundle.beta[0] == 2 and bundle.beta[2] == 3
         b = bundle.btilde
@@ -407,7 +407,7 @@ class TestOneStep:
 
     def test_chain_weyl_blocks(self):
         for p in (weyl_block(2), two_block(2, 3)):
-            ctx, _ = ClusterContext.build_normalizing(p)
+            ctx = ClusterContext.build(p)
             assert all(r.verified for r in chain_verify(ctx))
 
     def test_chain_makes_no_y_conversion(self, p23, monkeypatch):
@@ -520,7 +520,7 @@ class TestExpressAndMembership:
 def _express_per_tau(ctx, f, tau, inv=(), coords="x"):
     """express_in_cluster as it was before the seed-key cache: expressions
     built for this tau alone, and every initial prime y_j rewritten."""
-    x_imgs = cluster_expressions_for_tau(ClusterContext(ctx.p, ctx.eta, ctx.seq, ctx.d_map), tau)
+    x_imgs = cluster_expressions_for_tau(ClusterContext(ctx.p, ctx.eta, ctx.seq, ctx.d_map, ctx.gamma), tau)
     if coords == "x":
         if not f.is_polynomial():
             raise NotInRing("x-coordinate input must be a polynomial in the generators")
@@ -616,7 +616,7 @@ SMALL_WALK_INPUTS = ("2x3", "3x3", "rescaled_3x3", "3x4", "two_block")
 
 
 def _walk_ctx(name):
-    return ClusterContext.build_normalizing(WALK_INPUTS[name]())[0]
+    return ClusterContext.build(WALK_INPUTS[name]())
 
 
 def _spy_back_substitution(monkeypatch):
@@ -680,7 +680,7 @@ KEY_INPUTS = dict(WALK_INPUTS, **{
 def test_gamma_keys_change_in_one_slot(name):
     # the walk relies on this: adjacent keys are equal or differ in one slot,
     # and no key comes back after its run of equal keys ends
-    ctx = ClusterContext.build_normalizing(KEY_INPUTS[name]())[0]
+    ctx = ClusterContext.build(KEY_INPUTS[name]())
     keys = [tau_data(ctx.eta, tau)[1] for tau in gamma_chain(ctx.p.n)]
     assert {sum(u != v for u, v in zip(a, b)) for a, b in zip(keys, keys[1:])} <= {0, 1}
     assert len(_runs(ctx)) == len(set(keys))
@@ -947,7 +947,7 @@ class TestInitialCluster:
     @pytest.mark.parametrize("name", INITIAL_INPUTS)
     def test_x_in_y_is_the_oracle_at_the_identity(self, name, monkeypatch):
         # one walk, one solve, one interval prime per exchange, no substitution
-        ctx = ClusterContext.build_normalizing(INITIAL_INPUTS[name]())[0]
+        ctx = ClusterContext.build(INITIAL_INPUTS[name]())
         calls = {}
 
         def spy(owner, attr):
@@ -970,7 +970,7 @@ class TestInitialCluster:
     @pytest.mark.parametrize("name", INITIAL_INPUTS)
     def test_table_holds_every_interval_label(self, name):
         # so variable_in_y reads the variable of any Xi_N key off the table
-        ctx = ClusterContext.build_normalizing(INITIAL_INPUTS[name]())[0]
+        ctx = ClusterContext.build(INITIAL_INPUTS[name]())
         assert set(ctx.y_table) == _interval_labels(ctx)
         assert [ctx.y_table[(k, 0)] for k in range(ctx.p.n)] == cluster_expressions(ctx)
 
@@ -978,7 +978,7 @@ class TestInitialCluster:
     def test_table_equals_substituted_interval_primes(self, name):
         # each label other than (k, 0) against its interval prime substituted
         # into the back-substitution, the route the table replaced
-        ctx = ClusterContext.build_normalizing(INITIAL_INPUTS[name]())[0]
+        ctx = ClusterContext.build(INITIAL_INPUTS[name]())
         labels = sorted(label for label in ctx.y_table if label[1])
         assert [ctx.y_table[label] for label in labels] == \
             to_y_coordinates(ctx, [ctx.prime(label)[0] for label in labels])

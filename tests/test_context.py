@@ -1,15 +1,18 @@
 """The one-pass cluster context, against the three-pass build it replaced.
 
-ClusterContext.build and build_normalizing share one pass: validate once,
+ClusterContext.build, the one constructor, makes one pass: validate once,
 compute eta, the primes and the d-integers once, and rescale (then certify
-pi == 1 again) only when some pi_[i, s(i)] is not 1.  The x-to-y table is
-cluster_expressions, read on first use off the table that the one Gamma_N
-walk of the context fills by exchange quotients; a command takes that walk
-at most once.  The oracle below is the old path: `build` with its eager
-x-to-y table by back-substitution, `build_normalizing` validating and computing eta again
-before calling `build`, and the CLI's catch-and-rebuild `_build_context`.
+pi == 1 again) only when some pi_[i, s(i)] is not 1, keeping the scalars as
+ctx.gamma.  The x-to-y table is cluster_expressions, read on first use off
+the table that the one Gamma_N walk of the context fills by exchange
+quotients; a command builds one context and takes that walk at most once.
+The oracle below is the old two-mode path: a non-normalizing build that
+raised on pi != 1, with its eager x-to-y table by back-substitution, a
+normalizing build validating and computing eta again before calling it,
+and the CLI's catch-and-rebuild `_build_context`.
 """
 
+import inspect
 import json
 from fractions import Fraction
 
@@ -64,7 +67,7 @@ def _x_in_y_eager(ctx):
 
 
 def _oracle_build(p):
-    """ClusterContext.build as it was; returns the context and its eager x-to-y table."""
+    """The non-normalizing build as it was; returns the context and its eager x-to-y table."""
     report, ps, _ = validate_symmetric(p)
     if not report.passed:
         raise ClusterError("presentation is not symmetric: " + "; ".join(str(f) for f in report.failures))
@@ -75,11 +78,11 @@ def _oracle_build(p):
             ud = u_element_and_pi(ps, eta, i, 1)
             if ud.pi != 1:
                 raise ClusterError(f"pi_[{i+1}, s({i+1})] = {ud.pi} != 1; rescale the generators first")
-    ctx = ClusterContext(p=ps, eta=eta, seq=seq, d_map=d_map)
+    ctx = ClusterContext(p=ps, eta=eta, seq=seq, d_map=d_map, gamma=[Fraction(1)] * ps.n)
     return ctx, _x_in_y_eager(ctx)
 
 
-def _oracle_build_normalizing(p):
+def _oracle_normalizing_build(p):
     report, ps, _ = validate_symmetric(p)
     if not report.passed:
         raise ClusterError("presentation is not symmetric: " + "; ".join(str(f) for f in report.failures))
@@ -93,7 +96,7 @@ def _oracle_build_context(p):
     try:
         return _oracle_build(p), None
     except ClusterError:
-        return _oracle_build_normalizing(p)
+        return _oracle_normalizing_build(p)
 
 
 INPUTS = {
@@ -117,12 +120,12 @@ def _outcome(fn, *args):
 def test_context_equals_three_pass_build(name, tmp_path, capsys):
     p = INPUTS[name]()
     (want, want_x_in_y), want_gamma = _oracle_build_context(p)
-    ctx, gamma = ClusterContext.build_normalizing(p)
+    ctx = ClusterContext.build(p)
     assert ctx.p == want.p
     assert ctx.eta == want.eta
     assert ctx.seq == want.seq
     assert ctx.d_map == want.d_map
-    assert gamma == (want_gamma if want_gamma is not None else [1] * p.n)
+    assert ctx.gamma == (want_gamma if want_gamma is not None else [1] * p.n)
     assert cluster_expressions(ctx) == want_x_in_y
     # the CLI reports gamma_applied exactly when the old path had to rescale
     path = tmp_path / "p.json"
@@ -130,12 +133,6 @@ def test_context_equals_three_pass_build(name, tmp_path, capsys):
     assert cli.main(["seeds", str(path)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc.get("gamma_applied") == (None if want_gamma is None else [fraction_to_json(g) for g in want_gamma])
-
-    got, got_err = _outcome(ClusterContext.build, p)
-    old, old_err = _outcome(_oracle_build, p)
-    assert got_err == old_err
-    if old_err is None:
-        assert got.p == old[0].p and got.eta == old[0].eta and got.d_map == old[0].d_map
 
 
 def _nonsymmetric():
@@ -158,15 +155,20 @@ def test_same_exception_as_three_pass_build(name):
     _, want = _outcome(_oracle_build_context, p)
     assert want is not None
     assert want[0] is (ClusterError if name == "nonsymmetric" else Incompatible)
-    assert _outcome(ClusterContext.build_normalizing, p)[1] == want
-    assert _outcome(ClusterContext.build, p)[1] == _outcome(_oracle_build, p)[1]
+    assert _outcome(ClusterContext.build, p)[1] == want
 
 
 def test_pi_not_one_after_rescaling_still_raises(monkeypatch):
     # a rescaling that changes nothing leaves pi != 1, and the certificate catches it
     monkeypatch.setattr(cluster, "rescale_generators", lambda p, eta: ([Fraction(1)] * p.n, p))
-    with pytest.raises(ClusterError, match=r"pi_\[1, s\(1\)\] = .* != 1; rescale the generators first"):
-        ClusterContext.build_normalizing(weyl_block(2))
+    with pytest.raises(ClusterError, match=r"pi_\[1, s\(1\)\] = .* != 1 after the pi-normalizing rescaling$"):
+        ClusterContext.build(weyl_block(2))
+
+
+def test_build_is_the_one_constructor():
+    constructors = [name for name, v in vars(ClusterContext).items() if isinstance(v, classmethod)]
+    assert constructors == ["build"]
+    assert list(inspect.signature(ClusterContext.build).parameters) == ["p"]
 
 
 class _Counter:
@@ -194,12 +196,13 @@ def counter(monkeypatch):
     c.wrap([symmetric, cluster, cli], "validate_symmetric", "validate")
     c.wrap([cgl, symmetric, cluster, cli], "compute_eta_and_primes", "eta")
     c.wrap([cluster], "_gamma_walk", "walk")
+    c.wrap([cluster.ClusterContext], "build", "build")
     return c
 
 
 def test_rescaled_build_counts(counter):
-    ctx, gamma = ClusterContext.build_normalizing(rescaled_3x4())
-    assert any(g != 1 for g in gamma)
+    ctx = ClusterContext.build(rescaled_3x4())
+    assert any(g != 1 for g in ctx.gamma)
     assert counter["validate"] == 1
     assert counter["eta"] <= 2
     chain_verify(ctx)
@@ -240,6 +243,8 @@ def test_cli_builds_context_once(argv, code, walks, counter, tmp_path, capsys):
     path.write_text(json.dumps(presentation_to_doc(rescaled_3x4())))
     assert cli.main([argv[0], str(path), *argv[1:]]) == code
     capsys.readouterr()
+    # one context, built once whatever pi the input has
+    assert counter["build"] == 1
     assert counter["validate"] == 1
     assert counter["eta"] <= 2
     # the Gamma_N walk, taken at most once per command

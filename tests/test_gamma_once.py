@@ -65,7 +65,7 @@ WALK_BUILDS = dict(BUILDS, **{
 
 
 def _context(name):
-    return ClusterContext.build_normalizing(WALK_BUILDS[name]())[0]
+    return ClusterContext.build(WALK_BUILDS[name]())
 
 
 def _counter(monkeypatch, calls):

@@ -63,7 +63,7 @@ def _seed_for_tau_per_tau(ctx, tau):
 
 def _fresh_context(name):
     if name == "rescaled_3x3":
-        return ClusterContext.build_normalizing(rescaled_3x3())[0]
+        return ClusterContext.build(rescaled_3x3())
     m, n = map(int, name.split("x"))
     return ClusterContext.build(build_matrix_poisson(m, n))
 

@@ -390,7 +390,7 @@ class TestULeadingTerm:
 
         monkeypatch.setattr(symmetric, "interval_prime", spy)
         monkeypatch.setattr(cluster, "interval_prime", spy)
-        ClusterContext.build_normalizing(p)
+        ClusterContext.build(p)
         assert built == []
 
 

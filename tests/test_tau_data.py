@@ -39,7 +39,7 @@ INPUTS = {
 
 @pytest.fixture(scope="module", params=sorted(INPUTS))
 def ctx(request):
-    return ClusterContext.build_normalizing(INPUTS[request.param]())[0]
+    return ClusterContext.build(INPUTS[request.param]())
 
 
 def test_one_pass_equals_the_oracles_on_all_of_xi(ctx):
